@@ -12,6 +12,9 @@ are byte-reproducible for a fixed master seed regardless of worker count.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
 import math
 import os
@@ -92,7 +95,8 @@ class ConfigError(ValueError):
 
 
 class InfeasibleError(RuntimeError):
-    """The configured scene cannot be recovered even noiselessly."""
+    """The configured scene cannot be recovered even noiselessly, or a sweep
+    cannot place a comm transmission clear of the radar band."""
 
 
 def _child_seed(master: int, *path) -> int:
@@ -881,21 +885,36 @@ def run_radar(cfg: ScenarioConfig) -> RunReport:
 # Monte-Carlo sweeps
 
 
+# a draw clears the avoid zone with probability p, the clear share of the
+# carrier range; 10 000 straight misses happen with odds below 5e-5 unless
+# p < 1e-3, so they mark a layout with (almost) no room left
+_MAX_CARRIER_DRAWS = 10_000
+
+
 def _random_transmissions(
     cfg: ScenarioConfig, avoid: FrequencySet, rng: np.random.Generator
 ) -> tuple[CommTransmissionSpec, ...]:
-    """Per-trial carrier draw, rejecting positions inside the avoid zone."""
+    """Per-trial carrier draw, rejecting positions inside the avoid zone.
+
+    Raises InfeasibleError when a transmission finds no clear carrier within
+    _MAX_CARRIER_DRAWS draws.
+    """
     out = []
     half_nyq = cfg.grid.f_nyq / 2.0
-    for spec in cfg.comm.transmissions:
+    for idx, spec in enumerate(cfg.comm.transmissions):
         half = spec.bandwidth / 2.0
         lo = -(half_nyq - cfg.grid.f_p / 2.0 - half)
         hi = half_nyq - cfg.grid.f_p / 2.0 - half
-        while True:
+        for _ in range(_MAX_CARRIER_DRAWS):
             c = float(rng.uniform(lo, hi))
             band = FrequencySet([(c - half, c + half)])
             if band.union(band.mirrored()).intersection(avoid).measure() == 0.0:
                 break
+        else:
+            raise InfeasibleError(
+                f"comm.transmissions[{idx}]: no carrier clear of the radar band "
+                f"in {_MAX_CARRIER_DRAWS} draws"
+            )
         out.append(replace(spec, carrier=c))
     return tuple(out)
 
@@ -914,8 +933,8 @@ def _index_ratio(est: SliceSupport, truth: SliceSupport) -> float:
     return len(est.intersection(truth)) / len(truth)
 
 
-def _trial_snr(args: tuple) -> dict[str, Any]:
-    cfg, snr_db, point_idx, trial = args
+def _trial_snr(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
+    snr_db, point_idx, trial = task
     grid = cfg.grid.to_grid()
     seqs = gen_mixing_sequences(
         cfg.grid.n_channels, cfg.grid.n_chips, _child_seed(cfg.seed, "mix")
@@ -976,8 +995,8 @@ def _trial_snr(args: tuple) -> dict[str, Any]:
     }
 
 
-def _trial_band(args: tuple) -> dict[str, Any]:
-    cfg, layout, snr_db, point_idx, trial = args
+def _trial_band(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
+    layout, snr_db, point_idx, trial = task
     r = cfg.radar
     f_r = band_layout(layout, r.b_h, r.n_bands, cfg.sweep.occupancy, r.n_delay_bins)
     scene = _draw_scene(cfg, derive_rng(cfg.seed, "band-scene", point_idx, trial))
@@ -997,8 +1016,8 @@ def _trial_band(args: tuple) -> dict[str, Any]:
     }
 
 
-def _trial_channels(args: tuple) -> dict[str, Any]:
-    cfg, m, point_idx, trial = args
+def _trial_channels(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
+    m, point_idx, trial = task
     grid = cfg.grid.to_grid()
     seqs = gen_mixing_sequences(m, cfg.grid.n_chips, _child_seed(cfg.seed, "mix"))
     a = build_sensing_matrix(seqs, grid.n_slices)
@@ -1055,12 +1074,55 @@ def _resolve_workers(cfg: ScenarioConfig, workers: int | None) -> int:
     return requested
 
 
+@functools.cache
+def _openblas_thread_control():
+    """(get, set) thread-count functions of the OpenBLAS bundled with NumPy.
+
+    None when NumPy ships no such library or it lacks the symbols. Looked up
+    on first use rather than at import, so importing specx stays cheap.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Cap NumPy's BLAS at one thread; restore the caller's count on exit.
+
+    Sweep matrices are tiny, and forked workers inherit the cap, so no worker
+    builds a BLAS thread pool that would contend with the other workers for
+    the cores. A no-op when the BLAS offers no thread control.
+    """
+    control = _openblas_thread_control()
+    if control is None:
+        yield
+        return
+    get, set_ = control
+    saved = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(saved)
+
+
 def _run_trials(fn, tasks: list[tuple], workers: int) -> list[dict[str, Any]]:
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    chunk = max(1, len(tasks) // (8 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
+    with _single_blas_thread():
+        if workers <= 1 or len(tasks) <= 1:
+            return [fn(t) for t in tasks]
+        chunk = max(1, len(tasks) // (8 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks, chunksize=chunk))
 
 
 def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunReport:
@@ -1071,6 +1133,10 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     scores radar hit rates for scripted transmit layouts; channels varies
     the sampler's channel count. Trial records carry every per-run metric
     the aggregates are computed from.
+
+    The trials run with NumPy's BLAS capped at one thread, in this process
+    and in every worker, and the caller's thread count is restored when the
+    sweep returns or raises.
     """
     cfg.validate()
     if axis not in SWEEP_AXES:
@@ -1085,12 +1151,14 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     if axis == "snr":
         if not cfg.sweep.snr_db:
             raise ConfigError("sweep.snr_db must be non-empty")
+        if not cfg.comm.transmissions:
+            raise ConfigError("an snr sweep needs at least one comm.transmissions entry")
         tasks = [
-            (cfg, snr, i, t)
+            (snr, i, t)
             for i, snr in enumerate(cfg.sweep.snr_db)
             for t in range(n_trials)
         ]
-        rows = _run_trials(_trial_snr, tasks, n_workers)
+        rows = _run_trials(functools.partial(_trial_snr, cfg), tasks, n_workers)
         trial_columns = (
             "snr_db", "trial", "pd_omp", "pd_pks", "exact_omp", "exact_pks", "noise_var"
         )
@@ -1124,11 +1192,11 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
             (layout, snr) for layout in cfg.sweep.band_layouts for snr in snr_grid
         ]
         tasks = [
-            (cfg, layout, snr, i, t)
+            (layout, snr, i, t)
             for i, (layout, snr) in enumerate(points)
             for t in range(n_trials)
         ]
-        rows = _run_trials(_trial_band, tasks, n_workers)
+        rows = _run_trials(functools.partial(_trial_band, cfg), tasks, n_workers)
         trial_columns = (
             "band_layout", "snr_db", "trial", "hit_rate", "n_detections",
             "truncated", "rmse_range_m", "kappa_size",
@@ -1151,11 +1219,11 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
         if not cfg.sweep.channel_counts:
             raise ConfigError("sweep.channel_counts must be non-empty")
         tasks = [
-            (cfg, m, i, t)
+            (m, i, t)
             for i, m in enumerate(cfg.sweep.channel_counts)
             for t in range(n_trials)
         ]
-        rows = _run_trials(_trial_channels, tasks, n_workers)
+        rows = _run_trials(functools.partial(_trial_channels, cfg), tasks, n_workers)
         trial_columns = ("n_channels", "trial", "pd_pks", "exact_pks")
         aggregates = []
         for i, m in enumerate(cfg.sweep.channel_counts):

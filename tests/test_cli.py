@@ -66,6 +66,20 @@ def test_infeasible_scene_exits_3(tmp_path):
     assert "infeasible:" in proc.stderr
 
 
+def test_snr_sweep_without_transmissions_exits_2(tmp_path):
+    doc = desk_doc()
+    doc["comm"]["transmissions"] = []
+    path = tmp_path / "silent.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli(
+        "sweep", "--config", str(path), "--axis", "snr", "--trials", "1",
+        "--workers", "1", "--out", str(tmp_path),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "comm.transmissions" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_sweep_trials_override(tmp_path):
     proc = run_cli(
         "sweep", "--config", "desk", "--axis", "snr", "--trials", "2",

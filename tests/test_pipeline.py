@@ -20,6 +20,7 @@ from specx import (
     run_specx,
     sweep,
 )
+from specx import pipeline
 from specx.pipeline import _resolve_workers
 
 
@@ -239,6 +240,72 @@ def test_sweep_channels_rate_columns(desk):
     by_m = {a["n_channels"]: a for a in rep.aggregates}
     assert by_m[12]["f_total_hz"] == 12 * desk.grid.f_s
     assert by_m[18]["rate_ratio"] == 18 / 30
+
+
+@pytest.mark.parametrize(
+    "axis, changes",
+    [
+        ("band_placement", {"band_snr_db": (-18.0,), "n_trials": 3}),
+        ("channels", {"channel_counts": (12, 18), "n_trials": 3}),
+    ],
+)
+def test_sweep_report_bytes_independent_of_workers(desk, tmp_path, axis, changes):
+    cfg = small_sweep(desk, **changes)
+    files = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        paths = emit_report(sweep(cfg, axis, workers=workers), out)
+        files.append({path.name: path.read_bytes() for path in paths})
+    assert files[0] == files[1]
+
+
+def test_sweep_caps_blas_threads_and_restores_them(desk, monkeypatch):
+    control = pipeline._openblas_thread_control()
+    if control is None:
+        pytest.skip("NumPy's BLAS exposes no thread control")
+    get, set_ = control
+    cfg = small_sweep(desk, snr_db=(10.0,), n_trials=2)
+    saved = get()
+    set_(2)
+    try:
+        sweep(cfg, "snr", workers=1)
+        assert get() == 2
+
+        seen = []
+
+        def failing_trial(cfg, task):
+            seen.append(get())
+            raise RuntimeError("trial failed")
+
+        monkeypatch.setattr(pipeline, "_trial_snr", failing_trial)
+        with pytest.raises(RuntimeError, match="trial failed"):
+            sweep(cfg, "snr", workers=1)
+        assert seen == [1]
+        assert get() == 2
+    finally:
+        set_(saved)
+
+
+def test_sweep_without_blas_thread_control(desk, monkeypatch):
+    cfg = small_sweep(desk, band_snr_db=(-18.0,), n_trials=2)
+    expected = sweep(cfg, "band_placement", workers=1)
+    monkeypatch.setattr(pipeline, "_openblas_thread_control", lambda: None)
+    got = sweep(cfg, "band_placement", workers=1)
+    assert got.trials == expected.trials
+    assert got.aggregates == expected.aggregates
+
+
+def test_sweep_without_clear_carrier_is_infeasible(desk):
+    """The radar's avoid zone covers every carrier a transmission can take."""
+    tx = dataclasses.replace(desk.comm.transmissions[0], carrier=-10e6)
+    cfg = dataclasses.replace(
+        small_sweep(desk, snr_db=(10.0,), n_trials=1),
+        grid=dataclasses.replace(desk.grid, f_nyq=80e6),
+        radar=dataclasses.replace(desk.radar, carrier=20e6),
+        comm=dataclasses.replace(desk.comm, transmissions=(tx,), phase2_transmissions=(tx,)),
+    )
+    with pytest.raises(InfeasibleError, match=r"transmissions\[0\].*10000 draws"):
+        sweep(cfg, "snr", workers=1)
 
 
 def test_sweep_rejects_unknown_axis(desk):
