@@ -21,6 +21,7 @@ from .freqs import (
     FrequencyInterval,
     FrequencySet,
     GridSpec,
+    KappaSet,
     SliceSupport,
     slice_count,
 )
@@ -30,7 +31,6 @@ from .mwc import (
     RateAccounting,
     SensingMatrix,
     build_sensing_matrix,
-    collapse_channels,
     compute_n_slices,
     gen_mixing_sequences,
     total_rate,
@@ -60,7 +60,6 @@ from .radar import (
     Detection,
     DetectionList,
     FocusedMatrix,
-    KappaSet,
     MinRequirements,
     SPEED_OF_LIGHT,
     delay_to_range_m,

@@ -144,16 +144,6 @@ class MappingMatrix:
     def identity(cls, q: int) -> "MappingMatrix":
         return cls(np.eye(q))
 
-    @classmethod
-    def uniform(cls, q: int, p: int) -> "MappingMatrix":
-        """p = r*q selectable frequencies, r consecutive ones per band."""
-        if p % q:
-            raise ValueError("p must be a multiple of q")
-        r = p // q
-        d = np.zeros((q, p))
-        d[np.repeat(np.arange(q), r), np.arange(p)] = 1.0
-        return cls(d)
-
 
 @dataclass(frozen=True)
 class BlockSparseVector:
@@ -297,19 +287,14 @@ def select_bands(
     rem: RemGrid,
     f_c: FrequencySet,
     n_b: int,
-    p: int | None = None,
     eps_rem: float = EPS_REM,
 ) -> tuple[BlockSparseVector, FrequencySet]:
     """Mask, invert, and run the block pursuit in one step.
 
     REM energies are floored at eps_rem before inversion so measured maps
-    with zeros stay usable. p defaults to the REM resolution (identity map).
+    with zeros stay usable. The pursuit selects whole REM bands (identity map).
     """
     masked = mask_comm(rem, f_c)
     floored = RemGrid(np.maximum(masked.energies, eps_rem), masked.b_y)
     y_inv = invert_rem(floored)
-    if p is None or p == rem.q:
-        d = MappingMatrix.identity(rem.q)
-    else:
-        d = MappingMatrix.uniform(rem.q, p)
-    return struct_omp(y_inv, d, n_b, span_width=rem.width)
+    return struct_omp(y_inv, MappingMatrix.identity(rem.q), n_b, span_width=rem.width)

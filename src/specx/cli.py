@@ -20,7 +20,6 @@ from .pipeline import (
     ConfigError,
     InfeasibleError,
     ScenarioConfig,
-    available_presets,
     load_config,
     run_radar,
     run_select_bands,

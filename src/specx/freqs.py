@@ -1,4 +1,5 @@
-"""Frequency-interval set algebra and sampling-grid bookkeeping.
+"""Frequency-interval set algebra, sampling-grid bookkeeping, and the index
+sets built on them: spectrum-slice supports and radar coefficient sets.
 
 All frequencies are in Hz. Spectra are two-sided: a real signal occupying
 [lo, hi) also occupies [-hi, -lo). Intervals are half-open so that abutting
@@ -17,6 +18,7 @@ __all__ = [
     "FrequencyInterval",
     "FrequencySet",
     "GridSpec",
+    "KappaSet",
     "SliceSupport",
     "slice_count",
 ]
@@ -125,12 +127,6 @@ class FrequencySet:
                     out.append(FrequencyInterval(lo, hi))
         return FrequencySet(out)
 
-    def __or__(self, other: "FrequencySet") -> "FrequencySet":
-        return self.union(other)
-
-    def __and__(self, other: "FrequencySet") -> "FrequencySet":
-        return self.intersection(other)
-
     def contains(self, f: float) -> bool:
         return any(iv.contains(f) for iv in self._intervals)
 
@@ -154,10 +150,6 @@ class FrequencySet:
     def to_pairs(self) -> list[list[float]]:
         """Serialize as [[lo_hz, hi_hz], ...] for configs and reports."""
         return [[iv.lo, iv.hi] for iv in self._intervals]
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Sequence[float]]) -> "FrequencySet":
-        return cls(pairs)
 
 
 def slice_count(f_nyq: float, f_s: float, f_p: float) -> int:
@@ -315,6 +307,40 @@ class SliceSupport:
             if 0 <= j < n_slices:
                 out.add(j)
         return SliceSupport(out)
+
+    def to_array(self) -> np.ndarray:
+        return np.asarray(self.indices, dtype=int)
+
+
+@dataclass(frozen=True)
+class KappaSet:
+    """Fourier-coefficient indices retained by the receiver.
+
+    indices are nonnegative DFT indices in {0..n-1}; n is the delay-grid size
+    (pri * b_h bins). Centered (physical) indices follow the usual aliasing
+    k_c = ((k + n/2) mod n) - n/2, so frequencies are k_c / pri.
+    """
+
+    indices: tuple[int, ...]
+    n: int
+
+    def __post_init__(self) -> None:
+        idx = tuple(sorted(set(int(i) for i in self.indices)))
+        if self.n < 2 or self.n % 2:
+            raise ValueError("n must be even and >= 2")
+        if idx and (idx[0] < 0 or idx[-1] >= self.n):
+            raise ValueError("kappa indices out of range")
+        if not idx:
+            raise ValueError("kappa is empty")
+        object.__setattr__(self, "indices", idx)
+
+    @property
+    def k(self) -> int:
+        return len(self.indices)
+
+    def centered(self) -> np.ndarray:
+        k = np.asarray(self.indices)
+        return ((k + self.n // 2) % self.n) - self.n // 2
 
     def to_array(self) -> np.ndarray:
         return np.asarray(self.indices, dtype=int)

@@ -27,9 +27,6 @@ __all__ = [
     "build_sensing_matrix",
     "xample",
     "total_rate",
-    "collapse_channels",
-    "save_complex_matrix",
-    "load_complex_matrix",
 ]
 
 
@@ -208,46 +205,3 @@ def total_rate(m: int, f_s: float, grid: GridSpec | None = None) -> RateAccounti
         channel_ratio=m / grid.n_slices,
         nyquist_ratio=f_total / grid.f_nyq,
     )
-
-
-def collapse_channels(m_physical: int, q: int, f_p: float) -> tuple[int, float]:
-    """Trade sampling rate for channel count.
-
-    Sampling each physical channel at q f_p (q odd) makes it act as q virtual
-    channels at f_p; downstream code then treats the bank as m_physical * q
-    channels. Returns (virtual channel count, per-channel rate q f_p).
-    """
-    if m_physical < 1:
-        raise ValueError("m_physical must be >= 1")
-    if q < 1 or q % 2 == 0:
-        raise ValueError("q must be an odd positive integer")
-    if f_p <= 0:
-        raise ValueError("f_p must be positive")
-    return m_physical * q, q * f_p
-
-
-def save_complex_matrix(path, a: np.ndarray, fmt: str = "bin") -> None:
-    """Dump a complex matrix for cross-implementation comparison.
-
-    bin: raw row-major little-endian float64 (re, im) pairs, no header.
-    txt: one matrix row per line, "re im" pairs separated by spaces.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    if fmt == "bin":
-        a.astype("<c16").tofile(path)
-    elif fmt == "txt":
-        inter = np.empty((a.shape[0], 2 * a.shape[1]))
-        inter[:, 0::2] = a.real
-        inter[:, 1::2] = a.imag
-        np.savetxt(path, inter, fmt="%.17g")
-    else:
-        raise ValueError("fmt must be 'bin' or 'txt'")
-
-
-def load_complex_matrix(path, shape: tuple[int, int], fmt: str = "bin") -> np.ndarray:
-    if fmt == "bin":
-        return np.fromfile(path, dtype="<c16").reshape(shape).astype(np.complex128)
-    if fmt == "txt":
-        inter = np.loadtxt(path, ndmin=2)
-        return (inter[:, 0::2] + 1j * inter[:, 1::2]).reshape(shape)
-    raise ValueError("fmt must be 'bin' or 'txt'")

@@ -17,21 +17,28 @@ import ctypes
 import functools
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .bands import RemGrid, select_bands
 from .freqs import FrequencySet, GridSpec, SliceSupport
-from .mwc import SensingMatrix, build_sensing_matrix, gen_mixing_sequences, total_rate, xample
+from .mwc import (
+    ChannelSamples,
+    SensingMatrix,
+    build_sensing_matrix,
+    gen_mixing_sequences,
+    total_rate,
+    xample,
+)
 from .radar import (
     DetectionList,
-    KappaSet,
     MinRequirements,
     delay_to_range_m,
     doppler_focus,
@@ -58,6 +65,7 @@ from .signals import (
     CommTransmissionSpec,
     PulseTrainSpec,
     RadarWaveformSpec,
+    SliceSpectrum,
     TargetScene,
     design_radar_waveform,
     gen_comm_slices,
@@ -86,7 +94,6 @@ __all__ = [
     "sweep",
 ]
 
-SWEEP_AXES = ("snr", "band_placement", "channels")
 _LAYOUT_NAMES = ("separated", "adjacent", "wideband")
 
 
@@ -101,6 +108,10 @@ class InfeasibleError(RuntimeError):
 
 def _child_seed(master: int, *path) -> int:
     return int(derive_rng(master, *path).integers(0, 2**63 - 1))
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _build(cls, data: Any, where: str):
@@ -285,7 +296,7 @@ class ScenarioConfig:
                     )
         cfg = cls(
             run_id=str(data["run_id"]),
-            seed=int(data["seed"]),
+            seed=data["seed"],
             grid=_build(GridConfig, data["grid"], "grid"),
             comm=_build(CommConfig, comm_data, "comm"),
             rem=_build(RemConfig, data["rem"], "rem"),
@@ -307,6 +318,8 @@ class ScenarioConfig:
     def validate(self) -> "ScenarioConfig":
         if not self.run_id or "/" in self.run_id:
             raise ConfigError("run_id must be a non-empty path-free name")
+        if not _is_int(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         try:
             grid = self.grid.to_grid()
         except ValueError as exc:
@@ -373,8 +386,8 @@ class ScenarioConfig:
         bad = sorted(set(s.band_layouts) - set(_LAYOUT_NAMES))
         if bad:
             raise ConfigError(f"sweep.band_layouts: unknown layouts {bad}")
-        if s.n_trials < 1:
-            raise ConfigError("sweep.n_trials must be >= 1")
+        if not _is_int(s.n_trials) or s.n_trials < 1:
+            raise ConfigError(f"sweep.n_trials must be an integer >= 1, got {s.n_trials!r}")
         if s.workers < 0:
             raise ConfigError("sweep.workers must be >= 0")
         if self.loop.max_iterations < 1:
@@ -551,6 +564,25 @@ def _require_feasible(cfg: ScenarioConfig) -> MinRequirements:
     return req
 
 
+def _require_channels(cfg: ScenarioConfig, grid: GridSpec, n_channels: int, where: str) -> None:
+    """Radar-aware sensing seeds its greedy search with every radar slice and
+    needs one channel more; the whole radar band bounds that slice count."""
+    r = cfg.radar
+    band = FrequencySet([(r.carrier - r.b_h / 2.0, r.carrier + r.b_h / 2.0)])
+    floor = len(radar_slice_support(band, grid)) + 1
+    if n_channels < floor:
+        raise ConfigError(
+            f"{where} ({n_channels}) must be >= {floor}, one more than the radar's "
+            f"{floor - 1} slices"
+        )
+
+
+def _sensing_matrix(cfg: ScenarioConfig, grid: GridSpec, n_channels: int) -> SensingMatrix:
+    """MWC front end of n_channels mixing sequences drawn from the scenario seed."""
+    seqs = gen_mixing_sequences(n_channels, cfg.grid.n_chips, _child_seed(cfg.seed, "mix"))
+    return build_sensing_matrix(seqs, grid.n_slices)
+
+
 def _base_meta(cfg: ScenarioConfig, grid: GridSpec) -> dict[str, Any]:
     rate = total_rate(cfg.grid.n_channels, cfg.grid.f_s, grid)
     req = cfg.feasibility()
@@ -642,19 +674,6 @@ def _sense_once(
 # single-shot runs
 
 
-_SPECX_TRIAL_COLUMNS = (
-    "iteration", "phase", "f_c_true", "f_c_est", "comm_support_est",
-    "support_exact", "f_c_changed", "f_r", "s_r", "kappa_size",
-    "occupancy_ratio", "f_r_fc_disjoint", "hit_rate", "n_detections",
-    "truncated", "detections", "rmse_range_m",
-)
-_SPECX_AGG_COLUMNS = (
-    "iterations", "converged", "band_selections", "final_hit_rate",
-    "final_support_exact", "final_occupancy_ratio", "final_kappa_size",
-    "total_detections",
-)
-
-
 def run_specx(cfg: ScenarioConfig) -> RunReport:
     """Execute the full coexistence loop and return its report.
 
@@ -664,10 +683,8 @@ def run_specx(cfg: ScenarioConfig) -> RunReport:
     cfg.validate()
     _require_feasible(cfg)
     grid = cfg.grid.to_grid()
-    seqs = gen_mixing_sequences(
-        cfg.grid.n_channels, cfg.grid.n_chips, _child_seed(cfg.seed, "mix")
-    )
-    a = build_sensing_matrix(seqs, grid.n_slices)
+    _require_channels(cfg, grid, cfg.grid.n_channels, "grid.n_channels")
+    a = _sensing_matrix(cfg, grid, cfg.grid.n_channels)
     rem = cfg.rem.to_rem()
     scene = _draw_scene(cfg, derive_rng(cfg.seed, "scene"))
 
@@ -734,30 +751,27 @@ def run_specx(cfg: ScenarioConfig) -> RunReport:
         row["f_r_fc_disjoint"] = f_r.intersection(f_c_base).measure() == 0.0
         rows.append(row)
 
-    last = rows[-1]
-    aggregates = [
-        {
-            "iterations": len(rows),
-            "converged": converged,
-            "band_selections": band_selections,
-            "final_hit_rate": next(
-                (r["hit_rate"] for r in reversed(rows) if r["hit_rate"] is not None), None
-            ),
-            "final_support_exact": last["support_exact"],
-            "final_occupancy_ratio": occupancy,
-            "final_kappa_size": kappa_size,
-            "total_detections": sum(r["n_detections"] or 0 for r in rows),
-        }
-    ]
+    agg = {
+        "iterations": len(rows),
+        "converged": converged,
+        "band_selections": band_selections,
+        "final_hit_rate": next(
+            (r["hit_rate"] for r in reversed(rows) if r["hit_rate"] is not None), None
+        ),
+        "final_support_exact": rows[-1]["support_exact"],
+        "final_occupancy_ratio": occupancy,
+        "final_kappa_size": kappa_size,
+        "total_detections": sum(r["n_detections"] or 0 for r in rows),
+    }
     meta = _base_meta(cfg, grid)
     meta["radar_occupancy_ratio"] = occupancy
     meta["loop_cap"] = cfg.loop.max_iterations
     return RunReport(
         run_id=cfg.run_id,
         meta=meta,
-        aggregate_columns=_SPECX_AGG_COLUMNS,
-        aggregates=tuple(aggregates),
-        trial_columns=_SPECX_TRIAL_COLUMNS,
+        aggregate_columns=tuple(agg),
+        aggregates=(agg,),
+        trial_columns=tuple(rows[0]),
         trials=tuple(rows),
     )
 
@@ -766,10 +780,7 @@ def run_sense(cfg: ScenarioConfig) -> RunReport:
     """Single sensing pass on the phase-1 comm signal, no radar on the air."""
     cfg.validate()
     grid = cfg.grid.to_grid()
-    seqs = gen_mixing_sequences(
-        cfg.grid.n_channels, cfg.grid.n_chips, _child_seed(cfg.seed, "mix")
-    )
-    a = build_sensing_matrix(seqs, grid.n_slices)
+    a = _sensing_matrix(cfg, grid, cfg.grid.n_channels)
     result, s_c_hat, f_c_op, f_c_true, s_c_true = _sense_once(
         cfg, grid, a, cfg.comm.transmissions, SliceSupport(), None, (0,)
     )
@@ -800,10 +811,7 @@ def run_select_bands(cfg: ScenarioConfig) -> RunReport:
     """Sense the comm support, then pick the radar bands away from it."""
     cfg.validate()
     grid = cfg.grid.to_grid()
-    seqs = gen_mixing_sequences(
-        cfg.grid.n_channels, cfg.grid.n_chips, _child_seed(cfg.seed, "mix")
-    )
-    a = build_sensing_matrix(seqs, grid.n_slices)
+    a = _sensing_matrix(cfg, grid, cfg.grid.n_channels)
     rem = cfg.rem.to_rem()
     result, _, f_c_op, f_c_true, _ = _sense_once(
         cfg, grid, a, cfg.comm.transmissions, SliceSupport(), None, (0,)
@@ -933,18 +941,18 @@ def _index_ratio(est: SliceSupport, truth: SliceSupport) -> float:
     return len(est.intersection(truth)) / len(truth)
 
 
-def _trial_snr(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
-    snr_db, point_idx, trial = task
-    grid = cfg.grid.to_grid()
-    seqs = gen_mixing_sequences(
-        cfg.grid.n_channels, cfg.grid.n_chips, _child_seed(cfg.seed, "mix")
-    )
-    a = build_sensing_matrix(seqs, grid.n_slices)
+def _comm_trial(
+    cfg: ScenarioConfig, grid: GridSpec, tag: str, point_idx: int, trial: int
+) -> tuple[SliceSpectrum, SliceSpectrum, SliceSupport, SliceSupport]:
+    """Shared medium of one sensing trial: a random comm layout clear of the
+    radar, radar bands selected against its true support, and the radar
+    emission on them. Returns (comm_x, x, s_c_true, s_r): the comm signal
+    alone, comm plus radar, the true comm slices and the radar slices."""
     rem = cfg.rem.to_rem()
-    rng = derive_rng(cfg.seed, "snr", point_idx, trial)
+    rng = derive_rng(cfg.seed, tag, point_idx, trial)
     specs = _random_transmissions(cfg, _radar_avoid_zone(cfg), rng)
     comm_x, f_c_true, s_c_true = gen_comm_slices(
-        specs, grid, 0.0, _child_seed(cfg.seed, "snr-comm", point_idx, trial)
+        specs, grid, 0.0, _child_seed(cfg.seed, f"{tag}-comm", point_idx, trial)
     )
     f_c_base = f_c_true.shifted(-cfg.radar.carrier).intersection(rem.span)
     _, f_r = select_bands(rem, f_c_base, cfg.radar.n_bands)
@@ -953,37 +961,50 @@ def _trial_snr(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
     )
     x = comm_x + radar_slices(
         waveform, cfg.radar.carrier, grid, cfg.radar.p_t,
-        _child_seed(cfg.seed, "snr-rslice", point_idx, trial),
+        _child_seed(cfg.seed, f"{tag}-rslice", point_idx, trial),
     )
     s_r = radar_slice_support(f_r.shifted(cfg.radar.carrier), grid)
+    return comm_x, x, s_c_true, s_r
+
+
+def _comm_support(
+    cfg: ScenarioConfig, grid: GridSpec, z: ChannelSamples, a: SensingMatrix,
+    sup: SliceSupport, s_r: SliceSupport,
+) -> SliceSupport:
+    """Comm slices of a greedy support: refit on it, drop the radar slices,
+    prune, and re-symmetrize."""
+    est = recover_slices(z, a, sup)
+    comm = _prune_support(est, sup.difference(s_r), grid, cfg.comm.prune_db)
+    return comm.symmetrized(grid.n_slices)
+
+
+def _trial_snr(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
+    snr_db, point_idx, trial = task
+    grid = cfg.grid.to_grid()
+    a = _sensing_matrix(cfg, grid, cfg.grid.n_channels)
+    comm_x, x, s_c_true, s_r = _comm_trial(cfg, grid, "snr", point_idx, trial)
     # SNR is defined against the comm signal alone; the radar emission is
     # interference at a fixed power, not part of the signal being detected
     p_sig = float(np.mean(np.abs(xample(comm_x, a).z) ** 2))
     noise_var = p_sig * 10.0 ** (-snr_db / 10.0)
     z = xample(x, a, noise_var, _child_seed(cfg.seed, "snr-noise", point_idx, trial))
 
-    # score against slices holding non-negligible comm power: same relative
-    # floor as the readout prune, with a 3 dB guard band so knife-edge slices
-    # (a carrier sliver straddling a slice boundary) cannot flip the outcome
-    energies = np.sum(np.abs(comm_x.values) ** 2, axis=1)
-    strongest = max(energies[i] for i in s_c_true)
-    floor = strongest * 10.0 ** (-max(cfg.comm.prune_db - 3.0, 0.0) / 10.0)
-    s_c_true = SliceSupport([i for i in s_c_true if energies[i] >= floor])
+    if cfg.comm.prune_db is not None:
+        # score against slices holding non-negligible comm power: same
+        # relative floor as the readout prune, with a 3 dB guard band so
+        # knife-edge slices (a carrier sliver straddling a slice boundary)
+        # cannot flip the outcome; without a prune there is no floor
+        energies = np.sum(np.abs(comm_x.values) ** 2, axis=1)
+        strongest = max(energies[i] for i in s_c_true)
+        floor = strongest * 10.0 ** (-max(cfg.comm.prune_db - 3.0, 0.0) / 10.0)
+        s_c_true = SliceSupport([i for i in s_c_true if energies[i] >= floor])
 
     n_sig = cfg.comm.n_sig_effective
     frame = build_frame(z)
-    sup_pks = omp_pks(frame, a, s_r, k_extra=4 * n_sig)
-    est_pks = recover_slices(z, a, sup_pks)
-    pks_comm = _prune_support(
-        est_pks, sup_pks.difference(s_r), grid, cfg.comm.prune_db
-    ).symmetrized(grid.n_slices)
+    pks_comm = _comm_support(cfg, grid, z, a, omp_pks(frame, a, s_r, k_extra=4 * n_sig), s_r)
     # the radar-unaware receiver budgets sparsity for the comm signals only,
     # so the radar emission competes for its greedy picks
-    sup_omp = somp(frame, a, max_sparsity=4 * n_sig)
-    est_omp = recover_slices(z, a, sup_omp)
-    omp_comm = _prune_support(
-        est_omp, sup_omp.difference(s_r), grid, cfg.comm.prune_db
-    ).symmetrized(grid.n_slices)
+    omp_comm = _comm_support(cfg, grid, z, a, somp(frame, a, max_sparsity=4 * n_sig), s_r)
     return {
         "snr_db": snr_db,
         "trial": trial,
@@ -1019,33 +1040,13 @@ def _trial_band(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
 def _trial_channels(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
     m, point_idx, trial = task
     grid = cfg.grid.to_grid()
-    seqs = gen_mixing_sequences(m, cfg.grid.n_chips, _child_seed(cfg.seed, "mix"))
-    a = build_sensing_matrix(seqs, grid.n_slices)
-    rem = cfg.rem.to_rem()
-    rng = derive_rng(cfg.seed, "chan", point_idx, trial)
-    specs = _random_transmissions(cfg, _radar_avoid_zone(cfg), rng)
-    comm_x, f_c_true, s_c_true = gen_comm_slices(
-        specs, grid, 0.0, _child_seed(cfg.seed, "chan-comm", point_idx, trial)
-    )
-    f_c_base = f_c_true.shifted(-cfg.radar.carrier).intersection(rem.span)
-    _, f_r = select_bands(rem, f_c_base, cfg.radar.n_bands)
-    waveform = design_radar_waveform(
-        _flat_base(cfg.radar.n_delay_bins), cfg.radar.b_h, f_r, cfg.radar.p_t
-    )
-    x = comm_x + radar_slices(
-        waveform, cfg.radar.carrier, grid, cfg.radar.p_t,
-        _child_seed(cfg.seed, "chan-rslice", point_idx, trial),
-    )
-    s_r = radar_slice_support(f_r.shifted(cfg.radar.carrier), grid)
-    z_clean = xample(x, a)
-    p_sig = float(np.mean(np.abs(z_clean.z) ** 2))
+    a = _sensing_matrix(cfg, grid, m)
+    _, x, s_c_true, s_r = _comm_trial(cfg, grid, "chan", point_idx, trial)
+    p_sig = float(np.mean(np.abs(xample(x, a).z) ** 2))
     noise_var = p_sig * 10.0 ** (-cfg.sweep.channels_snr_db / 10.0)
     z = xample(x, a, noise_var, _child_seed(cfg.seed, "chan-noise", point_idx, trial))
     sup = omp_pks(build_frame(z), a, s_r, k_extra=4 * cfg.comm.n_sig_effective)
-    est = recover_slices(z, a, sup)
-    comm = _prune_support(
-        est, sup.difference(s_r), grid, cfg.comm.prune_db
-    ).symmetrized(grid.n_slices)
+    comm = _comm_support(cfg, grid, z, a, sup, s_r)
     return {
         "n_channels": m,
         "trial": trial,
@@ -1054,8 +1055,12 @@ def _trial_channels(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
     }
 
 
-def _ci95(values: Sequence[float]) -> float:
-    arr = np.asarray(values, dtype=float)
+def _mean(rows: list[dict[str, Any]], key: str) -> float:
+    return float(np.mean([r[key] for r in rows]))
+
+
+def _ci95(rows: list[dict[str, Any]], key: str) -> float:
+    arr = np.asarray([r[key] for r in rows], dtype=float)
     if arr.size < 2:
         return 0.0
     return float(1.96 * arr.std(ddof=1) / math.sqrt(arr.size))
@@ -1125,6 +1130,89 @@ def _run_trials(fn, tasks: list[tuple], workers: int) -> list[dict[str, Any]]:
             return list(pool.map(fn, tasks, chunksize=chunk))
 
 
+def _snr_points(cfg: ScenarioConfig, grid: GridSpec) -> list[dict[str, Any]]:
+    if not cfg.sweep.snr_db:
+        raise ConfigError("sweep.snr_db must be non-empty")
+    if not cfg.comm.transmissions:
+        raise ConfigError("an snr sweep needs at least one comm.transmissions entry")
+    _require_channels(cfg, grid, cfg.grid.n_channels, "grid.n_channels")
+    return [{"snr_db": snr} for snr in cfg.sweep.snr_db]
+
+
+def _snr_stats(cfg: ScenarioConfig, grid: GridSpec, rows: list[dict]) -> dict[str, Any]:
+    return {
+        "n_trials": len(rows),
+        "pd_omp": _mean(rows, "pd_omp"),
+        "pd_pks": _mean(rows, "pd_pks"),
+        "ci95_omp": _ci95(rows, "pd_omp"),
+        "ci95_pks": _ci95(rows, "pd_pks"),
+        "exact_rate_omp": _mean(rows, "exact_omp"),
+        "exact_rate_pks": _mean(rows, "exact_pks"),
+    }
+
+
+def _band_points(cfg: ScenarioConfig, grid: GridSpec) -> list[dict[str, Any]]:
+    _require_feasible(cfg)
+    snr_grid = cfg.sweep.band_snr_db or cfg.sweep.snr_db
+    if not cfg.sweep.band_layouts or not snr_grid:
+        raise ConfigError("sweep.band_layouts and the SNR grid must be non-empty")
+    return [
+        {"band_layout": layout, "snr_db": snr}
+        for layout in cfg.sweep.band_layouts
+        for snr in snr_grid
+    ]
+
+
+def _band_stats(cfg: ScenarioConfig, grid: GridSpec, rows: list[dict]) -> dict[str, Any]:
+    return {"hit_rate": _mean(rows, "hit_rate"), "ci95": _ci95(rows, "hit_rate")}
+
+
+def _channel_points(cfg: ScenarioConfig, grid: GridSpec) -> list[dict[str, Any]]:
+    if not cfg.sweep.channel_counts:
+        raise ConfigError("sweep.channel_counts must be non-empty")
+    for m in cfg.sweep.channel_counts:
+        _require_channels(cfg, grid, m, "sweep.channel_counts entry")
+    return [{"n_channels": m} for m in cfg.sweep.channel_counts]
+
+
+def _channel_stats(cfg: ScenarioConfig, grid: GridSpec, rows: list[dict]) -> dict[str, Any]:
+    rate = total_rate(rows[0]["n_channels"], cfg.grid.f_s, grid)
+    return {
+        "n_trials": len(rows),
+        "pd_pks": _mean(rows, "pd_pks"),
+        "ci95": _ci95(rows, "pd_pks"),
+        "exact_rate": _mean(rows, "exact_pks"),
+        "f_total_hz": rate.f_total,
+        "rate_ratio": rate.channel_ratio,
+    }
+
+
+class _SweepAxis(NamedTuple):
+    """One sweep axis: its points (leading columns of its trial and aggregate
+    rows), the name of its trial function (looked up when the sweep starts,
+    so it can be replaced like any module attribute), the per-point stats
+    that complete an aggregate row, and any extra report meta."""
+
+    points: Callable[[ScenarioConfig, GridSpec], list[dict[str, Any]]]
+    trial: str
+    stats: Callable[[ScenarioConfig, GridSpec, list[dict]], dict[str, Any]]
+    meta: Callable[[ScenarioConfig], dict[str, Any]] = lambda cfg: {}
+
+
+_SWEEPS = {
+    "snr": _SweepAxis(_snr_points, "_trial_snr", _snr_stats),
+    "band_placement": _SweepAxis(
+        _band_points, "_trial_band", _band_stats,
+        lambda cfg: {"occupancy": cfg.sweep.occupancy},
+    ),
+    "channels": _SweepAxis(
+        _channel_points, "_trial_channels", _channel_stats,
+        lambda cfg: {"channels_snr_db": cfg.sweep.channels_snr_db},
+    ),
+}
+SWEEP_AXES = tuple(_SWEEPS)
+
+
 def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunReport:
     """Monte-Carlo sweep along one axis; deterministic for a fixed seed.
 
@@ -1141,117 +1229,29 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     cfg.validate()
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis must be one of {SWEEP_AXES}")
+    spec = _SWEEPS[axis]
     n_workers = _resolve_workers(cfg, workers)
     n_trials = cfg.sweep.n_trials
     grid = cfg.grid.to_grid()
     meta = _base_meta(cfg, grid)
     meta["axis"] = axis
     meta["n_trials"] = n_trials
-
-    if axis == "snr":
-        if not cfg.sweep.snr_db:
-            raise ConfigError("sweep.snr_db must be non-empty")
-        if not cfg.comm.transmissions:
-            raise ConfigError("an snr sweep needs at least one comm.transmissions entry")
-        tasks = [
-            (snr, i, t)
-            for i, snr in enumerate(cfg.sweep.snr_db)
-            for t in range(n_trials)
-        ]
-        rows = _run_trials(functools.partial(_trial_snr, cfg), tasks, n_workers)
-        trial_columns = (
-            "snr_db", "trial", "pd_omp", "pd_pks", "exact_omp", "exact_pks", "noise_var"
-        )
-        aggregates = []
-        for i, snr in enumerate(cfg.sweep.snr_db):
-            chunk = rows[i * n_trials : (i + 1) * n_trials]
-            pd_omp = [r["pd_omp"] for r in chunk]
-            pd_pks = [r["pd_pks"] for r in chunk]
-            aggregates.append(
-                {
-                    "snr_db": snr,
-                    "n_trials": n_trials,
-                    "pd_omp": float(np.mean(pd_omp)),
-                    "pd_pks": float(np.mean(pd_pks)),
-                    "ci95_omp": _ci95(pd_omp),
-                    "ci95_pks": _ci95(pd_pks),
-                    "exact_rate_omp": float(np.mean([r["exact_omp"] for r in chunk])),
-                    "exact_rate_pks": float(np.mean([r["exact_pks"] for r in chunk])),
-                }
-            )
-        agg_columns = (
-            "snr_db", "n_trials", "pd_omp", "pd_pks", "ci95_omp", "ci95_pks",
-            "exact_rate_omp", "exact_rate_pks",
-        )
-    elif axis == "band_placement":
-        _require_feasible(cfg)
-        snr_grid = cfg.sweep.band_snr_db or cfg.sweep.snr_db
-        if not cfg.sweep.band_layouts or not snr_grid:
-            raise ConfigError("sweep.band_layouts and the SNR grid must be non-empty")
-        points = [
-            (layout, snr) for layout in cfg.sweep.band_layouts for snr in snr_grid
-        ]
-        tasks = [
-            (layout, snr, i, t)
-            for i, (layout, snr) in enumerate(points)
-            for t in range(n_trials)
-        ]
-        rows = _run_trials(functools.partial(_trial_band, cfg), tasks, n_workers)
-        trial_columns = (
-            "band_layout", "snr_db", "trial", "hit_rate", "n_detections",
-            "truncated", "rmse_range_m", "kappa_size",
-        )
-        aggregates = []
-        for i, (layout, snr) in enumerate(points):
-            chunk = rows[i * n_trials : (i + 1) * n_trials]
-            rates = [r["hit_rate"] for r in chunk]
-            aggregates.append(
-                {
-                    "band_layout": layout,
-                    "snr_db": snr,
-                    "hit_rate": float(np.mean(rates)),
-                    "ci95": _ci95(rates),
-                }
-            )
-        agg_columns = ("band_layout", "snr_db", "hit_rate", "ci95")
-        meta["occupancy"] = cfg.sweep.occupancy
-    else:
-        if not cfg.sweep.channel_counts:
-            raise ConfigError("sweep.channel_counts must be non-empty")
-        tasks = [
-            (m, i, t)
-            for i, m in enumerate(cfg.sweep.channel_counts)
-            for t in range(n_trials)
-        ]
-        rows = _run_trials(functools.partial(_trial_channels, cfg), tasks, n_workers)
-        trial_columns = ("n_channels", "trial", "pd_pks", "exact_pks")
-        aggregates = []
-        for i, m in enumerate(cfg.sweep.channel_counts):
-            chunk = rows[i * n_trials : (i + 1) * n_trials]
-            pd = [r["pd_pks"] for r in chunk]
-            rate = total_rate(m, cfg.grid.f_s, grid)
-            aggregates.append(
-                {
-                    "n_channels": m,
-                    "n_trials": n_trials,
-                    "pd_pks": float(np.mean(pd)),
-                    "ci95": _ci95(pd),
-                    "exact_rate": float(np.mean([r["exact_pks"] for r in chunk])),
-                    "f_total_hz": rate.f_total,
-                    "rate_ratio": rate.channel_ratio,
-                }
-            )
-        agg_columns = (
-            "n_channels", "n_trials", "pd_pks", "ci95", "exact_rate",
-            "f_total_hz", "rate_ratio",
-        )
-        meta["channels_snr_db"] = cfg.sweep.channels_snr_db
-
+    points = spec.points(cfg, grid)
+    tasks = [
+        (*point.values(), i, t) for i, point in enumerate(points) for t in range(n_trials)
+    ]
+    trial = functools.partial(globals()[spec.trial], cfg)
+    rows = _run_trials(trial, tasks, n_workers)
+    aggregates = tuple(
+        {**point, **spec.stats(cfg, grid, rows[i * n_trials : (i + 1) * n_trials])}
+        for i, point in enumerate(points)
+    )
+    meta.update(spec.meta(cfg))
     return RunReport(
         run_id=f"{cfg.run_id}-{axis}",
         meta=meta,
-        aggregate_columns=agg_columns,
-        aggregates=tuple(aggregates),
-        trial_columns=trial_columns,
+        aggregate_columns=tuple(aggregates[0]),
+        aggregates=aggregates,
+        trial_columns=tuple(rows[0]),
         trials=tuple(rows),
     )

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
-from .freqs import FrequencySet
+from .freqs import FrequencySet, KappaSet
 from .signals import PulseTrainSpec, RadarWaveformSpec, TargetScene
 
 __all__ = [
@@ -37,40 +37,6 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT = 299792458.0
-
-
-@dataclass(frozen=True)
-class KappaSet:
-    """Fourier-coefficient indices retained by the receiver.
-
-    indices are nonnegative DFT indices in {0..n-1}; n is the delay-grid size
-    (pri * b_h bins). Centered (physical) indices follow the usual aliasing
-    k_c = ((k + n/2) mod n) - n/2, so frequencies are k_c / pri.
-    """
-
-    indices: tuple[int, ...]
-    n: int
-
-    def __post_init__(self) -> None:
-        idx = tuple(sorted(set(int(i) for i in self.indices)))
-        if self.n < 2 or self.n % 2:
-            raise ValueError("n must be even and >= 2")
-        if idx and (idx[0] < 0 or idx[-1] >= self.n):
-            raise ValueError("kappa indices out of range")
-        if not idx:
-            raise ValueError("kappa is empty")
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def k(self) -> int:
-        return len(self.indices)
-
-    def centered(self) -> np.ndarray:
-        k = np.asarray(self.indices)
-        return ((k + self.n // 2) % self.n) - self.n // 2
-
-    def to_array(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=int)
 
 
 def make_kappa(f_r: FrequencySet, b_h: float, n: int) -> KappaSet:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .freqs import FrequencyInterval, FrequencySet, GridSpec, SliceSupport
 from .mwc import ChannelSamples, SensingMatrix
-from .signals import SliceSpectrum, dense_from_slices
+from .signals import dense_from_slices
 
 __all__ = [
     "FrameMatrix",
@@ -80,12 +80,6 @@ def build_frame(z: ChannelSamples, eig_tol: float = 1e-6) -> FrameMatrix:
     return FrameMatrix(v)
 
 
-def _frame_array(v) -> np.ndarray:
-    if isinstance(v, FrameMatrix):
-        return v.v
-    return np.asarray(v, dtype=np.complex128)
-
-
 def _correlations(a: np.ndarray, resid: np.ndarray, col_norms: np.ndarray) -> np.ndarray:
     """Column-normalized matched-filter energies ||a_j^H R|| / ||a_j||."""
     scores = np.linalg.norm(a.conj().T @ resid, axis=1)
@@ -99,39 +93,17 @@ def somp(
     max_sparsity: int,
     res_tol: float = 1e-6,
 ) -> SliceSupport:
-    """Simultaneous OMP over the MMV system V = A U.
+    """Simultaneous OMP over the MMV system V = A U: omp_pks with no known
+    support and a budget of max_sparsity columns.
 
     Greedily adds the column most correlated with the residual (ties break to
     the lowest index), refits all selected columns jointly, and stops at
     max_sparsity columns or when the residual Frobenius norm drops below
     res_tol times ||V||.
     """
-    vv = _frame_array(v)
-    amat = a.a
-    if vv.shape[0] != amat.shape[0]:
-        raise ValueError("frame and sensing matrix row counts differ")
-    if max_sparsity < 0 or max_sparsity > amat.shape[1]:
+    if max_sparsity < 0 or max_sparsity > a.n:
         raise ValueError("max_sparsity out of range")
-    v_norm = np.linalg.norm(vv)
-    if v_norm == 0 or vv.shape[1] == 0:
-        return SliceSupport()
-    col_norms = np.linalg.norm(amat, axis=0)
-    selected: list[int] = []
-    resid = vv
-    for _ in range(max_sparsity):
-        scores = _correlations(amat, resid, col_norms)
-        if selected:
-            scores[np.asarray(selected)] = -1.0
-        j = int(np.argmax(scores))
-        if scores[j] <= 0:
-            break
-        selected.append(j)
-        sub = amat[:, selected]
-        coef, *_ = np.linalg.lstsq(sub, vv, rcond=None)
-        resid = vv - sub @ coef
-        if np.linalg.norm(resid) < res_tol * v_norm:
-            break
-    return SliceSupport(selected)
+    return omp_pks(v, a, SliceSupport(), max_sparsity, res_tol)
 
 
 def omp_pks(
@@ -150,7 +122,7 @@ def omp_pks(
     (condition number above 1e12) or if fewer channels than |s_r| + 1 are
     available.
     """
-    vv = _frame_array(v)
+    vv = v.v if isinstance(v, FrameMatrix) else np.asarray(v, dtype=np.complex128)
     amat = a.a
     m, n = amat.shape
     if vv.shape[0] != m:

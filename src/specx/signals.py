@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .freqs import FrequencyInterval, FrequencySet, GridSpec, SliceSupport
+from .freqs import FrequencyInterval, FrequencySet, GridSpec, KappaSet, SliceSupport
 from .rng import derive_rng
 
 __all__ = [
@@ -352,7 +352,7 @@ def radar_fourier_coeffs(
     scene: TargetScene,
     waveform: RadarWaveformSpec,
     train: PulseTrainSpec,
-    kappa: "KappaSet",
+    kappa: KappaSet,
     noise_var: float = 0.0,
     seed: int = 0,
 ) -> np.ndarray:
@@ -363,8 +363,6 @@ def radar_fourier_coeffs(
     noise_var. Doppler is in cycles/s. H is the transmitted spectrum, which
     must be nonzero on every requested coefficient.
     """
-    from .radar import KappaSet  # local import to avoid a cycle
-
     if not isinstance(kappa, KappaSet):
         raise TypeError("kappa must be a KappaSet")
     n = kappa.n

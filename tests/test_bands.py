@@ -85,10 +85,6 @@ def test_mapping_matrices():
     ident = MappingMatrix.identity(4)
     assert ident.q == ident.p == 4
     np.testing.assert_array_equal(ident.band_of(), np.arange(4))
-    uni = MappingMatrix.uniform(3, 6)
-    np.testing.assert_array_equal(uni.band_of(), [0, 0, 1, 1, 2, 2])
-    with pytest.raises(ValueError):
-        MappingMatrix.uniform(3, 7)
     with pytest.raises(ValueError):
         MappingMatrix(d=np.array([[1.0, 1.0], [1.0, 0.0]]))
 

@@ -1,17 +1,28 @@
 """Command-line entry point, run as a real subprocess."""
 
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
+
+import pytest
+
+import specx
+
+# the subprocess imports the same specx as the tests, installed or not
+SRC = str(Path(specx.__file__).resolve().parents[1])
 
 
 def run_cli(*args, cwd=None):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "specx", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -117,3 +128,52 @@ def test_verbose_prints_trials(tmp_path):
     loud = run_cli("select-bands", "--config", "desk", "--out", str(tmp_path), "--verbose")
     assert quiet.returncode == 0 and loud.returncode == 0
     assert len(loud.stdout.splitlines()) > len(quiet.stdout.splitlines())
+
+
+SWEEP_ONE = ("--trials", "1", "--workers", "1")
+
+
+def run_doc(tmp_path, doc, *args):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return run_cli(*args, "--config", str(path), "--out", str(tmp_path))
+
+
+def test_snr_sweep_without_prune_runs(tmp_path):
+    doc = desk_doc()
+    doc["comm"]["prune_db"] = None
+    proc = run_doc(tmp_path, doc, "sweep", "--axis", "snr", *SWEEP_ONE)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "section, key, value, args, message",
+    [
+        (None, "seed", "abc", ("sense",), "seed must be an integer"),
+        ("sweep", "n_trials", True, ("sweep", "--axis", "snr", "--workers", "1"),
+         "sweep.n_trials must be an integer"),
+        # desk's radar band touches 4 slices, so radar-aware sensing needs 5
+        ("grid", "n_channels", 4, ("specx",), "grid.n_channels (4) must be >= 5"),
+        ("grid", "n_channels", 4, ("sweep", "--axis", "snr", *SWEEP_ONE),
+         "grid.n_channels (4) must be >= 5"),
+        ("sweep", "channel_counts", [12, 4], ("sweep", "--axis", "channels", *SWEEP_ONE),
+         "sweep.channel_counts entry (4) must be >= 5"),
+    ],
+    ids=["seed", "n_trials", "specx-channels", "snr-channels", "channel-counts"],
+)
+def test_bad_config_exits_2_in_one_line(tmp_path, section, key, value, args, message):
+    doc = desk_doc()
+    (doc[section] if section else doc)[key] = value
+    proc = run_doc(tmp_path, doc, *args)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and message in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["sense", "select-bands"])
+def test_few_channels_suffice_without_radar_slices(tmp_path, command):
+    """Neither command seeds the greedy search with the radar slices."""
+    doc = desk_doc()
+    doc["grid"]["n_channels"] = 4
+    assert run_doc(tmp_path, doc, command).returncode == 0

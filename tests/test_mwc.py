@@ -14,7 +14,6 @@ from specx import (  # noqa: E402
     GridSpec,
     SliceSpectrum,
     build_sensing_matrix,
-    collapse_channels,
     compute_n_slices,
     gen_comm_slices,
     gen_mixing_sequences,
@@ -23,8 +22,6 @@ from specx import (  # noqa: E402
 )
 from specx.mwc import (  # noqa: E402
     MixingSequenceSet,
-    load_complex_matrix,
-    save_complex_matrix,
     sequence_fourier_coeffs,
 )
 
@@ -149,20 +146,3 @@ def test_rate_accounting():
     assert rate.nyquist_ratio == pytest.approx(0.385, rel=1e-12)
     bare = total_rate(25, 154e6)
     assert bare.channel_ratio is None and bare.nyquist_ratio is None
-
-
-def test_collapse_channels():
-    assert collapse_channels(5, 3, 20e6) == (15, 60e6)
-    assert collapse_channels(7, 1, 20e6) == (7, 20e6)
-    with pytest.raises(ValueError):
-        collapse_channels(5, 2, 20e6)  # even q folds spectra onto themselves
-
-
-@pytest.mark.parametrize("fmt", ["bin", "txt"])
-def test_matrix_save_load_round_trip(tmp_path, fmt):
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
-    path = tmp_path / f"mat.{fmt}"
-    save_complex_matrix(path, a, fmt=fmt)
-    back = load_complex_matrix(path, (3, 7), fmt=fmt)
-    np.testing.assert_allclose(back, a, atol=1e-15)

@@ -247,6 +247,7 @@ def test_sweep_channels_rate_columns(desk):
     [
         ("band_placement", {"band_snr_db": (-18.0,), "n_trials": 3}),
         ("channels", {"channel_counts": (12, 18), "n_trials": 3}),
+        ("snr", {"snr_db": (0.0, 10.0), "n_trials": 3}),
     ],
 )
 def test_sweep_report_bytes_independent_of_workers(desk, tmp_path, axis, changes):

@@ -11,6 +11,9 @@ from scipy.linalg import dft
 sys.path.insert(0, str(Path(__file__).parent))
 from _oracles import focus_direct  # noqa: E402
 
+import specx.freqs  # noqa: E402
+import specx.radar  # noqa: E402
+
 from specx import (  # noqa: E402
     Detection,
     DetectionList,
@@ -279,3 +282,5 @@ def test_kappa_set_round_trip():
     assert kappa.k == 3
     np.testing.assert_array_equal(np.sort(kappa.centered()), [-2, -1, 0])
     np.testing.assert_array_equal(np.sort(kappa.to_array()), [0, 14, 15])
+    # KappaSet lives in freqs; the radar module re-exports it
+    assert specx.radar.KappaSet is specx.freqs.KappaSet is KappaSet
