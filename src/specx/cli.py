@@ -4,14 +4,15 @@ Subcommands mirror the library entry points: sense, select-bands, and radar
 exercise one stage each, specx runs the closed loop, and sweep runs a
 Monte-Carlo experiment along one axis. Every run writes report files named
 after the scenario's run id into --out. Exit codes: 0 on success, 2 for
-configuration problems, 3 when the scenario is infeasible or no band
-selection satisfies the constraints.
+configuration problems, 3 when the scenario is infeasible, no band
+selection satisfies the constraints, or a sweep worker process dies.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 from .bands import BandSelectionError
@@ -131,6 +132,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except (InfeasibleError, BandSelectionError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except BrokenProcessPool as exc:
+        print(f"error: a sweep worker died: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     _print_summary(report, args.verbose)
     for p in paths:

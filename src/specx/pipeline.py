@@ -28,7 +28,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .bands import RemGrid, select_bands
-from .freqs import FrequencySet, GridSpec, SliceSupport
+from .freqs import FrequencySet, GridSpec, KappaSet, SliceSupport
 from .mwc import (
     ChannelSamples,
     SensingMatrix,
@@ -112,6 +112,37 @@ def _child_seed(master: int, *path) -> int:
 
 def _is_int(value: Any) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value: Any) -> bool:
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _check_field_types(section: Any, where: str) -> None:
+    """Every int field of a config dataclass holds an integer and every float
+    field a finite number (bools are neither), read off the field's
+    annotation; tuple fields are checked entry by entry, and None passes
+    where the annotation allows it."""
+    for f in fields(section):
+        kind, value, name = f.type, getattr(section, f.name), f"{where}.{f.name}"
+        if kind.endswith(" | None"):
+            if value is None:
+                continue
+            kind = kind.removesuffix(" | None")
+        if kind.startswith("tuple[") and kind.endswith(", ...]"):
+            kind = kind.removeprefix("tuple[").removesuffix(", ...]")
+            items = [(f"{name}[{i}]", v) for i, v in enumerate(value)]
+        else:
+            items = [(name, value)]
+        for item, v in items:
+            if kind == "int" and not _is_int(v):
+                raise ConfigError(f"{item} must be an integer, got {v!r}")
+            if kind == "float" and not _is_finite(v):
+                raise ConfigError(f"{item} must be a finite number, got {v!r}")
 
 
 def _build(cls, data: Any, where: str):
@@ -249,9 +280,7 @@ class SweepConfig:
             self, "band_snr_db", tuple(float(s) for s in self.band_snr_db)
         )
         object.__setattr__(self, "band_layouts", tuple(self.band_layouts))
-        object.__setattr__(
-            self, "channel_counts", tuple(int(c) for c in self.channel_counts)
-        )
+        object.__setattr__(self, "channel_counts", tuple(self.channel_counts))
 
 
 @dataclass(frozen=True)
@@ -320,6 +349,11 @@ class ScenarioConfig:
             raise ConfigError("run_id must be a non-empty path-free name")
         if not _is_int(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        for where in ("grid", "comm", "rem", "radar", "scene", "sweep", "loop"):
+            _check_field_types(getattr(self, where), where)
+        for key in ("transmissions", "phase2_transmissions"):
+            for i, t in enumerate(getattr(self.comm, key) or ()):
+                _check_field_types(t, f"comm.{key}[{i}]")
         try:
             grid = self.grid.to_grid()
         except ValueError as exc:
@@ -386,7 +420,7 @@ class ScenarioConfig:
         bad = sorted(set(s.band_layouts) - set(_LAYOUT_NAMES))
         if bad:
             raise ConfigError(f"sweep.band_layouts: unknown layouts {bad}")
-        if not _is_int(s.n_trials) or s.n_trials < 1:
+        if s.n_trials < 1:
             raise ConfigError(f"sweep.n_trials must be an integer >= 1, got {s.n_trials!r}")
         if s.workers < 0:
             raise ConfigError("sweep.workers must be >= 0")
@@ -513,23 +547,29 @@ def _rmse_range_m(dets: DetectionList, scene: TargetScene, pri: float) -> float 
     return float(delay_to_range_m(math.sqrt(float(np.mean(errs**2)))))
 
 
-def _radar_run(
-    cfg: ScenarioConfig,
-    f_r: FrequencySet,
-    scene: TargetScene,
-    noise_var: float,
-    seed: int,
-) -> dict[str, Any]:
-    """One radar transmit/receive/recover pass over baseband bands f_r."""
-    r = cfg.radar
+class _RadarSetup(NamedTuple):
+    """What a radar pass fixes before its scene is drawn: the baseband bands
+    f_r, the coefficient noise variance, the waveform on f_r, its coefficient
+    indices and partial Fourier frame, the focused-map noise variance and the
+    GLRT threshold."""
+
+    f_r: FrequencySet
+    noise_var: float
+    waveform: RadarWaveformSpec
+    kappa: KappaSet
+    f_kappa: np.ndarray
+    fvar: float
+    gamma: float
+
+
+def _radar_setup(r: RadarConfig, f_r: FrequencySet, noise_var: float) -> _RadarSetup:
+    """The scene-independent part of a radar pass over baseband bands f_r."""
     n_bins = r.n_delay_bins
     train = r.train()
     waveform = design_radar_waveform(_flat_base(n_bins), r.b_h, f_r, r.p_t)
     kappa = make_kappa(f_r, r.b_h, n_bins)
-    coeffs = radar_fourier_coeffs(scene, waveform, train, kappa, noise_var, seed)
-    focused = doppler_focus(coeffs, waveform, kappa, train)
     f_kappa = partial_fourier(kappa)
-    max_iter = r.max_detections or max(8, 2 * cfg.scene.n_targets)
+    f_kappa.flags.writeable = False  # shared by every trial of a sweep point
     if noise_var > 0:
         fvar = focused_noise_var(noise_var, waveform, kappa, train)
         rho = r.p_t / (noise_var * f_r.measure())
@@ -537,19 +577,30 @@ def _radar_run(
     else:
         fvar = 0.0
         gamma = 0.0
-    dets = focused_omp(focused, f_kappa, gamma, fvar, max_iter)
-    hit_rate, flags = hit_or_miss(dets, scene, r.b_h, train)
+    return _RadarSetup(f_r, noise_var, waveform, kappa, f_kappa, fvar, gamma)
+
+
+def _radar_trial(
+    cfg: ScenarioConfig, setup: _RadarSetup, scene: TargetScene, seed: int
+) -> dict[str, Any]:
+    """One radar transmit/receive/recover pass of scene under setup."""
+    r = cfg.radar
+    train = r.train()
+    coeffs = radar_fourier_coeffs(
+        scene, setup.waveform, train, setup.kappa, setup.noise_var, seed
+    )
+    focused = doppler_focus(coeffs, setup.waveform, setup.kappa, train)
+    max_iter = r.max_detections or max(8, 2 * cfg.scene.n_targets)
+    dets = focused_omp(focused, setup.f_kappa, setup.gamma, setup.fvar, max_iter)
+    hit_rate, _ = hit_or_miss(dets, scene, r.b_h, train)
     return {
         "hit_rate": hit_rate,
-        "hit_flags": [bool(f) for f in flags],
         "n_detections": len(dets),
         "truncated": dets.truncated,
         "detections": _detections_payload(dets),
         "rmse_range_m": _rmse_range_m(dets, scene, r.pri),
-        "kappa_size": kappa.k,
-        "occupancy_ratio": f_r.measure() / r.b_h,
-        "gamma": gamma,
-        "waveform": waveform,
+        "kappa_size": setup.kappa.k,
+        "occupancy_ratio": setup.f_r.measure() / r.b_h,
     }
 
 
@@ -581,6 +632,23 @@ def _sensing_matrix(cfg: ScenarioConfig, grid: GridSpec, n_channels: int) -> Sen
     """MWC front end of n_channels mixing sequences drawn from the scenario seed."""
     seqs = gen_mixing_sequences(n_channels, cfg.grid.n_chips, _child_seed(cfg.seed, "mix"))
     return build_sensing_matrix(seqs, grid.n_slices)
+
+
+# What the trials of the running sweep share, keyed on (builder, *inputs).
+# Each process that runs trials fills its own copy on first use, so nothing
+# large travels to the workers and fork and spawn both work; sweep() empties
+# it when it returns or raises.
+_POINT_SETUPS: dict[tuple, Any] = {}
+
+
+def _per_point(build: Callable[..., Any], *args: Any) -> Any:
+    """build(*args), built once per process and sweep; args must be hashable."""
+    key = (build, *args)
+    try:
+        return _POINT_SETUPS[key]
+    except KeyError:
+        value = _POINT_SETUPS[key] = build(*args)
+        return value
 
 
 def _base_meta(cfg: ScenarioConfig, grid: GridSpec) -> dict[str, Any]:
@@ -738,12 +806,9 @@ def run_specx(cfg: ScenarioConfig) -> RunReport:
         f_c_base = f_c_hat.shifted(-cfg.radar.carrier).intersection(rem.span)
         _, f_r = select_bands(rem, f_c_base, cfg.radar.n_bands)
         band_selections += 1
-        radar = _radar_run(
-            cfg, f_r, scene, cfg.radar.noise_var, _child_seed(cfg.seed, "radar", it)
-        )
-        waveform = radar.pop("waveform")
-        radar.pop("gamma")
-        radar.pop("hit_flags")
+        setup = _radar_setup(cfg.radar, f_r, cfg.radar.noise_var)
+        radar = _radar_trial(cfg, setup, scene, _child_seed(cfg.seed, "radar", it))
+        waveform = setup.waveform
         kappa_size = radar["kappa_size"]
         occupancy = radar["occupancy_ratio"]
         row.update(radar)
@@ -852,7 +917,8 @@ def run_radar(cfg: ScenarioConfig) -> RunReport:
     f_c_base = f_c_true.shifted(-cfg.radar.carrier).intersection(rem.span)
     _, f_r = select_bands(rem, f_c_base, cfg.radar.n_bands)
     scene = _draw_scene(cfg, derive_rng(cfg.seed, "scene"))
-    radar = _radar_run(cfg, f_r, scene, cfg.radar.noise_var, _child_seed(cfg.seed, "radar", 0))
+    setup = _radar_setup(cfg.radar, f_r, cfg.radar.noise_var)
+    radar = _radar_trial(cfg, setup, scene, _child_seed(cfg.seed, "radar", 0))
     rows = []
     for i, det in enumerate(radar["detections"]):
         delay, doppler, re, im, stat = det
@@ -981,7 +1047,7 @@ def _comm_support(
 def _trial_snr(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
     snr_db, point_idx, trial = task
     grid = cfg.grid.to_grid()
-    a = _sensing_matrix(cfg, grid, cfg.grid.n_channels)
+    a = _per_point(_sensing_matrix, cfg, grid, cfg.grid.n_channels)
     comm_x, x, s_c_true, s_r = _comm_trial(cfg, grid, "snr", point_idx, trial)
     # SNR is defined against the comm signal alone; the radar emission is
     # interference at a fixed power, not part of the signal being detected
@@ -1016,14 +1082,20 @@ def _trial_snr(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
     }
 
 
+def _band_setup(r: RadarConfig, occupancy: float, layout: str, snr_db: float) -> _RadarSetup:
+    """Radar setup of one band-placement point: a scripted layout, with the
+    coefficient noise snr_db below the power of a flat full-band emission."""
+    f_r = band_layout(layout, r.b_h, r.n_bands, occupancy, r.n_delay_bins)
+    noise_var = (r.p_t / (r.b_h * r.pri**2)) * 10.0 ** (-snr_db / 10.0)
+    return _radar_setup(r, f_r, noise_var)
+
+
 def _trial_band(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
     layout, snr_db, point_idx, trial = task
-    r = cfg.radar
-    f_r = band_layout(layout, r.b_h, r.n_bands, cfg.sweep.occupancy, r.n_delay_bins)
+    setup = _per_point(_band_setup, cfg.radar, cfg.sweep.occupancy, layout, snr_db)
     scene = _draw_scene(cfg, derive_rng(cfg.seed, "band-scene", point_idx, trial))
-    noise_var = (r.p_t / (r.b_h * r.pri**2)) * 10.0 ** (-snr_db / 10.0)
-    radar = _radar_run(
-        cfg, f_r, scene, noise_var, _child_seed(cfg.seed, "band-radar", point_idx, trial)
+    radar = _radar_trial(
+        cfg, setup, scene, _child_seed(cfg.seed, "band-radar", point_idx, trial)
     )
     return {
         "band_layout": layout,
@@ -1040,7 +1112,7 @@ def _trial_band(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
 def _trial_channels(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
     m, point_idx, trial = task
     grid = cfg.grid.to_grid()
-    a = _sensing_matrix(cfg, grid, m)
+    a = _per_point(_sensing_matrix, cfg, grid, m)
     _, x, s_c_true, s_r = _comm_trial(cfg, grid, "chan", point_idx, trial)
     p_sig = float(np.mean(np.abs(xample(x, a).z) ** 2))
     noise_var = p_sig * 10.0 ** (-cfg.sweep.channels_snr_db / 10.0)
@@ -1222,6 +1294,11 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     the sampler's channel count. Trial records carry every per-run metric
     the aggregates are computed from.
 
+    What is fixed for a sweep point is built once per process that runs its
+    trials: the MWC front end (once per sweep for snr, once per channel
+    count for channels) and, for band_placement, the bands, waveform, kappa,
+    partial Fourier frame, focused noise variance and GLRT threshold.
+
     The trials run with NumPy's BLAS capped at one thread, in this process
     and in every worker, and the caller's thread count is restored when the
     sweep returns or raises.
@@ -1241,7 +1318,10 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
         (*point.values(), i, t) for i, point in enumerate(points) for t in range(n_trials)
     ]
     trial = functools.partial(globals()[spec.trial], cfg)
-    rows = _run_trials(trial, tasks, n_workers)
+    try:
+        rows = _run_trials(trial, tasks, n_workers)
+    finally:
+        _POINT_SETUPS.clear()
     aggregates = tuple(
         {**point, **spec.stats(cfg, grid, rows[i * n_trials : (i + 1) * n_trials])}
         for i, point in enumerate(points)

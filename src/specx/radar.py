@@ -224,6 +224,7 @@ def focused_omp(
     if psi_norm == 0:
         return DetectionList(detections=())
 
+    f_adj = f_kappa.conj().T
     selected: list[tuple[int, int]] = []
     col_atoms: dict[int, list[int]] = {}
     amplitudes: dict[tuple[int, int], complex] = {}
@@ -234,7 +235,7 @@ def focused_omp(
     while True:
         if noise_var <= 0 and np.linalg.norm(resid) <= 1e-10 * psi_norm:
             break
-        corr = f_kappa.conj().T @ resid
+        corr = f_adj @ resid
         flat = int(np.argmax(np.abs(corr)))
         r_idx, q_idx = divmod(flat, p_count)
         if noise_var > 0:
@@ -251,16 +252,16 @@ def focused_omp(
             truncated = True
             break
         selected.append((r_idx, q_idx))
-        col_atoms.setdefault(q_idx, []).append(r_idx)
-        amplitudes[(r_idx, q_idx)] = 0.0
+        rows = col_atoms.setdefault(q_idx, [])
+        rows.append(r_idx)
 
-        # joint refit decouples per Doppler column
-        for q, rows in col_atoms.items():
-            sub = f_kappa[:, rows]
-            sol, *_ = np.linalg.lstsq(sub, psi[:, q], rcond=None)
-            resid[:, q] = psi[:, q] - sub @ sol
-            for r, val in zip(rows, sol):
-                amplitudes[(r, q)] = complex(val)
+        # the joint refit decouples per Doppler column, and only column q_idx
+        # gained an atom; every other column's fit is unchanged
+        sub = f_kappa[:, rows]
+        sol, *_ = np.linalg.lstsq(sub, psi[:, q_idx], rcond=None)
+        resid[:, q_idx] = psi[:, q_idx] - sub @ sol
+        for r, val in zip(rows, sol):
+            amplitudes[(r, q_idx)] = complex(val)
 
     detections = tuple(
         Detection(

@@ -80,3 +80,68 @@ def focus_direct(coeffs, waveform, kappa, train):
     steer = np.exp(TWO_PI * 1j * np.outer(pulses, nu) * train.pri)  # (P, P)
     summed = coeffs @ steer
     return (train.pri / (p * h))[:, None] * summed
+
+
+def focused_omp_refit_all(focused, f_kappa, gamma, noise_var, max_iter):
+    """focused_omp as first written: every greedy step refits every Doppler
+    column that holds an atom, not just the one that gained it."""
+    import math
+
+    from specx.radar import Detection, DetectionList
+
+    psi = focused.psi
+    p_count = psi.shape[1]
+    n_delay = f_kappa.shape[1]
+    atom_energy = float(np.sum(np.abs(f_kappa[:, 0]) ** 2))
+    psi_norm = np.linalg.norm(psi)
+    if psi_norm == 0:
+        return DetectionList(detections=())
+
+    selected = []
+    col_atoms = {}
+    amplitudes = {}
+    trace = []
+    resid = psi.copy()
+    truncated = False
+
+    while True:
+        if noise_var <= 0 and np.linalg.norm(resid) <= 1e-10 * psi_norm:
+            break
+        corr = f_kappa.conj().T @ resid
+        flat = int(np.argmax(np.abs(corr)))
+        r_idx, q_idx = divmod(flat, p_count)
+        if noise_var > 0:
+            stat = float(
+                np.abs(corr[r_idx, q_idx]) ** 2 / ((noise_var / 2.0) * atom_energy)
+            )
+            trace.append(stat)
+            if stat <= gamma:
+                break
+        if (r_idx, q_idx) in amplitudes:
+            break
+        if len(selected) >= max_iter:
+            truncated = True
+            break
+        selected.append((r_idx, q_idx))
+        col_atoms.setdefault(q_idx, []).append(r_idx)
+        amplitudes[(r_idx, q_idx)] = 0.0
+
+        for q, rows in col_atoms.items():
+            sub = f_kappa[:, rows]
+            sol, *_ = np.linalg.lstsq(sub, psi[:, q], rcond=None)
+            resid[:, q] = psi[:, q] - sub @ sol
+            for r, val in zip(rows, sol):
+                amplitudes[(r, q)] = complex(val)
+
+    detections = tuple(
+        Detection(
+            delay=focused.pri * r / n_delay,
+            doppler=float(focused.doppler_grid[q]),
+            amplitude=amplitudes[(r, q)],
+            statistic=trace[i] if i < len(trace) else math.inf,
+            delay_bin=r,
+            doppler_bin=q,
+        )
+        for i, (r, q) in enumerate(selected)
+    )
+    return DetectionList(detections=detections, truncated=truncated, gamma_trace=tuple(trace))

@@ -158,12 +158,29 @@ def test_snr_sweep_without_prune_runs(tmp_path):
          "grid.n_channels (4) must be >= 5"),
         ("sweep", "channel_counts", [12, 4], ("sweep", "--axis", "channels", *SWEEP_ONE),
          "sweep.channel_counts entry (4) must be >= 5"),
+        ("grid", "n_channels", 18.5, ("sense",), "grid.n_channels must be an integer"),
+        ("grid", "n_channels", "18", ("sense",), "grid.n_channels must be an integer"),
+        ("loop", "max_iterations", 2.5, ("specx",), "loop.max_iterations must be an integer"),
+        ("radar", "n_pulses", 24.0, ("radar",), "radar.n_pulses must be an integer"),
+        ("sweep", "channel_counts", [12.7], ("sweep", "--axis", "channels", *SWEEP_ONE),
+         "sweep.channel_counts[0] must be an integer"),
+        ("comm.transmissions.0", "carrier", float("nan"), ("sense",),
+         "comm.transmissions[0].carrier must be a finite number"),
+        ("radar", "noise_var", float("inf"), ("radar",),
+         "radar.noise_var must be a finite number"),
     ],
-    ids=["seed", "n_trials", "specx-channels", "snr-channels", "channel-counts"],
+    ids=[
+        "seed", "n_trials", "specx-channels", "snr-channels", "channel-counts",
+        "float-channels", "string-channels", "float-max-iterations", "float-pulses",
+        "float-channel-count", "nan-carrier", "inf-noise-var",
+    ],
 )
 def test_bad_config_exits_2_in_one_line(tmp_path, section, key, value, args, message):
     doc = desk_doc()
-    (doc[section] if section else doc)[key] = value
+    target = doc
+    for step in section.split(".") if section else ():
+        target = target[int(step) if step.isdigit() else step]
+    target[key] = value
     proc = run_doc(tmp_path, doc, *args)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and message in proc.stderr
@@ -177,3 +194,22 @@ def test_few_channels_suffice_without_radar_slices(tmp_path, command):
     doc = desk_doc()
     doc["grid"]["n_channels"] = 4
     assert run_doc(tmp_path, doc, command).returncode == 0
+
+
+def _dying_trial(cfg, task):
+    os._exit(1)
+
+
+def test_dead_sweep_worker_exits_3(tmp_path, monkeypatch, capsys):
+    from specx import cli, pipeline
+
+    monkeypatch.delenv("SPECX_WORKERS", raising=False)  # the pool must not run serially
+    monkeypatch.setattr(pipeline, "_trial_band", _dying_trial)
+    code = cli.main([
+        "sweep", "--config", "desk", "--axis", "band_placement", "--trials", "2",
+        "--workers", "2", "--out", str(tmp_path),
+    ])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.iterdir())

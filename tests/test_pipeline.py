@@ -287,6 +287,62 @@ def test_sweep_caps_blas_threads_and_restores_them(desk, monkeypatch):
         set_(saved)
 
 
+def counted(monkeypatch, name):
+    """Replace pipeline.<name> by a wrapper that records each call's args."""
+    calls = []
+    original = getattr(pipeline, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, name, wrapper)
+    return calls
+
+
+def test_band_sweep_builds_each_point_setup_once(desk, monkeypatch):
+    cfg = small_sweep(desk, band_snr_db=(-21.0, -15.0), n_trials=3)
+    fourier = counted(monkeypatch, "partial_fourier")
+    threshold = counted(monkeypatch, "glrt_threshold")
+    rep = sweep(cfg, "band_placement", workers=1)
+    assert len(rep.trials) == 18
+    assert len(fourier) == len(threshold) == len(rep.aggregates) == 6
+
+
+@pytest.mark.parametrize(
+    "axis, changes, builds",
+    [
+        ("snr", {"snr_db": (0.0, 10.0), "n_trials": 3}, 1),
+        ("channels", {"channel_counts": (12, 18), "n_trials": 3}, 2),
+    ],
+)
+def test_sensing_sweep_builds_front_end_once(desk, monkeypatch, axis, changes, builds):
+    """Once per sweep for snr, once per channel count for channels."""
+    matrices = counted(monkeypatch, "build_sensing_matrix")
+    sweep(small_sweep(desk, **changes), axis, workers=1)
+    assert len(matrices) == builds
+
+
+def test_sweep_empties_point_setups(desk, monkeypatch):
+    cfg = small_sweep(desk, band_snr_db=(-18.0,), n_trials=2)
+    sweep(cfg, "band_placement", workers=1)
+    assert pipeline._POINT_SETUPS == {}
+
+    trial_band = pipeline._trial_band
+    held = []
+
+    def failing_trial(cfg, task):
+        trial_band(cfg, task)
+        held.append(len(pipeline._POINT_SETUPS))
+        raise RuntimeError("trial failed")
+
+    monkeypatch.setattr(pipeline, "_trial_band", failing_trial)
+    with pytest.raises(RuntimeError, match="trial failed"):
+        sweep(cfg, "band_placement", workers=1)
+    assert held == [1]
+    assert pipeline._POINT_SETUPS == {}
+
+
 def test_sweep_without_blas_thread_control(desk, monkeypatch):
     cfg = small_sweep(desk, band_snr_db=(-18.0,), n_trials=2)
     expected = sweep(cfg, "band_placement", workers=1)

@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import dft
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _oracles import focus_direct  # noqa: E402
+from _oracles import focus_direct, focused_omp_refit_all  # noqa: E402
 
 import specx.freqs  # noqa: E402
 import specx.radar  # noqa: E402
@@ -17,6 +17,7 @@ import specx.radar  # noqa: E402
 from specx import (  # noqa: E402
     Detection,
     DetectionList,
+    FocusedMatrix,
     FrequencySet,
     KappaSet,
     PulseTrainSpec,
@@ -209,6 +210,42 @@ def test_gamma_blocks_pure_noise():
     gamma = glrt_threshold(1e-4, N * 8, model="central")
     dets, _ = recover(empty, noise_var=0.5, gamma=gamma, seed=11)
     assert len(dets) == 0
+
+
+@pytest.mark.parametrize("noise_var", [0.0, 0.5])
+@pytest.mark.parametrize("seed", range(4))
+def test_focused_omp_matches_refit_all_oracle(seed, noise_var):
+    """Refitting only the Doppler column that gained an atom gives the same
+    detections, bit for bit, as refitting every column on every step."""
+    rng = np.random.default_rng(seed)
+    bands = FULL if seed % 2 else FrequencySet([(-B_H / 2, -B_H / 2 + 12 * B_H / N)])
+    wave, train, kappa = setup(bands)
+    f_kappa = partial_fourier(kappa)
+    # three targets share Doppler bin 2, so one column gains several atoms
+    scene = on_grid_scene(
+        train, rng.choice(N, 5, replace=False), [2, 2, 2, 5, int(rng.integers(8))],
+        rng.normal(size=5) + 1j * rng.normal(size=5),
+    )
+    coeffs = radar_fourier_coeffs(scene, wave, train, kappa, noise_var=noise_var, seed=seed)
+    noise_map = rng.normal(size=(kappa.k, 8)) + 1j * rng.normal(size=(kappa.k, 8))
+    maps = [
+        doppler_focus(coeffs, wave, kappa, train),
+        FocusedMatrix(psi=noise_map, doppler_grid=train.doppler_grid(), pri=PRI),
+    ]
+    if noise_var > 0:
+        fvar = focused_noise_var(noise_var, wave, kappa, train)
+        gamma = glrt_threshold(0.01, N * 8)
+    else:
+        fvar = gamma = 0.0
+    shared_column = truncated = False
+    for focused in maps:
+        for max_iter in (2, 6, 40):
+            got = focused_omp(focused, f_kappa, gamma, fvar, max_iter)
+            assert got == focused_omp_refit_all(focused, f_kappa, gamma, fvar, max_iter)
+            columns = [d.doppler_bin for d in got]
+            shared_column |= len(set(columns)) < len(columns)
+            truncated |= got.truncated
+    assert shared_column and truncated
 
 
 def test_min_requirements():
