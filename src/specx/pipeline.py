@@ -115,11 +115,18 @@ def _is_int(value: Any) -> bool:
 
 
 def _is_finite(value: Any) -> bool:
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _int_entries_as_floats(values: Any) -> tuple:
+    """Integer entries become floats, so a report prints 10 as 10.0; bools,
+    strings and the rest stay as they are for _check_field_types to refuse."""
+    return tuple(float(v) if _is_int(v) and _is_finite(v) else v for v in values)
 
 
 def _check_field_types(section: Any, where: str) -> None:
@@ -223,7 +230,7 @@ class RemConfig:
     b_y: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
+        object.__setattr__(self, "energies", _int_entries_as_floats(self.energies))
 
     def to_rem(self) -> RemGrid:
         return RemGrid(energies=np.asarray(self.energies), b_y=self.b_y)
@@ -275,10 +282,8 @@ class SweepConfig:
     workers: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
-        object.__setattr__(
-            self, "band_snr_db", tuple(float(s) for s in self.band_snr_db)
-        )
+        object.__setattr__(self, "snr_db", _int_entries_as_floats(self.snr_db))
+        object.__setattr__(self, "band_snr_db", _int_entries_as_floats(self.band_snr_db))
         object.__setattr__(self, "band_layouts", tuple(self.band_layouts))
         object.__setattr__(self, "channel_counts", tuple(self.channel_counts))
 
@@ -1010,13 +1015,13 @@ def _index_ratio(est: SliceSupport, truth: SliceSupport) -> float:
 def _comm_trial(
     cfg: ScenarioConfig, grid: GridSpec, tag: str, point_idx: int, trial: int
 ) -> tuple[SliceSpectrum, SliceSpectrum, SliceSupport, SliceSupport]:
-    """Shared medium of one sensing trial: a random comm layout clear of the
-    radar, radar bands selected against its true support, and the radar
-    emission on them. Returns (comm_x, x, s_c_true, s_r): the comm signal
-    alone, comm plus radar, the true comm slices and the radar slices."""
-    rem = cfg.rem.to_rem()
+    """Shared medium of one sensing-sweep trial: a random comm layout clear
+    of the radar, radar bands selected against its true support, and the
+    radar emission on them. Returns (comm_x, x, s_c_true, s_r): the comm
+    signal alone, comm plus radar, the true comm slices and the radar slices."""
+    rem = _per_point(RemConfig.to_rem, cfg.rem)
     rng = derive_rng(cfg.seed, tag, point_idx, trial)
-    specs = _random_transmissions(cfg, _radar_avoid_zone(cfg), rng)
+    specs = _random_transmissions(cfg, _per_point(_radar_avoid_zone, cfg), rng)
     comm_x, f_c_true, s_c_true = gen_comm_slices(
         specs, grid, 0.0, _child_seed(cfg.seed, f"{tag}-comm", point_idx, trial)
     )
@@ -1046,7 +1051,7 @@ def _comm_support(
 
 def _trial_snr(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
     snr_db, point_idx, trial = task
-    grid = cfg.grid.to_grid()
+    grid = _per_point(GridConfig.to_grid, cfg.grid)
     a = _per_point(_sensing_matrix, cfg, grid, cfg.grid.n_channels)
     comm_x, x, s_c_true, s_r = _comm_trial(cfg, grid, "snr", point_idx, trial)
     # SNR is defined against the comm signal alone; the radar emission is
@@ -1111,7 +1116,7 @@ def _trial_band(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
 
 def _trial_channels(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
     m, point_idx, trial = task
-    grid = cfg.grid.to_grid()
+    grid = _per_point(GridConfig.to_grid, cfg.grid)
     a = _per_point(_sensing_matrix, cfg, grid, m)
     _, x, s_c_true, s_r = _comm_trial(cfg, grid, "chan", point_idx, trial)
     p_sig = float(np.mean(np.abs(xample(x, a).z) ** 2))
@@ -1295,9 +1300,10 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     the aggregates are computed from.
 
     What is fixed for a sweep point is built once per process that runs its
-    trials: the MWC front end (once per sweep for snr, once per channel
-    count for channels) and, for band_placement, the bands, waveform, kappa,
-    partial Fourier frame, focused noise variance and GLRT threshold.
+    trials: for snr and channels, the grid, REM and radar avoid zone, and
+    the MWC front end (once per sweep for snr, once per channel count for
+    channels); for band_placement, the bands, waveform, kappa, partial
+    Fourier frame, focused noise variance and GLRT threshold.
 
     The trials run with NumPy's BLAS capped at one thread, in this process
     and in every worker, and the caller's thread count is restored when the

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .freqs import FrequencySet, KappaSet
 from .signals import PulseTrainSpec, RadarWaveformSpec, TargetScene
@@ -142,7 +141,8 @@ def glrt_threshold(
 
     The per-test level is 1 - (1 - p_fa)^(1/n); the threshold is the upper
     quantile of a chi-square with 2 degrees of freedom, central or noncentral
-    with noncentrality rho.
+    with noncentrality rho. The central quantile has the closed form
+    -2 ln(per_test); SciPy is imported only for the noncentral one.
     """
     if not 0.0 < p_fa < 1.0:
         raise ValueError("p_fa must be in (0, 1)")
@@ -150,10 +150,12 @@ def glrt_threshold(
         raise ValueError("n must be >= 1")
     per_test = 1.0 - (1.0 - p_fa) ** (1.0 / n)
     if model == "central":
-        return float(stats.chi2.isf(per_test, df=2))
+        return -2.0 * math.log(per_test)
     if model == "noncentral":
         if rho < 0:
             raise ValueError("rho must be nonnegative")
+        from scipy import stats
+
         return float(stats.ncx2.isf(per_test, df=2, nc=rho))
     raise ValueError("model must be 'central' or 'noncentral'")
 

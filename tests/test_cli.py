@@ -15,15 +15,20 @@ import specx
 SRC = str(Path(specx.__file__).resolve().parents[1])
 
 
-def run_cli(*args, cwd=None):
+def run_python(*args, cwd=None):
+    """Run a fresh interpreter that imports the tests' specx."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "specx", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_cli(*args, cwd=None):
+    return run_python("-m", "specx", *args, cwd=cwd)
 
 
 def desk_doc():
@@ -168,11 +173,26 @@ def test_snr_sweep_without_prune_runs(tmp_path):
          "comm.transmissions[0].carrier must be a finite number"),
         ("radar", "noise_var", float("inf"), ("radar",),
          "radar.noise_var must be a finite number"),
+        ("sweep", "snr_db", [True, 10], ("sweep", "--axis", "snr", *SWEEP_ONE),
+         "sweep.snr_db[0] must be a finite number"),
+        ("sweep", "snr_db", [0, "10"], ("sweep", "--axis", "snr", *SWEEP_ONE),
+         "sweep.snr_db[1] must be a finite number"),
+        ("sweep", "band_snr_db", ["-18"], ("sweep", "--axis", "band_placement", *SWEEP_ONE),
+         "sweep.band_snr_db[0] must be a finite number"),
+        ("rem.energies", 0, False, ("select-bands",),
+         "rem.energies[0] must be a finite number"),
+        ("rem.energies", 1, "1.0", ("select-bands",),
+         "rem.energies[1] must be a finite number"),
+        ("grid", "f_nyq", 10**400, ("sense",), "grid.f_nyq must be a finite number"),
+        ("sweep", "snr_db", [10**400], ("sweep", "--axis", "snr", *SWEEP_ONE),
+         "sweep.snr_db[0] must be a finite number"),
     ],
     ids=[
         "seed", "n_trials", "specx-channels", "snr-channels", "channel-counts",
         "float-channels", "string-channels", "float-max-iterations", "float-pulses",
         "float-channel-count", "nan-carrier", "inf-noise-var",
+        "bool-snr", "string-snr", "string-band-snr", "bool-energy", "string-energy",
+        "huge-int-f-nyq", "huge-int-snr",
     ],
 )
 def test_bad_config_exits_2_in_one_line(tmp_path, section, key, value, args, message):
@@ -213,3 +233,29 @@ def test_dead_sweep_worker_exits_3(tmp_path, monkeypatch, capsys):
     assert code == 3
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert not list(tmp_path.iterdir())
+
+
+def test_radar_command_never_imports_scipy(tmp_path):
+    """The central GLRT threshold is closed-form, so a cold CLI run leaves
+    SciPy unimported."""
+    proc = run_python(
+        "-c",
+        "import sys, specx, specx.cli\n"
+        f"code = specx.cli.main(['radar', '--config', 'desk', '--out', {str(tmp_path)!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_noncentral_threshold_imports_scipy_when_used():
+    proc = run_python(
+        "-c",
+        "import sys\n"
+        "from specx import glrt_threshold\n"
+        "loaded = 'scipy.stats' in sys.modules\n"
+        "gamma = glrt_threshold(0.01, 3888, rho=5.0, model='noncentral')\n"
+        "print(loaded, 'scipy.stats' in sys.modules, gamma > glrt_threshold(0.01, 3888))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True"]

@@ -323,6 +323,29 @@ def test_sensing_sweep_builds_front_end_once(desk, monkeypatch, axis, changes, b
     assert len(matrices) == builds
 
 
+@pytest.mark.parametrize(
+    "axis, changes",
+    [
+        ("snr", {"snr_db": (0.0, 10.0), "n_trials": 3}),
+        ("channels", {"channel_counts": (12, 18), "n_trials": 3}),
+    ],
+    ids=["snr", "channels"],
+)
+def test_sensing_sweep_builds_rem_once(desk, monkeypatch, axis, changes):
+    """The REM is built once per sweep, not once per trial."""
+    calls = []
+    to_rem = pipeline.RemConfig.to_rem
+
+    def counted_to_rem(self):
+        calls.append(self)
+        return to_rem(self)
+
+    monkeypatch.setattr(pipeline.RemConfig, "to_rem", counted_to_rem)
+    rep = sweep(small_sweep(desk, **changes), axis, workers=1)
+    assert len(rep.trials) == 6
+    assert len(calls) == 1
+
+
 def test_sweep_empties_point_setups(desk, monkeypatch):
     cfg = small_sweep(desk, band_snr_db=(-18.0,), n_trials=2)
     sweep(cfg, "band_placement", workers=1)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.linalg import dft
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -23,6 +24,7 @@ from specx import (  # noqa: E402
     PulseTrainSpec,
     SPEED_OF_LIGHT,
     TargetScene,
+    available_presets,
     delay_to_range_m,
     design_radar_waveform,
     doppler_focus,
@@ -30,6 +32,7 @@ from specx import (  # noqa: E402
     focused_omp,
     glrt_threshold,
     hit_or_miss,
+    load_config,
     make_kappa,
     min_requirements,
     partial_fourier,
@@ -161,6 +164,55 @@ def test_glrt_threshold_noncentral_behavior():
         glrt_threshold(0.0, 100)
     with pytest.raises(ValueError):
         glrt_threshold(0.1, 100, model="bogus")
+
+
+def _preset_glrt_points():
+    """(p_fa, n) of each preset's GLRT: n tests, one per delay-Doppler cell."""
+    points = []
+    for name in available_presets():
+        r = load_config(name).radar
+        points.append((r.p_fa, r.n_delay_bins * r.n_pulses))
+    return points
+
+
+def _per_test(p_fa, n):
+    return 1.0 - (1.0 - p_fa) ** (1.0 / n)
+
+
+GLRT_GRID = sorted(
+    {
+        (p_fa, n)
+        for p_fa in (1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.5)
+        for n in (1, 16, 512, 10**5)
+    }
+    | set(_preset_glrt_points())
+)
+
+
+def test_glrt_threshold_central_within_2_ulp_of_scipy():
+    for p_fa, n in GLRT_GRID:
+        got = glrt_threshold(p_fa, n, model="central")
+        want = float(stats.chi2.isf(_per_test(p_fa, n), df=2))
+        assert abs(got - want) <= 2 * math.ulp(want), (p_fa, n)
+
+
+def test_glrt_threshold_central_within_1_ulp_of_exact_log():
+    """The closed form is within 1 ulp of -2 ln(per_test) at 200 bits, over
+    the grid and up to p_fa = 0.99, where chi2.isf strays by several ulp."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(200):
+        for p_fa, n in GLRT_GRID + [(0.9, 2), (0.99, 1), (0.99, 7)]:
+            exact = float(-2 * mpmath.log(mpmath.mpf(_per_test(p_fa, n))))
+            got = glrt_threshold(p_fa, n, model="central")
+            assert abs(got - exact) <= math.ulp(exact), (p_fa, n)
+
+
+def test_glrt_threshold_noncentral_equals_scipy():
+    for p_fa, n in _preset_glrt_points() + [(0.1, 16)]:
+        for rho in (0.0, 0.5, 5.0, 40.0, 400.0):
+            got = glrt_threshold(p_fa, n, rho=rho, model="noncentral")
+            want = float(stats.ncx2.isf(_per_test(p_fa, n), df=2, nc=rho))
+            assert got == want, (p_fa, n, rho)
 
 
 # -- recovery -----------------------------------------------------------------
