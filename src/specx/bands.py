@@ -83,13 +83,18 @@ class RemGrid:
 
 
 def mask_comm(rem: RemGrid, f_c: FrequencySet) -> RemGrid:
-    """Set REM entries to +inf on every band intersecting the comm support."""
+    """Set REM entries to +inf on every band intersecting the comm support.
+
+    A band meets an interval of f_c in positive measure exactly when each
+    starts below the other's end; the band edges are those of band_interval.
+    """
     energies = np.array(rem.energies)
-    for i in range(rem.q):
-        iv = rem.band_interval(i)
-        band = FrequencySet([(iv.lo, iv.hi)])
-        if band.intersection(f_c).measure() > 0:
-            energies[i] = np.inf
+    lo = np.arange(rem.q) * rem.b_y - rem.width / 2.0
+    hi = lo + rem.b_y
+    hit = np.zeros(rem.q, dtype=bool)
+    for iv in f_c:
+        hit |= (lo < iv.hi) & (iv.lo < hi)
+    energies[hit] = np.inf
     return RemGrid(energies=energies, b_y=rem.b_y)
 
 
@@ -199,9 +204,13 @@ def struct_omp(
 
     Each step scores candidate frequency i by the residual energy its band
     explains divided by the coding-complexity increment of adding i, selects
-    the best (ties to the lowest index), and refits the selected support by
-    least squares. Growth stops when a selection would create block n_b + 1
-    (that index is dropped) or when no candidate reduces the residual.
+    the best (ties to the lowest index), and zeroes its band in the residual.
+    Every column of d holds a single 1, so that residual is exactly the
+    least-squares residual of the selected support, and the minimum-norm
+    weight of a selected column is its band's value shared equally among
+    the selected columns in that band. Growth stops when a selection would
+    create block n_b + 1 (that index is dropped) or when no candidate
+    reduces the residual.
 
     Masked frequencies (preference 0) are never selected, so the returned
     band set avoids the communication support by construction. Raises
@@ -219,54 +228,45 @@ def struct_omp(
 
     p = d.p
     band_of = d.band_of()
-    dmat = d.d
     b_w = span_width / p
 
     support: list[int] = []
     in_support = np.zeros(p, dtype=bool)
+    neighbours = np.zeros(p, dtype=np.intp)
     resid = y_inv.copy()
     log_p = math.log(p)
+    # complexity increment by selected-neighbour count: a new block, an
+    # extension, or a merge of two blocks
+    delta_c = np.array([dg * log_p + 1.0 for dg in (1, 0, -1)])
+    blocks = 0
 
     while len(support) < p:
-        gains = np.full(p, -np.inf)
-        for i in range(p):
-            if in_support[i]:
-                continue
-            num = resid[band_of[i]] ** 2
-            left = in_support[i - 1] if i > 0 else False
-            right = in_support[i + 1] if i + 1 < p else False
-            if left and right:
-                dg = -1
-            elif left or right:
-                dg = 0
-            else:
-                dg = 1
-            delta_c = dg * log_p + 1.0
-            gains[i] = num / delta_c
+        gains = resid[band_of] ** 2 / delta_c[neighbours]
+        gains[in_support] = -np.inf
         best = int(np.argmax(gains))
         if gains[best] <= 1e-300:
             break
-        candidate = support + [best]
-        if _support_blocks(candidate) > n_b:
+        if blocks + 1 - neighbours[best] > n_b:
             break
-        support = candidate
+        blocks += 1 - int(neighbours[best])
+        support.append(best)
         in_support[best] = True
-        sub = dmat[:, support]
-        coef, *_ = np.linalg.lstsq(sub, y_inv, rcond=None)
-        resid = y_inv - sub @ coef
+        if best > 0:
+            neighbours[best - 1] += 1
+        if best + 1 < p:
+            neighbours[best + 1] += 1
+        resid[band_of[best]] = 0.0
 
-    g_final = _support_blocks(support)
-    if g_final < n_b:
+    if blocks < n_b:
         raise BandSelectionError(
-            f"only {g_final} usable regions available, {n_b} bands requested",
-            feasible_blocks=g_final,
+            f"only {blocks} usable regions available, {n_b} bands requested",
+            feasible_blocks=blocks,
         )
 
     w = np.zeros(p)
-    if support:
-        sub = dmat[:, support]
-        coef, *_ = np.linalg.lstsq(sub, y_inv, rcond=None)
-        w[np.asarray(support)] = coef
+    sel = np.asarray(support)
+    sel_bands = band_of[sel]
+    w[sel] = y_inv[sel_bands] / np.bincount(sel_bands, minlength=d.q)[sel_bands]
 
     half = span_width / 2.0
     intervals = []

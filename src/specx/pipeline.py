@@ -384,6 +384,8 @@ class ScenarioConfig:
                     raise ConfigError(
                         f"comm transmission {i} (phase {phase}) is wider than one slice"
                     )
+        if self.comm.noise_psd < 0:
+            raise ConfigError("comm.noise_psd must be >= 0")
         r = self.radar
         if r.carrier - r.b_h / 2.0 < 0 or r.carrier + r.b_h / 2.0 > half_nyq:
             raise ConfigError("radar band must lie within (0, f_nyq/2)")
@@ -402,7 +404,12 @@ class ScenarioConfig:
             raise ConfigError("radar.glrt_model must be 'central' or 'noncentral'")
         if r.noise_var < 0 or r.p_t <= 0:
             raise ConfigError("radar.noise_var must be >= 0 and p_t > 0")
+        if r.max_detections < 0:
+            raise ConfigError("radar.max_detections must be >= 0 (0 picks the default)")
         rem = self.rem
+        for i, e in enumerate(rem.energies):
+            if e < 0:
+                raise ConfigError(f"rem.energies[{i}] must be >= 0")
         if len(rem.energies) < r.n_bands:
             raise ConfigError("rem must have at least n_bands entries")
         if abs(len(rem.energies) * rem.b_y - r.b_h) > 1e-6 * r.b_h:
@@ -1198,9 +1205,21 @@ def _single_blas_thread():
         set_(saved)
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_trials(fn, tasks: list[tuple], workers: int) -> list[dict[str, Any]]:
+    """Run the trials in order, in this process or in a pool of at most
+    workers processes. The pool never holds more processes than there are
+    tasks or CPUs this process may run on: the fork start method starts every
+    worker at the first submit, and a worker beyond either count only waits.
+    """
+    workers = min(workers, len(tasks), _usable_cpus())
     with _single_blas_thread():
-        if workers <= 1 or len(tasks) <= 1:
+        if workers <= 1:
             return [fn(t) for t in tasks]
         chunk = max(1, len(tasks) // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:

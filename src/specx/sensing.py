@@ -35,6 +35,9 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
+# a new column whose orthogonal part is below this times m times its norm
+# already lies in the span of the selected columns
+_SPAN_TOL = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -80,13 +83,6 @@ def build_frame(z: ChannelSamples, eig_tol: float = 1e-6) -> FrameMatrix:
     return FrameMatrix(v)
 
 
-def _correlations(a: np.ndarray, resid: np.ndarray, col_norms: np.ndarray) -> np.ndarray:
-    """Column-normalized matched-filter energies ||a_j^H R|| / ||a_j||."""
-    scores = np.linalg.norm(a.conj().T @ resid, axis=1)
-    safe = np.where(col_norms > 0, col_norms, 1.0)
-    return np.where(col_norms > 0, scores / safe, 0.0)
-
-
 def somp(
     v: FrameMatrix | np.ndarray,
     a: SensingMatrix,
@@ -97,9 +93,9 @@ def somp(
     support and a budget of max_sparsity columns.
 
     Greedily adds the column most correlated with the residual (ties break to
-    the lowest index), refits all selected columns jointly, and stops at
-    max_sparsity columns or when the residual Frobenius norm drops below
-    res_tol times ||V||.
+    the lowest index), projects its new direction out of the residual, and
+    stops at max_sparsity columns or when the residual Frobenius norm drops
+    below res_tol times ||V||.
     """
     if max_sparsity < 0 or max_sparsity > a.n:
         raise ValueError("max_sparsity out of range")
@@ -115,10 +111,16 @@ def omp_pks(
 ) -> SliceSupport:
     """OMP with partially known support.
 
-    The known indices s_r enter the support unconditionally and their joint
-    least-squares fit is subtracted before any greedy step; ordinary OMP then
-    adds at most k_extra further columns. Returns the union of s_r and the
-    discovered indices. Raises if the known columns are ill-conditioned
+    The known indices s_r enter the support unconditionally and their span is
+    projected out of V before any greedy step; ordinary OMP then adds at most
+    k_extra further columns. The residual is always V minus its projection
+    onto the selected columns, the same as a joint least-squares refit, but
+    it is kept by an orthonormal basis Q of those columns: each new column is
+    orthogonalized against Q (Gram-Schmidt with one reorthogonalization
+    pass), appended, and its direction removed from the residual. A column
+    already in the span (orthogonal part at rounding level) joins the
+    support and leaves the residual as it is. Returns the union of s_r and
+    the discovered indices. Raises if the known columns are ill-conditioned
     (condition number above 1e12) or if fewer channels than |s_r| + 1 are
     available.
     """
@@ -138,29 +140,51 @@ def omp_pks(
     if v_norm == 0 or vv.shape[1] == 0:
         return SliceSupport(selected)
 
+    # Q (orthonormal columns spanning the selected columns) and its rows Q^H
+    basis = np.empty((m, m), dtype=np.complex128)
+    basis_h = np.empty((m, m), dtype=np.complex128)
+    rank = len(selected)
     if selected:
         sub = amat[:, selected]
         if np.linalg.cond(sub) > _COND_LIMIT:
             raise ValueError("known-support columns are ill-conditioned")
-        coef, *_ = np.linalg.lstsq(sub, vv, rcond=None)
-        resid = vv - sub @ coef
+        basis[:, :rank] = np.linalg.qr(sub)[0]
+        basis_h[:rank] = basis[:, :rank].conj().T
+        resid = vv - basis[:, :rank] @ (basis_h[:rank] @ vv)
     else:
-        resid = vv
+        resid = vv.copy()
 
+    # unit-norm matched filters a_j^H / ||a_j||; a selected or all-zero
+    # column keeps a zero row, so it scores 0 and is never picked
     col_norms = np.linalg.norm(amat, axis=0)
+    live = col_norms > 0
+    live[selected] = False
+    filters = np.zeros((n, m), dtype=np.complex128)
+    filters[live] = amat.conj().T[live] / col_norms[live, None]
+    span_tol = _SPAN_TOL * m
     for _ in range(k_extra):
-        if np.linalg.norm(resid) < res_tol * v_norm:
+        if math.sqrt(np.vdot(resid, resid).real) < res_tol * v_norm:
             break
-        scores = _correlations(amat, resid, col_norms)
-        if selected:
-            scores[np.asarray(selected)] = -1.0
-        j = int(np.argmax(scores))
+        g = (filters @ resid).view(np.float64)
+        scores = np.einsum("ij,ij->i", g, g)  # squared ||a_j^H R|| / ||a_j||
+        j = int(scores.argmax())
         if scores[j] <= 0:
             break
         selected.append(j)
-        sub = amat[:, selected]
-        coef, *_ = np.linalg.lstsq(sub, vv, rcond=None)
-        resid = vv - sub @ coef
+        filters[j] = 0.0
+        if rank == m:
+            continue
+        q, q_h = basis[:, :rank], basis_h[:rank]
+        u = amat[:, j] - q @ (q_h @ amat[:, j])
+        u -= q @ (q_h @ u)
+        u_norm = math.sqrt(np.vdot(u, u).real)
+        if u_norm <= span_tol * col_norms[j]:
+            continue
+        u /= u_norm
+        basis[:, rank] = u
+        basis_h[rank] = u.conj()
+        resid -= u[:, None] * (basis_h[rank] @ resid)
+        rank += 1
     return SliceSupport(selected)
 
 

@@ -4,7 +4,9 @@ Everything here is deliberately written against the math, not against the
 library internals: the channel oracle integrates the mixed waveform chip by
 chip in closed form, and the focusing oracle evaluates the slow-time DFT as
 an explicit double sum. Neither touches FFTs, sinc envelopes, or any other
-shortcut the production code relies on.
+shortcut the production code relies on. The greedy solvers' first versions,
+which refit every selected column by least squares on every step, are kept
+here as references for the incremental versions.
 """
 
 import numpy as np
@@ -145,3 +147,152 @@ def focused_omp_refit_all(focused, f_kappa, gamma, noise_var, max_iter):
         for i, (r, q) in enumerate(selected)
     )
     return DetectionList(detections=detections, truncated=truncated, gamma_trace=tuple(trace))
+
+
+def _correlations(a, resid, col_norms):
+    """Column-normalized matched-filter energies ||a_j^H R|| / ||a_j||."""
+    scores = np.linalg.norm(a.conj().T @ resid, axis=1)
+    safe = np.where(col_norms > 0, col_norms, 1.0)
+    return np.where(col_norms > 0, scores / safe, 0.0)
+
+
+def omp_pks_refit_all(v, a, s_r, k_extra, res_tol=1e-6):
+    """omp_pks as first written: every greedy step re-solves the joint least
+    squares on all selected columns."""
+    from specx import FrameMatrix, SliceSupport
+    from specx.sensing import _COND_LIMIT
+
+    vv = v.v if isinstance(v, FrameMatrix) else np.asarray(v, dtype=np.complex128)
+    amat = a.a
+    m, n = amat.shape
+    if vv.shape[0] != m:
+        raise ValueError("frame and sensing matrix row counts differ")
+    s_r.validate(n)
+    if m < len(s_r) + 1:
+        raise ValueError(f"need at least {len(s_r) + 1} channels, have {m}")
+    if k_extra < 0:
+        raise ValueError("k_extra must be nonnegative")
+
+    selected = list(s_r)
+    v_norm = np.linalg.norm(vv)
+    if v_norm == 0 or vv.shape[1] == 0:
+        return SliceSupport(selected)
+
+    if selected:
+        sub = amat[:, selected]
+        if np.linalg.cond(sub) > _COND_LIMIT:
+            raise ValueError("known-support columns are ill-conditioned")
+        coef, *_ = np.linalg.lstsq(sub, vv, rcond=None)
+        resid = vv - sub @ coef
+    else:
+        resid = vv
+
+    col_norms = np.linalg.norm(amat, axis=0)
+    for _ in range(k_extra):
+        if np.linalg.norm(resid) < res_tol * v_norm:
+            break
+        scores = _correlations(amat, resid, col_norms)
+        if selected:
+            scores[np.asarray(selected)] = -1.0
+        j = int(np.argmax(scores))
+        if scores[j] <= 0:
+            break
+        selected.append(j)
+        sub = amat[:, selected]
+        coef, *_ = np.linalg.lstsq(sub, vv, rcond=None)
+        resid = vv - sub @ coef
+    return SliceSupport(selected)
+
+
+def struct_omp_refit_all(y_inv, d, n_b, span_width, zero_fitted_bands=False):
+    """struct_omp as first written: every greedy step refits the selected
+    support by least squares, and candidate gains and block counts are
+    evaluated one candidate at a time.
+
+    The refit leaves rounding-level residual (about 1e-17) on bands it has
+    already fitted; on a map with several columns per band that residual can
+    pass the gain floor and draw more columns into a fitted band.
+    zero_fitted_bands=True sets those bands to exactly zero after each refit,
+    which is the residual of the exact least-squares fit.
+    """
+    import math
+
+    from specx import BandSelectionError, BlockSparseVector, FrequencySet
+    from specx.bands import _support_blocks
+
+    y_inv = np.asarray(y_inv, dtype=float)
+    if y_inv.shape != (d.q,):
+        raise ValueError(f"y_inv must have length q={d.q}")
+    if np.any(y_inv < 0) or not np.all(np.isfinite(y_inv)):
+        raise ValueError("y_inv must be finite and nonnegative")
+    if n_b < 1:
+        raise ValueError("n_b must be >= 1")
+    if span_width <= 0:
+        raise ValueError("span_width must be positive")
+
+    p = d.p
+    band_of = d.band_of()
+    dmat = d.d
+    b_w = span_width / p
+
+    support = []
+    in_support = np.zeros(p, dtype=bool)
+    resid = y_inv.copy()
+    log_p = math.log(p)
+
+    while len(support) < p:
+        gains = np.full(p, -np.inf)
+        for i in range(p):
+            if in_support[i]:
+                continue
+            num = resid[band_of[i]] ** 2
+            left = in_support[i - 1] if i > 0 else False
+            right = in_support[i + 1] if i + 1 < p else False
+            if left and right:
+                dg = -1
+            elif left or right:
+                dg = 0
+            else:
+                dg = 1
+            delta_c = dg * log_p + 1.0
+            gains[i] = num / delta_c
+        best = int(np.argmax(gains))
+        if gains[best] <= 1e-300:
+            break
+        candidate = support + [best]
+        if _support_blocks(candidate) > n_b:
+            break
+        support = candidate
+        in_support[best] = True
+        sub = dmat[:, support]
+        coef, *_ = np.linalg.lstsq(sub, y_inv, rcond=None)
+        resid = y_inv - sub @ coef
+        if zero_fitted_bands:
+            resid[band_of[support]] = 0.0
+
+    g_final = _support_blocks(support)
+    if g_final < n_b:
+        raise BandSelectionError(
+            f"only {g_final} usable regions available, {n_b} bands requested",
+            feasible_blocks=g_final,
+        )
+
+    w = np.zeros(p)
+    if support:
+        sub = dmat[:, support]
+        coef, *_ = np.linalg.lstsq(sub, y_inv, rcond=None)
+        w[np.asarray(support)] = coef
+
+    half = span_width / 2.0
+    intervals = []
+    idx = sorted(support)
+    run_start = idx[0]
+    prev = idx[0]
+    for j in idx[1:] + [None]:
+        if j is not None and j == prev + 1:
+            prev = j
+            continue
+        intervals.append((run_start * b_w - half, (prev + 1) * b_w - half))
+        if j is not None:
+            run_start = prev = j
+    return BlockSparseVector(w=w, b_w=b_w), FrequencySet(intervals)

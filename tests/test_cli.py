@@ -1,13 +1,18 @@
 """Command-line entry point, run as a real subprocess."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specx
 
@@ -186,6 +191,9 @@ def test_snr_sweep_without_prune_runs(tmp_path):
         ("grid", "f_nyq", 10**400, ("sense",), "grid.f_nyq must be a finite number"),
         ("sweep", "snr_db", [10**400], ("sweep", "--axis", "snr", *SWEEP_ONE),
          "sweep.snr_db[0] must be a finite number"),
+        ("rem.energies", 0, -1.0, ("select-bands",), "rem.energies[0] must be >= 0"),
+        ("radar", "max_detections", -1, ("radar",), "radar.max_detections must be >= 0"),
+        ("comm", "noise_psd", -1.0, ("sense",), "comm.noise_psd must be >= 0"),
     ],
     ids=[
         "seed", "n_trials", "specx-channels", "snr-channels", "channel-counts",
@@ -193,6 +201,7 @@ def test_snr_sweep_without_prune_runs(tmp_path):
         "float-channel-count", "nan-carrier", "inf-noise-var",
         "bool-snr", "string-snr", "string-band-snr", "bool-energy", "string-energy",
         "huge-int-f-nyq", "huge-int-snr",
+        "negative-energy", "negative-max-detections", "negative-noise-psd",
     ],
 )
 def test_bad_config_exits_2_in_one_line(tmp_path, section, key, value, args, message):
@@ -224,6 +233,7 @@ def test_dead_sweep_worker_exits_3(tmp_path, monkeypatch, capsys):
     from specx import cli, pipeline
 
     monkeypatch.delenv("SPECX_WORKERS", raising=False)  # the pool must not run serially
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(pipeline, "_trial_band", _dying_trial)
     code = cli.main([
         "sweep", "--config", "desk", "--axis", "band_placement", "--trials", "2",
@@ -259,3 +269,72 @@ def test_noncentral_threshold_imports_scipy_when_used():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True", "True"]
+
+
+
+# desk fields the fuzz test may replace; "size" fields count or index
+# something, so they are never given a huge integer that would allocate
+FUZZ_FIELDS = {
+    "size": [
+        "seed", "grid.n_grid", "grid.n_channels", "grid.n_chips", "comm.n_sig",
+        "radar.n_bands", "radar.n_pulses", "radar.max_detections", "scene.n_targets",
+        "loop.max_iterations",
+    ],
+    "number": [
+        "grid.f_nyq", "grid.f_p", "grid.f_s", "comm.transmissions.0.carrier",
+        "comm.transmissions.0.bandwidth", "comm.transmissions.0.power", "comm.noise_psd",
+        "comm.prune_db", "rem.energies.3", "rem.b_y", "radar.carrier", "radar.b_h",
+        "radar.pri", "radar.p_t", "radar.noise_var", "radar.p_fa", "scene.amplitude",
+        "sweep.channels_snr_db", "sweep.occupancy",
+    ],
+    "other": [
+        "comm.transmissions", "comm.transmissions.0.shape", "comm.phase2_transmissions",
+        "rem.energies", "radar.glrt_model", "sweep.snr_db", "sweep.band_snr_db",
+        "sweep.band_layouts", "sweep.channel_counts",
+    ],
+}
+FUZZ_VALUES = [
+    "x", None, True, {}, float("nan"), float("inf"), float("-inf"), -1, -1.0, 0, 0.0,
+    [], [None], ["x"], [float("nan")], [-1.0], [0],
+]
+FUZZ_COMMANDS = [
+    ("sense",), ("select-bands",), ("radar",), ("specx",),
+    *(("sweep", "--axis", axis, "--trials", "1", "--workers", "1")
+      for axis in ("snr", "band_placement", "channels")),
+]
+
+
+@st.composite
+def fuzzed_desk(draw):
+    kind = draw(st.sampled_from(sorted(FUZZ_FIELDS)))
+    path = draw(st.sampled_from(FUZZ_FIELDS[kind]))
+    values = FUZZ_VALUES + ([10**400] if kind == "number" else [])
+    return path, draw(st.sampled_from(values)), draw(st.sampled_from(FUZZ_COMMANDS))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(fuzzed_desk())
+def test_cli_survives_one_bad_field(case):
+    """One desk field replaced by a wrong type, a non-finite, negative or zero
+    value, an empty or bad list, or a huge integer: the CLI either runs or
+    exits 2 or 3 with one message line."""
+    from specx import cli
+
+    path, value, command = case
+    doc = desk_doc()
+    *parents, key = path.split(".")
+    target = doc
+    for step in parents:
+        target = target[int(step) if step.isdigit() else step]
+    target[int(key) if key.isdigit() else key] = value
+    with tempfile.TemporaryDirectory() as out:
+        config = Path(out) / "scenario.json"
+        config.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([*command, "--config", str(config), "--out", out])
+    lines = err.getvalue().strip().splitlines()
+    assert code in (0, 2, 3), (path, value, command)
+    if code:
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error:" if code == 2 else ("error:", "infeasible:"))

@@ -400,3 +400,58 @@ def test_worker_env_cap(desk, monkeypatch):
     assert _resolve_workers(desk, 8) == 8
     monkeypatch.delenv("SPECX_WORKERS")
     assert _resolve_workers(desk, None) == max(1, desk.sweep.workers)
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs the
+    tasks in this process, so no worker is ever started."""
+
+    requested: list[int] = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+def _sized_sweeps(desk):
+    """A 6-task channels sweep and a 200-task band-placement sweep."""
+    six = dataclasses.replace(desk, sweep=dataclasses.replace(desk.sweep, n_trials=2))
+    many = dataclasses.replace(
+        desk,
+        sweep=dataclasses.replace(
+            desk.sweep, band_layouts=("separated",), band_snr_db=(-20.0, -15.0), n_trials=100
+        ),
+    )
+    return (six, "channels"), (many, "band_placement")
+
+
+@pytest.mark.parametrize("cpus, want", [(2, [2, 2]), (16, [6, 16])])
+def test_sweep_pool_capped_by_tasks_and_cpus(desk, monkeypatch, cpus, want):
+    monkeypatch.delenv("SPECX_WORKERS", raising=False)
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(_InlinePool, "requested", [])
+    for cfg, axis in _sized_sweeps(desk):
+        report = sweep(cfg, axis, workers=64)
+        assert len(report.trials) == cfg.sweep.n_trials * len(report.aggregates)
+    assert _InlinePool.requested == want
+
+
+def test_sweep_pool_cap_without_affinity(desk, monkeypatch):
+    monkeypatch.delenv("SPECX_WORKERS", raising=False)
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.delattr(pipeline.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(_InlinePool, "requested", [])
+    for cfg, axis in _sized_sweeps(desk):
+        sweep(cfg, axis, workers=64)
+    assert _InlinePool.requested == [3, 3]
+

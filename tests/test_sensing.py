@@ -181,3 +181,95 @@ def test_sense_spectrum_end_to_end_noiseless():
     for tx in TX:
         assert result.f_c.contains(tx.carrier)
     assert 1 <= result.frame_rank <= a.m
+
+
+def _omp_case(rng):
+    """Random MWC system: a sensing matrix, a frame, a known support and a
+    greedy budget that sometimes runs past the channel count."""
+    m = int(rng.integers(4, 19))
+    n_chips = int(rng.choice([20, 32]))
+    a = build_sensing_matrix(gen_mixing_sequences(m, n_chips, seed=int(rng.integers(1 << 30))), 20)
+    k = int(rng.integers(1, min(m, 8) + 1))
+    rows = rng.choice(20, size=k, replace=False)
+    u = np.zeros((20, int(rng.integers(1, 6))), dtype=complex)
+    u[rows] = rng.standard_normal((k, u.shape[1])) + 1j * rng.standard_normal((k, u.shape[1]))
+    v = a.a @ u
+    if rng.random() < 0.5:
+        v += 10.0 ** rng.uniform(-4, -1) * np.linalg.norm(v) / np.sqrt(v.size) * (
+            rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+        )
+    n_known = int(rng.integers(0, min(k, m - 1) + 1))
+    known = SliceSupport(rng.choice(rows, size=n_known, replace=False))
+    k_extra = int(rng.integers(0, m + 4))
+    return v, a, known, k_extra
+
+
+def test_omp_pks_matches_refit_all_oracle(monkeypatch):
+    """The incremental projection picks the supports that refitting every
+    selected column on every step picks, except where two scores tie to
+    rounding."""
+    import _oracles
+    from _oracles import omp_pks_refit_all
+
+    correlations = _oracles._correlations
+    rng = np.random.default_rng(2026)
+    n_cases, compared = 600, 0
+    for _ in range(n_cases):
+        v, a, known, k_extra = _omp_case(rng)
+        got = omp_pks(v, a, known, k_extra)
+        steps = []
+
+        def recording(*args):
+            steps.append(correlations(*args))  # masked in place by the caller
+            return steps[-1]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(_oracles, "_correlations", recording)
+            want = omp_pks_refit_all(v, a, known, k_extra)
+        top2 = [np.sort(s)[-2:] for s in steps if s.size > 1]
+        if all(hi - lo >= 1e-9 * hi for lo, hi in top2):
+            compared += 1
+            assert list(got) == list(want)
+    assert compared >= 0.95 * n_cases
+
+
+def test_omp_pks_wide_support_stops_at_full_rank():
+    # once the support spans every channel the residual is gone
+    a = bank(6)
+    v = a.a @ np.random.default_rng(4).standard_normal((20, 3))
+    got = omp_pks(v, a, SliceSupport([0, 5]), k_extra=10)
+    assert len(got) == 6
+
+
+def test_omp_pks_column_in_span_leaves_residual():
+    """Six columns in a 3-D subspace of 4 channels, and a frame with a part
+    outside it. After three picks every score is rounding noise; the later
+    picks lie in the span and must not remove the outside part, or the
+    residual test would stop the search early."""
+    from _oracles import omp_pks_refit_all
+
+    rng = np.random.default_rng(11)
+    basis = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    a = SensingMatrix(a=basis[:, :3] @ (rng.standard_normal((3, 6)) + 0j))
+    v = a.a @ rng.standard_normal((6, 2)) + np.outer(basis[:, 3], [1.0, 2.0j])
+    want = omp_pks_refit_all(v, a, SliceSupport(), k_extra=6)
+    got = omp_pks(v, a, SliceSupport(), k_extra=6)
+    assert len(want) == 6
+    assert list(got)[:3] == list(want)[:3] and len(got) == 6
+
+
+@pytest.mark.parametrize(
+    "amat, known, message",
+    [
+        (bank(4).a, [0, 1, 2, 3], "need at least 5 channels, have 4"),
+        (np.ones((4, 6), dtype=complex), [0, 1], "known-support columns are ill-conditioned"),
+    ],
+    ids=["channel-floor", "ill-conditioned"],
+)
+def test_omp_pks_errors_match_oracle(amat, known, message):
+    from _oracles import omp_pks_refit_all
+
+    v = np.ones((amat.shape[0], 2), dtype=complex)
+    for solver in (omp_pks, omp_pks_refit_all):
+        with pytest.raises(ValueError, match=message):
+            solver(v, SensingMatrix(a=amat), SliceSupport(known), 1)
