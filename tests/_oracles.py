@@ -5,8 +5,9 @@ library internals: the channel oracle integrates the mixed waveform chip by
 chip in closed form, and the focusing oracle evaluates the slow-time DFT as
 an explicit double sum. Neither touches FFTs, sinc envelopes, or any other
 shortcut the production code relies on. The greedy solvers' first versions,
-which refit every selected column by least squares on every step, are kept
-here as references for the incremental versions.
+which refit every selected column by least squares on every step, and the
+first, per-band mask_comm are kept here as references for the faster
+versions.
 """
 
 import numpy as np
@@ -202,6 +203,20 @@ def omp_pks_refit_all(v, a, s_r, k_extra, res_tol=1e-6):
         coef, *_ = np.linalg.lstsq(sub, vv, rcond=None)
         resid = vv - sub @ coef
     return SliceSupport(selected)
+
+
+def mask_comm_per_band(rem, f_c):
+    """mask_comm's energies as first written: one FrequencySet per REM band,
+    masked when its intersection with f_c has positive measure."""
+    from specx import FrequencySet
+
+    energies = np.array(rem.energies)
+    for i in range(rem.q):
+        iv = rem.band_interval(i)
+        band = FrequencySet([(iv.lo, iv.hi)])
+        if band.intersection(f_c).measure() > 0:
+            energies[i] = np.inf
+    return energies
 
 
 def struct_omp_refit_all(y_inv, d, n_b, span_width, zero_fitted_bands=False):

@@ -271,7 +271,6 @@ def test_noncentral_threshold_imports_scipy_when_used():
     assert proc.stdout.split() == ["False", "True", "True"]
 
 
-
 # desk fields the fuzz test may replace; "size" fields count or index
 # something, so they are never given a huge integer that would allocate
 FUZZ_FIELDS = {

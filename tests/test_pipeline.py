@@ -437,7 +437,9 @@ def _sized_sweeps(desk):
 def test_sweep_pool_capped_by_tasks_and_cpus(desk, monkeypatch, cpus, want):
     monkeypatch.delenv("SPECX_WORKERS", raising=False)
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(
+        pipeline.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+    )
     monkeypatch.setattr(_InlinePool, "requested", [])
     for cfg, axis in _sized_sweeps(desk):
         report = sweep(cfg, axis, workers=64)

@@ -233,14 +233,6 @@ def test_omp_pks_matches_refit_all_oracle(monkeypatch):
     assert compared >= 0.95 * n_cases
 
 
-def test_omp_pks_wide_support_stops_at_full_rank():
-    # once the support spans every channel the residual is gone
-    a = bank(6)
-    v = a.a @ np.random.default_rng(4).standard_normal((20, 3))
-    got = omp_pks(v, a, SliceSupport([0, 5]), k_extra=10)
-    assert len(got) == 6
-
-
 def test_omp_pks_column_in_span_leaves_residual():
     """Six columns in a 3-D subspace of 4 channels, and a frame with a part
     outside it. After three picks every score is rounding noise; the later
@@ -257,19 +249,3 @@ def test_omp_pks_column_in_span_leaves_residual():
     assert len(want) == 6
     assert list(got)[:3] == list(want)[:3] and len(got) == 6
 
-
-@pytest.mark.parametrize(
-    "amat, known, message",
-    [
-        (bank(4).a, [0, 1, 2, 3], "need at least 5 channels, have 4"),
-        (np.ones((4, 6), dtype=complex), [0, 1], "known-support columns are ill-conditioned"),
-    ],
-    ids=["channel-floor", "ill-conditioned"],
-)
-def test_omp_pks_errors_match_oracle(amat, known, message):
-    from _oracles import omp_pks_refit_all
-
-    v = np.ones((amat.shape[0], 2), dtype=complex)
-    for solver in (omp_pks, omp_pks_refit_all):
-        with pytest.raises(ValueError, match=message):
-            solver(v, SensingMatrix(a=amat), SliceSupport(known), 1)
