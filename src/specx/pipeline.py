@@ -49,6 +49,7 @@ from .radar import (
     make_kappa,
     min_requirements,
     partial_fourier,
+    per_test_level,
 )
 from .report import RunReport
 from .rng import derive_rng
@@ -400,6 +401,12 @@ class ScenarioConfig:
             raise ConfigError("radar.n_pulses must be >= 1")
         if not 0.0 < r.p_fa < 1.0:
             raise ConfigError("radar.p_fa must be in (0, 1)")
+        n_tests = n_bins * r.n_pulses
+        if per_test_level(r.p_fa, n_tests) <= 0.0:
+            raise ConfigError(
+                f"radar.p_fa ({r.p_fa:g}) is too small for {n_tests} delay-Doppler "
+                "tests: the per-test false-alarm level rounds to 0"
+            )
         if r.glrt_model not in ("central", "noncentral"):
             raise ConfigError("radar.glrt_model must be 'central' or 'noncentral'")
         if r.noise_var < 0 or r.p_t <= 0:
@@ -432,6 +439,11 @@ class ScenarioConfig:
         bad = sorted(set(s.band_layouts) - set(_LAYOUT_NAMES))
         if bad:
             raise ConfigError(f"sweep.band_layouts: unknown layouts {bad}")
+        for layout in s.band_layouts:
+            try:
+                band_layout(layout, r.b_h, r.n_bands, s.occupancy, n_bins)
+            except ValueError as exc:
+                raise ConfigError(f"sweep.occupancy ({s.occupancy:g}): {exc}") from exc
         if s.n_trials < 1:
             raise ConfigError(f"sweep.n_trials must be an integer >= 1, got {s.n_trials!r}")
         if s.workers < 0:

@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT = 299792458.0
+_EPS = float(np.finfo(float).eps)
+_ABS_SLACK = 1.0 + 4.0 * _EPS  # relative rounding slack of np.abs
+_DOT_SLACK = 16.0 * _EPS  # per term of a unit-modulus complex dot product
 
 
 def make_kappa(f_r: FrequencySet, b_h: float, n: int) -> KappaSet:
@@ -131,6 +134,13 @@ def focused_noise_var(
     return float(noise_var * train.pri**2 / train.n_pulses * np.mean(1.0 / h2))
 
 
+def per_test_level(p_fa: float, n: int) -> float:
+    """Per-test false-alarm level 1 - (1 - p_fa)^(1/n) of a bank of n tests
+    at scene-level p_fa. It rounds to 0 once p_fa falls below about
+    n * eps / 2, where no threshold exists."""
+    return 1.0 - (1.0 - p_fa) ** (1.0 / n)
+
+
 def glrt_threshold(
     p_fa: float,
     n: int,
@@ -148,7 +158,11 @@ def glrt_threshold(
         raise ValueError("p_fa must be in (0, 1)")
     if n < 1:
         raise ValueError("n must be >= 1")
-    per_test = 1.0 - (1.0 - p_fa) ** (1.0 / n)
+    per_test = per_test_level(p_fa, n)
+    if per_test <= 0.0:
+        raise ValueError(
+            f"p_fa = {p_fa:g} over n = {n} tests rounds to a per-test level of 0"
+        )
     if model == "central":
         return -2.0 * math.log(per_test)
     if model == "noncentral":
@@ -203,13 +217,23 @@ def focused_omp(
     """Greedy delay-Doppler extraction with a GLRT stopping rule.
 
     Each iteration back-projects the residual map through the partial Fourier
-    frame, takes the largest cell (ties to the lexicographically smallest
-    delay, Doppler pair), and tests its normalized matched-filter energy
-    Gamma = |a^H r|^2 / ((noise_var / 2) ||a||^2) against gamma; noise_var is
-    the per-entry complex variance of the focused map, so Gamma is chi^2 with
-    2 degrees of freedom under the null. Accepted atoms are refit jointly by
-    least squares within each Doppler column. noise_var = 0 disables the test
-    and stops on a vanishing residual instead.
+    frame f_kappa (unit-modulus entries), takes the largest cell (ties to the
+    lexicographically smallest delay, Doppler pair), and tests its normalized
+    matched-filter energy Gamma = |a^H r|^2 / ((noise_var / 2) ||a||^2)
+    against gamma; noise_var is the per-entry complex variance of the focused
+    map, so Gamma is chi^2 with 2 degrees of freedom under the null. Accepted
+    atoms are refit jointly by least squares within each Doppler column.
+    noise_var = 0 disables the test and stops on a vanishing residual instead.
+
+    The back-projection f_kappa^H R is formed in full once. A refit changes
+    one residual column, so only that column's magnitudes are then updated,
+    by a matrix-vector product. That product can differ from the full
+    product's column in its last bits, so each column refit since the last
+    full product keeps a ceiling: its largest magnitude plus a rigorous
+    bound on that difference. When the largest cell lies in such a column,
+    or a ceiling reaches it, the full product is formed again before the
+    pick. Every pick, statistic and amplitude is therefore bit-identical to
+    forming the full product on every step.
 
     Returns the detections flagged truncated when max_iter was exhausted with
     the stopping rule still unsatisfied.
@@ -233,13 +257,27 @@ def focused_omp(
     trace: list[float] = []
     resid = psi.copy()
     truncated = False
+    corr = f_adj @ resid
+    mag = np.abs(corr)
+    # Doppler column -> ceiling on the magnitudes the full product would give
+    # it, for each column refit since corr was last formed in full
+    ceilings: dict[int, float] = {}
 
     while True:
         if noise_var <= 0 and np.linalg.norm(resid) <= 1e-10 * psi_norm:
             break
-        corr = f_adj @ resid
-        flat = int(np.argmax(np.abs(corr)))
+        flat = int(np.argmax(mag))
         r_idx, q_idx = divmod(flat, p_count)
+        if ceilings and (q_idx in ceilings or max(ceilings.values()) >= mag[r_idx, q_idx]):
+            # a refit column could hold, or tie, the full product's maximum
+            corr = f_adj @ resid
+            mag = np.abs(corr)
+            ceilings.clear()
+            flat = int(np.argmax(mag))
+            r_idx, q_idx = divmod(flat, p_count)
+        # a column of a full product depends only on that column of resid, so
+        # the columns outside ceilings hold the bits a full product would give
+        # now; the pick, its tie-break and its statistic are then all its own
         if noise_var > 0:
             stat = float(
                 np.abs(corr[r_idx, q_idx]) ** 2 / ((noise_var / 2.0) * atom_energy)
@@ -261,9 +299,26 @@ def focused_omp(
         # gained an atom; every other column's fit is unchanged
         sub = f_kappa[:, rows]
         sol, *_ = np.linalg.lstsq(sub, psi[:, q_idx], rcond=None)
-        resid[:, q_idx] = psi[:, q_idx] - sub @ sol
+        col = psi[:, q_idx] - sub @ sol
+        resid[:, q_idx] = col
         for r, val in zip(rows, sol):
             amplitudes[(r, q_idx)] = complex(val)
+
+        # Ceiling on column q_idx of abs(f_adj @ resid) from the column alone.
+        # Each part of a complex K-term dot product is a real sum of 2K
+        # products, so any summation order, blocked or fused, is within
+        # gamma_2K * sum_k |f[k]| |r[k]| <= ~K eps * sum_k |r[k]| per part
+        # (unit-modulus f, gamma_n = n (eps/2) / (1 - n eps/2)) and within
+        # sqrt(2) times that in modulus; two evaluations are within twice
+        # that, under 3 K eps * sum|r|. 16 (K + 4) eps * sum|r| covers it, and
+        # the rounding of the sum and of this ceiling, with a wide margin.
+        # np.abs is within an ulp or two of the true modulus, so the full
+        # product's magnitude is at most this column's (1 + 4 eps) times,
+        # plus that slack.
+        mag[:, q_idx] = np.abs(f_adj @ col)
+        ceilings[q_idx] = float(np.max(mag[:, q_idx])) * _ABS_SLACK + (
+            _DOT_SLACK * (k_count + 4) * float(np.sum(np.abs(col)))
+        )
 
     detections = tuple(
         Detection(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -248,11 +249,17 @@ class RadarWaveformSpec:
     def bin_freqs(self) -> np.ndarray:
         return (np.arange(self.n_bins) - self.n_bins // 2) * self.delta
 
-    @property
+    @cached_property
     def spectrum(self) -> np.ndarray:
-        """Transmitted spectrum: beta * base on the bands, zero off them."""
+        """Transmitted spectrum: beta * base on the bands, zero off them.
+
+        Computed on first use and kept, read-only: every field it reads is
+        frozen, so the cached array cannot go stale.
+        """
         mask = self.bands.contains_array(self.bin_freqs())
-        return np.where(mask, self.beta * self.base_spectrum, 0.0)
+        out = np.where(mask, self.beta * self.base_spectrum, 0.0)
+        out.flags.writeable = False
+        return out
 
     def values_at(self, k_centered: np.ndarray) -> np.ndarray:
         """Transmitted spectrum at centered coefficient indices."""

@@ -194,6 +194,10 @@ def test_snr_sweep_without_prune_runs(tmp_path):
         ("rem.energies", 0, -1.0, ("select-bands",), "rem.energies[0] must be >= 0"),
         ("radar", "max_detections", -1, ("radar",), "radar.max_detections must be >= 0"),
         ("comm", "noise_psd", -1.0, ("sense",), "comm.noise_psd must be >= 0"),
+        # 1 - (1 - p_fa)^(1/3888) rounds to 0, so no GLRT threshold exists
+        ("radar", "p_fa", 1e-13, ("radar",), "radar.p_fa (1e-13) is too small"),
+        ("sweep", "occupancy", 0.9, ("sweep", "--axis", "band_placement", *SWEEP_ONE),
+         "separated layout blocks overlap"),
     ],
     ids=[
         "seed", "n_trials", "specx-channels", "snr-channels", "channel-counts",
@@ -202,6 +206,7 @@ def test_snr_sweep_without_prune_runs(tmp_path):
         "bool-snr", "string-snr", "string-band-snr", "bool-energy", "string-energy",
         "huge-int-f-nyq", "huge-int-snr",
         "negative-energy", "negative-max-detections", "negative-noise-psd",
+        "tiny-p-fa", "overlapping-occupancy",
     ],
 )
 def test_bad_config_exits_2_in_one_line(tmp_path, section, key, value, args, message):
@@ -307,7 +312,7 @@ FUZZ_COMMANDS = [
 def fuzzed_desk(draw):
     kind = draw(st.sampled_from(sorted(FUZZ_FIELDS)))
     path = draw(st.sampled_from(FUZZ_FIELDS[kind]))
-    values = FUZZ_VALUES + ([10**400] if kind == "number" else [])
+    values = FUZZ_VALUES + ([10**400, 1e-13, 0.95] if kind == "number" else [])
     return path, draw(st.sampled_from(values)), draw(st.sampled_from(FUZZ_COMMANDS))
 
 
@@ -315,8 +320,8 @@ def fuzzed_desk(draw):
 @given(fuzzed_desk())
 def test_cli_survives_one_bad_field(case):
     """One desk field replaced by a wrong type, a non-finite, negative or zero
-    value, an empty or bad list, or a huge integer: the CLI either runs or
-    exits 2 or 3 with one message line."""
+    value, an empty or bad list, a huge integer, a tiny or a near-one number:
+    the CLI either runs or exits 2 or 3 with one message line."""
     from specx import cli
 
     path, value, command = case

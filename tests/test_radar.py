@@ -164,6 +164,9 @@ def test_glrt_threshold_noncentral_behavior():
         glrt_threshold(0.0, 100)
     with pytest.raises(ValueError):
         glrt_threshold(0.1, 100, model="bogus")
+    for model in ("central", "noncentral"):
+        with pytest.raises(ValueError, match="p_fa = 1e-13 over n = 3888"):
+            glrt_threshold(1e-13, 3888, model=model)
 
 
 def _preset_glrt_points():
@@ -265,10 +268,14 @@ def test_gamma_blocks_pure_noise():
 
 
 @pytest.mark.parametrize("noise_var", [0.0, 0.5])
-@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("seed", range(8))
 def test_focused_omp_matches_refit_all_oracle(seed, noise_var):
-    """Refitting only the Doppler column that gained an atom gives the same
-    detections, bit for bit, as refitting every column on every step."""
+    """Refitting only the Doppler column that gained an atom, and updating
+    only that column's back-projection, gives the same detections, bit for
+    bit, as refitting every column and back-projecting the whole map on
+    every step. The loud-column map puts many picks in one column, each
+    after a refit of it, and the tied map makes a refit column tie the next
+    pick; both need the full product formed again."""
     rng = np.random.default_rng(seed)
     bands = FULL if seed % 2 else FrequencySet([(-B_H / 2, -B_H / 2 + 12 * B_H / N)])
     wave, train, kappa = setup(bands)
@@ -280,9 +287,20 @@ def test_focused_omp_matches_refit_all_oracle(seed, noise_var):
     )
     coeffs = radar_fourier_coeffs(scene, wave, train, kappa, noise_var=noise_var, seed=seed)
     noise_map = rng.normal(size=(kappa.k, 8)) + 1j * rng.normal(size=(kappa.k, 8))
+    loud_column = noise_map * np.where(np.arange(8) == seed % 8, 6.0, 1.0)
+    # column 1 is column 0's residual after its first refit, so the second
+    # pick ties between a refit column and one untouched since the first
+    # back-projection; the full product breaks that tie to column 0
+    tied = 0.1 * noise_map
+    atom = f_kappa[:, [int(rng.integers(N))]]
+    tied[:, 0] = 40.0 * atom[:, 0] + noise_map[:, 0]
+    tied[:, 1] = tied[:, 0] - atom @ np.linalg.lstsq(atom, tied[:, 0], rcond=None)[0]
     maps = [
         doppler_focus(coeffs, wave, kappa, train),
-        FocusedMatrix(psi=noise_map, doppler_grid=train.doppler_grid(), pri=PRI),
+        *(
+            FocusedMatrix(psi=m, doppler_grid=train.doppler_grid(), pri=PRI)
+            for m in (noise_map, loud_column, tied)
+        ),
     ]
     if noise_var > 0:
         fvar = focused_noise_var(noise_var, wave, kappa, train)

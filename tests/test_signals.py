@@ -126,6 +126,20 @@ def test_waveform_zero_outside_bands():
     assert np.all(wave.spectrum[~outside] != 0)
 
 
+def test_waveform_spectrum_computed_once_and_read_only():
+    b_h, n = 1.6e6, 32
+    bands = FrequencySet([(-0.4e6, -0.2e6), (0.1e6, 0.3e6)])
+    base = np.random.default_rng(3).standard_normal(n) + 0j
+    wave = design_radar_waveform(base, b_h, bands, p_t=1.0)
+    assert wave.spectrum is wave.spectrum
+    assert not wave.spectrum.flags.writeable
+    with pytest.raises(ValueError):
+        wave.spectrum[0] = 1.0
+    inside = bands.contains_array((np.arange(n) - n // 2) * (b_h / n))
+    fresh = np.where(inside, wave.beta * wave.base_spectrum, 0.0)
+    np.testing.assert_array_equal(wave.spectrum, fresh)
+
+
 def test_waveform_validation():
     with pytest.raises(ValueError):
         design_radar_waveform(np.ones(5, complex), 1e6, FrequencySet([(-1e5, 1e5)]), 1.0)
