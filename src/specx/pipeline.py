@@ -97,6 +97,9 @@ __all__ = [
 
 _LAYOUT_NAMES = ("separated", "adjacent", "wideband")
 
+# a full-band partial Fourier frame has n_bins**2 complex entries: 256 MiB here
+_MAX_DELAY_BINS = 4096
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent scenario configuration."""
@@ -385,6 +388,17 @@ class ScenarioConfig:
                     raise ConfigError(
                         f"comm transmission {i} (phase {phase}) is wider than one slice"
                     )
+                # c is the band's farthest reach from 0 Hz: its own carrier or
+                # the outermost one a sweep draws for it, moved to radar
+                # baseband. Rounding its edges at the carrier, then again
+                # after the move, narrows it by at most 2 ulp(c) in all.
+                c = max(abs(t.carrier), half_nyq - self.grid.f_p / 2.0 - t.bandwidth / 2.0)
+                c += abs(self.radar.carrier)
+                if t.bandwidth <= 2.0 * math.ulp(c):
+                    raise ConfigError(
+                        f"comm transmission {i} (phase {phase}): bandwidth "
+                        f"{t.bandwidth:g} Hz rounds to an empty band at {c:g} Hz"
+                    )
         if self.comm.noise_psd < 0:
             raise ConfigError("comm.noise_psd must be >= 0")
         r = self.radar
@@ -395,6 +409,8 @@ class ScenarioConfig:
             raise ConfigError("pri * b_h must be an integer number of delay bins >= 2")
         if n_bins % 2:
             raise ConfigError("pri * b_h must be even")
+        if n_bins > _MAX_DELAY_BINS:
+            raise ConfigError(f"pri * b_h ({n_bins} delay bins) must be <= {_MAX_DELAY_BINS}")
         if r.n_bands < 1:
             raise ConfigError("radar.n_bands must be >= 1")
         if r.n_pulses < 1:
@@ -571,37 +587,49 @@ def _rmse_range_m(dets: DetectionList, scene: TargetScene, pri: float) -> float 
     return float(delay_to_range_m(math.sqrt(float(np.mean(errs**2)))))
 
 
-class _RadarSetup(NamedTuple):
-    """What a radar pass fixes before its scene is drawn: the baseband bands
-    f_r, the coefficient noise variance, the waveform on f_r, its coefficient
-    indices and partial Fourier frame, the focused-map noise variance and the
-    GLRT threshold."""
+class _RadarFrame(NamedTuple):
+    """What a radar pass fixes once its baseband bands f_r are chosen: the
+    waveform on f_r, its coefficient indices and partial Fourier frame."""
 
     f_r: FrequencySet
-    noise_var: float
     waveform: RadarWaveformSpec
     kappa: KappaSet
     f_kappa: np.ndarray
+
+
+def _radar_frame(r: RadarConfig, f_r: FrequencySet) -> _RadarFrame:
+    """The noise-independent part of a radar pass over baseband bands f_r."""
+    n_bins = r.n_delay_bins
+    waveform = design_radar_waveform(_flat_base(n_bins), r.b_h, f_r, r.p_t)
+    kappa = make_kappa(f_r, r.b_h, n_bins)
+    f_kappa = partial_fourier(kappa)
+    f_kappa.flags.writeable = False  # shared by every trial on these bands
+    return _RadarFrame(f_r, waveform, kappa, f_kappa)
+
+
+class _RadarSetup(NamedTuple):
+    """What a radar pass fixes before its scene is drawn: its frame, the
+    coefficient noise variance, the focused-map noise variance and the GLRT
+    threshold."""
+
+    frame: _RadarFrame
+    noise_var: float
     fvar: float
     gamma: float
 
 
-def _radar_setup(r: RadarConfig, f_r: FrequencySet, noise_var: float) -> _RadarSetup:
-    """The scene-independent part of a radar pass over baseband bands f_r."""
-    n_bins = r.n_delay_bins
-    train = r.train()
-    waveform = design_radar_waveform(_flat_base(n_bins), r.b_h, f_r, r.p_t)
-    kappa = make_kappa(f_r, r.b_h, n_bins)
-    f_kappa = partial_fourier(kappa)
-    f_kappa.flags.writeable = False  # shared by every trial of a sweep point
+def _radar_setup(r: RadarConfig, frame: _RadarFrame, noise_var: float) -> _RadarSetup:
+    """The noise-dependent part of a radar pass on frame."""
     if noise_var > 0:
-        fvar = focused_noise_var(noise_var, waveform, kappa, train)
-        rho = r.p_t / (noise_var * f_r.measure())
-        gamma = glrt_threshold(r.p_fa, n_bins * train.n_pulses, rho=rho, model=r.glrt_model)
+        fvar = focused_noise_var(noise_var, frame.waveform, frame.kappa, r.train())
+        rho = r.p_t / (noise_var * frame.f_r.measure())
+        gamma = glrt_threshold(
+            r.p_fa, r.n_delay_bins * r.n_pulses, rho=rho, model=r.glrt_model
+        )
     else:
         fvar = 0.0
         gamma = 0.0
-    return _RadarSetup(f_r, noise_var, waveform, kappa, f_kappa, fvar, gamma)
+    return _RadarSetup(frame, noise_var, fvar, gamma)
 
 
 def _radar_trial(
@@ -610,12 +638,13 @@ def _radar_trial(
     """One radar transmit/receive/recover pass of scene under setup."""
     r = cfg.radar
     train = r.train()
+    frame = setup.frame
     coeffs = radar_fourier_coeffs(
-        scene, setup.waveform, train, setup.kappa, setup.noise_var, seed
+        scene, frame.waveform, train, frame.kappa, setup.noise_var, seed
     )
-    focused = doppler_focus(coeffs, setup.waveform, setup.kappa, train)
+    focused = doppler_focus(coeffs, frame.waveform, frame.kappa, train)
     max_iter = r.max_detections or max(8, 2 * cfg.scene.n_targets)
-    dets = focused_omp(focused, setup.f_kappa, setup.gamma, setup.fvar, max_iter)
+    dets = focused_omp(focused, frame.f_kappa, setup.gamma, setup.fvar, max_iter)
     hit_rate, _ = hit_or_miss(dets, scene, r.b_h, train)
     return {
         "hit_rate": hit_rate,
@@ -623,8 +652,8 @@ def _radar_trial(
         "truncated": dets.truncated,
         "detections": _detections_payload(dets),
         "rmse_range_m": _rmse_range_m(dets, scene, r.pri),
-        "kappa_size": setup.kappa.k,
-        "occupancy_ratio": setup.f_r.measure() / r.b_h,
+        "kappa_size": frame.kappa.k,
+        "occupancy_ratio": frame.f_r.measure() / r.b_h,
     }
 
 
@@ -830,9 +859,9 @@ def run_specx(cfg: ScenarioConfig) -> RunReport:
         f_c_base = f_c_hat.shifted(-cfg.radar.carrier).intersection(rem.span)
         _, f_r = select_bands(rem, f_c_base, cfg.radar.n_bands)
         band_selections += 1
-        setup = _radar_setup(cfg.radar, f_r, cfg.radar.noise_var)
+        setup = _radar_setup(cfg.radar, _radar_frame(cfg.radar, f_r), cfg.radar.noise_var)
         radar = _radar_trial(cfg, setup, scene, _child_seed(cfg.seed, "radar", it))
-        waveform = setup.waveform
+        waveform = setup.frame.waveform
         kappa_size = radar["kappa_size"]
         occupancy = radar["occupancy_ratio"]
         row.update(radar)
@@ -941,7 +970,7 @@ def run_radar(cfg: ScenarioConfig) -> RunReport:
     f_c_base = f_c_true.shifted(-cfg.radar.carrier).intersection(rem.span)
     _, f_r = select_bands(rem, f_c_base, cfg.radar.n_bands)
     scene = _draw_scene(cfg, derive_rng(cfg.seed, "scene"))
-    setup = _radar_setup(cfg.radar, f_r, cfg.radar.noise_var)
+    setup = _radar_setup(cfg.radar, _radar_frame(cfg.radar, f_r), cfg.radar.noise_var)
     radar = _radar_trial(cfg, setup, scene, _child_seed(cfg.seed, "radar", 0))
     rows = []
     for i, det in enumerate(radar["detections"]):
@@ -1031,13 +1060,33 @@ def _index_ratio(est: SliceSupport, truth: SliceSupport) -> float:
     return len(est.intersection(truth)) / len(truth)
 
 
+def _radar_emission(
+    cfg: ScenarioConfig, grid: GridSpec, f_c_base: FrequencySet
+) -> tuple[RadarWaveformSpec, SliceSupport]:
+    """The radar side of a sensing-sweep trial whose comm map on the REM
+    span is f_c_base: the waveform on the bands selected against that map,
+    and the grid slices those bands occupy."""
+    rem = _per_point(RemConfig.to_rem, cfg.rem)
+    _, f_r = select_bands(rem, f_c_base, cfg.radar.n_bands)
+    waveform = design_radar_waveform(
+        _flat_base(cfg.radar.n_delay_bins), cfg.radar.b_h, f_r, cfg.radar.p_t
+    )
+    return waveform, radar_slice_support(f_r.shifted(cfg.radar.carrier), grid)
+
+
 def _comm_trial(
     cfg: ScenarioConfig, grid: GridSpec, tag: str, point_idx: int, trial: int
 ) -> tuple[SliceSpectrum, SliceSpectrum, SliceSupport, SliceSupport]:
     """Shared medium of one sensing-sweep trial: a random comm layout clear
     of the radar, radar bands selected against its true support, and the
     radar emission on them. Returns (comm_x, x, s_c_true, s_r): the comm
-    signal alone, comm plus radar, the true comm slices and the radar slices."""
+    signal alone, comm plus radar, the true comm slices and the radar slices.
+
+    The bands, waveform and radar slices depend on the trial only through
+    its comm map on the REM span, so each process builds them once per
+    distinct map in a sweep. Comm carriers are drawn clear of the radar's
+    avoid zone, so on the presets that map is empty in every trial and they
+    are built once per sweep."""
     rem = _per_point(RemConfig.to_rem, cfg.rem)
     rng = derive_rng(cfg.seed, tag, point_idx, trial)
     specs = _random_transmissions(cfg, _per_point(_radar_avoid_zone, cfg), rng)
@@ -1045,15 +1094,11 @@ def _comm_trial(
         specs, grid, 0.0, _child_seed(cfg.seed, f"{tag}-comm", point_idx, trial)
     )
     f_c_base = f_c_true.shifted(-cfg.radar.carrier).intersection(rem.span)
-    _, f_r = select_bands(rem, f_c_base, cfg.radar.n_bands)
-    waveform = design_radar_waveform(
-        _flat_base(cfg.radar.n_delay_bins), cfg.radar.b_h, f_r, cfg.radar.p_t
-    )
+    waveform, s_r = _per_point(_radar_emission, cfg, grid, f_c_base)
     x = comm_x + radar_slices(
         waveform, cfg.radar.carrier, grid, cfg.radar.p_t,
         _child_seed(cfg.seed, f"{tag}-rslice", point_idx, trial),
     )
-    s_r = radar_slice_support(f_r.shifted(cfg.radar.carrier), grid)
     return comm_x, x, s_c_true, s_r
 
 
@@ -1108,10 +1153,11 @@ def _trial_snr(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
 
 def _band_setup(r: RadarConfig, occupancy: float, layout: str, snr_db: float) -> _RadarSetup:
     """Radar setup of one band-placement point: a scripted layout, with the
-    coefficient noise snr_db below the power of a flat full-band emission."""
+    coefficient noise snr_db below the power of a flat full-band emission.
+    Every point on the same bands shares one frame."""
     f_r = band_layout(layout, r.b_h, r.n_bands, occupancy, r.n_delay_bins)
     noise_var = (r.p_t / (r.b_h * r.pri**2)) * 10.0 ** (-snr_db / 10.0)
-    return _radar_setup(r, f_r, noise_var)
+    return _radar_setup(r, _per_point(_radar_frame, r, f_r), noise_var)
 
 
 def _trial_band(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
@@ -1330,11 +1376,14 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     the sampler's channel count. Trial records carry every per-run metric
     the aggregates are computed from.
 
-    What is fixed for a sweep point is built once per process that runs its
-    trials: for snr and channels, the grid, REM and radar avoid zone, and
-    the MWC front end (once per sweep for snr, once per channel count for
-    channels); for band_placement, the bands, waveform, kappa, partial
-    Fourier frame, focused noise variance and GLRT threshold.
+    What trials share is built once per process that runs them. For snr
+    and channels: the grid, REM and radar avoid zone once per sweep; the MWC
+    front end once per sweep for snr and once per channel count for
+    channels; the radar bands, waveform and slices once per distinct comm
+    map on the REM span (once per sweep on the presets). For band_placement:
+    the waveform, kappa and partial Fourier frame once per band set, so once
+    per layout however many SNRs share it; the focused noise variance and
+    GLRT threshold once per point.
 
     The trials run with NumPy's BLAS capped at one thread, in this process
     and in every worker, and the caller's thread count is restored when the

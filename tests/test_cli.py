@@ -198,6 +198,11 @@ def test_snr_sweep_without_prune_runs(tmp_path):
         ("radar", "p_fa", 1e-13, ("radar",), "radar.p_fa (1e-13) is too small"),
         ("sweep", "occupancy", 0.9, ("sweep", "--axis", "band_placement", *SWEEP_ONE),
          "separated layout blocks overlap"),
+        # carrier +- 5e-14 rounds to one float, so the band would be empty
+        ("comm.transmissions.0", "bandwidth", 1e-13, ("sweep", "--axis", "snr", *SWEEP_ONE),
+         "bandwidth 1e-13 Hz rounds to an empty band"),
+        # 0.95 s * 1.62 MHz is 1.5 million delay bins, a frame of terabytes
+        ("radar", "pri", 0.95, ("radar",), "delay bins) must be <= 4096"),
     ],
     ids=[
         "seed", "n_trials", "specx-channels", "snr-channels", "channel-counts",
@@ -206,7 +211,7 @@ def test_snr_sweep_without_prune_runs(tmp_path):
         "bool-snr", "string-snr", "string-band-snr", "bool-energy", "string-energy",
         "huge-int-f-nyq", "huge-int-snr",
         "negative-energy", "negative-max-detections", "negative-noise-psd",
-        "tiny-p-fa", "overlapping-occupancy",
+        "tiny-p-fa", "overlapping-occupancy", "tiny-bandwidth", "huge-delay-grid",
     ],
 )
 def test_bad_config_exits_2_in_one_line(tmp_path, section, key, value, args, message):

@@ -248,6 +248,8 @@ def test_sweep_channels_rate_columns(desk):
         ("band_placement", {"band_snr_db": (-18.0,), "n_trials": 3}),
         ("channels", {"channel_counts": (12, 18), "n_trials": 3}),
         ("snr", {"snr_db": (0.0, 10.0), "n_trials": 3}),
+        # two SNRs per layout, so the points of a layout share one frame
+        ("band_placement", {"band_snr_db": (-21.0, -15.0), "n_trials": 3}),
     ],
 )
 def test_sweep_report_bytes_independent_of_workers(desk, tmp_path, axis, changes):
@@ -301,12 +303,14 @@ def counted(monkeypatch, name):
 
 
 def test_band_sweep_builds_each_point_setup_once(desk, monkeypatch):
+    """The frame once per layout, the GLRT threshold once per point."""
     cfg = small_sweep(desk, band_snr_db=(-21.0, -15.0), n_trials=3)
     fourier = counted(monkeypatch, "partial_fourier")
     threshold = counted(monkeypatch, "glrt_threshold")
     rep = sweep(cfg, "band_placement", workers=1)
     assert len(rep.trials) == 18
-    assert len(fourier) == len(threshold) == len(rep.aggregates) == 6
+    assert len(fourier) == len(cfg.sweep.band_layouts) == 3
+    assert len(threshold) == len(rep.aggregates) == 6
 
 
 @pytest.mark.parametrize(
@@ -346,6 +350,25 @@ def test_sensing_sweep_builds_rem_once(desk, monkeypatch, axis, changes):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "axis, changes",
+    [
+        ("snr", {"snr_db": (0.0, 10.0), "n_trials": 3}),
+        ("channels", {"channel_counts": (12, 18), "n_trials": 3}),
+    ],
+    ids=["snr", "channels"],
+)
+def test_sensing_sweep_builds_radar_emission_once(desk, monkeypatch, axis, changes):
+    """desk's comm carriers are drawn clear of the radar, so every trial
+    selects its bands against the same (empty) map: the bands and waveform
+    are built once per sweep, not once per trial."""
+    selections = counted(monkeypatch, "select_bands")
+    waveforms = counted(monkeypatch, "design_radar_waveform")
+    rep = sweep(small_sweep(desk, **changes), axis, workers=1)
+    assert len(rep.trials) == 6
+    assert len(selections) == len(waveforms) == 1
+
+
 def test_sweep_empties_point_setups(desk, monkeypatch):
     cfg = small_sweep(desk, band_snr_db=(-18.0,), n_trials=2)
     sweep(cfg, "band_placement", workers=1)
@@ -362,7 +385,7 @@ def test_sweep_empties_point_setups(desk, monkeypatch):
     monkeypatch.setattr(pipeline, "_trial_band", failing_trial)
     with pytest.raises(RuntimeError, match="trial failed"):
         sweep(cfg, "band_placement", workers=1)
-    assert held == [1]
+    assert held == [2]  # the point's setup and the frame of its bands
     assert pipeline._POINT_SETUPS == {}
 
 
