@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -235,13 +236,31 @@ class GridSpec:
         """Global bin index of dense position 0 (bin k sits at k * delta_f)."""
         return -(self.center_slice * self.slice_step) - self.n_grid // 2
 
+    @cached_property
+    def _dense_geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(frequencies, mirror positions, slice index map) of the dense grid,
+        built on first use and kept read-only; every field they depend on is
+        frozen, so they cannot go stale."""
+        freqs = (np.arange(self.dense_size) + self.dense_offset) * self.delta_f
+        mirror = self.mirror_position(np.arange(self.dense_size))
+        rows = np.arange(self.n_slices)[:, None] * self.slice_step
+        index_map = rows + np.arange(self.n_grid)[None, :]
+        for arr in (freqs, mirror, index_map):
+            arr.flags.writeable = False
+        return freqs, mirror, index_map
+
     def dense_freqs(self) -> np.ndarray:
-        return (np.arange(self.dense_size) + self.dense_offset) * self.delta_f
+        """Frequency of every dense position (read-only)."""
+        return self._dense_geometry[0]
+
+    def dense_mirror(self) -> np.ndarray:
+        """mirror_position of every dense position (read-only)."""
+        return self._dense_geometry[1]
 
     def dense_index_map(self) -> np.ndarray:
-        """(n_slices, n_grid) array of dense positions backing each slice bin."""
-        rows = np.arange(self.n_slices)[:, None] * self.slice_step
-        return rows + np.arange(self.n_grid)[None, :]
+        """(n_slices, n_grid) array of dense positions backing each slice bin
+        (read-only)."""
+        return self._dense_geometry[2]
 
     def mirror_position(self, pos: np.ndarray) -> np.ndarray:
         """Dense position holding -f for the position holding f.

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .freqs import GridSpec, slice_count
+from .freqs import GridSpec, SliceSupport, slice_count
 from .rng import derive_rng
 from .signals import SliceSpectrum
 
@@ -101,6 +102,42 @@ class SensingMatrix:
     @property
     def n(self) -> int:
         return self.a.shape[1]
+
+    # The caches below are built on first use and kept read-only; a is
+    # frozen, so they cannot go stale.
+
+    @cached_property
+    def col_norms(self) -> np.ndarray:
+        """Euclidean norm of each column."""
+        norms = np.linalg.norm(self.a, axis=0)
+        norms.flags.writeable = False
+        return norms
+
+    @cached_property
+    def matched_filters(self) -> np.ndarray:
+        """(n, m) unit-norm matched filters: row j is a_j^H / ||a_j||, or
+        zeros for an all-zero column."""
+        live = self.col_norms > 0
+        filters = np.zeros((self.n, self.m), dtype=np.complex128)
+        filters[live] = self.a.conj().T[live] / self.col_norms[live, None]
+        filters.flags.writeable = False
+        return filters
+
+    def column_basis(self, cols: SliceSupport) -> tuple[float, np.ndarray]:
+        """Condition number and orthonormal basis (reduced QR factor) of the
+        columns cols, computed once per cols."""
+        try:
+            return self._column_bases[cols]
+        except KeyError:
+            sub = self.a[:, list(cols)]
+            q = np.linalg.qr(sub)[0]
+            q.flags.writeable = False
+            basis = self._column_bases[cols] = (float(np.linalg.cond(sub)), q)
+            return basis
+
+    @cached_property
+    def _column_bases(self) -> dict[SliceSupport, tuple[float, np.ndarray]]:
+        return {}
 
 
 def sequence_fourier_coeffs(seqs: MixingSequenceSet, ell: np.ndarray) -> np.ndarray:

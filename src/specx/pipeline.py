@@ -65,11 +65,14 @@ from .sensing import (
 from .signals import (
     CommTransmissionSpec,
     PulseTrainSpec,
+    RadarEmission,
     RadarWaveformSpec,
     SliceSpectrum,
     TargetScene,
     design_radar_waveform,
+    draw_radar_emission,
     gen_comm_slices,
+    radar_emission,
     radar_fourier_coeffs,
     radar_slices,
 )
@@ -97,8 +100,12 @@ __all__ = [
 
 _LAYOUT_NAMES = ("separated", "adjacent", "wideband")
 
-# a full-band partial Fourier frame has n_bins**2 complex entries: 256 MiB here
-_MAX_DELAY_BINS = 4096
+# Size caps. Each keeps the largest complex array its size sets at or under
+# 256 MiB, 2**24 entries of 16 bytes:
+_MAX_DELAY_BINS = 4096  # a full-band partial Fourier frame, n_bins**2 entries
+_MAX_SLICE_BINS = 2**24  # a slice stack, n_slices * n_grid (the dense grid is shorter)
+_MAX_BANK_CHIPS = 2**24  # the chip sequences' spectra, n_channels * n_chips
+_MAX_DELAY_DOPPLER_CELLS = 2**24  # a back-projected map, n_bins * n_pulses
 
 
 class ConfigError(ValueError):
@@ -374,6 +381,17 @@ class ScenarioConfig:
                 f"grid.n_chips ({self.grid.n_chips}) must be >= the slice count "
                 f"({grid.n_slices})"
             )
+        if grid.n_slices * grid.n_grid > _MAX_SLICE_BINS:
+            raise ConfigError(
+                f"grid.n_grid ({grid.n_grid}) times {grid.n_slices} slices must be "
+                f"<= {_MAX_SLICE_BINS} slice bins"
+            )
+        widest = max(self.grid.n_channels, *self.sweep.channel_counts)
+        if widest * self.grid.n_chips > _MAX_BANK_CHIPS:
+            raise ConfigError(
+                f"grid.n_chips ({self.grid.n_chips}) times {widest} channels must be "
+                f"<= {_MAX_BANK_CHIPS} mixing-bank chips"
+            )
         half_nyq = self.grid.f_nyq / 2.0
         for phase, specs in (
             (1, self.comm.transmissions),
@@ -415,6 +433,11 @@ class ScenarioConfig:
             raise ConfigError("radar.n_bands must be >= 1")
         if r.n_pulses < 1:
             raise ConfigError("radar.n_pulses must be >= 1")
+        if n_bins * r.n_pulses > _MAX_DELAY_DOPPLER_CELLS:
+            raise ConfigError(
+                f"radar.n_pulses ({r.n_pulses}) times {n_bins} delay bins must be "
+                f"<= {_MAX_DELAY_DOPPLER_CELLS} delay-Doppler cells"
+            )
         if not 0.0 < r.p_fa < 1.0:
             raise ConfigError("radar.p_fa must be in (0, 1)")
         n_tests = n_bins * r.n_pulses
@@ -681,9 +704,9 @@ def _require_channels(cfg: ScenarioConfig, grid: GridSpec, n_channels: int, wher
         )
 
 
-def _sensing_matrix(cfg: ScenarioConfig, grid: GridSpec, n_channels: int) -> SensingMatrix:
+def _sensing_matrix(seed: int, n_chips: int, grid: GridSpec, n_channels: int) -> SensingMatrix:
     """MWC front end of n_channels mixing sequences drawn from the scenario seed."""
-    seqs = gen_mixing_sequences(n_channels, cfg.grid.n_chips, _child_seed(cfg.seed, "mix"))
+    seqs = gen_mixing_sequences(n_channels, n_chips, _child_seed(seed, "mix"))
     return build_sensing_matrix(seqs, grid.n_slices)
 
 
@@ -805,7 +828,7 @@ def run_specx(cfg: ScenarioConfig) -> RunReport:
     _require_feasible(cfg)
     grid = cfg.grid.to_grid()
     _require_channels(cfg, grid, cfg.grid.n_channels, "grid.n_channels")
-    a = _sensing_matrix(cfg, grid, cfg.grid.n_channels)
+    a = _sensing_matrix(cfg.seed, cfg.grid.n_chips, grid, cfg.grid.n_channels)
     rem = cfg.rem.to_rem()
     scene = _draw_scene(cfg, derive_rng(cfg.seed, "scene"))
 
@@ -898,7 +921,7 @@ def run_sense(cfg: ScenarioConfig) -> RunReport:
     """Single sensing pass on the phase-1 comm signal, no radar on the air."""
     cfg.validate()
     grid = cfg.grid.to_grid()
-    a = _sensing_matrix(cfg, grid, cfg.grid.n_channels)
+    a = _sensing_matrix(cfg.seed, cfg.grid.n_chips, grid, cfg.grid.n_channels)
     result, s_c_hat, f_c_op, f_c_true, s_c_true = _sense_once(
         cfg, grid, a, cfg.comm.transmissions, SliceSupport(), None, (0,)
     )
@@ -929,7 +952,7 @@ def run_select_bands(cfg: ScenarioConfig) -> RunReport:
     """Sense the comm support, then pick the radar bands away from it."""
     cfg.validate()
     grid = cfg.grid.to_grid()
-    a = _sensing_matrix(cfg, grid, cfg.grid.n_channels)
+    a = _sensing_matrix(cfg.seed, cfg.grid.n_chips, grid, cfg.grid.n_channels)
     rem = cfg.rem.to_rem()
     result, _, f_c_op, f_c_true, _ = _sense_once(
         cfg, grid, a, cfg.comm.transmissions, SliceSupport(), None, (0,)
@@ -1046,10 +1069,10 @@ def _random_transmissions(
     return tuple(out)
 
 
-def _radar_avoid_zone(cfg: ScenarioConfig) -> FrequencySet:
-    pad = 1.5 * cfg.grid.f_p
-    lo = cfg.radar.carrier - cfg.radar.b_h / 2.0 - pad
-    hi = cfg.radar.carrier + cfg.radar.b_h / 2.0 + pad
+def _radar_avoid_zone(g: GridConfig, r: RadarConfig) -> FrequencySet:
+    pad = 1.5 * g.f_p
+    lo = r.carrier - r.b_h / 2.0 - pad
+    hi = r.carrier + r.b_h / 2.0 + pad
     zone = FrequencySet([(lo, hi)])
     return zone.union(zone.mirrored())
 
@@ -1061,17 +1084,18 @@ def _index_ratio(est: SliceSupport, truth: SliceSupport) -> float:
 
 
 def _radar_emission(
-    cfg: ScenarioConfig, grid: GridSpec, f_c_base: FrequencySet
-) -> tuple[RadarWaveformSpec, SliceSupport]:
+    rem_cfg: RemConfig, r: RadarConfig, grid: GridSpec, f_c_base: FrequencySet
+) -> tuple[RadarEmission, SliceSupport]:
     """The radar side of a sensing-sweep trial whose comm map on the REM
-    span is f_c_base: the waveform on the bands selected against that map,
-    and the grid slices those bands occupy."""
-    rem = _per_point(RemConfig.to_rem, cfg.rem)
-    _, f_r = select_bands(rem, f_c_base, cfg.radar.n_bands)
-    waveform = design_radar_waveform(
-        _flat_base(cfg.radar.n_delay_bins), cfg.radar.b_h, f_r, cfg.radar.p_t
+    span is f_c_base: the emission profile of the waveform on the bands
+    selected against that map, and the grid slices those bands occupy."""
+    rem = _per_point(RemConfig.to_rem, rem_cfg)
+    _, f_r = select_bands(rem, f_c_base, r.n_bands)
+    waveform = design_radar_waveform(_flat_base(r.n_delay_bins), r.b_h, f_r, r.p_t)
+    return (
+        radar_emission(waveform, r.carrier, grid, r.p_t),
+        radar_slice_support(f_r.shifted(r.carrier), grid),
     )
-    return waveform, radar_slice_support(f_r.shifted(cfg.radar.carrier), grid)
 
 
 def _comm_trial(
@@ -1082,22 +1106,22 @@ def _comm_trial(
     radar emission on them. Returns (comm_x, x, s_c_true, s_r): the comm
     signal alone, comm plus radar, the true comm slices and the radar slices.
 
-    The bands, waveform and radar slices depend on the trial only through
-    its comm map on the REM span, so each process builds them once per
-    distinct map in a sweep. Comm carriers are drawn clear of the radar's
-    avoid zone, so on the presets that map is empty in every trial and they
-    are built once per sweep."""
+    The bands, waveform, emission profile and radar slices depend on the
+    trial only through its comm map on the REM span, so each process builds
+    them once per distinct map in a sweep, and the trial only draws the
+    emission. Comm carriers are drawn clear of the radar's avoid zone, so on
+    the presets that map is empty in every trial and they are built once
+    per sweep."""
     rem = _per_point(RemConfig.to_rem, cfg.rem)
     rng = derive_rng(cfg.seed, tag, point_idx, trial)
-    specs = _random_transmissions(cfg, _per_point(_radar_avoid_zone, cfg), rng)
+    specs = _random_transmissions(cfg, _per_point(_radar_avoid_zone, cfg.grid, cfg.radar), rng)
     comm_x, f_c_true, s_c_true = gen_comm_slices(
         specs, grid, 0.0, _child_seed(cfg.seed, f"{tag}-comm", point_idx, trial)
     )
     f_c_base = f_c_true.shifted(-cfg.radar.carrier).intersection(rem.span)
-    waveform, s_r = _per_point(_radar_emission, cfg, grid, f_c_base)
-    x = comm_x + radar_slices(
-        waveform, cfg.radar.carrier, grid, cfg.radar.p_t,
-        _child_seed(cfg.seed, f"{tag}-rslice", point_idx, trial),
+    emission, s_r = _per_point(_radar_emission, cfg.rem, cfg.radar, grid, f_c_base)
+    x = comm_x + draw_radar_emission(
+        emission, _child_seed(cfg.seed, f"{tag}-rslice", point_idx, trial)
     )
     return comm_x, x, s_c_true, s_r
 
@@ -1116,7 +1140,7 @@ def _comm_support(
 def _trial_snr(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
     snr_db, point_idx, trial = task
     grid = _per_point(GridConfig.to_grid, cfg.grid)
-    a = _per_point(_sensing_matrix, cfg, grid, cfg.grid.n_channels)
+    a = _per_point(_sensing_matrix, cfg.seed, cfg.grid.n_chips, grid, cfg.grid.n_channels)
     comm_x, x, s_c_true, s_r = _comm_trial(cfg, grid, "snr", point_idx, trial)
     # SNR is defined against the comm signal alone; the radar emission is
     # interference at a fixed power, not part of the signal being detected
@@ -1139,7 +1163,10 @@ def _trial_snr(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
     pks_comm = _comm_support(cfg, grid, z, a, omp_pks(frame, a, s_r, k_extra=4 * n_sig), s_r)
     # the radar-unaware receiver budgets sparsity for the comm signals only,
     # so the radar emission competes for its greedy picks
-    omp_comm = _comm_support(cfg, grid, z, a, somp(frame, a, max_sparsity=4 * n_sig), s_r)
+    # (a pursuit picks at most a.n columns, so the cap changes no pick)
+    omp_comm = _comm_support(
+        cfg, grid, z, a, somp(frame, a, max_sparsity=min(4 * n_sig, a.n)), s_r
+    )
     return {
         "snr_db": snr_db,
         "trial": trial,
@@ -1182,7 +1209,7 @@ def _trial_band(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
 def _trial_channels(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
     m, point_idx, trial = task
     grid = _per_point(GridConfig.to_grid, cfg.grid)
-    a = _per_point(_sensing_matrix, cfg, grid, m)
+    a = _per_point(_sensing_matrix, cfg.seed, cfg.grid.n_chips, grid, m)
     _, x, s_c_true, s_r = _comm_trial(cfg, grid, "chan", point_idx, trial)
     p_sig = float(np.mean(np.abs(xample(x, a).z) ** 2))
     noise_var = p_sig * 10.0 ** (-cfg.sweep.channels_snr_db / 10.0)
@@ -1377,10 +1404,13 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     the aggregates are computed from.
 
     What trials share is built once per process that runs them. For snr
-    and channels: the grid, REM and radar avoid zone once per sweep; the MWC
-    front end once per sweep for snr and once per channel count for
-    channels; the radar bands, waveform and slices once per distinct comm
-    map on the REM span (once per sweep on the presets). For band_placement:
+    and channels: the grid, with its dense frequencies, mirror positions and
+    slice index map, and the REM and radar avoid zone once per sweep; the
+    MWC front end, with its column norms, matched filters and the QR of the
+    radar's known columns, once per sweep for snr and once per channel count
+    for channels; the radar bands, waveform, emission variance profile and
+    slices once per distinct comm map on the REM span (once per sweep on the
+    presets), so a trial only draws the emission. For band_placement:
     the waveform, kappa and partial Fourier frame once per band set, so once
     per layout however many SNRs share it; the focused noise variance and
     GLRT threshold once per point.

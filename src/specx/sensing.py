@@ -119,8 +119,10 @@ def omp_pks(
     orthogonalized against Q (Gram-Schmidt with one reorthogonalization
     pass), appended, and its direction removed from the residual. A column
     already in the span (orthogonal part at rounding level) joins the
-    support and leaves the residual as it is. Returns the union of s_r and
-    the discovered indices. Raises if the known columns are ill-conditioned
+    support and leaves the residual as it is. The column norms, matched
+    filters and the known columns' basis are cached on a, so a matrix reused
+    across calls builds them once. Returns the union of s_r and the
+    discovered indices. Raises if the known columns are ill-conditioned
     (condition number above 1e12) or if fewer channels than |s_r| + 1 are
     available.
     """
@@ -145,22 +147,20 @@ def omp_pks(
     basis_h = np.empty((m, m), dtype=np.complex128)
     rank = len(selected)
     if selected:
-        sub = amat[:, selected]
-        if np.linalg.cond(sub) > _COND_LIMIT:
+        cond, q = a.column_basis(s_r)
+        if cond > _COND_LIMIT:
             raise ValueError("known-support columns are ill-conditioned")
-        basis[:, :rank] = np.linalg.qr(sub)[0]
+        basis[:, :rank] = q
         basis_h[:rank] = basis[:, :rank].conj().T
         resid = vv - basis[:, :rank] @ (basis_h[:rank] @ vv)
     else:
         resid = vv.copy()
 
     # unit-norm matched filters a_j^H / ||a_j||; a selected or all-zero
-    # column keeps a zero row, so it scores 0 and is never picked
-    col_norms = np.linalg.norm(amat, axis=0)
-    live = col_norms > 0
-    live[selected] = False
-    filters = np.zeros((n, m), dtype=np.complex128)
-    filters[live] = amat.conj().T[live] / col_norms[live, None]
+    # column has a zero row, so it scores 0 and is never picked
+    col_norms = a.col_norms
+    filters = a.matched_filters.copy()
+    filters[selected] = 0.0
     span_tol = _SPAN_TOL * m
     for _ in range(k_extra):
         if math.sqrt(np.vdot(resid, resid).real) < res_tol * v_norm:

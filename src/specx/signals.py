@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +33,9 @@ __all__ = [
     "design_radar_waveform",
     "radar_fourier_coeffs",
     "radar_slices",
+    "RadarEmission",
+    "radar_emission",
+    "draw_radar_emission",
     "slices_from_dense",
     "dense_from_slices",
 ]
@@ -111,7 +114,7 @@ def _symmetric_noise(grid: GridSpec, per_bin_var: float, rng: np.random.Generato
     if per_bin_var <= 0:
         return dense
     pos = np.arange(grid.dense_size)
-    mirror = grid.mirror_position(pos)
+    mirror = grid.dense_mirror()
     half = (mirror > pos)
     draw = math.sqrt(per_bin_var / 2.0) * (
         rng.standard_normal(half.sum()) + 1j * rng.standard_normal(half.sum())
@@ -162,8 +165,7 @@ def gen_comm_slices(
             )
 
     freqs = grid.dense_freqs()
-    pos_all = np.arange(grid.dense_size)
-    mirror_all = grid.mirror_position(pos_all)
+    mirror_all = grid.dense_mirror()
     dense = np.zeros(grid.dense_size, dtype=np.complex128)
     occupied = np.zeros(grid.dense_size, dtype=bool)
     intervals: list[FrequencyInterval] = []
@@ -173,8 +175,7 @@ def gen_comm_slices(
         hi = min(tx.carrier + tx.bandwidth / 2.0, half_nyq)
         if lo >= hi:
             continue
-        in_band = (freqs >= lo) & (freqs < hi) & (mirror_all >= 0)
-        pos = pos_all[in_band]
+        pos = np.flatnonzero((freqs >= lo) & (freqs < hi) & (mirror_all >= 0))
         if pos.size == 0:
             continue
         w = _band_weights(freqs[pos], tx, grid.delta_f)
@@ -400,6 +401,80 @@ def radar_fourier_coeffs(
     return coeffs
 
 
+class RadarEmission(NamedTuple):
+    """The seed-independent part of radar_slices on one grid: the dense
+    positions the emission occupies and the standard deviation drawn at
+    each. All arrays are read-only and empty when the emission carries no
+    power."""
+
+    grid: GridSpec
+    pairs: np.ndarray  # positions drawn as complex values, below their mirrors
+    pair_mirrors: np.ndarray  # the mirror of each, which gets the conjugate
+    pair_scale: np.ndarray  # sqrt(variance / 2) at each pair position
+    self_paired: np.ndarray  # positions that are their own mirror (real draws)
+    self_scale: np.ndarray  # sqrt(variance) at each of them
+
+
+def radar_emission(
+    waveform: RadarWaveformSpec,
+    carrier: float,
+    grid: GridSpec,
+    power_scale: float,
+) -> RadarEmission:
+    """Variance profile of radar_slices: total power power_scale spread over
+    the radar bands shifted to the carrier and their mirror image, each
+    dense bin weighted by its cell's overlap with the bands."""
+    half_nyq = grid.f_nyq / 2.0
+    bands_abs = waveform.bands.shifted(carrier)
+    if not bands_abs.within(-half_nyq, half_nyq, tol=1e-9 * grid.f_nyq):
+        raise ValueError("radar bands fall outside the receiver Nyquist range")
+    two_sided = bands_abs.union(bands_abs.mirrored())
+
+    none = np.zeros(0, dtype=np.int64)
+    arrays = (none, none, np.zeros(0), none, np.zeros(0))
+    if power_scale > 0:
+        freqs = grid.dense_freqs()
+        pos_all = np.arange(grid.dense_size)
+        mirror = grid.dense_mirror()
+        half_cell = grid.delta_f / 2.0
+        overlap = np.zeros(grid.dense_size)
+        for lo, hi in two_sided.to_pairs():
+            overlap += np.clip(
+                np.minimum(hi, freqs + half_cell) - np.maximum(lo, freqs - half_cell),
+                0.0, None,
+            )
+        overlap[mirror < 0] = 0.0
+        total = overlap.sum()
+        if total > 0:
+            var = power_scale * overlap / (total * grid.delta_f)
+            half = (overlap > 0) & (mirror > pos_all)
+            self_paired = (overlap > 0) & (mirror == pos_all)
+            arrays = (
+                np.flatnonzero(half), mirror[half], np.sqrt(var[half] / 2.0),
+                np.flatnonzero(self_paired), np.sqrt(var[self_paired]),
+            )
+    for arr in arrays:
+        arr.flags.writeable = False
+    return RadarEmission(grid, *arrays)
+
+
+def draw_radar_emission(emission: RadarEmission, seed: int = 0) -> SliceSpectrum:
+    """One seeded draw of the radar emission as the sensing receiver sees it:
+    conjugate-symmetric band-limited complex Gaussian noise."""
+    grid = emission.grid
+    dense = np.zeros(grid.dense_size, dtype=np.complex128)
+    if emission.pairs.size or emission.self_paired.size:
+        rng = derive_rng(seed, "radar-slices")
+        n = emission.pairs.size
+        draw = emission.pair_scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        dense[emission.pairs] = draw
+        dense[emission.pair_mirrors] = np.conj(draw)
+        dense[emission.self_paired] = emission.self_scale * rng.standard_normal(
+            emission.self_paired.size
+        )
+    return SliceSpectrum(slices_from_dense(dense, grid), grid)
+
+
 def radar_slices(
     waveform: RadarWaveformSpec,
     carrier: float,
@@ -413,39 +488,8 @@ def radar_slices(
     radar bands shifted to the carrier (plus the mirror image). Per-bin power
     is proportional to the band overlap with each bin's cell, so bands much
     narrower than the bin spacing still carry their full power. Only the
-    slice support of this spectrum matters downstream.
+    slice support of this spectrum matters downstream. This is
+    draw_radar_emission of radar_emission; a caller that draws many times
+    from one emission builds its profile once.
     """
-    half_nyq = grid.f_nyq / 2.0
-    bands_abs = waveform.bands.shifted(carrier)
-    if not bands_abs.within(-half_nyq, half_nyq, tol=1e-9 * grid.f_nyq):
-        raise ValueError("radar bands fall outside the receiver Nyquist range")
-    two_sided = bands_abs.union(bands_abs.mirrored())
-
-    dense = np.zeros(grid.dense_size, dtype=np.complex128)
-    if power_scale > 0:
-        freqs = grid.dense_freqs()
-        pos_all = np.arange(grid.dense_size)
-        mirror = grid.mirror_position(pos_all)
-        half_cell = grid.delta_f / 2.0
-        overlap = np.zeros(grid.dense_size)
-        for lo, hi in two_sided.to_pairs():
-            overlap += np.clip(
-                np.minimum(hi, freqs + half_cell) - np.maximum(lo, freqs - half_cell),
-                0.0, None,
-            )
-        overlap[mirror < 0] = 0.0
-        total = overlap.sum()
-        if total > 0:
-            var = power_scale * overlap / (total * grid.delta_f)
-            rng = derive_rng(seed, "radar-slices")
-            half = (overlap > 0) & (mirror > pos_all)
-            draw = np.sqrt(var[half] / 2.0) * (
-                rng.standard_normal(half.sum()) + 1j * rng.standard_normal(half.sum())
-            )
-            dense[pos_all[half]] = draw
-            dense[mirror[half]] = np.conj(draw)
-            self_paired = (overlap > 0) & (mirror == pos_all)
-            dense[self_paired] = np.sqrt(var[self_paired]) * rng.standard_normal(
-                self_paired.sum()
-            )
-    return SliceSpectrum(slices_from_dense(dense, grid), grid)
+    return draw_radar_emission(radar_emission(waveform, carrier, grid, power_scale), seed)

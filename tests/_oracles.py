@@ -7,7 +7,9 @@ an explicit double sum. Neither touches FFTs, sinc envelopes, or any other
 shortcut the production code relies on. The greedy solvers' first versions,
 which refit every selected column by least squares on every step, and the
 first, per-band mask_comm are kept here as references for the faster
-versions.
+versions. So are gen_comm_slices and radar_slices as first written, which
+rebuilt the dense-grid geometry and the radar variance profile on every
+call.
 """
 
 import numpy as np
@@ -311,3 +313,102 @@ def struct_omp_refit_all(y_inv, d, n_b, span_width, zero_fitted_bands=False):
         if j is not None:
             run_start = prev = j
     return BlockSparseVector(w=w, b_w=b_w), FrequencySet(intervals)
+
+
+def _dense_geometry(grid):
+    """Dense frequencies, positions, mirrors and slice index map, built anew."""
+    pos = np.arange(grid.dense_size)
+    freqs = (pos + grid.dense_offset) * grid.delta_f
+    index_map = np.arange(grid.n_slices)[:, None] * grid.slice_step + np.arange(grid.n_grid)
+    return freqs, pos, grid.mirror_position(pos), index_map
+
+
+def gen_comm_slices_per_call(specs, grid, noise_psd=0.0, seed=0):
+    """gen_comm_slices as first written, with its noise helper inlined."""
+    import math
+
+    from specx import FrequencyInterval, FrequencySet, SliceSpectrum, SliceSupport
+    from specx.rng import derive_rng
+    from specx.signals import _band_weights
+
+    half_nyq = grid.f_nyq / 2.0
+    freqs, pos_all, mirror_all, index_map = _dense_geometry(grid)
+    dense = np.zeros(grid.dense_size, dtype=np.complex128)
+    occupied = np.zeros(grid.dense_size, dtype=bool)
+    intervals = []
+    for idx, tx in enumerate(specs):
+        lo = max(tx.carrier - tx.bandwidth / 2.0, -half_nyq)
+        hi = min(tx.carrier + tx.bandwidth / 2.0, half_nyq)
+        if lo >= hi:
+            continue
+        in_band = (freqs >= lo) & (freqs < hi) & (mirror_all >= 0)
+        pos = pos_all[in_band]
+        if pos.size == 0:
+            continue
+        w = _band_weights(freqs[pos], tx, grid.delta_f)
+        rng = derive_rng(seed, "comm", idx)
+        draw = np.sqrt(w / 2.0) * (
+            rng.standard_normal(pos.size) + 1j * rng.standard_normal(pos.size)
+        )
+        dense[pos] += draw
+        dense[mirror_all[pos]] += np.conj(draw)
+        occupied[pos] = True
+        occupied[mirror_all[pos]] = True
+        intervals.append(FrequencyInterval(lo, hi))
+        intervals.append(FrequencyInterval(-hi, -lo))
+
+    if noise_psd > 0:
+        rng = derive_rng(seed, "comm-noise")
+        noise = np.zeros(grid.dense_size, dtype=np.complex128)
+        half = mirror_all > pos_all
+        draw = math.sqrt(noise_psd / 2.0) * (
+            rng.standard_normal(half.sum()) + 1j * rng.standard_normal(half.sum())
+        )
+        noise[pos_all[half]] = draw
+        noise[mirror_all[half]] = np.conj(draw)
+        self_paired = mirror_all == pos_all
+        noise[self_paired] = math.sqrt(noise_psd) * rng.standard_normal(self_paired.sum())
+        dense += noise
+
+    support = SliceSupport(np.flatnonzero(occupied[index_map].any(axis=1)))
+    return SliceSpectrum(dense[index_map], grid), FrequencySet(intervals), support
+
+
+def radar_slices_per_call(waveform, carrier, grid, power_scale, seed=0):
+    """radar_slices as first written: the overlap profile and the draw in one
+    pass."""
+    from specx import SliceSpectrum
+    from specx.rng import derive_rng
+
+    half_nyq = grid.f_nyq / 2.0
+    bands_abs = waveform.bands.shifted(carrier)
+    if not bands_abs.within(-half_nyq, half_nyq, tol=1e-9 * grid.f_nyq):
+        raise ValueError("radar bands fall outside the receiver Nyquist range")
+    two_sided = bands_abs.union(bands_abs.mirrored())
+
+    freqs, pos_all, mirror, index_map = _dense_geometry(grid)
+    dense = np.zeros(grid.dense_size, dtype=np.complex128)
+    if power_scale > 0:
+        half_cell = grid.delta_f / 2.0
+        overlap = np.zeros(grid.dense_size)
+        for lo, hi in two_sided.to_pairs():
+            overlap += np.clip(
+                np.minimum(hi, freqs + half_cell) - np.maximum(lo, freqs - half_cell),
+                0.0, None,
+            )
+        overlap[mirror < 0] = 0.0
+        total = overlap.sum()
+        if total > 0:
+            var = power_scale * overlap / (total * grid.delta_f)
+            rng = derive_rng(seed, "radar-slices")
+            half = (overlap > 0) & (mirror > pos_all)
+            draw = np.sqrt(var[half] / 2.0) * (
+                rng.standard_normal(half.sum()) + 1j * rng.standard_normal(half.sum())
+            )
+            dense[pos_all[half]] = draw
+            dense[mirror[half]] = np.conj(draw)
+            self_paired = (overlap > 0) & (mirror == pos_all)
+            dense[self_paired] = np.sqrt(var[self_paired]) * rng.standard_normal(
+                self_paired.sum()
+            )
+    return SliceSpectrum(dense[index_map], grid)

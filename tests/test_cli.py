@@ -156,6 +156,15 @@ def test_snr_sweep_without_prune_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_snr_sweep_with_more_picks_than_slices_runs(tmp_path):
+    """The radar-unaware pursuit's budget of 4 * n_sig = 32 picks exceeds
+    desk's 30 slices; it is capped at the slice count."""
+    doc = desk_doc()
+    doc["comm"]["n_sig"] = 8
+    proc = run_doc(tmp_path, doc, "sweep", "--axis", "snr", *SWEEP_ONE)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize(
     "section, key, value, args, message",
     [
@@ -203,6 +212,12 @@ def test_snr_sweep_without_prune_runs(tmp_path):
          "bandwidth 1e-13 Hz rounds to an empty band"),
         # 0.95 s * 1.62 MHz is 1.5 million delay bins, a frame of terabytes
         ("radar", "pri", 0.95, ("radar",), "delay bins) must be <= 4096"),
+        # complex arrays over 256 MiB: 30 slices of 2**20 bins (480 MiB), 18
+        # sequences of 2**20 chips (288 MiB), 162 delay bins by 2**17 pulses
+        # (324 MiB)
+        ("grid", "n_grid", 2**20, ("sense",), "must be <= 16777216 slice bins"),
+        ("grid", "n_chips", 2**20, ("sense",), "must be <= 16777216 mixing-bank chips"),
+        ("radar", "n_pulses", 2**17, ("radar",), "must be <= 16777216 delay-Doppler cells"),
     ],
     ids=[
         "seed", "n_trials", "specx-channels", "snr-channels", "channel-counts",
@@ -212,6 +227,7 @@ def test_snr_sweep_without_prune_runs(tmp_path):
         "huge-int-f-nyq", "huge-int-snr",
         "negative-energy", "negative-max-detections", "negative-noise-psd",
         "tiny-p-fa", "overlapping-occupancy", "tiny-bandwidth", "huge-delay-grid",
+        "huge-slice-grid", "huge-mixing-bank", "huge-pulse-train",
     ],
 )
 def test_bad_config_exits_2_in_one_line(tmp_path, section, key, value, args, message):

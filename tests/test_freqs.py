@@ -149,6 +149,21 @@ def test_grid_mirror_position():
     np.testing.assert_array_equal(back, pos[ok])
 
 
+def test_grid_dense_geometry_cached_read_only():
+    grid = GridSpec(f_nyq=100e6, f_p=10e6, f_s=10e6, n_grid=4)
+    pos = np.arange(grid.dense_size)
+    for get, want in (
+        (grid.dense_freqs, (pos + grid.dense_offset) * grid.delta_f),
+        (grid.dense_mirror, grid.mirror_position(pos)),
+        (grid.dense_index_map, np.arange(grid.n_slices)[:, None] * grid.slice_step
+         + np.arange(grid.n_grid)),
+    ):
+        arr = get()
+        assert arr is get()
+        assert not arr.flags.writeable
+        np.testing.assert_array_equal(arr, want)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         GridSpec(f_nyq=100e6, f_p=10e6, f_s=5e6, n_grid=4)  # f_s < f_p

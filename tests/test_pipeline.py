@@ -351,22 +351,34 @@ def test_sensing_sweep_builds_rem_once(desk, monkeypatch, axis, changes):
 
 
 @pytest.mark.parametrize(
-    "axis, changes",
+    "axis, changes, n_matrices",
     [
-        ("snr", {"snr_db": (0.0, 10.0), "n_trials": 3}),
-        ("channels", {"channel_counts": (12, 18), "n_trials": 3}),
+        ("snr", {"snr_db": (0.0, 10.0), "n_trials": 3}, 1),
+        ("channels", {"channel_counts": (12, 18), "n_trials": 3}, 2),
     ],
     ids=["snr", "channels"],
 )
-def test_sensing_sweep_builds_radar_emission_once(desk, monkeypatch, axis, changes):
+def test_sensing_sweep_builds_radar_emission_once(desk, monkeypatch, axis, changes, n_matrices):
     """desk's comm carriers are drawn clear of the radar, so every trial
-    selects its bands against the same (empty) map: the bands and waveform
-    are built once per sweep, not once per trial."""
+    selects its bands against the same (empty) map: the bands, waveform and
+    emission profile are built once per sweep, not once per trial. The QR
+    of the known radar columns is built once per sensing matrix."""
     selections = counted(monkeypatch, "select_bands")
     waveforms = counted(monkeypatch, "design_radar_waveform")
+    profiles = counted(monkeypatch, "radar_emission")
+    matrices = counted(monkeypatch, "build_sensing_matrix")
+    qr_calls = []
+    qr = np.linalg.qr
+
+    def counted_qr(*args, **kwargs):
+        qr_calls.append(args)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
     rep = sweep(small_sweep(desk, **changes), axis, workers=1)
     assert len(rep.trials) == 6
-    assert len(selections) == len(waveforms) == 1
+    assert len(selections) == len(waveforms) == len(profiles) == 1
+    assert len(qr_calls) == len(matrices) == n_matrices
 
 
 def test_sweep_empties_point_setups(desk, monkeypatch):

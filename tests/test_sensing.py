@@ -249,3 +249,15 @@ def test_omp_pks_column_in_span_leaves_residual():
     assert len(want) == 6
     assert list(got)[:3] == list(want)[:3] and len(got) == 6
 
+
+def test_sensing_matrix_caches_are_read_only():
+    a = bank(12)
+    norms, filters = a.col_norms, a.matched_filters
+    assert norms is a.col_norms and filters is a.matched_filters
+    np.testing.assert_array_equal(norms, np.linalg.norm(a.a, axis=0))
+    np.testing.assert_array_equal(filters, a.a.conj().T / norms[:, None])
+    cond, q = a.column_basis(SliceSupport([3, 16]))
+    assert a.column_basis(SliceSupport([3, 16]))[1] is q
+    assert cond == np.linalg.cond(a.a[:, [3, 16]])
+    for arr in (norms, filters, q):
+        assert not arr.flags.writeable

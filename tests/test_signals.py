@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
-from _oracles import focus_direct  # noqa: E402
+from _oracles import (  # noqa: E402
+    focus_direct,
+    gen_comm_slices_per_call,
+    radar_slices_per_call,
+)
 
 from specx import (  # noqa: E402
     CommTransmissionSpec,
@@ -16,14 +20,17 @@ from specx import (  # noqa: E402
     PulseTrainSpec,
     SliceSupport,
     TargetScene,
+    band_layout,
     dense_from_slices,
     design_radar_waveform,
     gen_comm_slices,
+    load_config,
     make_kappa,
     radar_fourier_coeffs,
     radar_slices,
     slices_from_dense,
 )
+from specx.signals import radar_emission  # noqa: E402
 
 GRID = GridSpec(f_nyq=380e6, f_p=20e6, f_s=20e6, n_grid=8)  # 20 slices
 
@@ -257,6 +264,49 @@ def test_radar_slices_support_and_mirror():
     assert len(active) >= 2
     silent = radar_slices(wave, carrier=150e6, grid=GRID, power_scale=0.0)
     assert np.all(silent.values == 0)
+
+
+def same_bits(x, y):
+    return x.values.tobytes() == y.values.tobytes()
+
+
+@pytest.mark.parametrize("preset", ["desk", "paper_sw"])
+def test_slice_draws_match_per_call_oracles(preset):
+    """The cached grid geometry and the two-step radar emission draw the
+    same bits as the versions that rebuilt everything on every call."""
+    cfg = load_config(preset)
+    grid, r = cfg.grid.to_grid(), cfg.radar
+    # the preset's bands, plus one whose edges fall on dense bins and one
+    # centred on 0 Hz, whose middle bin is its own mirror
+    specs = (
+        *cfg.comm.transmissions,
+        CommTransmissionSpec(carrier=8 * grid.f_p, bandwidth=8 * grid.delta_f),
+        CommTransmissionSpec(carrier=0.0, bandwidth=5 * grid.delta_f, shape="raised-cosine"),
+    )
+    for seed in range(4):
+        for noise_psd in (0.0, cfg.comm.noise_psd):
+            got = gen_comm_slices(specs, grid, noise_psd, seed)
+            want = gen_comm_slices_per_call(specs, grid, noise_psd, seed)
+            assert same_bits(got[0], want[0])
+            assert got[1:] == want[1:]
+    for layout in ("separated", "adjacent", "wideband"):
+        f_r = band_layout(layout, r.b_h, r.n_bands, 0.2, r.n_delay_bins)
+        wave = design_radar_waveform(flat_base(r.n_delay_bins), r.b_h, f_r, r.p_t)
+        for power_scale in (r.p_t, 1.0, 0.0):
+            for seed in range(4):
+                got = radar_slices(wave, r.carrier, grid, power_scale, seed)
+                want = radar_slices_per_call(wave, r.carrier, grid, power_scale, seed)
+                assert same_bits(got, want)
+
+
+def test_radar_emission_arrays_are_read_only():
+    b_h = 1.6e6
+    wave = design_radar_waveform(flat_base(16), b_h, FrequencySet([(-b_h / 2, b_h / 2)]), 1.0)
+    for power_scale in (1.0, 0.0):
+        emission = radar_emission(wave, 150e6, GRID, power_scale)
+        arrays = emission[1:]
+        assert all(not arr.flags.writeable for arr in arrays)
+        assert all(arr.size == 0 for arr in arrays) == (power_scale == 0.0)
 
 
 def test_focus_direct_helper_agrees():
