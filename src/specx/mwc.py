@@ -94,6 +94,7 @@ class SensingMatrix:
             raise ValueError("a must be 2-D")
         a.flags.writeable = False
         object.__setattr__(self, "a", a)
+        object.__setattr__(self, "_basis", None)
 
     @property
     def m(self) -> int:
@@ -125,19 +126,14 @@ class SensingMatrix:
 
     def column_basis(self, cols: SliceSupport) -> tuple[float, np.ndarray]:
         """Condition number and orthonormal basis (reduced QR factor) of the
-        columns cols, computed once per cols."""
-        try:
-            return self._column_bases[cols]
-        except KeyError:
+        columns cols. The last cols asked for is kept: a sweep asks one
+        matrix for one known support."""
+        if self._basis is None or self._basis[0] != cols:
             sub = self.a[:, list(cols)]
             q = np.linalg.qr(sub)[0]
             q.flags.writeable = False
-            basis = self._column_bases[cols] = (float(np.linalg.cond(sub)), q)
-            return basis
-
-    @cached_property
-    def _column_bases(self) -> dict[SliceSupport, tuple[float, np.ndarray]]:
-        return {}
+            object.__setattr__(self, "_basis", (cols, float(np.linalg.cond(sub)), q))
+        return self._basis[1:]
 
 
 def sequence_fourier_coeffs(seqs: MixingSequenceSet, ell: np.ndarray) -> np.ndarray:

@@ -100,12 +100,10 @@ __all__ = [
 
 _LAYOUT_NAMES = ("separated", "adjacent", "wideband")
 
-# Size caps. Each keeps the largest complex array its size sets at or under
-# 256 MiB, 2**24 entries of 16 bytes:
+# Size caps: no complex array a config sets may exceed 256 MiB, 2**24 entries
+# of 16 bytes.
+_MAX_ARRAY_ENTRIES = 2**24
 _MAX_DELAY_BINS = 4096  # a full-band partial Fourier frame, n_bins**2 entries
-_MAX_SLICE_BINS = 2**24  # a slice stack, n_slices * n_grid (the dense grid is shorter)
-_MAX_BANK_CHIPS = 2**24  # the chip sequences' spectra, n_channels * n_chips
-_MAX_DELAY_DOPPLER_CELLS = 2**24  # a back-projected map, n_bins * n_pulses
 
 
 class ConfigError(ValueError):
@@ -381,16 +379,19 @@ class ScenarioConfig:
                 f"grid.n_chips ({self.grid.n_chips}) must be >= the slice count "
                 f"({grid.n_slices})"
             )
-        if grid.n_slices * grid.n_grid > _MAX_SLICE_BINS:
+        # a slice stack, n_slices * n_grid (the dense grid is shorter)
+        if grid.n_slices * grid.n_grid > _MAX_ARRAY_ENTRIES:
             raise ConfigError(
                 f"grid.n_grid ({grid.n_grid}) times {grid.n_slices} slices must be "
-                f"<= {_MAX_SLICE_BINS} slice bins"
+                f"<= {_MAX_ARRAY_ENTRIES} slice bins"
             )
-        widest = max(self.grid.n_channels, *self.sweep.channel_counts)
-        if widest * self.grid.n_chips > _MAX_BANK_CHIPS:
+        # the chip sequences' spectra, n_channels * n_chips, at the widest
+        # bank a sweep builds
+        widest = max((self.grid.n_channels, *self.sweep.channel_counts))
+        if widest * self.grid.n_chips > _MAX_ARRAY_ENTRIES:
             raise ConfigError(
                 f"grid.n_chips ({self.grid.n_chips}) times {widest} channels must be "
-                f"<= {_MAX_BANK_CHIPS} mixing-bank chips"
+                f"<= {_MAX_ARRAY_ENTRIES} mixing-bank chips"
             )
         half_nyq = self.grid.f_nyq / 2.0
         for phase, specs in (
@@ -433,10 +434,11 @@ class ScenarioConfig:
             raise ConfigError("radar.n_bands must be >= 1")
         if r.n_pulses < 1:
             raise ConfigError("radar.n_pulses must be >= 1")
-        if n_bins * r.n_pulses > _MAX_DELAY_DOPPLER_CELLS:
+        # a back-projected map, n_bins * n_pulses
+        if n_bins * r.n_pulses > _MAX_ARRAY_ENTRIES:
             raise ConfigError(
                 f"radar.n_pulses ({r.n_pulses}) times {n_bins} delay bins must be "
-                f"<= {_MAX_DELAY_DOPPLER_CELLS} delay-Doppler cells"
+                f"<= {_MAX_ARRAY_ENTRIES} delay-Doppler cells"
             )
         if not 0.0 < r.p_fa < 1.0:
             raise ConfigError("radar.p_fa must be in (0, 1)")

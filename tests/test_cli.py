@@ -165,6 +165,19 @@ def test_snr_sweep_with_more_picks_than_slices_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("absent", [False, True], ids=["empty", "absent"])
+def test_sense_runs_without_channel_counts(tmp_path, absent):
+    """An empty or absent sweep.channel_counts concerns only the channels
+    sweep; the mixing-bank size check still passes."""
+    doc = desk_doc()
+    if absent:
+        del doc["sweep"]["channel_counts"]
+    else:
+        doc["sweep"]["channel_counts"] = []
+    proc = run_doc(tmp_path, doc, "sense")
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize(
     "section, key, value, args, message",
     [
@@ -183,6 +196,8 @@ def test_snr_sweep_with_more_picks_than_slices_runs(tmp_path):
         ("radar", "n_pulses", 24.0, ("radar",), "radar.n_pulses must be an integer"),
         ("sweep", "channel_counts", [12.7], ("sweep", "--axis", "channels", *SWEEP_ONE),
          "sweep.channel_counts[0] must be an integer"),
+        ("sweep", "channel_counts", [], ("sweep", "--axis", "channels", *SWEEP_ONE),
+         "sweep.channel_counts must be non-empty"),
         ("comm.transmissions.0", "carrier", float("nan"), ("sense",),
          "comm.transmissions[0].carrier must be a finite number"),
         ("radar", "noise_var", float("inf"), ("radar",),
@@ -222,7 +237,7 @@ def test_snr_sweep_with_more_picks_than_slices_runs(tmp_path):
     ids=[
         "seed", "n_trials", "specx-channels", "snr-channels", "channel-counts",
         "float-channels", "string-channels", "float-max-iterations", "float-pulses",
-        "float-channel-count", "nan-carrier", "inf-noise-var",
+        "float-channel-count", "empty-channel-counts", "nan-carrier", "inf-noise-var",
         "bool-snr", "string-snr", "string-band-snr", "bool-energy", "string-energy",
         "huge-int-f-nyq", "huge-int-snr",
         "negative-energy", "negative-max-detections", "negative-noise-psd",

@@ -261,3 +261,9 @@ def test_sensing_matrix_caches_are_read_only():
     assert cond == np.linalg.cond(a.a[:, [3, 16]])
     for arr in (norms, filters, q):
         assert not arr.flags.writeable
+    # another support replaces the kept basis
+    cond2, q2 = a.column_basis(SliceSupport([4]))
+    assert cond2 == np.linalg.cond(a.a[:, [4]]) and q2.shape == (a.m, 1)
+    cond3, q3 = a.column_basis(SliceSupport([3, 16]))
+    assert q3 is not q and cond3 == cond
+    np.testing.assert_array_equal(q3, q)
