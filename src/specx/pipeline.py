@@ -20,10 +20,11 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from types import GenericAlias, UnionType
+from typing import Any, Callable, Mapping, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -124,6 +125,8 @@ def _is_int(value: Any) -> bool:
 
 
 def _is_finite(value: Any) -> bool:
+    if type(value) is float:
+        return math.isfinite(value)
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         return False
     try:
@@ -132,54 +135,87 @@ def _is_finite(value: Any) -> bool:
         return False
 
 
-def _int_entries_as_floats(values: Any) -> tuple:
-    """Integer entries become floats, so a report prints 10 as 10.0; bools,
-    strings and the rest stay as they are for _check_field_types to refuse."""
-    return tuple(float(v) if _is_int(v) and _is_finite(v) else v for v in values)
+def _at_least(lo: int, default: Any = MISSING) -> Any:
+    """A config field whose value, or each entry of it, must be >= lo."""
+    return field(default=default, metadata={"min": lo})
 
 
-def _check_field_types(section: Any, where: str) -> None:
-    """Every int field of a config dataclass holds an integer and every float
-    field a finite number (bools are neither), read off the field's
-    annotation; tuple fields are checked entry by entry, and None passes
-    where the annotation allows it."""
-    for f in fields(section):
-        kind, value, name = f.type, getattr(section, f.name), f"{where}.{f.name}"
-        if kind.endswith(" | None"):
-            if value is None:
-                continue
-            kind = kind.removesuffix(" | None")
-        if kind.startswith("tuple[") and kind.endswith(", ...]"):
-            kind = kind.removeprefix("tuple[").removesuffix(", ...]")
-            items = [(f"{name}[{i}]", v) for i, v in enumerate(value)]
-        else:
-            items = [(name, value)]
-        for item, v in items:
-            if kind == "int" and not _is_int(v):
-                raise ConfigError(f"{item} must be an integer, got {v!r}")
-            if kind == "float" and not _is_finite(v):
-                raise ConfigError(f"{item} must be a finite number, got {v!r}")
+class _Plan(NamedTuple):
+    fields: tuple[tuple[str, Any, Any], ...]  # name, annotation, lower bound
+    names: frozenset[str]
+    required: frozenset[str]
 
 
-def _build(cls, data: Any, where: str):
-    """Construct a config dataclass from a mapping with strict key checking."""
-    if not isinstance(data, Mapping):
-        raise ConfigError(f"{where}: expected an object, got {type(data).__name__}")
-    names = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - names)
+@functools.cache
+def _field_plan(cls) -> _Plan:
+    """How _typed builds a config dataclass, read off its annotations once."""
+    hints = get_type_hints(cls)
+    return _Plan(
+        tuple((f.name, hints[f.name], f.metadata.get("min")) for f in fields(cls)),
+        frozenset(f.name for f in fields(cls)),
+        frozenset(
+            f.name for f in fields(cls)
+            if f.default is MISSING and f.default_factory is MISSING
+        ),
+    )
+
+
+def _typed(cls: Any, value: Any, where: str, lo: Any = None) -> Any:
+    """value checked and built as an instance of the annotation cls.
+
+    cls is int, float, str, X | None, tuple[X, ...] or a config dataclass.
+    An int holds an integer and a float a finite number (bools are
+    neither); an int read as a float becomes one, so a report prints 10 as
+    10.0. A list becomes a tuple entry by entry, and lo bounds the value or
+    each entry. A dataclass is built from a mapping or from an instance of
+    it, with strict keys, each field typed by its annotation."""
+    if cls is float:
+        if not _is_finite(value):
+            raise ConfigError(f"{where} must be a finite number, got {value!r}")
+        value = float(value)
+    elif cls is int:
+        if not _is_int(value):
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+    elif cls is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{where} must be a string, got {value!r}")
+    elif isinstance(cls, GenericAlias):  # tuple[X, ...]
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list")
+        item = cls.__args__[0]
+        return tuple(_typed(item, v, f"{where}[{i}]", lo) for i, v in enumerate(value))
+    elif isinstance(cls, UnionType):  # X | None
+        return None if value is None else _typed(cls.__args__[0], value, where, lo)
+    else:
+        return _typed_dataclass(cls, value, where)
+    if lo is not None and value < lo:
+        raise ConfigError(f"{where} must be >= {lo}")
+    return value
+
+
+def _typed_dataclass(cls: Any, value: Any, where: str) -> Any:
+    plan = _field_plan(cls)
+    label = where or "scenario"
+    if isinstance(value, cls):
+        value = vars(value)
+    elif not isinstance(value, Mapping):
+        raise ConfigError(f"{label}: expected an object, got {type(value).__name__}")
+    unknown = value.keys() - plan.names
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
-    missing = [
-        f.name
-        for f in fields(cls)
-        if f.default is MISSING and f.default_factory is MISSING and f.name not in data
-    ]
+        raise ConfigError(f"{label}: unknown keys {sorted(unknown)}")
+    missing = plan.required - value.keys()
     if missing:
-        raise ConfigError(f"{where}: missing required keys {missing}")
+        raise ConfigError(f"{label}: missing required keys {sorted(missing)}")
+    prefix = f"{where}." if where else ""
+    kwargs = {
+        name: _typed(kind, value[name], prefix + name, lo)
+        for name, kind, lo in plan.fields
+        if name in value
+    }
     try:
-        return cls(**dict(data))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        return cls(**kwargs)
+    except ValueError as exc:  # a check of the class itself
+        raise ConfigError(f"{label}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -190,7 +226,7 @@ class GridConfig:
     f_p: float
     f_s: float
     n_grid: int
-    n_channels: int
+    n_channels: int = _at_least(1)
     n_chips: int
 
     def to_grid(self) -> GridSpec:
@@ -212,18 +248,11 @@ class CommConfig:
     """
 
     transmissions: tuple[CommTransmissionSpec, ...]
-    noise_psd: float = 0.0
+    noise_psd: float = _at_least(0, 0.0)
     n_sig: int = 0
     prune_db: float | None = None
     refine_db: float | None = None
     phase2_transmissions: tuple[CommTransmissionSpec, ...] | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "transmissions", tuple(self.transmissions))
-        if self.phase2_transmissions is not None:
-            object.__setattr__(
-                self, "phase2_transmissions", tuple(self.phase2_transmissions)
-            )
 
     @property
     def n_sig_effective(self) -> int:
@@ -235,11 +264,8 @@ class CommConfig:
 
 @dataclass(frozen=True)
 class RemConfig:
-    energies: tuple[float, ...]
+    energies: tuple[float, ...] = _at_least(0)
     b_y: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "energies", _int_entries_as_floats(self.energies))
 
     def to_rem(self) -> RemGrid:
         return RemGrid(energies=np.asarray(self.energies), b_y=self.b_y)
@@ -249,14 +275,14 @@ class RemConfig:
 class RadarConfig:
     carrier: float
     b_h: float
-    n_bands: int
+    n_bands: int = _at_least(1)
     pri: float
-    n_pulses: int
+    n_pulses: int = _at_least(1)
     p_t: float = 1.0
-    noise_var: float = 0.0
+    noise_var: float = _at_least(0, 0.0)
     p_fa: float = 0.01
     glrt_model: str = "central"
-    max_detections: int = 0
+    max_detections: int = _at_least(0, 0)  # 0 picks the default
 
     @property
     def n_delay_bins(self) -> int:
@@ -268,7 +294,7 @@ class RadarConfig:
 
 @dataclass(frozen=True)
 class SceneConfig:
-    n_targets: int = 0
+    n_targets: int = _at_least(0, 0)
     amplitude: float = 1.0
 
 
@@ -287,19 +313,13 @@ class SweepConfig:
     channel_counts: tuple[int, ...] = ()
     channels_snr_db: float = 10.0
     occupancy: float = 0.2
-    n_trials: int = 1000
-    workers: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "snr_db", _int_entries_as_floats(self.snr_db))
-        object.__setattr__(self, "band_snr_db", _int_entries_as_floats(self.band_snr_db))
-        object.__setattr__(self, "band_layouts", tuple(self.band_layouts))
-        object.__setattr__(self, "channel_counts", tuple(self.channel_counts))
+    n_trials: int = _at_least(1, 1000)
+    workers: int = _at_least(0, 0)
 
 
 @dataclass(frozen=True)
 class LoopConfig:
-    max_iterations: int = 5
+    max_iterations: int = _at_least(1, 5)
 
 
 @dataclass(frozen=True)
@@ -316,39 +336,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioConfig":
-        if not isinstance(data, Mapping):
-            raise ConfigError("scenario: expected a JSON object at top level")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(f"scenario: unknown keys {unknown}")
-        for key in ("run_id", "seed", "grid", "comm", "rem", "radar"):
-            if key not in data:
-                raise ConfigError(f"scenario: missing required key '{key}'")
-
-        comm_data = dict(data["comm"]) if isinstance(data["comm"], Mapping) else data["comm"]
-        if isinstance(comm_data, Mapping):
-            for key in ("transmissions", "phase2_transmissions"):
-                lst = comm_data.get(key)
-                if lst is not None:
-                    if not isinstance(lst, Sequence) or isinstance(lst, str):
-                        raise ConfigError(f"comm.{key}: expected a list")
-                    comm_data[key] = tuple(
-                        _build(CommTransmissionSpec, t, f"comm.{key}[{i}]")
-                        for i, t in enumerate(lst)
-                    )
-        cfg = cls(
-            run_id=str(data["run_id"]),
-            seed=data["seed"],
-            grid=_build(GridConfig, data["grid"], "grid"),
-            comm=_build(CommConfig, comm_data, "comm"),
-            rem=_build(RemConfig, data["rem"], "rem"),
-            radar=_build(RadarConfig, data["radar"], "radar"),
-            scene=_build(SceneConfig, data.get("scene", {}), "scene"),
-            sweep=_build(SweepConfig, data.get("sweep", {}), "sweep"),
-            loop=_build(LoopConfig, data.get("loop", {}), "loop"),
-        )
-        return cfg.validate()
+        return _typed(cls, data, "").validate()
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
@@ -359,24 +347,19 @@ class ScenarioConfig:
         return cls.from_dict(data)
 
     def validate(self) -> "ScenarioConfig":
-        if not self.run_id or "/" in self.run_id:
+        """This config rebuilt through the field checks of _typed, so a
+        config changed after loading is checked and normalized too, then
+        checked across fields; the rebuilt config is returned."""
+        cfg = _typed(ScenarioConfig, self, "")
+        if not cfg.run_id or "/" in cfg.run_id:
             raise ConfigError("run_id must be a non-empty path-free name")
-        if not _is_int(self.seed):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        for where in ("grid", "comm", "rem", "radar", "scene", "sweep", "loop"):
-            _check_field_types(getattr(self, where), where)
-        for key in ("transmissions", "phase2_transmissions"):
-            for i, t in enumerate(getattr(self.comm, key) or ()):
-                _check_field_types(t, f"comm.{key}[{i}]")
         try:
-            grid = self.grid.to_grid()
+            grid = cfg.grid.to_grid()
         except ValueError as exc:
             raise ConfigError(f"grid: {exc}") from exc
-        if self.grid.n_channels < 1:
-            raise ConfigError("grid.n_channels must be >= 1")
-        if self.grid.n_chips < grid.n_slices:
+        if cfg.grid.n_chips < grid.n_slices:
             raise ConfigError(
-                f"grid.n_chips ({self.grid.n_chips}) must be >= the slice count "
+                f"grid.n_chips ({cfg.grid.n_chips}) must be >= the slice count "
                 f"({grid.n_slices})"
             )
         # a slice stack, n_slices * n_grid (the dense grid is shorter)
@@ -387,23 +370,29 @@ class ScenarioConfig:
             )
         # the chip sequences' spectra, n_channels * n_chips, at the widest
         # bank a sweep builds
-        widest = max((self.grid.n_channels, *self.sweep.channel_counts))
-        if widest * self.grid.n_chips > _MAX_ARRAY_ENTRIES:
+        widest = max((cfg.grid.n_channels, *cfg.sweep.channel_counts))
+        if widest * cfg.grid.n_chips > _MAX_ARRAY_ENTRIES:
             raise ConfigError(
-                f"grid.n_chips ({self.grid.n_chips}) times {widest} channels must be "
+                f"grid.n_chips ({cfg.grid.n_chips}) times {widest} channels must be "
                 f"<= {_MAX_ARRAY_ENTRIES} mixing-bank chips"
             )
-        half_nyq = self.grid.f_nyq / 2.0
+        # the frame and the greedy bases, n_channels**2 each
+        if widest**2 > _MAX_ARRAY_ENTRIES:
+            raise ConfigError(
+                f"the widest channel bank ({widest} channels) squared must be "
+                f"<= {_MAX_ARRAY_ENTRIES} frame entries"
+            )
+        half_nyq = cfg.grid.f_nyq / 2.0
         for phase, specs in (
-            (1, self.comm.transmissions),
-            (2, self.comm.phase2_transmissions or ()),
+            (1, cfg.comm.transmissions),
+            (2, cfg.comm.phase2_transmissions or ()),
         ):
             for i, t in enumerate(specs):
                 if abs(t.carrier) + t.bandwidth / 2.0 > half_nyq:
                     raise ConfigError(
                         f"comm transmission {i} (phase {phase}) exceeds the Nyquist range"
                     )
-                if t.bandwidth > self.grid.f_p:
+                if t.bandwidth > cfg.grid.f_p:
                     raise ConfigError(
                         f"comm transmission {i} (phase {phase}) is wider than one slice"
                     )
@@ -411,16 +400,14 @@ class ScenarioConfig:
                 # the outermost one a sweep draws for it, moved to radar
                 # baseband. Rounding its edges at the carrier, then again
                 # after the move, narrows it by at most 2 ulp(c) in all.
-                c = max(abs(t.carrier), half_nyq - self.grid.f_p / 2.0 - t.bandwidth / 2.0)
-                c += abs(self.radar.carrier)
+                c = max(abs(t.carrier), half_nyq - cfg.grid.f_p / 2.0 - t.bandwidth / 2.0)
+                c += abs(cfg.radar.carrier)
                 if t.bandwidth <= 2.0 * math.ulp(c):
                     raise ConfigError(
                         f"comm transmission {i} (phase {phase}): bandwidth "
                         f"{t.bandwidth:g} Hz rounds to an empty band at {c:g} Hz"
                     )
-        if self.comm.noise_psd < 0:
-            raise ConfigError("comm.noise_psd must be >= 0")
-        r = self.radar
+        r = cfg.radar
         if r.carrier - r.b_h / 2.0 < 0 or r.carrier + r.b_h / 2.0 > half_nyq:
             raise ConfigError("radar band must lie within (0, f_nyq/2)")
         n_bins = r.n_delay_bins
@@ -430,10 +417,6 @@ class ScenarioConfig:
             raise ConfigError("pri * b_h must be even")
         if n_bins > _MAX_DELAY_BINS:
             raise ConfigError(f"pri * b_h ({n_bins} delay bins) must be <= {_MAX_DELAY_BINS}")
-        if r.n_bands < 1:
-            raise ConfigError("radar.n_bands must be >= 1")
-        if r.n_pulses < 1:
-            raise ConfigError("radar.n_pulses must be >= 1")
         # a back-projected map, n_bins * n_pulses
         if n_bins * r.n_pulses > _MAX_ARRAY_ENTRIES:
             raise ConfigError(
@@ -450,14 +433,9 @@ class ScenarioConfig:
             )
         if r.glrt_model not in ("central", "noncentral"):
             raise ConfigError("radar.glrt_model must be 'central' or 'noncentral'")
-        if r.noise_var < 0 or r.p_t <= 0:
-            raise ConfigError("radar.noise_var must be >= 0 and p_t > 0")
-        if r.max_detections < 0:
-            raise ConfigError("radar.max_detections must be >= 0 (0 picks the default)")
-        rem = self.rem
-        for i, e in enumerate(rem.energies):
-            if e < 0:
-                raise ConfigError(f"rem.energies[{i}] must be >= 0")
+        if r.p_t <= 0:
+            raise ConfigError("radar.p_t must be > 0")
+        rem = cfg.rem
         if len(rem.energies) < r.n_bands:
             raise ConfigError("rem must have at least n_bands entries")
         if abs(len(rem.energies) * rem.b_y - r.b_h) > 1e-6 * r.b_h:
@@ -470,11 +448,9 @@ class ScenarioConfig:
                 f"b_h / (pri * b_h) = {coeff_bin:g} Hz, got {rem.b_y:g} Hz; otherwise "
                 "selected band edges cut through coefficient bins"
             )
-        if self.scene.n_targets < 0:
-            raise ConfigError("scene.n_targets must be >= 0")
-        if self.scene.n_targets > min(n_bins, r.n_pulses):
+        if cfg.scene.n_targets > min(n_bins, r.n_pulses):
             raise ConfigError("scene.n_targets exceeds the delay or Doppler grid")
-        s = self.sweep
+        s = cfg.sweep
         if not 0.0 < s.occupancy <= 1.0:
             raise ConfigError("sweep.occupancy must be in (0, 1]")
         bad = sorted(set(s.band_layouts) - set(_LAYOUT_NAMES))
@@ -485,13 +461,7 @@ class ScenarioConfig:
                 band_layout(layout, r.b_h, r.n_bands, s.occupancy, n_bins)
             except ValueError as exc:
                 raise ConfigError(f"sweep.occupancy ({s.occupancy:g}): {exc}") from exc
-        if s.n_trials < 1:
-            raise ConfigError(f"sweep.n_trials must be an integer >= 1, got {s.n_trials!r}")
-        if s.workers < 0:
-            raise ConfigError("sweep.workers must be >= 0")
-        if self.loop.max_iterations < 1:
-            raise ConfigError("loop.max_iterations must be >= 1")
-        return self
+        return cfg
 
     def feasibility(self) -> MinRequirements:
         """Worst-case sample-count check: each selected band spans at least
@@ -756,6 +726,23 @@ def _base_meta(cfg: ScenarioConfig, grid: GridSpec) -> dict[str, Any]:
     }
 
 
+def _report(
+    cfg: ScenarioConfig, grid: GridSpec, suffix: str, aggregates: Sequence[dict],
+    trials: Sequence[dict], trial_columns: tuple[str, ...] | None = None, **meta: Any,
+) -> RunReport:
+    """The report of a run named after the scenario's run id plus suffix:
+    the base meta and meta, the aggregate rows and the trial rows, whose
+    columns are those of the first row unless given."""
+    return RunReport(
+        run_id=cfg.run_id + suffix,
+        meta={**_base_meta(cfg, grid), **meta},
+        aggregate_columns=tuple(aggregates[0]),
+        aggregates=tuple(aggregates),
+        trial_columns=trial_columns or tuple(trials[0]),
+        trials=tuple(trials),
+    )
+
+
 def _prune_support(
     estimate, support: SliceSupport, grid: GridSpec, prune_db: float | None
 ) -> SliceSupport:
@@ -826,7 +813,7 @@ def run_specx(cfg: ScenarioConfig) -> RunReport:
     Raises InfeasibleError when the configured scene cannot be recovered
     even without noise; ConfigError for inconsistent parameters.
     """
-    cfg.validate()
+    cfg = cfg.validate()
     _require_feasible(cfg)
     grid = cfg.grid.to_grid()
     _require_channels(cfg, grid, cfg.grid.n_channels, "grid.n_channels")
@@ -906,22 +893,15 @@ def run_specx(cfg: ScenarioConfig) -> RunReport:
         "final_kappa_size": kappa_size,
         "total_detections": sum(r["n_detections"] or 0 for r in rows),
     }
-    meta = _base_meta(cfg, grid)
-    meta["radar_occupancy_ratio"] = occupancy
-    meta["loop_cap"] = cfg.loop.max_iterations
-    return RunReport(
-        run_id=cfg.run_id,
-        meta=meta,
-        aggregate_columns=tuple(agg),
-        aggregates=(agg,),
-        trial_columns=tuple(rows[0]),
-        trials=tuple(rows),
+    return _report(
+        cfg, grid, "", [agg], rows,
+        radar_occupancy_ratio=occupancy, loop_cap=cfg.loop.max_iterations,
     )
 
 
 def run_sense(cfg: ScenarioConfig) -> RunReport:
     """Single sensing pass on the phase-1 comm signal, no radar on the air."""
-    cfg.validate()
+    cfg = cfg.validate()
     grid = cfg.grid.to_grid()
     a = _sensing_matrix(cfg.seed, cfg.grid.n_chips, grid, cfg.grid.n_channels)
     result, s_c_hat, f_c_op, f_c_true, s_c_true = _sense_once(
@@ -940,19 +920,12 @@ def run_sense(cfg: ScenarioConfig) -> RunReport:
         "n_slices_est": len(s_c_hat),
         "n_slices_true": len(s_c_true),
     }
-    return RunReport(
-        run_id=f"{cfg.run_id}-sense",
-        meta=_base_meta(cfg, grid),
-        aggregate_columns=tuple(agg),
-        aggregates=(agg,),
-        trial_columns=tuple(row),
-        trials=(row,),
-    )
+    return _report(cfg, grid, "-sense", [agg], [row])
 
 
 def run_select_bands(cfg: ScenarioConfig) -> RunReport:
     """Sense the comm support, then pick the radar bands away from it."""
-    cfg.validate()
+    cfg = cfg.validate()
     grid = cfg.grid.to_grid()
     a = _sensing_matrix(cfg.seed, cfg.grid.n_chips, grid, cfg.grid.n_channels)
     rem = cfg.rem.to_rem()
@@ -971,21 +944,14 @@ def run_select_bands(cfg: ScenarioConfig) -> RunReport:
         "f_r_fc_disjoint": f_r.intersection(f_c_base).measure() == 0.0,
     }
     agg = {k: row[k] for k in ("n_blocks", "occupancy_ratio", "kappa_size")}
-    meta = _base_meta(cfg, grid)
-    meta["radar_occupancy_ratio"] = row["occupancy_ratio"]
-    return RunReport(
-        run_id=f"{cfg.run_id}-bands",
-        meta=meta,
-        aggregate_columns=tuple(agg),
-        aggregates=(agg,),
-        trial_columns=tuple(row),
-        trials=(row,),
+    return _report(
+        cfg, grid, "-bands", [agg], [row], radar_occupancy_ratio=row["occupancy_ratio"]
     )
 
 
 def run_radar(cfg: ScenarioConfig) -> RunReport:
     """Radar-only run: bands selected against the true comm support."""
-    cfg.validate()
+    cfg = cfg.validate()
     _require_feasible(cfg)
     grid = cfg.grid.to_grid()
     rem = cfg.rem.to_rem()
@@ -1019,17 +985,10 @@ def run_radar(cfg: ScenarioConfig) -> RunReport:
         "occupancy_ratio": radar["occupancy_ratio"],
         "rmse_range_m": radar["rmse_range_m"],
     }
-    meta = _base_meta(cfg, grid)
-    meta["radar_occupancy_ratio"] = radar["occupancy_ratio"]
-    return RunReport(
-        run_id=f"{cfg.run_id}-radar",
-        meta=meta,
-        aggregate_columns=tuple(agg),
-        aggregates=(agg,),
-        trial_columns=(
-            "index", "delay_s", "doppler_hz", "range_m", "amp_re", "amp_im", "statistic"
-        ),
-        trials=tuple(rows),
+    columns = ("index", "delay_s", "doppler_hz", "range_m", "amp_re", "amp_im", "statistic")
+    return _report(
+        cfg, grid, "-radar", [agg], rows, columns,
+        radar_occupancy_ratio=radar["occupancy_ratio"],
     )
 
 
@@ -1421,16 +1380,13 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     and in every worker, and the caller's thread count is restored when the
     sweep returns or raises.
     """
-    cfg.validate()
+    cfg = cfg.validate()
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis must be one of {SWEEP_AXES}")
     spec = _SWEEPS[axis]
     n_workers = _resolve_workers(cfg, workers)
     n_trials = cfg.sweep.n_trials
     grid = cfg.grid.to_grid()
-    meta = _base_meta(cfg, grid)
-    meta["axis"] = axis
-    meta["n_trials"] = n_trials
     points = spec.points(cfg, grid)
     tasks = [
         (*point.values(), i, t) for i, point in enumerate(points) for t in range(n_trials)
@@ -1444,12 +1400,7 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
         {**point, **spec.stats(cfg, grid, rows[i * n_trials : (i + 1) * n_trials])}
         for i, point in enumerate(points)
     )
-    meta.update(spec.meta(cfg))
-    return RunReport(
-        run_id=f"{cfg.run_id}-{axis}",
-        meta=meta,
-        aggregate_columns=tuple(aggregates[0]),
-        aggregates=aggregates,
-        trial_columns=tuple(rows[0]),
-        trials=tuple(rows),
+    return _report(
+        cfg, grid, f"-{axis}", aggregates, rows, axis=axis, n_trials=n_trials,
+        **spec.meta(cfg),
     )

@@ -233,6 +233,12 @@ def test_sense_runs_without_channel_counts(tmp_path, absent):
         ("grid", "n_grid", 2**20, ("sense",), "must be <= 16777216 slice bins"),
         ("grid", "n_chips", 2**20, ("sense",), "must be <= 16777216 mixing-bank chips"),
         ("radar", "n_pulses", 2**17, ("radar",), "must be <= 16777216 delay-Doppler cells"),
+        # the frame is n_channels squared: 4097**2 entries (256 MiB and more)
+        ("grid", "n_channels", 4097, ("sense",), "must be <= 16777216 frame entries"),
+        ("sweep", "band_layouts", [[]], ("sense",), "sweep.band_layouts[0] must be a string"),
+        (None, "run_id", None, ("sense",), "run_id must be a string"),
+        ("comm.transmissions.0", "bandwidth", "x", ("sense",),
+         "comm.transmissions[0].bandwidth must be a finite number"),
     ],
     ids=[
         "seed", "n_trials", "specx-channels", "snr-channels", "channel-counts",
@@ -242,7 +248,8 @@ def test_sense_runs_without_channel_counts(tmp_path, absent):
         "huge-int-f-nyq", "huge-int-snr",
         "negative-energy", "negative-max-detections", "negative-noise-psd",
         "tiny-p-fa", "overlapping-occupancy", "tiny-bandwidth", "huge-delay-grid",
-        "huge-slice-grid", "huge-mixing-bank", "huge-pulse-train",
+        "huge-slice-grid", "huge-mixing-bank", "huge-pulse-train", "huge-channel-bank",
+        "list-layout", "null-run-id", "string-bandwidth",
     ],
 )
 def test_bad_config_exits_2_in_one_line(tmp_path, section, key, value, args, message):

@@ -116,6 +116,57 @@ def test_feasibility_summary(desk):
         run_radar(crowded)
 
 
+def _radar_with_no_pulses(desk, tmp_path, capsys):
+    cfg = dataclasses.replace(desk, radar=dataclasses.replace(desk.radar, n_pulses=0))
+    with pytest.raises(ConfigError, match=r"radar\.n_pulses must be >= 1"):
+        run_radar(cfg)
+
+
+def _sweep_on_listed_snrs(desk, tmp_path, capsys):
+    files = []
+    for snr_db in ([0, 10], (0.0, 10.0)):
+        rep = sweep(small_sweep(desk, snr_db=snr_db, n_trials=2), "snr", workers=1)
+        paths = emit_report(rep, tmp_path / str(len(files)))
+        files.append({path.name: path.read_bytes() for path in paths})
+    assert files[0] == files[1]
+
+
+def _cli_sweep_of_no_trials(desk, tmp_path, capsys):
+    from specx import cli
+
+    code = cli.main([
+        "sweep", "--config", "desk", "--axis", "snr", "--trials", "0",
+        "--out", str(tmp_path),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: sweep.n_trials must be >= 1")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "case", [_radar_with_no_pulses, _sweep_on_listed_snrs, _cli_sweep_of_no_trials],
+    ids=["radar-no-pulses", "sweep-listed-snrs", "cli-no-trials"],
+)
+def test_config_changed_after_loading_is_checked_and_normalized(desk, tmp_path, capsys, case):
+    """Every entry point rebuilds its config through validate, so a config
+    changed with dataclasses.replace is checked, and its lists become
+    tuples of floats, as if it had been loaded."""
+    case(desk, tmp_path, capsys)
+
+
+def test_int_in_float_field_reads_as_float(desk, tmp_path):
+    """An int literal in a scalar float field reports as the float it
+    stands for: the same bytes as the preset."""
+    raw = desk_to_dict(desk)
+    raw["radar"]["carrier"] = 150000000
+    files = []
+    for cfg in (ScenarioConfig.from_dict(raw), desk):
+        paths = emit_report(run_sense(cfg), tmp_path / str(len(files)))
+        files.append({path.name: path.read_bytes() for path in paths})
+    assert files[0] == files[1]
+
+
 # -- transmit layouts ----------------------------------------------------------
 
 
