@@ -47,6 +47,7 @@ from .pipeline import (
     ScenarioConfig,
     SceneConfig,
     SweepConfig,
+    WorkerDied,
     available_presets,
     band_layout,
     load_config,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 from .bands import BandSelectionError
@@ -21,6 +20,7 @@ from .pipeline import (
     ConfigError,
     InfeasibleError,
     ScenarioConfig,
+    WorkerDied,
     load_config,
     run_radar,
     run_select_bands,
@@ -71,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--axis", choices=SWEEP_AXES, required=True)
     sw.add_argument(
         "--workers", type=int, default=None,
-        help="parallel worker processes (default: scenario setting, else 1)",
+        help="processes that run trials, this one included "
+        "(default: scenario setting, else 1)",
     )
     sw.add_argument(
         "--trials", type=int, default=None,
@@ -133,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InfeasibleError, BandSelectionError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except BrokenProcessPool as exc:
+    except WorkerDied as exc:
         print(f"error: a sweep worker died: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     _print_summary(report, args.verbose)

@@ -19,7 +19,7 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
 from dataclasses import MISSING, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -114,6 +114,10 @@ class ConfigError(ValueError):
 class InfeasibleError(RuntimeError):
     """The configured scene cannot be recovered even noiselessly, or a sweep
     cannot place a comm transmission clear of the radar band."""
+
+
+class WorkerDied(RuntimeError):
+    """A sweep's child process exited without sending back its trials."""
 
 
 def _child_seed(master: int, *path) -> int:
@@ -683,9 +687,9 @@ def _sensing_matrix(seed: int, n_chips: int, grid: GridSpec, n_channels: int) ->
 
 
 # What the trials of the running sweep share, keyed on (builder, *inputs).
-# Each process that runs trials fills its own copy on first use, so nothing
-# large travels to the workers and fork and spawn both work; sweep() empties
-# it when it returns or raises.
+# The calling process and each child it starts fill their own copy on first
+# use, so nothing large travels to the children and fork and spawn both work;
+# sweep() empties it when it returns or raises.
 _POINT_SETUPS: dict[tuple, Any] = {}
 
 
@@ -1234,9 +1238,9 @@ def _openblas_thread_control():
 def _single_blas_thread():
     """Cap NumPy's BLAS at one thread; restore the caller's count on exit.
 
-    Sweep matrices are tiny, and forked workers inherit the cap, so no worker
-    builds a BLAS thread pool that would contend with the other workers for
-    the cores. A no-op when the BLAS offers no thread control.
+    Sweep matrices are tiny, and forked children inherit the cap, so no
+    process of a sweep builds a BLAS thread pool that would contend with the
+    others for the cores. A no-op when the BLAS offers no thread control.
     """
     control = _openblas_thread_control()
     if control is None:
@@ -1257,19 +1261,95 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_trials(fn, tasks: list[tuple], workers: int) -> list[dict[str, Any]]:
-    """Run the trials in order, in this process or in a pool of at most
-    workers processes. The pool never holds more processes than there are
-    tasks or CPUs this process may run on: the fork start method starts every
-    worker at the first submit, and a worker beyond either count only waits.
+class _Failure(NamedTuple):
+    """The first failing trial of a share: its index in the task list."""
+
+    index: int
+    exc: BaseException
+
+
+def _run_share(fn, tasks: list[tuple], k: int, w: int) -> list[dict[str, Any]] | _Failure:
+    """Rows of the interleaved share tasks[k::w], or its first failure."""
+    rows = []
+    try:
+        for task in tasks[k::w]:
+            rows.append(fn(task))
+    except Exception as exc:
+        return _Failure(k + len(rows) * w, exc)
+    return rows
+
+
+def _child_share(fn, tasks: list[tuple], k: int, w: int, conn) -> None:
+    """Body of child k: send its share's outcome through conn. An exception
+    that does not survive pickling travels as a RuntimeError with its repr."""
+    outcome = _run_share(fn, tasks, k, w)
+    if isinstance(outcome, _Failure):
+        try:
+            pickle.loads(pickle.dumps(outcome.exc))
+        except Exception:
+            outcome = _Failure(outcome.index, RuntimeError(repr(outcome.exc)))
+    conn.send(outcome)
+    conn.close()
+
+
+def _run_split(fn, tasks: list[tuple], w: int) -> list[dict[str, Any]]:
+    """Run tasks in w interleaved shares: share 0 in this process while w - 1
+    children run the others, each sending its outcome through a one-way pipe.
+
+    Rows come back in task order. A failing trial raises the failure with
+    the lowest task index, the one a serial run raises; a child that exits
+    without sending raises WorkerDied. Every child is joined before this
+    returns or raises, and an interrupt terminates them first.
     """
-    workers = min(workers, len(tasks), _usable_cpus())
+    import multiprocessing
+
+    children = []
+    try:
+        for k in range(1, w):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(
+                target=_child_share, args=(fn, tasks, k, w, send), name=f"specx-share-{k}"
+            )
+            child.start()
+            send.close()
+            children.append((child, recv))
+        outcomes = [_run_share(fn, tasks, 0, w)]
+        for child, recv in children:
+            try:
+                outcomes.append(recv.recv())
+            except EOFError:
+                child.join()
+                raise WorkerDied(
+                    f"{child.name} exited with code {child.exitcode} before sending its trials"
+                ) from None
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, recv in children:
+            child.join()
+            recv.close()
+    failures = [o for o in outcomes if isinstance(o, _Failure)]
+    if failures:
+        raise min(failures, key=lambda f: f.index).exc
+    rows: list[Any] = [None] * len(tasks)
+    for k, share in enumerate(outcomes):
+        rows[k::w] = share
+    return rows
+
+
+def _run_trials(fn, tasks: list[tuple], workers: int) -> list[dict[str, Any]]:
+    """Run the trials and return their rows in task order, using
+    w = min(workers, tasks, usable CPUs) processes: this one alone when w is
+    1, else this one and w - 1 children (_run_split). The count includes the
+    calling process, which runs a share like any child.
+    """
+    w = min(workers, len(tasks), _usable_cpus())
     with _single_blas_thread():
-        if workers <= 1:
+        if w <= 1:
             return [fn(t) for t in tasks]
-        chunk = max(1, len(tasks) // (8 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks, chunksize=chunk))
+        return _run_split(fn, tasks, w)
 
 
 def _snr_points(cfg: ScenarioConfig, grid: GridSpec) -> list[dict[str, Any]]:
@@ -1376,9 +1456,12 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     per layout however many SNRs share it; the focused noise variance and
     GLRT threshold once per point.
 
+    With w = min(workers, trials, usable CPUs) of 2 or more, this process
+    runs every w-th trial and w - 1 children it starts run the rest; the
+    rows are put back in task order, so the report does not depend on w.
     The trials run with NumPy's BLAS capped at one thread, in this process
-    and in every worker, and the caller's thread count is restored when the
-    sweep returns or raises.
+    and so in every child it forks, and the caller's thread count is
+    restored when the sweep returns or raises.
     """
     cfg = cfg.validate()
     if axis not in SWEEP_AXES:

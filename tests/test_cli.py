@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -15,9 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specx
+from specx import pipeline
 
 # the subprocess imports the same specx as the tests, installed or not
 SRC = str(Path(specx.__file__).resolve().parents[1])
+_REAL_TRIAL_BAND = pipeline._trial_band
 
 
 def run_python(*args, cwd=None):
@@ -274,13 +277,16 @@ def test_few_channels_suffice_without_radar_slices(tmp_path, command):
 
 
 def _dying_trial(cfg, task):
-    os._exit(1)
+    """Kills a child that runs it; the calling process runs the real trial."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return _REAL_TRIAL_BAND(cfg, task)
 
 
 def test_dead_sweep_worker_exits_3(tmp_path, monkeypatch, capsys):
-    from specx import cli, pipeline
+    from specx import cli
 
-    monkeypatch.delenv("SPECX_WORKERS", raising=False)  # the pool must not run serially
+    monkeypatch.delenv("SPECX_WORKERS", raising=False)  # the sweep must not run serially
     monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(pipeline, "_trial_band", _dying_trial)
     code = cli.main([
@@ -289,8 +295,10 @@ def test_dead_sweep_worker_exits_3(tmp_path, monkeypatch, capsys):
     ])
     err = capsys.readouterr().err
     assert code == 3
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert err.startswith("error: a sweep worker died:") and "code 1" in err
+    assert len(err.strip().splitlines()) == 1
     assert not list(tmp_path.iterdir())
+    assert multiprocessing.active_children() == []
 
 
 def test_radar_command_never_imports_scipy(tmp_path):
@@ -301,6 +309,19 @@ def test_radar_command_never_imports_scipy(tmp_path):
         "import sys, specx, specx.cli\n"
         f"code = specx.cli.main(['radar', '--config', 'desk', '--out', {str(tmp_path)!r}])\n"
         "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_cli_never_imports_multiprocessing(tmp_path):
+    """Only a sweep that starts children imports multiprocessing."""
+    proc = run_python(
+        "-c",
+        "import sys, specx.cli\n"
+        f"code = specx.cli.main(['radar', '--config', 'desk', '--out', {str(tmp_path)!r}])\n"
+        "print(code, sorted(m for m in sys.modules\n"
+        "                   if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
@@ -320,7 +341,8 @@ def test_noncentral_threshold_imports_scipy_when_used():
 
 
 # desk fields the fuzz test may replace; "size" fields count or index
-# something, so they are never given a huge integer that would allocate
+# something, so only those in HUGE_SIZES, whose huge values a size cap refuses
+# before anything is allocated, are given a huge integer
 FUZZ_FIELDS = {
     "size": [
         "seed", "grid.n_grid", "grid.n_channels", "grid.n_chips", "comm.n_sig",
@@ -344,6 +366,7 @@ FUZZ_VALUES = [
     "x", None, True, {}, float("nan"), float("inf"), float("-inf"), -1, -1.0, 0, 0.0,
     [], [None], ["x"], [float("nan")], [-1.0], [0],
 ]
+HUGE_SIZES = {"grid.n_grid", "grid.n_chips", "grid.n_channels", "radar.n_pulses"}
 FUZZ_COMMANDS = [
     ("sense",), ("select-bands",), ("radar",), ("specx",),
     *(("sweep", "--axis", axis, "--trials", "1", "--workers", "1")
@@ -356,6 +379,8 @@ def fuzzed_desk(draw):
     kind = draw(st.sampled_from(sorted(FUZZ_FIELDS)))
     path = draw(st.sampled_from(FUZZ_FIELDS[kind]))
     values = FUZZ_VALUES + ([10**400, 1e-13, 0.95] if kind == "number" else [])
+    if path in HUGE_SIZES:
+        values = values + [2**20, 2**31]
     return path, draw(st.sampled_from(values)), draw(st.sampled_from(FUZZ_COMMANDS))
 
 

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -461,17 +463,84 @@ def test_sweep_without_blas_thread_control(desk, monkeypatch):
     assert got.aggregates == expected.aggregates
 
 
-def test_sweep_without_clear_carrier_is_infeasible(desk):
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """A sweep may use two processes, whatever this machine has."""
+    monkeypatch.delenv("SPECX_WORKERS", raising=False)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_without_clear_carrier_is_infeasible(desk, two_cpus, workers):
     """The radar's avoid zone covers every carrier a transmission can take."""
     tx = dataclasses.replace(desk.comm.transmissions[0], carrier=-10e6)
     cfg = dataclasses.replace(
-        small_sweep(desk, snr_db=(10.0,), n_trials=1),
+        small_sweep(desk, snr_db=(10.0,), n_trials=2),
         grid=dataclasses.replace(desk.grid, f_nyq=80e6),
         radar=dataclasses.replace(desk.radar, carrier=20e6),
         comm=dataclasses.replace(desk.comm, transmissions=(tx,), phase2_transmissions=(tx,)),
     )
     with pytest.raises(InfeasibleError, match=r"transmissions\[0\].*10000 draws"):
-        sweep(cfg, "snr", workers=1)
+        sweep(cfg, "snr", workers=workers)
+    assert multiprocessing.active_children() == []
+
+
+# task index -> message of the trial that fails there; with two processes the
+# calling one runs the even tasks and its child the odd ones
+@pytest.mark.parametrize("failing", [{1: "odd", 2: "even"}, {0: "even", 3: "odd"}])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_parallel_sweep_raises_the_first_failing_task(desk, two_cpus, monkeypatch,
+                                                      failing, workers):
+    trial_band = pipeline._trial_band
+
+    def failing_trial(cfg, task):
+        index = 2 * task[-2] + task[-1]  # point and trial: 2 trials per point
+        if index in failing:
+            raise RuntimeError(failing[index])
+        return trial_band(cfg, task)
+
+    monkeypatch.setattr(pipeline, "_trial_band", failing_trial)
+    cfg = small_sweep(desk, band_layouts=("separated", "adjacent"), band_snr_db=(-18.0,),
+                      n_trials=2)
+    with pytest.raises(RuntimeError, match=f"^{failing[min(failing)]}$"):
+        sweep(cfg, "band_placement", workers=workers)
+    assert multiprocessing.active_children() == []
+    assert pipeline._POINT_SETUPS == {}
+
+
+def test_interrupt_terminates_children_at_once(desk, two_cpus, monkeypatch):
+    def trial(cfg, task):
+        if multiprocessing.parent_process() is None:
+            raise KeyboardInterrupt
+        time.sleep(60)  # the child's share would outlast the test
+
+    monkeypatch.setattr(pipeline, "_trial_band", trial)
+    cfg = small_sweep(desk, band_layouts=("separated",), band_snr_db=(-18.0,), n_trials=2)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        sweep(cfg, "band_placement", workers=2)
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
+
+
+class _Unpicklable(Exception):
+    def __init__(self, what, where):  # pickle rebuilds it from args alone
+        super().__init__(f"{what} at {where}")
+
+
+def test_child_failure_that_does_not_pickle(desk, two_cpus, monkeypatch):
+    trial_band = pipeline._trial_band
+
+    def failing_trial(cfg, task):
+        if task[-1]:  # trial 1, run by the child
+            raise _Unpicklable("trial failed", "task")
+        return trial_band(cfg, task)
+
+    monkeypatch.setattr(pipeline, "_trial_band", failing_trial)
+    cfg = small_sweep(desk, band_layouts=("separated",), band_snr_db=(-18.0,), n_trials=2)
+    with pytest.raises(RuntimeError, match=r"^_Unpicklable\('trial failed at task'\)$"):
+        sweep(cfg, "band_placement", workers=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_rejects_unknown_axis(desk):
@@ -488,23 +557,17 @@ def test_worker_env_cap(desk, monkeypatch):
     assert _resolve_workers(desk, None) == max(1, desk.sweep.workers)
 
 
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records max_workers and runs the
-    tasks in this process, so no worker is ever started."""
+class _InlineSplit:
+    """Stands in for _run_split: records how many processes would share the
+    trials (the calling one plus its children) and runs them all in this
+    process, so no child is ever started."""
 
     requested: list[int] = []
 
-    def __init__(self, max_workers):
-        self.requested.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks, chunksize=1):
-        return map(fn, tasks)
+    @classmethod
+    def run(cls, fn, tasks, w):
+        cls.requested.append(w)
+        return [fn(t) for t in tasks]
 
 
 def _sized_sweeps(desk):
@@ -522,24 +585,24 @@ def _sized_sweeps(desk):
 @pytest.mark.parametrize("cpus, want", [(2, [2, 2]), (16, [6, 16])])
 def test_sweep_pool_capped_by_tasks_and_cpus(desk, monkeypatch, cpus, want):
     monkeypatch.delenv("SPECX_WORKERS", raising=False)
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(pipeline, "_run_split", _InlineSplit.run)
     monkeypatch.setattr(
         pipeline.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
     )
-    monkeypatch.setattr(_InlinePool, "requested", [])
+    monkeypatch.setattr(_InlineSplit, "requested", [])
     for cfg, axis in _sized_sweeps(desk):
         report = sweep(cfg, axis, workers=64)
         assert len(report.trials) == cfg.sweep.n_trials * len(report.aggregates)
-    assert _InlinePool.requested == want
+    assert _InlineSplit.requested == want
 
 
 def test_sweep_pool_cap_without_affinity(desk, monkeypatch):
     monkeypatch.delenv("SPECX_WORKERS", raising=False)
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(pipeline, "_run_split", _InlineSplit.run)
     monkeypatch.delattr(pipeline.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(_InlinePool, "requested", [])
+    monkeypatch.setattr(_InlineSplit, "requested", [])
     for cfg, axis in _sized_sweeps(desk):
         sweep(cfg, axis, workers=64)
-    assert _InlinePool.requested == [3, 3]
+    assert _InlineSplit.requested == [3, 3]
 
