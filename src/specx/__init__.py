@@ -10,9 +10,7 @@ from .bands import (
     BlockSparseVector,
     MappingMatrix,
     RemGrid,
-    coding_complexity,
     count_blocks,
-    invert_rem,
     mask_comm,
     select_bands,
     struct_omp,
@@ -31,7 +29,6 @@ from .mwc import (
     RateAccounting,
     SensingMatrix,
     build_sensing_matrix,
-    compute_n_slices,
     gen_mixing_sequences,
     total_rate,
     xample,
@@ -80,7 +77,6 @@ from .sensing import (
     SensingResult,
     SliceEstimate,
     build_frame,
-    nyquist_reconstruct,
     omp_pks,
     radar_slice_support,
     recover_slices,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,10 +24,8 @@ __all__ = [
     "BlockSparseVector",
     "BandSelectionError",
     "mask_comm",
-    "invert_rem",
     "struct_omp",
     "count_blocks",
-    "coding_complexity",
     "select_bands",
 ]
 
@@ -98,21 +96,6 @@ def mask_comm(rem: RemGrid, f_c: FrequencySet) -> RemGrid:
     return RemGrid(energies=energies, b_y=rem.b_y)
 
 
-def invert_rem(rem: RemGrid) -> np.ndarray:
-    """Preference vector 1 / energy; masked (inf) bands become 0.
-
-    Zero energies are rejected rather than floored here; callers that expect
-    measured maps with zeros should floor them first (see select_bands).
-    """
-    e = rem.energies
-    if np.any(e == 0):
-        raise ValueError("zero REM energy; floor the map before inverting")
-    out = np.zeros_like(e)
-    finite = np.isfinite(e)
-    out[finite] = 1.0 / e[finite]
-    return out
-
-
 @dataclass(frozen=True)
 class MappingMatrix:
     """Binary map from p selectable frequencies to q REM bands.
@@ -175,23 +158,6 @@ def count_blocks(w: np.ndarray | Sequence[float]) -> int:
     if not nz.any():
         return 0
     return int(np.sum(np.diff(np.concatenate(([0], nz, [0]))) == 1))
-
-
-def _support_blocks(support: Iterable[int]) -> int:
-    idx = sorted(support)
-    if not idx:
-        return 0
-    return 1 + sum(1 for a, b in zip(idx, idx[1:]) if b - a > 1)
-
-
-def coding_complexity(f_idx: Iterable[int], p: int) -> float:
-    """Structured coding length c(F) = g ln(p) + |F| (g = block count, natural log)."""
-    idx = sorted(set(int(i) for i in f_idx))
-    if not idx:
-        return 0.0
-    if idx[0] < 0 or idx[-1] >= p:
-        raise ValueError("indices out of range")
-    return _support_blocks(idx) * math.log(p) + len(idx)
 
 
 def struct_omp(
@@ -284,17 +250,13 @@ def struct_omp(
 
 
 def select_bands(
-    rem: RemGrid,
-    f_c: FrequencySet,
-    n_b: int,
-    eps_rem: float = EPS_REM,
+    rem: RemGrid, f_c: FrequencySet, n_b: int
 ) -> tuple[BlockSparseVector, FrequencySet]:
     """Mask, invert, and run the block pursuit in one step.
 
-    REM energies are floored at eps_rem before inversion so measured maps
-    with zeros stay usable. The pursuit selects whole REM bands (identity map).
+    REM energies are floored at EPS_REM so measured maps with zeros stay
+    usable, then inverted to preferences 1 / energy, which is 0 on the
+    masked (inf) bands. The pursuit selects whole REM bands (identity map).
     """
-    masked = mask_comm(rem, f_c)
-    floored = RemGrid(np.maximum(masked.energies, eps_rem), masked.b_y)
-    y_inv = invert_rem(floored)
+    y_inv = 1.0 / np.maximum(mask_comm(rem, f_c).energies, EPS_REM)
     return struct_omp(y_inv, MappingMatrix.identity(rem.q), n_b, span_width=rem.width)

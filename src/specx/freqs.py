@@ -49,12 +49,6 @@ class FrequencyInterval:
     def center(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def overlaps(self, other: "FrequencyInterval") -> bool:
-        return self.lo < other.hi and other.lo < self.hi
-
-    def contains(self, f: float) -> bool:
-        return self.lo <= f < self.hi
-
 
 class FrequencySet:
     """Finite union of disjoint half-open intervals, kept sorted and merged.
@@ -127,9 +121,6 @@ class FrequencySet:
                 if lo < hi:
                     out.append(FrequencyInterval(lo, hi))
         return FrequencySet(out)
-
-    def contains(self, f: float) -> bool:
-        return any(iv.contains(f) for iv in self._intervals)
 
     def contains_array(self, f: np.ndarray) -> np.ndarray:
         """Vectorized membership test on an array of frequencies."""

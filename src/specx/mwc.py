@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .freqs import GridSpec, SliceSupport, slice_count
+from .freqs import GridSpec, SliceSupport
 from .rng import derive_rng
 from .signals import SliceSpectrum
 
@@ -23,7 +23,6 @@ __all__ = [
     "SensingMatrix",
     "ChannelSamples",
     "RateAccounting",
-    "compute_n_slices",
     "gen_mixing_sequences",
     "build_sensing_matrix",
     "xample",
@@ -31,24 +30,16 @@ __all__ = [
 ]
 
 
-def compute_n_slices(f_nyq: float, f_s: float, f_p: float) -> int:
-    """Slice count N = 2 ceil((f_nyq + f_s) / (2 f_p)); N f_p covers the input band."""
-    if f_s < f_p:
-        raise ValueError("f_s must be >= f_p")
-    return slice_count(f_nyq, f_s, f_p)
-
-
 @dataclass(frozen=True)
 class MixingSequenceSet:
     """Periodic +-1 chip sequences, one row per channel.
 
-    Each sequence holds n_chips equal-width chips per period t_p. The number
-    of chips bounds how many slice weights are independent, so n_chips must
-    be at least the slice count the matrix is built for.
+    Each sequence holds n_chips equal-width chips per period 1 / f_p. The
+    number of chips bounds how many slice weights are independent, so n_chips
+    must be at least the slice count the matrix is built for.
     """
 
     signs: np.ndarray
-    t_p: float = 1.0
 
     def __post_init__(self) -> None:
         s = np.asarray(self.signs, dtype=np.int8).copy()
@@ -56,8 +47,6 @@ class MixingSequenceSet:
             raise ValueError("signs must be (m, n_chips) with m >= 1")
         if not np.all(np.abs(s) == 1):
             raise ValueError("chip values must be +-1")
-        if self.t_p <= 0:
-            raise ValueError("t_p must be positive")
         s.flags.writeable = False
         object.__setattr__(self, "signs", s)
 
@@ -70,13 +59,13 @@ class MixingSequenceSet:
         return self.signs.shape[1]
 
 
-def gen_mixing_sequences(m: int, n_chips: int, seed: int = 0, t_p: float = 1.0) -> MixingSequenceSet:
+def gen_mixing_sequences(m: int, n_chips: int, seed: int = 0) -> MixingSequenceSet:
     """Draw m independent uniform +-1 chip sequences."""
     if m < 1 or n_chips < 1:
         raise ValueError("m and n_chips must be >= 1")
     rng = derive_rng(seed, "mixing")
     signs = rng.integers(0, 2, size=(m, n_chips)) * 2 - 1
-    return MixingSequenceSet(signs=signs.astype(np.int8), t_p=t_p)
+    return MixingSequenceSet(signs=signs.astype(np.int8))
 
 
 @dataclass(frozen=True)
@@ -167,9 +156,7 @@ class ChannelSamples:
     """Per-channel low-rate observations, stored in the frequency domain.
 
     z has shape (m, n_grid): channel spectra on the in-slice grid spanning
-    [-f_s/2, f_s/2). The time-domain sequence is the unitary-DFT companion,
-    time_samples = ifft(ifftshift(z)); physical sample amplitudes scale by
-    n_grid relative to it.
+    [-f_s/2, f_s/2).
     """
 
     z: np.ndarray
@@ -185,13 +172,6 @@ class ChannelSamples:
     @property
     def m(self) -> int:
         return self.z.shape[0]
-
-    def time_samples(self) -> np.ndarray:
-        return np.fft.ifft(np.fft.ifftshift(self.z, axes=-1), axis=-1)
-
-    @classmethod
-    def from_time(cls, zt: np.ndarray, grid: GridSpec) -> "ChannelSamples":
-        return cls(np.fft.fftshift(np.fft.fft(zt, axis=-1), axes=-1), grid)
 
 
 def xample(

@@ -75,7 +75,6 @@ from .signals import (
     gen_comm_slices,
     radar_emission,
     radar_fourier_coeffs,
-    radar_slices,
 )
 
 __all__ = [
@@ -769,30 +768,45 @@ def _prune_support(
     return kept.symmetrized(grid.n_slices)
 
 
+def _medium(
+    cfg: ScenarioConfig, grid: GridSpec, specs: Sequence[CommTransmissionSpec],
+    noise_psd: float, prefix: str, path: tuple,
+    radar: Callable[[FrequencySet], tuple[RadarEmission | None, SliceSupport]],
+) -> tuple[SliceSpectrum, SliceSpectrum, FrequencySet, SliceSupport, SliceSupport]:
+    """One sensing pass's medium: the comm signals specs over ambient noise
+    noise_psd, plus one draw of the radar emission. radar(f_c_true) gives
+    that emission (None when the radar is silent) and the radar's slices.
+    The draws are seeded by prefix + "comm" and prefix + "rslice" under path.
+    Returns (comm_x, x, f_c_true, s_c_true, s_r); x is comm plus radar."""
+    comm_x, f_c_true, s_c_true = gen_comm_slices(
+        specs, grid, noise_psd, _child_seed(cfg.seed, prefix + "comm", *path)
+    )
+    emission, s_r = radar(f_c_true)
+    x = comm_x
+    if emission is not None:
+        x = x + draw_radar_emission(emission, _child_seed(cfg.seed, prefix + "rslice", *path))
+    return comm_x, x, f_c_true, s_c_true, s_r
+
+
 def _sense_once(
     cfg: ScenarioConfig,
     grid: GridSpec,
     a: SensingMatrix,
     specs: Sequence[CommTransmissionSpec],
     s_r: SliceSupport,
-    radar_wave: RadarWaveformSpec | None,
-    seed_path: tuple,
+    emission: RadarEmission | None,
+    it: int,
 ):
-    """Generate the shared medium for one sensing pass and run recovery.
+    """Sense the _medium of single-shot iteration it, the radar emission on
+    the air unless it is None, seeding recovery with the radar slices s_r.
 
     Returns the raw sensing result plus the pipeline's operational view:
     the pruned comm slice support and the frequency set used for masking
     (sub-slice refined when configured, slice-granular otherwise).
     """
-    comm_x, f_c_true, s_c_true = gen_comm_slices(
-        specs, grid, cfg.comm.noise_psd, _child_seed(cfg.seed, "comm", *seed_path)
+    _, x, f_c_true, s_c_true, _ = _medium(
+        cfg, grid, specs, cfg.comm.noise_psd, "", (it,), lambda _: (emission, s_r)
     )
-    x = comm_x
-    if radar_wave is not None:
-        x = x + radar_slices(
-            radar_wave, cfg.radar.carrier, grid, cfg.radar.p_t,
-            _child_seed(cfg.seed, "rslice", *seed_path),
-        )
     z = xample(x, a)
     result = sense_spectrum(
         z, a, grid, s_r=s_r,
@@ -841,11 +855,12 @@ def run_specx(cfg: ScenarioConfig) -> RunReport:
             active = cfg.comm.phase2_transmissions
             phase = 2
         if f_r is None:
-            s_r = SliceSupport()
+            s_r, emission = SliceSupport(), None
         else:
             s_r = radar_slice_support(f_r.shifted(cfg.radar.carrier), grid)
+            emission = radar_emission(waveform, cfg.radar.carrier, grid, cfg.radar.p_t)
         result, s_c_hat, f_c_hat, f_c_true, s_c_true = _sense_once(
-            cfg, grid, a, active, s_r, waveform, (it,)
+            cfg, grid, a, active, s_r, emission, it
         )
         changed = f_c_prev is None or f_c_hat != f_c_prev
         row: dict[str, Any] = {
@@ -909,7 +924,7 @@ def run_sense(cfg: ScenarioConfig) -> RunReport:
     grid = cfg.grid.to_grid()
     a = _sensing_matrix(cfg.seed, cfg.grid.n_chips, grid, cfg.grid.n_channels)
     result, s_c_hat, f_c_op, f_c_true, s_c_true = _sense_once(
-        cfg, grid, a, cfg.comm.transmissions, SliceSupport(), None, (0,)
+        cfg, grid, a, cfg.comm.transmissions, SliceSupport(), None, 0
     )
     row = {
         "f_c_true": f_c_true.to_pairs(),
@@ -934,7 +949,7 @@ def run_select_bands(cfg: ScenarioConfig) -> RunReport:
     a = _sensing_matrix(cfg.seed, cfg.grid.n_chips, grid, cfg.grid.n_channels)
     rem = cfg.rem.to_rem()
     result, _, f_c_op, f_c_true, _ = _sense_once(
-        cfg, grid, a, cfg.comm.transmissions, SliceSupport(), None, (0,)
+        cfg, grid, a, cfg.comm.transmissions, SliceSupport(), None, 0
     )
     f_c_base = f_c_op.shifted(-cfg.radar.carrier).intersection(rem.span)
     bsv, f_r = select_bands(rem, f_c_base, cfg.radar.n_bands)
@@ -1066,10 +1081,11 @@ def _radar_emission(
 def _comm_trial(
     cfg: ScenarioConfig, grid: GridSpec, tag: str, point_idx: int, trial: int
 ) -> tuple[SliceSpectrum, SliceSpectrum, SliceSupport, SliceSupport]:
-    """Shared medium of one sensing-sweep trial: a random comm layout clear
-    of the radar, radar bands selected against its true support, and the
-    radar emission on them. Returns (comm_x, x, s_c_true, s_r): the comm
-    signal alone, comm plus radar, the true comm slices and the radar slices.
+    """The _medium of one sensing-sweep trial, seeded by tag under
+    (point_idx, trial): a random comm layout clear of the radar, radar bands
+    selected against its true support, and the radar emission on them.
+    Returns (comm_x, x, s_c_true, s_r): the comm signal alone, comm plus
+    radar, the true comm slices and the radar slices.
 
     The bands, waveform, emission profile and radar slices depend on the
     trial only through its comm map on the REM span, so each process builds
@@ -1080,13 +1096,13 @@ def _comm_trial(
     rem = _per_point(RemConfig.to_rem, cfg.rem)
     rng = derive_rng(cfg.seed, tag, point_idx, trial)
     specs = _random_transmissions(cfg, _per_point(_radar_avoid_zone, cfg.grid, cfg.radar), rng)
-    comm_x, f_c_true, s_c_true = gen_comm_slices(
-        specs, grid, 0.0, _child_seed(cfg.seed, f"{tag}-comm", point_idx, trial)
-    )
-    f_c_base = f_c_true.shifted(-cfg.radar.carrier).intersection(rem.span)
-    emission, s_r = _per_point(_radar_emission, cfg.rem, cfg.radar, grid, f_c_base)
-    x = comm_x + draw_radar_emission(
-        emission, _child_seed(cfg.seed, f"{tag}-rslice", point_idx, trial)
+
+    def radar(f_c_true: FrequencySet) -> tuple[RadarEmission, SliceSupport]:
+        f_c_base = f_c_true.shifted(-cfg.radar.carrier).intersection(rem.span)
+        return _per_point(_radar_emission, cfg.rem, cfg.radar, grid, f_c_base)
+
+    comm_x, x, _, s_c_true, s_r = _medium(
+        cfg, grid, specs, 0.0, f"{tag}-", (point_idx, trial), radar
     )
     return comm_x, x, s_c_true, s_r
 

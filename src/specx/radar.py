@@ -63,12 +63,10 @@ def make_kappa(f_r: FrequencySet, b_h: float, n: int) -> KappaSet:
     return KappaSet(indices=tuple(k % n for k in centered), n=n)
 
 
-def partial_fourier(kappa: KappaSet, n: int | None = None) -> np.ndarray:
-    """Rows kappa of the n x n DFT matrix, (K, n): entry exp(-2j pi k r / n)."""
-    if n is None:
-        n = kappa.n
-    if n != kappa.n:
-        raise ValueError("n must match kappa.n")
+def partial_fourier(kappa: KappaSet) -> np.ndarray:
+    """Rows kappa of the n x n DFT matrix, n = kappa.n, (K, n): entry
+    exp(-2j pi k r / n)."""
+    n = kappa.n
     k = kappa.to_array()
     r = np.arange(n)
     return np.exp(-2j * math.pi * np.outer(k, r) / n)

@@ -17,7 +17,6 @@ import numpy as np
 
 from .freqs import FrequencyInterval, FrequencySet, GridSpec, SliceSupport
 from .mwc import ChannelSamples, SensingMatrix
-from .signals import dense_from_slices
 
 __all__ = [
     "FrameMatrix",
@@ -30,11 +29,14 @@ __all__ = [
     "recover_slices",
     "support_to_freqs",
     "refine_support_by_energy",
-    "nyquist_reconstruct",
     "sense_spectrum",
 ]
 
 _COND_LIMIT = 1e12
+# a frame keeps eigen-directions above this times the largest eigenvalue
+_EIG_TOL = 1e-6
+# a greedy pursuit stops once its residual falls below this times ||V||
+_RES_TOL = 1e-6
 # a new column whose orthogonal part is below this times m times its norm
 # already lies in the span of the selected columns
 _SPAN_TOL = np.finfo(float).eps
@@ -63,10 +65,10 @@ class FrameMatrix:
         return self.v.shape[1]
 
 
-def build_frame(z: ChannelSamples, eig_tol: float = 1e-6) -> FrameMatrix:
+def build_frame(z: ChannelSamples) -> FrameMatrix:
     """Eigendecompose Q = sum_n z[n] z[n]^H and keep the significant directions.
 
-    Eigenvalues above eig_tol times the largest survive; V scales the kept
+    Eigenvalues above 1e-6 times the largest survive; V scales the kept
     eigenvectors by sqrt(eigenvalue) so V V^H = Q on the retained subspace.
     An all-zero input yields a rank-0 frame.
     """
@@ -76,44 +78,34 @@ def build_frame(z: ChannelSamples, eig_tol: float = 1e-6) -> FrameMatrix:
         return FrameMatrix(np.zeros((z.m, 0), dtype=np.complex128))
     w, u = np.linalg.eigh(q)
     w = np.maximum(w, 0.0)
-    keep = w > eig_tol * w[-1]
+    keep = w > _EIG_TOL * w[-1]
     # descending eigenvalue order for a stable column layout
     order = np.argsort(w[keep])[::-1]
     v = u[:, keep][:, order] * np.sqrt(w[keep][order])
     return FrameMatrix(v)
 
 
-def somp(
-    v: FrameMatrix | np.ndarray,
-    a: SensingMatrix,
-    max_sparsity: int,
-    res_tol: float = 1e-6,
-) -> SliceSupport:
+def somp(v: FrameMatrix, a: SensingMatrix, max_sparsity: int) -> SliceSupport:
     """Simultaneous OMP over the MMV system V = A U: omp_pks with no known
     support and a budget of max_sparsity columns.
 
     Greedily adds the column most correlated with the residual (ties break to
     the lowest index), projects its new direction out of the residual, and
     stops at max_sparsity columns or when the residual Frobenius norm drops
-    below res_tol times ||V||.
+    below 1e-6 times ||V||.
     """
     if max_sparsity < 0 or max_sparsity > a.n:
         raise ValueError("max_sparsity out of range")
-    return omp_pks(v, a, SliceSupport(), max_sparsity, res_tol)
+    return omp_pks(v, a, SliceSupport(), max_sparsity)
 
 
-def omp_pks(
-    v: FrameMatrix | np.ndarray,
-    a: SensingMatrix,
-    s_r: SliceSupport,
-    k_extra: int,
-    res_tol: float = 1e-6,
-) -> SliceSupport:
+def omp_pks(v: FrameMatrix, a: SensingMatrix, s_r: SliceSupport, k_extra: int) -> SliceSupport:
     """OMP with partially known support.
 
     The known indices s_r enter the support unconditionally and their span is
     projected out of V before any greedy step; ordinary OMP then adds at most
-    k_extra further columns. The residual is always V minus its projection
+    k_extra further columns, stopping early once the residual Frobenius norm
+    drops below 1e-6 times ||V||. The residual is always V minus its projection
     onto the selected columns, the same as a joint least-squares refit, but
     it is kept by an orthonormal basis Q of those columns: each new column is
     orthogonalized against Q (Gram-Schmidt with one reorthogonalization
@@ -126,7 +118,7 @@ def omp_pks(
     (condition number above 1e12) or if fewer channels than |s_r| + 1 are
     available.
     """
-    vv = v.v if isinstance(v, FrameMatrix) else np.asarray(v, dtype=np.complex128)
+    vv = v.v
     amat = a.a
     m, n = amat.shape
     if vv.shape[0] != m:
@@ -163,7 +155,7 @@ def omp_pks(
     filters[selected] = 0.0
     span_tol = _SPAN_TOL * m
     for _ in range(k_extra):
-        if math.sqrt(np.vdot(resid, resid).real) < res_tol * v_norm:
+        if math.sqrt(np.vdot(resid, resid).real) < _RES_TOL * v_norm:
             break
         g = (filters @ resid).view(np.float64)
         scores = np.einsum("ij,ij->i", g, g)  # squared ||a_j^H R|| / ||a_j||
@@ -293,21 +285,6 @@ def refine_support_by_energy(
     return FrequencySet(intervals)
 
 
-def nyquist_reconstruct(est: SliceEstimate, grid: GridSpec) -> np.ndarray:
-    """Dense-rate time samples of the recovered signal.
-
-    Each slice is an f_s-wide piece of spectrum at its slice center; placing
-    the pieces on the dense global grid and inverting yields the time signal
-    at rate dense_size * delta_f, the discrete equivalent of interpolating
-    the per-slice sequences and remodulating by the slice carriers.
-    """
-    dense = dense_from_slices(est.x_hat, grid)
-    full = np.zeros(grid.dense_size, dtype=np.complex128)
-    pos = (np.arange(grid.dense_size) + grid.dense_offset) % grid.dense_size
-    full[pos] = dense
-    return np.fft.ifft(full) * grid.dense_size
-
-
 @dataclass(frozen=True)
 class SensingResult:
     """Outcome of one sensing pass."""
@@ -325,8 +302,6 @@ def sense_spectrum(
     grid: GridSpec,
     s_r: SliceSupport = SliceSupport(),
     n_sig_cap: int = 2,
-    res_tol: float = 1e-6,
-    eig_tol: float = 1e-6,
     refine_db: float | None = None,
 ) -> SensingResult:
     """Full sensing pass: frame, support recovery seeded with the radar
@@ -334,10 +309,11 @@ def sense_spectrum(
 
     Each of the n_sig_cap transmissions can occupy up to four slices (two
     spectral sides, possible boundary straddling), which sets the greedy
-    budget.
+    budget. The frame and the pursuit use their fixed tolerances (1e-6 of
+    the largest eigenvalue, 1e-6 of ||V||).
     """
-    frame = build_frame(z, eig_tol=eig_tol)
-    support = omp_pks(frame, a, s_r, k_extra=4 * n_sig_cap, res_tol=res_tol)
+    frame = build_frame(z)
+    support = omp_pks(frame, a, s_r, k_extra=4 * n_sig_cap)
     support = support.symmetrized(grid.n_slices)
     est = recover_slices(z, a, support)
     comm = support.difference(s_r)

@@ -405,7 +405,8 @@ class RadarEmission(NamedTuple):
     """The seed-independent part of radar_slices on one grid: the dense
     positions the emission occupies and the standard deviation drawn at
     each. All arrays are read-only and empty when the emission carries no
-    power."""
+    power. The pipeline builds one per radar band selection and draws each
+    sensing pass's radar from it with draw_radar_emission."""
 
     grid: GridSpec
     pairs: np.ndarray  # positions drawn as complex values, below their mirrors
@@ -489,7 +490,8 @@ def radar_slices(
     is proportional to the band overlap with each bin's cell, so bands much
     narrower than the bin spacing still carry their full power. Only the
     slice support of this spectrum matters downstream. This is
-    draw_radar_emission of radar_emission; a caller that draws many times
-    from one emission builds its profile once.
+    draw_radar_emission of radar_emission, bit for bit; the pipeline calls
+    those two directly, so that a run drawing many times from one emission
+    builds its profile once.
     """
     return draw_radar_emission(radar_emission(waveform, carrier, grid, power_scale), seed)

@@ -221,6 +221,14 @@ def mask_comm_per_band(rem, f_c):
     return energies
 
 
+def _support_blocks(support):
+    """Number of contiguous runs in a set of indices."""
+    idx = sorted(support)
+    if not idx:
+        return 0
+    return 1 + sum(1 for a, b in zip(idx, idx[1:]) if b - a > 1)
+
+
 def struct_omp_refit_all(y_inv, d, n_b, span_width, zero_fitted_bands=False):
     """struct_omp as first written: every greedy step refits the selected
     support by least squares, and candidate gains and block counts are
@@ -235,7 +243,6 @@ def struct_omp_refit_all(y_inv, d, n_b, span_width, zero_fitted_bands=False):
     import math
 
     from specx import BandSelectionError, BlockSparseVector, FrequencySet
-    from specx.bands import _support_blocks
 
     y_inv = np.asarray(y_inv, dtype=float)
     if y_inv.shape != (d.q,):

@@ -1,0 +1,60 @@
+"""The public API: every exported name resolves, the benchmark's traced
+names exist, and the README's library example runs as documented."""
+
+import contextlib
+import importlib
+import importlib.util
+import io
+import pkgutil
+import re
+from pathlib import Path
+
+import specx
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _modules():
+    return [
+        importlib.import_module(f"specx.{info.name}")
+        for info in pkgutil.iter_modules(specx.__path__)
+        if info.name != "__main__"  # runs the CLI on import
+    ]
+
+
+def test_tracer_layers_exist():
+    """perfbench's tracer wraps each LAYERS name on specx.<layer> and fails
+    on a missing one, so a deleted name breaks every traced run."""
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_specx_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in tracer.LAYERS.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"specx.{layer}"), name, None))
+    ]
+    assert missing == []
+
+
+def test_every_all_entry_resolves():
+    modules = _modules()
+    assert {m.__name__ for m in modules} >= {"specx.pipeline", "specx.sensing"}
+    missing = [
+        f"{m.__name__}.{name}"
+        for m in modules
+        for name in getattr(m, "__all__", ())
+        if not hasattr(m, name)
+    ]
+    assert missing == []
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue().splitlines()[0] == "[14, 26]"

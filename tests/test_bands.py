@@ -12,9 +12,7 @@ from specx import (
     FrequencySet,
     MappingMatrix,
     RemGrid,
-    coding_complexity,
     count_blocks,
-    invert_rem,
     mask_comm,
     select_bands,
     struct_omp,
@@ -60,25 +58,11 @@ def test_mask_comm_marks_overlapping_bands():
     assert np.isinf(touch.energies[0]) and np.isfinite(touch.energies[1])
 
 
-def test_invert_rem():
-    rem = RemGrid(energies=np.array([2.0, np.inf, 0.5]), b_y=1e5)
-    np.testing.assert_allclose(invert_rem(rem), [0.5, 0.0, 2.0])
-    with pytest.raises(ValueError):
-        invert_rem(RemGrid(energies=np.array([1.0, 0.0]), b_y=1e5))
-
-
 def test_count_blocks():
     assert count_blocks([0, 1, 1, 0, 1]) == 2
     assert count_blocks([0, 0]) == 0
     assert count_blocks([1, 1, 1]) == 1
     assert count_blocks(np.array([1.0, 0.0, 2.0, 3.0])) == 2
-
-
-def test_coding_complexity_values():
-    assert coding_complexity([3], 16) == pytest.approx(math.log(16) + 1)
-    assert coding_complexity([3, 4], 16) == pytest.approx(math.log(16) + 2)
-    assert coding_complexity([3, 5], 16) == pytest.approx(2 * math.log(16) + 2)
-    assert coding_complexity([], 16) == 0.0
 
 
 def test_mapping_matrices():

@@ -14,7 +14,6 @@ from specx import (  # noqa: E402
     GridSpec,
     SliceSpectrum,
     build_sensing_matrix,
-    compute_n_slices,
     gen_comm_slices,
     gen_mixing_sequences,
     total_rate,
@@ -28,13 +27,6 @@ from specx.mwc import (  # noqa: E402
 
 def small_grid(n=10, n_grid=4, f_p=10e6):
     return GridSpec(f_nyq=(n - 1) * f_p, f_p=f_p, f_s=f_p, n_grid=n_grid)
-
-
-def test_n_slices_matches_grid():
-    assert compute_n_slices(560e6, 20e6, 20e6) == 30
-    assert compute_n_slices(10e9, 154e6, 154e6) == 66
-    with pytest.raises(ValueError):
-        compute_n_slices(560e6, 10e6, 20e6)
 
 
 def test_mixing_sequences_shape_and_determinism():
@@ -124,18 +116,6 @@ def test_xample_rejects_grid_mismatch():
     x, _, _ = gen_comm_slices([CommTransmissionSpec(carrier=25e6, bandwidth=6e6)], grid)
     with pytest.raises(ValueError):
         xample(x, a)
-
-
-def test_channel_samples_time_frequency_round_trip():
-    grid = small_grid()
-    seqs = gen_mixing_sequences(4, grid.n_slices, seed=0)
-    a = build_sensing_matrix(seqs, grid.n_slices)
-    x, _, _ = gen_comm_slices([CommTransmissionSpec(carrier=25e6, bandwidth=6e6)], grid, seed=3)
-    z = xample(x, a)
-    from specx.mwc import ChannelSamples
-
-    back = ChannelSamples.from_time(z.time_samples(), grid)
-    np.testing.assert_allclose(back.z, z.z, atol=1e-9)
 
 
 def test_rate_accounting():
