@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -55,12 +56,12 @@ from .radar import (
 from .report import RunReport
 from .rng import derive_rng
 from .sensing import (
+    FrameMatrix,
     build_frame,
-    omp_pks,
+    omp_pks_batch,
     radar_slice_support,
     recover_slices,
     sense_spectrum,
-    somp,
     support_to_freqs,
 )
 from .signals import (
@@ -70,6 +71,7 @@ from .signals import (
     RadarWaveformSpec,
     SliceSpectrum,
     TargetScene,
+    comm_occupancy,
     design_radar_waveform,
     draw_radar_emission,
     gen_comm_slices,
@@ -974,9 +976,7 @@ def run_radar(cfg: ScenarioConfig) -> RunReport:
     _require_feasible(cfg)
     grid = cfg.grid.to_grid()
     rem = cfg.rem.to_rem()
-    _, f_c_true, _ = gen_comm_slices(
-        cfg.comm.transmissions, grid, cfg.comm.noise_psd, _child_seed(cfg.seed, "comm", 0)
-    )
+    f_c_true = comm_occupancy(cfg.comm.transmissions, grid)
     f_c_base = f_c_true.shifted(-cfg.radar.carrier).intersection(rem.span)
     _, f_r = select_bands(rem, f_c_base, cfg.radar.n_bands)
     scene = _draw_scene(cfg, derive_rng(cfg.seed, "scene"))
@@ -1118,7 +1118,22 @@ def _comm_support(
     return comm.symmetrized(grid.n_slices)
 
 
-def _trial_snr(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
+class _Drawn(NamedTuple):
+    """A sensing-sweep trial up to its pursuits: the front end a, the
+    channel samples z and their frame, the radar slices s_r, the comm
+    slices it is scored against, the channel noise variance, and the
+    (known support, budget) of each greedy pursuit it runs, in order."""
+
+    a: SensingMatrix
+    z: ChannelSamples
+    frame: FrameMatrix
+    s_r: SliceSupport
+    s_c_true: SliceSupport
+    noise_var: float
+    pursuits: tuple[tuple[SliceSupport, int], ...]
+
+
+def _draw_snr(cfg: ScenarioConfig, task: tuple) -> _Drawn:
     snr_db, point_idx, trial = task
     grid = _per_point(GridConfig.to_grid, cfg.grid)
     a = _per_point(_sensing_matrix, cfg.seed, cfg.grid.n_chips, grid, cfg.grid.n_channels)
@@ -1139,23 +1154,26 @@ def _trial_snr(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
         floor = strongest * 10.0 ** (-max(cfg.comm.prune_db - 3.0, 0.0) / 10.0)
         s_c_true = SliceSupport([i for i in s_c_true if energies[i] >= floor])
 
-    n_sig = cfg.comm.n_sig_effective
-    frame = build_frame(z)
-    pks_comm = _comm_support(cfg, grid, z, a, omp_pks(frame, a, s_r, k_extra=4 * n_sig), s_r)
-    # the radar-unaware receiver budgets sparsity for the comm signals only,
-    # so the radar emission competes for its greedy picks
-    # (a pursuit picks at most a.n columns, so the cap changes no pick)
-    omp_comm = _comm_support(
-        cfg, grid, z, a, somp(frame, a, max_sparsity=min(4 * n_sig, a.n)), s_r
-    )
+    # the radar-aware pursuit, then the radar-unaware one: that receiver
+    # budgets sparsity for the comm signals only, so the radar emission
+    # competes for its greedy picks (a pursuit picks at most a.n columns,
+    # so the cap changes no pick)
+    budget = 4 * cfg.comm.n_sig_effective
+    pursuits = ((s_r, budget), (SliceSupport(), min(budget, a.n)))
+    return _Drawn(a, z, build_frame(z), s_r, s_c_true, noise_var, pursuits)
+
+
+def _snr_row(task: tuple, d: _Drawn, comm: list[SliceSupport]) -> dict[str, Any]:
+    snr_db, _, trial = task
+    pks_comm, omp_comm = comm
     return {
         "snr_db": snr_db,
         "trial": trial,
-        "pd_omp": _index_ratio(omp_comm, s_c_true),
-        "pd_pks": _index_ratio(pks_comm, s_c_true),
-        "exact_omp": list(omp_comm) == list(s_c_true),
-        "exact_pks": list(pks_comm) == list(s_c_true),
-        "noise_var": noise_var,
+        "pd_omp": _index_ratio(omp_comm, d.s_c_true),
+        "pd_pks": _index_ratio(pks_comm, d.s_c_true),
+        "exact_omp": list(omp_comm) == list(d.s_c_true),
+        "exact_pks": list(pks_comm) == list(d.s_c_true),
+        "noise_var": d.noise_var,
     }
 
 
@@ -1187,7 +1205,7 @@ def _trial_band(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
     }
 
 
-def _trial_channels(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
+def _draw_channels(cfg: ScenarioConfig, task: tuple) -> _Drawn:
     m, point_idx, trial = task
     grid = _per_point(GridConfig.to_grid, cfg.grid)
     a = _per_point(_sensing_matrix, cfg.seed, cfg.grid.n_chips, grid, m)
@@ -1195,14 +1213,102 @@ def _trial_channels(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
     p_sig = float(np.mean(np.abs(xample(x, a).z) ** 2))
     noise_var = p_sig * 10.0 ** (-cfg.sweep.channels_snr_db / 10.0)
     z = xample(x, a, noise_var, _child_seed(cfg.seed, "chan-noise", point_idx, trial))
-    sup = omp_pks(build_frame(z), a, s_r, k_extra=4 * cfg.comm.n_sig_effective)
-    comm = _comm_support(cfg, grid, z, a, sup, s_r)
+    pursuits = ((s_r, 4 * cfg.comm.n_sig_effective),)
+    return _Drawn(a, z, build_frame(z), s_r, s_c_true, noise_var, pursuits)
+
+
+def _channels_row(task: tuple, d: _Drawn, comm: list[SliceSupport]) -> dict[str, Any]:
+    m, _, trial = task
     return {
         "n_channels": m,
         "trial": trial,
-        "pd_pks": _index_ratio(comm, s_c_true),
-        "exact_pks": list(comm) == list(s_c_true),
+        "pd_pks": _index_ratio(comm[0], d.s_c_true),
+        "exact_pks": list(comm[0]) == list(d.s_c_true),
     }
+
+
+def _pursue(drawn: list[_Drawn], pursuits: Sequence[tuple[SliceSupport, int]]) -> list[Any]:
+    """Each drawn trial's support from omp_pks_batch, given its pursuit's
+    (known support, budget), or the exception that pursuit raised. Trials
+    with equal pursuits share one batched call. When that call raises, its
+    trials are pursued one at a time in task order, so a failure is pinned
+    on the trial it belongs to."""
+    out: list[Any] = [None] * len(drawn)
+    groups: dict[tuple[SliceSupport, int], list[int]] = {}
+    for i, pursuit in enumerate(pursuits):
+        groups.setdefault(pursuit, []).append(i)
+    for (s_r, k_extra), idx in groups.items():
+        a = drawn[idx[0]].a  # one sweep point, one front end
+        try:
+            found = omp_pks_batch([drawn[i].frame for i in idx], a, s_r, k_extra)
+        except Exception:
+            found = []
+            for i in idx:
+                try:
+                    found += omp_pks_batch([drawn[i].frame], a, s_r, k_extra)
+                except Exception as exc:
+                    found.append(exc)
+        for i, sup in zip(idx, found):
+            out[i] = sup
+    return out
+
+
+def _sensing_batch(
+    cfg: ScenarioConfig, tasks: list[tuple],
+    draw: Callable[[ScenarioConfig, tuple], _Drawn],
+    row: Callable[[tuple, _Drawn, list[SliceSupport]], dict[str, Any]],
+) -> list[dict[str, Any]] | _Failure:
+    """Rows of same-point sensing-sweep trials, or their first failure.
+
+    Each trial is drawn (comm layout, radar emission, channel samples and
+    frame) in task order; then each of its pursuits runs batched across
+    the trials; then, per trial in task order, each pursuit's support is
+    read out as comm slices (_comm_support) and the row is built. A trial
+    fails at the first of these steps a per-trial run would fail at, and
+    the failure returned is that of the lowest task index, as in a serial
+    run of the trials one by one.
+    """
+    drawn: list[_Drawn] = []
+    failure = None
+    for task in tasks:
+        try:
+            drawn.append(draw(cfg, task))
+        except Exception as exc:
+            failure = _Failure(len(drawn), exc)
+            break
+    found = [_pursue(drawn, pursuits) for pursuits in zip(*(d.pursuits for d in drawn))]
+    grid = _per_point(GridConfig.to_grid, cfg.grid)
+    rows = []
+    for i, (task, d) in enumerate(zip(tasks, drawn)):
+        try:
+            comm = []
+            for sups in found:
+                if isinstance(sups[i], Exception):
+                    raise sups[i]
+                comm.append(_comm_support(cfg, grid, d.z, d.a, sups[i], d.s_r))
+            rows.append(row(task, d, comm))
+        except Exception as exc:
+            return _Failure(i, exc)
+    return failure or rows
+
+
+def _batch_snr(cfg: ScenarioConfig, tasks: list[tuple]) -> list[dict[str, Any]] | _Failure:
+    return _sensing_batch(cfg, tasks, _draw_snr, _snr_row)
+
+
+def _batch_channels(cfg: ScenarioConfig, tasks: list[tuple]) -> list[dict[str, Any]] | _Failure:
+    return _sensing_batch(cfg, tasks, _draw_channels, _channels_row)
+
+
+def _batch_band(cfg: ScenarioConfig, tasks: list[tuple]) -> list[dict[str, Any]] | _Failure:
+    """Band-placement trials one by one, each through _trial_band."""
+    rows = []
+    for task in tasks:
+        try:
+            rows.append(_trial_band(cfg, task))
+        except Exception as exc:
+            return _Failure(len(rows), exc)
+    return rows
 
 
 def _mean(rows: list[dict[str, Any]], key: str) -> float:
@@ -1284,21 +1390,33 @@ class _Failure(NamedTuple):
     exc: BaseException
 
 
-def _run_share(fn, tasks: list[tuple], k: int, w: int) -> list[dict[str, Any]] | _Failure:
-    """Rows of the interleaved share tasks[k::w], or its first failure."""
-    rows = []
-    try:
-        for task in tasks[k::w]:
-            rows.append(fn(task))
-    except Exception as exc:
-        return _Failure(k + len(rows) * w, exc)
+# A sweep point's trials go to its batch function at most this many at a
+# time: the batched pursuit gains little beyond 10 to 20 trials, and this
+# bounds its stacked arrays.
+_MAX_BATCH = 32
+
+
+def _run_share(batch, tasks: list[tuple], k: int, w: int) -> list[dict[str, Any]] | _Failure:
+    """Rows of the interleaved share tasks[k::w], or its first failure.
+
+    batch gets the share's runs of same-point tasks, _MAX_BATCH at most at
+    a time, and returns their rows or the _Failure of its lowest failing
+    task, indexed within the run."""
+    rows: list[dict[str, Any]] = []
+    for _, point in itertools.groupby(tasks[k::w], key=lambda task: task[-2]):
+        point = list(point)
+        for lo in range(0, len(point), _MAX_BATCH):
+            out = batch(point[lo : lo + _MAX_BATCH])
+            if isinstance(out, _Failure):
+                return _Failure(k + (len(rows) + out.index) * w, out.exc)
+            rows += out
     return rows
 
 
-def _child_share(fn, tasks: list[tuple], k: int, w: int, conn) -> None:
+def _child_share(batch, tasks: list[tuple], k: int, w: int, conn) -> None:
     """Body of child k: send its share's outcome through conn. An exception
     that does not survive pickling travels as a RuntimeError with its repr."""
-    outcome = _run_share(fn, tasks, k, w)
+    outcome = _run_share(batch, tasks, k, w)
     if isinstance(outcome, _Failure):
         try:
             pickle.loads(pickle.dumps(outcome.exc))
@@ -1308,7 +1426,7 @@ def _child_share(fn, tasks: list[tuple], k: int, w: int, conn) -> None:
     conn.close()
 
 
-def _run_split(fn, tasks: list[tuple], w: int) -> list[dict[str, Any]]:
+def _run_split(batch, tasks: list[tuple], w: int) -> list[dict[str, Any]]:
     """Run tasks in w interleaved shares: share 0 in this process while w - 1
     children run the others, each sending its outcome through a one-way pipe.
 
@@ -1324,12 +1442,12 @@ def _run_split(fn, tasks: list[tuple], w: int) -> list[dict[str, Any]]:
         for k in range(1, w):
             recv, send = multiprocessing.Pipe(duplex=False)
             child = multiprocessing.Process(
-                target=_child_share, args=(fn, tasks, k, w, send), name=f"specx-share-{k}"
+                target=_child_share, args=(batch, tasks, k, w, send), name=f"specx-share-{k}"
             )
             child.start()
             send.close()
             children.append((child, recv))
-        outcomes = [_run_share(fn, tasks, 0, w)]
+        outcomes = [_run_share(batch, tasks, 0, w)]
         for child, recv in children:
             try:
                 outcomes.append(recv.recv())
@@ -1355,17 +1473,20 @@ def _run_split(fn, tasks: list[tuple], w: int) -> list[dict[str, Any]]:
     return rows
 
 
-def _run_trials(fn, tasks: list[tuple], workers: int) -> list[dict[str, Any]]:
-    """Run the trials and return their rows in task order, using
-    w = min(workers, tasks, usable CPUs) processes: this one alone when w is
-    1, else this one and w - 1 children (_run_split). The count includes the
-    calling process, which runs a share like any child.
+def _run_trials(batch, tasks: list[tuple], workers: int) -> list[dict[str, Any]]:
+    """Run the trials through batch and return their rows in task order,
+    using w = min(workers, tasks, usable CPUs) processes: this one alone
+    when w is 1, else this one and w - 1 children (_run_split). The count
+    includes the calling process, which runs a share like any child.
     """
     w = min(workers, len(tasks), _usable_cpus())
     with _single_blas_thread():
-        if w <= 1:
-            return [fn(t) for t in tasks]
-        return _run_split(fn, tasks, w)
+        if w > 1:
+            return _run_split(batch, tasks, w)
+        outcome = _run_share(batch, tasks, 0, 1)
+        if isinstance(outcome, _Failure):
+            raise outcome.exc
+        return outcome
 
 
 def _snr_points(cfg: ScenarioConfig, grid: GridSpec) -> list[dict[str, Any]]:
@@ -1427,24 +1548,25 @@ def _channel_stats(cfg: ScenarioConfig, grid: GridSpec, rows: list[dict]) -> dic
 
 class _SweepAxis(NamedTuple):
     """One sweep axis: its points (leading columns of its trial and aggregate
-    rows), the name of its trial function (looked up when the sweep starts,
-    so it can be replaced like any module attribute), the per-point stats
-    that complete an aggregate row, and any extra report meta."""
+    rows), the name of its batch function, (cfg, same-point tasks) -> rows
+    (looked up when the sweep starts, so it can be replaced like any module
+    attribute), the per-point stats that complete an aggregate row, and any
+    extra report meta."""
 
     points: Callable[[ScenarioConfig, GridSpec], list[dict[str, Any]]]
-    trial: str
+    batch: str
     stats: Callable[[ScenarioConfig, GridSpec, list[dict]], dict[str, Any]]
     meta: Callable[[ScenarioConfig], dict[str, Any]] = lambda cfg: {}
 
 
 _SWEEPS = {
-    "snr": _SweepAxis(_snr_points, "_trial_snr", _snr_stats),
+    "snr": _SweepAxis(_snr_points, "_batch_snr", _snr_stats),
     "band_placement": _SweepAxis(
-        _band_points, "_trial_band", _band_stats,
+        _band_points, "_batch_band", _band_stats,
         lambda cfg: {"occupancy": cfg.sweep.occupancy},
     ),
     "channels": _SweepAxis(
-        _channel_points, "_trial_channels", _channel_stats,
+        _channel_points, "_batch_channels", _channel_stats,
         lambda cfg: {"channels_snr_db": cfg.sweep.channels_snr_db},
     ),
 }
@@ -1472,12 +1594,22 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     per layout however many SNRs share it; the focused noise variance and
     GLRT threshold once per point.
 
+    Each process runs its trials of a point in batches of at most
+    _MAX_BATCH (32). An snr or channels batch draws its trials one by one
+    in task order (comm layout, radar emission, channel samples, frame),
+    runs each pursuit once for the whole batch through omp_pks_batch, and
+    reads the supports out per trial in task order. Every trial does the
+    float operations it does on its own, so the rows do not depend on the
+    batching. band_placement trials run one by one.
+
     With w = min(workers, trials, usable CPUs) of 2 or more, this process
     runs every w-th trial and w - 1 children it starts run the rest; the
     rows are put back in task order, so the report does not depend on w.
-    The trials run with NumPy's BLAS capped at one thread, in this process
-    and so in every child it forks, and the caller's thread count is
-    restored when the sweep returns or raises.
+    A failing sweep raises the exception of its lowest failing task, the
+    one a serial run of the trials one by one raises, whatever w. The
+    trials run with NumPy's BLAS capped at one thread, in this process and
+    so in every child it forks, and the caller's thread count is restored
+    when the sweep returns or raises.
     """
     cfg = cfg.validate()
     if axis not in SWEEP_AXES:
@@ -1490,9 +1622,9 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     tasks = [
         (*point.values(), i, t) for i, point in enumerate(points) for t in range(n_trials)
     ]
-    trial = functools.partial(globals()[spec.trial], cfg)
+    batch = functools.partial(globals()[spec.batch], cfg)
     try:
-        rows = _run_trials(trial, tasks, n_workers)
+        rows = _run_trials(batch, tasks, n_workers)
     finally:
         _POINT_SETUPS.clear()
     aggregates = tuple(

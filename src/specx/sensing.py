@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "build_frame",
     "somp",
     "omp_pks",
+    "omp_pks_batch",
     "radar_slice_support",
     "recover_slices",
     "support_to_freqs",
@@ -87,7 +89,8 @@ def build_frame(z: ChannelSamples) -> FrameMatrix:
 
 def somp(v: FrameMatrix, a: SensingMatrix, max_sparsity: int) -> SliceSupport:
     """Simultaneous OMP over the MMV system V = A U: omp_pks with no known
-    support and a budget of max_sparsity columns.
+    support and a budget of max_sparsity columns, as a one-frame call of
+    omp_pks_batch.
 
     Greedily adds the column most correlated with the residual (ties break to
     the lowest index), projects its new direction out of the residual, and
@@ -96,11 +99,11 @@ def somp(v: FrameMatrix, a: SensingMatrix, max_sparsity: int) -> SliceSupport:
     """
     if max_sparsity < 0 or max_sparsity > a.n:
         raise ValueError("max_sparsity out of range")
-    return omp_pks(v, a, SliceSupport(), max_sparsity)
+    return omp_pks_batch([v], a, SliceSupport(), max_sparsity)[0]
 
 
 def omp_pks(v: FrameMatrix, a: SensingMatrix, s_r: SliceSupport, k_extra: int) -> SliceSupport:
-    """OMP with partially known support.
+    """OMP with partially known support, as a one-frame call of omp_pks_batch.
 
     The known indices s_r enter the support unconditionally and their span is
     projected out of V before any greedy step; ordinary OMP then adds at most
@@ -118,10 +121,48 @@ def omp_pks(v: FrameMatrix, a: SensingMatrix, s_r: SliceSupport, k_extra: int) -
     (condition number above 1e12) or if fewer channels than |s_r| + 1 are
     available.
     """
-    vv = v.v
+    return omp_pks_batch([v], a, s_r, k_extra)[0]
+
+
+class _Stack(NamedTuple):
+    """Pursuits that run in step: their frames have one rank and their bases
+    `rank` columns, so each array holds one entry per pursuit along axis 0."""
+
+    ids: np.ndarray  # the frames' positions in the caller's list
+    tols: np.ndarray  # the stop level of each, 1e-6 times ||V||
+    rank: int
+    resid: np.ndarray  # the residuals
+    basis: np.ndarray  # Q in the first `rank` columns
+    basis_h: np.ndarray  # Q^H in the first `rank` rows
+    filters: np.ndarray  # matched filters, a selected column's row zeroed
+
+    def take(self, rows: np.ndarray) -> "_Stack":
+        """The pursuits at rows (a mask or indices) of this stack."""
+        return _Stack(
+            self.ids[rows], self.tols[rows], self.rank,
+            self.resid[rows], self.basis[rows], self.basis_h[rows], self.filters[rows],
+        )
+
+
+def omp_pks_batch(
+    frames: Sequence[FrameMatrix], a: SensingMatrix, s_r: SliceSupport, k_extra: int
+) -> list[SliceSupport]:
+    """omp_pks on every frame in frames, run as one stacked pursuit; returns
+    one support per frame.
+
+    Pursuits whose frames have equal rank and whose bases equal column
+    counts run in step. Each greedy step is one stacked matched-filter
+    product, one score sum over stacked rows, one argmax per row and one
+    stacked Gram-Schmidt pass, each pursuit against its own basis. A
+    pursuit leaves its stack when it stops; where a new column lies in the
+    span of a pursuit's basis, or the basis is full, the pursuit goes on in
+    a stack of its own rank. Every pursuit does the float operations a lone
+    omp_pks does, on the same operands at the same strides, so each support
+    is the one omp_pks returns for its frame.
+    """
     amat = a.a
     m, n = amat.shape
-    if vv.shape[0] != m:
+    if any(v.m != m for v in frames):
         raise ValueError("frame and sensing matrix row counts differ")
     s_r.validate(n)
     if m < len(s_r) + 1:
@@ -129,55 +170,98 @@ def omp_pks(v: FrameMatrix, a: SensingMatrix, s_r: SliceSupport, k_extra: int) -
     if k_extra < 0:
         raise ValueError("k_extra must be nonnegative")
 
-    selected = list(s_r)
-    v_norm = np.linalg.norm(vv)
-    if v_norm == 0 or vv.shape[1] == 0:
-        return SliceSupport(selected)
-
-    # Q (orthonormal columns spanning the selected columns) and its rows Q^H
-    basis = np.empty((m, m), dtype=np.complex128)
-    basis_h = np.empty((m, m), dtype=np.complex128)
-    rank = len(selected)
-    if selected:
+    known = list(s_r)
+    picks: list[list[int]] = [[] for _ in frames]
+    v_norms = np.array([np.linalg.norm(v.v) for v in frames])
+    by_rank: dict[int, list[int]] = {}
+    for t, v in enumerate(frames):
+        if v_norms[t] != 0 and v.rank != 0:
+            by_rank.setdefault(v.rank, []).append(t)
+    if by_rank and known:
         cond, q = a.column_basis(s_r)
         if cond > _COND_LIMIT:
             raise ValueError("known-support columns are ill-conditioned")
-        basis[:, :rank] = q
-        basis_h[:rank] = basis[:, :rank].conj().T
-        resid = vv - basis[:, :rank] @ (basis_h[:rank] @ vv)
-    else:
-        resid = vv.copy()
 
-    # unit-norm matched filters a_j^H / ||a_j||; a selected or all-zero
-    # column has a zero row, so it scores 0 and is never picked
-    col_norms = a.col_norms
-    filters = a.matched_filters.copy()
-    filters[selected] = 0.0
-    span_tol = _SPAN_TOL * m
+    stacks = []
+    rank = len(known)
+    for ids in by_rank.values():
+        vv = np.stack([frames[t].v for t in ids])
+        basis = np.empty((len(ids), m, m), dtype=np.complex128)
+        basis_h = np.empty((len(ids), m, m), dtype=np.complex128)
+        if known:
+            basis[:, :, :rank] = q
+            basis_h[:, :rank] = basis[:, :, :rank].conj().transpose(0, 2, 1)
+            resid = vv - basis[:, :, :rank] @ (basis_h[:, :rank] @ vv)
+        else:
+            resid = vv
+        filters = np.repeat(a.matched_filters[None], len(ids), axis=0)
+        filters[:, known] = 0.0
+        ids = np.array(ids)
+        stacks.append(_Stack(ids, _RES_TOL * v_norms[ids], rank, resid, basis, basis_h, filters))
+
     for _ in range(k_extra):
-        if math.sqrt(np.vdot(resid, resid).real) < _RES_TOL * v_norm:
+        stacks = [out for st in stacks for out in _greedy_step(st, a, picks)]
+        if not stacks:
             break
-        g = (filters @ resid).view(np.float64)
-        scores = np.einsum("ij,ij->i", g, g)  # squared ||a_j^H R|| / ||a_j||
-        j = int(scores.argmax())
-        if scores[j] <= 0:
-            break
-        selected.append(j)
-        filters[j] = 0.0
-        if rank == m:
-            continue
-        q, q_h = basis[:, :rank], basis_h[:rank]
-        u = amat[:, j] - q @ (q_h @ amat[:, j])
-        u -= q @ (q_h @ u)
-        u_norm = math.sqrt(np.vdot(u, u).real)
-        if u_norm <= span_tol * col_norms[j]:
-            continue
-        u /= u_norm
-        basis[:, rank] = u
-        basis_h[rank] = u.conj()
-        resid -= u[:, None] * (basis_h[rank] @ resid)
-        rank += 1
-    return SliceSupport(selected)
+    return [SliceSupport(known + p) for p in picks]
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each x[i], as sqrt(vdot(x[i], x[i]).real)
+    computes it (vecdot and vdot make the same BLAS call)."""
+    flat = x.reshape(len(x), -1)
+    return np.sqrt(np.vecdot(flat, flat).real)
+
+
+def _greedy_step(st: _Stack, a: SensingMatrix, picks: list[list[int]]) -> list[_Stack]:
+    """One greedy step of each pursuit in st; a pick goes to picks. Returns
+    the stacks that go on, split by basis rank."""
+    live = ~(_norms(st.resid) < st.tols)
+    if not live.all():
+        if not live.any():
+            return []
+        st = st.take(live)
+    g = (st.filters @ st.resid).view(np.float64)
+    scores = np.einsum("bij,bij->bi", g, g)  # squared ||a_j^H R|| / ||a_j||
+    cols = scores.argmax(axis=1)
+    rows = np.arange(len(cols))
+    live = ~(scores[rows, cols] <= 0)
+    if not live.all():
+        if not live.any():
+            return []
+        st, cols = st.take(live), cols[live]
+        rows = rows[: len(cols)]
+    for t, j in zip(st.ids.tolist(), cols.tolist()):
+        picks[t].append(j)
+    st.filters[rows, cols] = 0.0
+    rank, m = st.rank, a.m
+    if rank == m:
+        return [st]
+
+    q, q_h = st.basis[:, :, :rank], st.basis_h[:, :rank]
+    # the picked columns, n entries apart as in A: a BLAS dot product may
+    # round differently at another stride, and Q^H a_j is one at rank 1
+    a_j = np.empty((len(cols), m, a.n), dtype=np.complex128)[:, :, :1]
+    a_j[:, :, 0] = a.a.T[cols]
+    u = a_j - q @ (q_h @ a_j)
+    u -= q @ (q_h @ u)
+    u = u[:, :, 0]
+    norms = _norms(u)
+    in_span = norms <= _SPAN_TOL * m * a.col_norms[cols]
+    out = []
+    if in_span.any():
+        out.append(st.take(in_span))
+        if in_span.all():
+            return out
+        grow = ~in_span
+        st, u, norms = st.take(grow), u[grow], norms[grow]
+    u /= norms[:, None]
+    st.basis[:, :, rank] = u
+    st.basis_h[:, rank] = u.conj()
+    resid = st.resid
+    resid -= u[:, :, None] * (st.basis_h[:, rank : rank + 1] @ resid)
+    out.append(st._replace(rank=rank + 1))
+    return out
 
 
 def radar_slice_support(f_r: FrequencySet, grid: GridSpec) -> SliceSupport:
@@ -226,10 +310,11 @@ def recover_slices(z: ChannelSamples, a: SensingMatrix, s: SliceSupport) -> Slic
     x_hat = np.zeros((a.n, z.z.shape[1]), dtype=np.complex128)
     if len(s) > 0:
         cols = s.to_array()
-        sub = a.a[:, cols]
-        if np.linalg.matrix_rank(sub) < min(len(s), a.m):
+        # rcond=None cuts singular values at eps * max(M, N) times the
+        # largest, the cut matrix_rank makes
+        sol, _, rank, _ = np.linalg.lstsq(a.a[:, cols], z.z, rcond=None)
+        if rank < min(len(s), a.m):
             raise ValueError("sensing columns on the support are rank-deficient")
-        sol, *_ = np.linalg.lstsq(sub, z.z, rcond=None)
         x_hat[cols] = sol
     grid = z.grid
     return SliceEstimate(x_hat=x_hat, support=s, grid=grid)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "TargetScene",
     "PulseTrainSpec",
     "gen_comm_slices",
+    "comm_occupancy",
     "design_radar_waveform",
     "radar_fourier_coeffs",
     "radar_slices",
@@ -139,6 +140,43 @@ def _band_weights(freqs: np.ndarray, spec: CommTransmissionSpec, delta_f: float)
     return w * (spec.power / 2.0) / total
 
 
+def _comm_bands(
+    specs: Sequence[CommTransmissionSpec], grid: GridSpec
+) -> Iterator[tuple[int, CommTransmissionSpec, float, float, np.ndarray]]:
+    """(index, spec, lo, hi, dense positions) of each transmission's band,
+    clipped to +-f_nyq/2, skipping a band that holds no dense bin."""
+    half_nyq = grid.f_nyq / 2.0
+    for tx in specs:
+        if abs(tx.carrier) > half_nyq:
+            raise ValueError(f"carrier {tx.carrier} outside +-f_nyq/2")
+        if tx.bandwidth > grid.f_p:
+            raise ValueError(
+                f"bandwidth {tx.bandwidth} exceeds the per-band cap f_p={grid.f_p}"
+            )
+    freqs = grid.dense_freqs()
+    mirror_all = grid.dense_mirror()
+    for idx, tx in enumerate(specs):
+        lo = max(tx.carrier - tx.bandwidth / 2.0, -half_nyq)
+        hi = min(tx.carrier + tx.bandwidth / 2.0, half_nyq)
+        if lo >= hi:
+            continue
+        pos = np.flatnonzero((freqs >= lo) & (freqs < hi) & (mirror_all >= 0))
+        if pos.size:
+            yield idx, tx, lo, hi, pos
+
+
+def _two_sided(lo: float, hi: float) -> tuple[FrequencyInterval, FrequencyInterval]:
+    return FrequencyInterval(lo, hi), FrequencyInterval(-hi, -lo)
+
+
+def comm_occupancy(specs: Sequence[CommTransmissionSpec], grid: GridSpec) -> FrequencySet:
+    """The occupied frequency set F_C that gen_comm_slices returns for specs
+    on grid, without drawing the spectrum."""
+    return FrequencySet(
+        iv for _, _, lo, hi, _ in _comm_bands(specs, grid) for iv in _two_sided(lo, hi)
+    )
+
+
 def gen_comm_slices(
     specs: Sequence[CommTransmissionSpec],
     grid: GridSpec,
@@ -155,29 +193,13 @@ def gen_comm_slices(
     Returns (slice spectrum, occupied frequency set F_C, true slice support
     S_C). The support reflects signal content only, not ambient noise.
     """
-    half_nyq = grid.f_nyq / 2.0
-    for tx in specs:
-        if abs(tx.carrier) > half_nyq:
-            raise ValueError(f"carrier {tx.carrier} outside +-f_nyq/2")
-        if tx.bandwidth > grid.f_p:
-            raise ValueError(
-                f"bandwidth {tx.bandwidth} exceeds the per-band cap f_p={grid.f_p}"
-            )
-
     freqs = grid.dense_freqs()
     mirror_all = grid.dense_mirror()
     dense = np.zeros(grid.dense_size, dtype=np.complex128)
     occupied = np.zeros(grid.dense_size, dtype=bool)
     intervals: list[FrequencyInterval] = []
 
-    for idx, tx in enumerate(specs):
-        lo = max(tx.carrier - tx.bandwidth / 2.0, -half_nyq)
-        hi = min(tx.carrier + tx.bandwidth / 2.0, half_nyq)
-        if lo >= hi:
-            continue
-        pos = np.flatnonzero((freqs >= lo) & (freqs < hi) & (mirror_all >= 0))
-        if pos.size == 0:
-            continue
+    for idx, tx, lo, hi, pos in _comm_bands(specs, grid):
         w = _band_weights(freqs[pos], tx, grid.delta_f)
         rng = derive_rng(seed, "comm", idx)
         draw = np.sqrt(w / 2.0) * (
@@ -187,8 +209,7 @@ def gen_comm_slices(
         dense[mirror_all[pos]] += np.conj(draw)
         occupied[pos] = True
         occupied[mirror_all[pos]] = True
-        intervals.append(FrequencyInterval(lo, hi))
-        intervals.append(FrequencyInterval(-hi, -lo))
+        intervals += _two_sided(lo, hi)
 
     if noise_psd > 0:
         dense += _symmetric_noise(grid, noise_psd, derive_rng(seed, "comm-noise"))

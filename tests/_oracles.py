@@ -9,7 +9,10 @@ which refit every selected column by least squares on every step, and the
 first, per-band mask_comm are kept here as references for the faster
 versions. So are gen_comm_slices and radar_slices as first written, which
 rebuilt the dense-grid geometry and the radar variance profile on every
-call.
+call. omp_pks as it ran on one frame at a time, the sensing sweeps' trials
+as they ran one by one on it, and derive_rng as it seeded from a list of
+ints are the exact references for the batched pursuit, the batched sweep
+points and the word-seeded derive_rng.
 """
 
 import numpy as np
@@ -419,3 +422,163 @@ def radar_slices_per_call(waveform, carrier, grid, power_scale, seed=0):
                 self_paired.sum()
             )
     return SliceSpectrum(dense[index_map], grid)
+
+
+def omp_pks_one_frame(v, a, s_r, k_extra):
+    """omp_pks as it ran before the batched pursuit: one frame, one
+    greedy loop, the exact reference for omp_pks_batch."""
+    import math
+
+    from specx import SliceSupport
+    from specx.sensing import _COND_LIMIT, _RES_TOL, _SPAN_TOL
+
+    vv = v.v
+    amat = a.a
+    m, n = amat.shape
+    if vv.shape[0] != m:
+        raise ValueError("frame and sensing matrix row counts differ")
+    s_r.validate(n)
+    if m < len(s_r) + 1:
+        raise ValueError(f"need at least {len(s_r) + 1} channels, have {m}")
+    if k_extra < 0:
+        raise ValueError("k_extra must be nonnegative")
+
+    selected = list(s_r)
+    v_norm = np.linalg.norm(vv)
+    if v_norm == 0 or vv.shape[1] == 0:
+        return SliceSupport(selected)
+
+    # Q (orthonormal columns spanning the selected columns) and its rows Q^H
+    basis = np.empty((m, m), dtype=np.complex128)
+    basis_h = np.empty((m, m), dtype=np.complex128)
+    rank = len(selected)
+    if selected:
+        cond, q = a.column_basis(s_r)
+        if cond > _COND_LIMIT:
+            raise ValueError("known-support columns are ill-conditioned")
+        basis[:, :rank] = q
+        basis_h[:rank] = basis[:, :rank].conj().T
+        resid = vv - basis[:, :rank] @ (basis_h[:rank] @ vv)
+    else:
+        resid = vv.copy()
+
+    # unit-norm matched filters a_j^H / ||a_j||; a selected or all-zero
+    # column has a zero row, so it scores 0 and is never picked
+    col_norms = a.col_norms
+    filters = a.matched_filters.copy()
+    filters[selected] = 0.0
+    span_tol = _SPAN_TOL * m
+    for _ in range(k_extra):
+        if math.sqrt(np.vdot(resid, resid).real) < _RES_TOL * v_norm:
+            break
+        g = (filters @ resid).view(np.float64)
+        scores = np.einsum("ij,ij->i", g, g)  # squared ||a_j^H R|| / ||a_j||
+        j = int(scores.argmax())
+        if scores[j] <= 0:
+            break
+        selected.append(j)
+        filters[j] = 0.0
+        if rank == m:
+            continue
+        q, q_h = basis[:, :rank], basis_h[:rank]
+        u = amat[:, j] - q @ (q_h @ amat[:, j])
+        u -= q @ (q_h @ u)
+        u_norm = math.sqrt(np.vdot(u, u).real)
+        if u_norm <= span_tol * col_norms[j]:
+            continue
+        u /= u_norm
+        basis[:, rank] = u
+        basis_h[rank] = u.conj()
+        resid -= u[:, None] * (basis_h[rank] @ resid)
+        rank += 1
+    return SliceSupport(selected)
+
+
+def somp_one_frame(v, a, max_sparsity):
+    """somp on omp_pks_one_frame."""
+    from specx import SliceSupport
+
+    return omp_pks_one_frame(v, a, SliceSupport(), max_sparsity)
+
+
+def trial_snr(cfg, task):
+    """One snr-sweep trial as it ran on its own, on the one-frame pursuits."""
+    from specx import SliceSupport, build_frame, xample
+    from specx.pipeline import (
+        GridConfig, _child_seed, _comm_support, _comm_trial, _index_ratio, _per_point,
+        _sensing_matrix,
+    )
+
+    snr_db, point_idx, trial = task
+    grid = _per_point(GridConfig.to_grid, cfg.grid)
+    a = _per_point(_sensing_matrix, cfg.seed, cfg.grid.n_chips, grid, cfg.grid.n_channels)
+    comm_x, x, s_c_true, s_r = _comm_trial(cfg, grid, "snr", point_idx, trial)
+    p_sig = float(np.mean(np.abs(xample(comm_x, a).z) ** 2))
+    noise_var = p_sig * 10.0 ** (-snr_db / 10.0)
+    z = xample(x, a, noise_var, _child_seed(cfg.seed, "snr-noise", point_idx, trial))
+
+    if cfg.comm.prune_db is not None:
+        energies = np.sum(np.abs(comm_x.values) ** 2, axis=1)
+        strongest = max(energies[i] for i in s_c_true)
+        floor = strongest * 10.0 ** (-max(cfg.comm.prune_db - 3.0, 0.0) / 10.0)
+        s_c_true = SliceSupport([i for i in s_c_true if energies[i] >= floor])
+
+    n_sig = cfg.comm.n_sig_effective
+    frame = build_frame(z)
+    pks = omp_pks_one_frame(frame, a, s_r, 4 * n_sig)
+    pks_comm = _comm_support(cfg, grid, z, a, pks, s_r)
+    omp = somp_one_frame(frame, a, min(4 * n_sig, a.n))
+    omp_comm = _comm_support(cfg, grid, z, a, omp, s_r)
+    return {
+        "snr_db": snr_db,
+        "trial": trial,
+        "pd_omp": _index_ratio(omp_comm, s_c_true),
+        "pd_pks": _index_ratio(pks_comm, s_c_true),
+        "exact_omp": list(omp_comm) == list(s_c_true),
+        "exact_pks": list(pks_comm) == list(s_c_true),
+        "noise_var": noise_var,
+    }
+
+
+def trial_channels(cfg, task):
+    """One channels-sweep trial as it ran on its own, on the one-frame pursuit."""
+    from specx import build_frame, xample
+    from specx.pipeline import (
+        GridConfig, _child_seed, _comm_support, _comm_trial, _index_ratio, _per_point,
+        _sensing_matrix,
+    )
+
+    m, point_idx, trial = task
+    grid = _per_point(GridConfig.to_grid, cfg.grid)
+    a = _per_point(_sensing_matrix, cfg.seed, cfg.grid.n_chips, grid, m)
+    _, x, s_c_true, s_r = _comm_trial(cfg, grid, "chan", point_idx, trial)
+    p_sig = float(np.mean(np.abs(xample(x, a).z) ** 2))
+    noise_var = p_sig * 10.0 ** (-cfg.sweep.channels_snr_db / 10.0)
+    z = xample(x, a, noise_var, _child_seed(cfg.seed, "chan-noise", point_idx, trial))
+    sup = omp_pks_one_frame(build_frame(z), a, s_r, 4 * cfg.comm.n_sig_effective)
+    comm = _comm_support(cfg, grid, z, a, sup, s_r)
+    return {
+        "n_channels": m,
+        "trial": trial,
+        "pd_pks": _index_ratio(comm, s_c_true),
+        "exact_pks": list(comm) == list(s_c_true),
+    }
+
+
+def derive_rng_int_list(master_seed, *path):
+    """derive_rng as first written: the seed sequence gets the 64-bit tokens
+    as a list of Python ints."""
+    import hashlib
+
+    mask = (1 << 64) - 1
+
+    def token(part):
+        if isinstance(part, (bool, float)):
+            part = str(part)
+        if isinstance(part, (int, np.integer)):
+            return int(part) & mask
+        digest = hashlib.blake2s(str(part).encode("utf-8"), digest_size=8).digest()
+        return int.from_bytes(digest, "big")
+
+    entropy = [int(master_seed) & mask] + [token(p) for p in path]
+    return np.random.default_rng(np.random.SeedSequence(entropy))

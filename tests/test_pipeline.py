@@ -1,6 +1,7 @@
 """Scenario configuration, the coexistence loop, and the sweep harness."""
 
 import dataclasses
+import functools
 import json
 import multiprocessing
 import time
@@ -329,11 +330,11 @@ def test_sweep_caps_blas_threads_and_restores_them(desk, monkeypatch):
 
         seen = []
 
-        def failing_trial(cfg, task):
+        def failing_batch(cfg, tasks):
             seen.append(get())
             raise RuntimeError("trial failed")
 
-        monkeypatch.setattr(pipeline, "_trial_snr", failing_trial)
+        monkeypatch.setattr(pipeline, "_batch_snr", failing_batch)
         with pytest.raises(RuntimeError, match="trial failed"):
             sweep(cfg, "snr", workers=1)
         assert seen == [1]
@@ -543,6 +544,132 @@ def test_child_failure_that_does_not_pickle(desk, two_cpus, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+# -- batched sensing sweep points against the one-by-one oracle ------------------
+
+
+def _frame_ranks(monkeypatch):
+    """Record the rank of every frame the sweep code builds."""
+    ranks = []
+    build = pipeline.build_frame
+
+    def recording(z):
+        frame = build(z)
+        ranks.append(frame.rank)
+        return frame
+
+    monkeypatch.setattr(pipeline, "build_frame", recording)
+    return ranks
+
+
+@pytest.mark.parametrize("axis", ["snr", "channels"])
+@pytest.mark.parametrize("preset", ["desk", "paper_sw"])
+def test_batched_sensing_rows_equal_one_by_one_oracle(preset, axis, monkeypatch):
+    """A batch of 1, 2, 7 or _MAX_BATCH trials of the highest SNR point (or
+    the widest channel bank) gives the rows the trials give one by one.
+    On desk that point mixes frames of rank 16 to 18 in one batch."""
+    import _oracles
+
+    base = load_config(preset)
+    batch = getattr(pipeline, f"_batch_{axis}")
+    oracle = getattr(_oracles, f"trial_{axis}")
+    values = base.sweep.snr_db if axis == "snr" else base.sweep.channel_counts
+    point = len(values) - 1
+    ranks = _frame_ranks(monkeypatch)
+    mixed = []
+    for seed in (base.seed, 1, 2):
+        cfg = dataclasses.replace(base, seed=seed)
+        for size in (1, 2, 7, pipeline._MAX_BATCH):
+            tasks = [(values[point], point, t) for t in range(size)]
+            ranks.clear()
+            try:
+                got = batch(cfg, tasks)
+                want = [oracle(cfg, task) for task in tasks]
+            finally:
+                pipeline._POINT_SETUPS.clear()
+            assert got == want
+            mixed.append(len(set(ranks)) > 1)
+    if (preset, axis) == ("desk", "snr"):
+        assert any(mixed)
+
+
+def test_sweep_points_span_batches_like_one_by_one_trials(desk):
+    """Points of _MAX_BATCH + 3 trials run as two batches each, serially and
+    in two interleaved shares; the rows are the one-by-one trials'."""
+    from _oracles import trial_snr
+
+    cfg = small_sweep(desk, snr_db=(0.0, 20.0), n_trials=pipeline._MAX_BATCH + 3)
+    tasks = [(snr, i, t) for i, snr in enumerate(cfg.sweep.snr_db) for t in range(cfg.sweep.n_trials)]
+    try:
+        want = [trial_snr(cfg, task) for task in tasks]
+    finally:
+        pipeline._POINT_SETUPS.clear()
+    assert list(sweep(cfg, "snr", workers=1).trials) == want
+    batch = functools.partial(pipeline._batch_snr, cfg)
+    shares = [pipeline._run_share(batch, tasks, k, 2) for k in (0, 1)]
+    pipeline._POINT_SETUPS.clear()
+    assert shares == [want[0::2], want[1::2]]
+
+
+# trial -> the step at which it fails: its draw, a pursuit or a readout; with
+# two processes the calling one runs the even trials and its child the odd ones
+@pytest.mark.parametrize(
+    "failing",
+    [
+        {3: "draw"},
+        {2: "pursuit", 5: "draw"},
+        {1: "draw", 4: "pursuit"},
+        {5: "pursuit", 2: "pursuit"},
+        {3: "pursuit"},
+        {4: "readout", 6: "pursuit"},
+        {3: "pursuit", 2: "readout"},
+    ],
+)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sensing_sweep_raises_the_first_failing_task(desk, two_cpus, monkeypatch,
+                                                     failing, workers):
+    draw, pursue, readout = pipeline._draw_snr, pipeline.omp_pks_batch, pipeline._comm_support
+    trial_of = {}  # id of a drawn frame or sample set -> its trial
+
+    def failing_draw(cfg, task):
+        trial = task[-1]
+        if failing.get(trial) == "draw":
+            raise RuntimeError(f"draw {trial}")
+        d = draw(cfg, task)
+        trial_of[id(d.frame)] = trial_of[id(d.z)] = trial
+        return d
+
+    def failing_pursuit(frames, a, s_r, k_extra):
+        for frame in frames:
+            if failing.get(trial_of[id(frame)]) == "pursuit":
+                raise RuntimeError(f"pursuit {trial_of[id(frame)]}")
+        return pursue(frames, a, s_r, k_extra)
+
+    def failing_readout(cfg, grid, z, a, sup, s_r):
+        if failing.get(trial_of[id(z)]) == "readout":
+            raise RuntimeError(f"readout {trial_of[id(z)]}")
+        return readout(cfg, grid, z, a, sup, s_r)
+
+    monkeypatch.setattr(pipeline, "_draw_snr", failing_draw)
+    monkeypatch.setattr(pipeline, "omp_pks_batch", failing_pursuit)
+    monkeypatch.setattr(pipeline, "_comm_support", failing_readout)
+    cfg = small_sweep(desk, snr_db=(10.0,), n_trials=8)
+    first = min(failing)
+    with pytest.raises(RuntimeError, match=f"^{failing[first]} {first}$"):
+        sweep(cfg, "snr", workers=workers)
+    assert multiprocessing.active_children() == []
+    assert pipeline._POINT_SETUPS == {}
+
+
+def test_run_radar_draws_no_comm_spectrum(desk, monkeypatch):
+    """run_radar reads the comm bands off their specs, not off a drawn
+    spectrum."""
+    expected = run_radar(desk)
+    calls = counted(monkeypatch, "gen_comm_slices")
+    got = run_radar(desk)
+    assert calls == []
+    assert got == expected
+
+
 def test_sweep_rejects_unknown_axis(desk):
     with pytest.raises(ConfigError):
         sweep(desk, "volume")
@@ -565,9 +692,9 @@ class _InlineSplit:
     requested: list[int] = []
 
     @classmethod
-    def run(cls, fn, tasks, w):
+    def run(cls, batch, tasks, w):
         cls.requested.append(w)
-        return [fn(t) for t in tasks]
+        return pipeline._run_share(batch, tasks, 0, 1)
 
 
 def _sized_sweeps(desk):

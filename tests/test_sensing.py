@@ -249,3 +249,128 @@ def test_sensing_matrix_caches_are_read_only():
     cond3, q3 = a.column_basis(SliceSupport([3, 16]))
     assert q3 is not q and cond3 == cond
     np.testing.assert_array_equal(q3, q)
+
+
+def test_recover_slices_rejects_rank_deficient_support():
+    """Two equal columns on the support leave the fit rank 1 of 2."""
+    amat = bank(6).a.copy()
+    amat[:, 5] = amat[:, 2]
+    a = SensingMatrix(a=amat)
+    _, _, z, _, _ = observe(TX, m=6)
+    with pytest.raises(ValueError, match="rank-deficient"):
+        recover_slices(z, a, SliceSupport([2, 5]))
+    assert recover_slices(z, a, SliceSupport([2, 4])).support == SliceSupport([2, 4])
+
+
+# -- the batched pursuit against the one-frame oracle ---------------------------
+
+
+def _frames(a, rng, count, ranks=(1, 2, 3), sparsity=(1, 4), noise=True, zero=0.0):
+    """count frames of A U with random sparse U, mixed ranks and noise; a
+    share zero of them all-zero."""
+    frames = []
+    for _ in range(count):
+        if rng.random() < zero:
+            frames.append(FrameMatrix(np.zeros((a.m, int(rng.choice(ranks))))))
+            continue
+        k = int(rng.integers(sparsity[0], sparsity[1] + 1))
+        u = np.zeros((a.n, int(rng.choice(ranks))), dtype=complex)
+        rows = rng.choice(a.n, size=k, replace=False)
+        u[rows] = rng.standard_normal((k, u.shape[1])) + 1j * rng.standard_normal((k, u.shape[1]))
+        v = a.a @ u
+        if noise and rng.random() < 0.5:
+            v += 1e-3 * np.linalg.norm(v) / np.sqrt(v.size) * (
+                rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+            )
+        frames.append(FrameMatrix(v))
+    return frames
+
+
+def _assert_matches_oracle(frames, a, known, k_extra):
+    from _oracles import omp_pks_one_frame
+
+    from specx import omp_pks
+    from specx.sensing import omp_pks_batch
+
+    got = omp_pks_batch(frames, a, known, k_extra)
+    want = [omp_pks_one_frame(v, a, known, k_extra) for v in frames]
+    assert got == want
+    assert [omp_pks(v, a, known, k_extra) for v in frames] == want
+    return got
+
+
+def test_omp_pks_batch_matches_oracle_on_random_batches():
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        m = int(rng.integers(4, 19))
+        a = bank(m, seed=int(rng.integers(1 << 30)))
+        known = SliceSupport(rng.choice(a.n, size=int(rng.integers(0, min(4, m - 1) + 1)),
+                                        replace=False))
+        frames = _frames(a, rng, int(rng.integers(1, 12)), zero=0.1)
+        _assert_matches_oracle(frames, a, known, int(rng.integers(0, m + 4)))
+    from specx.sensing import omp_pks_batch
+
+    assert omp_pks_batch([], bank(6), SliceSupport([1]), 3) == []
+
+
+def test_omp_pks_batch_trials_stop_at_their_own_step():
+    """Noiseless frames of 1 to 4 slices stop on their residual, each after
+    its own number of picks, while the rest of the batch goes on."""
+    rng = np.random.default_rng(3)
+    a = bank(12)
+    frames = _frames(a, rng, 9, sparsity=(1, 4), noise=False)
+    got = _assert_matches_oracle(frames, a, SliceSupport(), 8)
+    assert len({len(s) for s in got}) >= 3
+    assert max(len(s) for s in got) <= 4
+
+
+def test_omp_pks_batch_stops_on_zero_scores():
+    """Unit columns e1, e2, e3 in four channels and frames with a part on e4:
+    once a frame's own columns are taken every score is exactly 0, after one
+    pick for some frames and after three for others."""
+    eye = np.eye(4, dtype=complex)
+    amat = np.zeros((4, 8), dtype=complex)
+    amat[:, [1, 4, 6]] = eye[:, :3]
+    a = SensingMatrix(a=amat)
+    one = (2.0 * eye[:, 0] + eye[:, 3])[:, None]
+    three = (3.0 * eye[:, 0] + 2.0 * eye[:, 1] + 1.5 * eye[:, 2] + eye[:, 3])[:, None]
+    frames = [FrameMatrix(one), FrameMatrix(three), FrameMatrix(np.hstack([one, three]))]
+    got = _assert_matches_oracle(frames, a, SliceSupport(), 7)
+    assert [list(s) for s in got] == [[1], [1, 4, 6], [1, 4, 6]]
+    got = _assert_matches_oracle(frames, a, SliceSupport([4]), 7)
+    assert [list(s) for s in got] == [[1, 4], [1, 4, 6], [1, 4, 6]]
+
+
+def test_omp_pks_batch_splits_on_in_span_picks(monkeypatch):
+    """Repeated columns in a 4-D subspace of 6 channels, frames with 1 to 3
+    of them plus a part outside the subspace. Once a frame's own columns
+    are taken every score is rounding noise, so a pick may lie in the span
+    of the basis (a repeat of a taken column) for some pursuits of a stack
+    while the others grow theirs. A frame of NaNs never stops, as in the
+    oracle. Every support equals the oracle's."""
+    from specx import sensing
+
+    splits = []
+    step = sensing._greedy_step
+
+    def counted_step(st, a, picks):
+        out = step(st, a, picks)
+        splits.append(len(out) == 2)
+        return out
+
+    monkeypatch.setattr(sensing, "_greedy_step", counted_step)
+    rng = np.random.default_rng(4)
+    m, d = 6, 4
+    for _ in range(30):
+        sub = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+        inner, outer = sub[:, :d], sub[:, d:]
+        cols = inner @ (rng.standard_normal((d, 10)) + 1j * rng.standard_normal((d, 10)))
+        a = SensingMatrix(a=np.hstack([cols, cols]))
+        frames = []
+        for _ in range(6):
+            v = _frames(a, rng, 1, ranks=(1, 2), sparsity=(1, 3), noise=False)[0].v
+            frames.append(FrameMatrix(v + 1e-2 * outer @ rng.standard_normal((m - d, v.shape[1]))))
+        frames.append(FrameMatrix(np.full((m, 1), np.nan)))
+        known = SliceSupport(rng.choice(10, size=int(rng.integers(0, 2)), replace=False))
+        _assert_matches_oracle(frames, a, known, m + 3)
+    assert any(splits)

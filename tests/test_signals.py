@@ -299,6 +299,34 @@ def test_slice_draws_match_per_call_oracles(preset):
                 assert same_bits(got, want)
 
 
+@pytest.mark.parametrize("preset", ["desk", "paper_sw"])
+def test_comm_occupancy_is_gen_comm_slices_band_set(preset):
+    """The band set read off the specs equals the one gen_comm_slices
+    returns, on the preset's bands, a band clipped at +f_nyq/2 and a band
+    narrower than a bin that holds none."""
+    from specx.signals import comm_occupancy
+
+    cfg = load_config(preset)
+    grid = cfg.grid.to_grid()
+    half_nyq = grid.f_nyq / 2.0
+    freqs = grid.dense_freqs()
+    k = len(freqs) // 2 + 3
+    between = (freqs[k] + freqs[k + 1]) / 2.0
+    clipped = CommTransmissionSpec(carrier=half_nyq - grid.f_p / 4, bandwidth=grid.f_p)
+    empty = CommTransmissionSpec(carrier=between, bandwidth=grid.delta_f / 4)
+    cases = [
+        cfg.comm.transmissions,
+        cfg.comm.phase2_transmissions or (),
+        (clipped,),
+        (empty,),
+        (*cfg.comm.transmissions, clipped, empty),
+    ]
+    for specs in cases:
+        assert comm_occupancy(specs, grid) == gen_comm_slices(specs, grid, seed=5)[1]
+    assert comm_occupancy((clipped,), grid).to_pairs()[-1][1] == half_nyq
+    assert comm_occupancy((empty,), grid) == FrequencySet()
+
+
 def test_radar_emission_arrays_are_read_only():
     b_h = 1.6e6
     wave = design_radar_waveform(flat_base(16), b_h, FrequencySet([(-b_h / 2, b_h / 2)]), 1.0)
