@@ -162,8 +162,9 @@ class GridSpec:
 
     The two-sided input band is [-f_nyq/2, f_nyq/2]. Each of the n_slices
     spectrum slices is f_p wide with center (i - n_slices/2) * f_p for slice
-    index i in {0..n_slices-1}; within a slice, spectra are sampled on n_grid
-    bins spanning [-f_s/2, f_s/2). A single dense frequency grid of spacing
+    index i in {0..n_slices-1}; n_slices is derived from the rates
+    (slice_count). Within a slice, spectra are sampled on n_grid bins
+    spanning [-f_s/2, f_s/2). A single dense frequency grid of spacing
     f_s/n_grid underlies all slices, which requires f_p to be an integer
     number of dense bins.
     """
@@ -172,7 +173,7 @@ class GridSpec:
     f_p: float
     f_s: float
     n_grid: int
-    n_slices: int = field(default=0)
+    n_slices: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.f_p <= 0 or self.f_nyq <= 0:
@@ -181,13 +182,7 @@ class GridSpec:
             raise ValueError(f"f_s ({self.f_s}) must be >= f_p ({self.f_p})")
         if self.n_grid < 2 or self.n_grid % 2:
             raise ValueError("n_grid must be even and >= 2")
-        n_expected = slice_count(self.f_nyq, self.f_s, self.f_p)
-        if self.n_slices == 0:
-            object.__setattr__(self, "n_slices", n_expected)
-        elif self.n_slices != n_expected:
-            raise ValueError(
-                f"n_slices={self.n_slices} inconsistent with rates (expected {n_expected})"
-            )
+        object.__setattr__(self, "n_slices", slice_count(self.f_nyq, self.f_s, self.f_p))
         step = self.f_p / self.delta_f
         if abs(step - round(step)) > _REL_EPS * self.n_grid:
             raise ValueError("f_p must be an integer multiple of f_s/n_grid")

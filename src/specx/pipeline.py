@@ -235,9 +235,7 @@ class GridConfig:
     n_chips: int
 
     def to_grid(self) -> GridSpec:
-        return GridSpec(
-            f_nyq=self.f_nyq, f_p=self.f_p, f_s=self.f_s, n_grid=self.n_grid, n_slices=0
-        )
+        return GridSpec(f_nyq=self.f_nyq, f_p=self.f_p, f_s=self.f_s, n_grid=self.n_grid)
 
 
 @dataclass(frozen=True)
@@ -411,6 +409,16 @@ class ScenarioConfig:
                     raise ConfigError(
                         f"comm transmission {i} (phase {phase}): bandwidth "
                         f"{t.bandwidth:g} Hz rounds to an empty band at {c:g} Hz"
+                    )
+                # A band holding no mirrored dense bin is not on the air. A
+                # band a bin wide holds one, but bins within slice_count's
+                # tolerance of a Nyquist edge may lack a mirror: 1e-9 times
+                # at most 2**23 bins (the slice bin cap), under 1% of a bin
+                # per edge. Rounding costs far less.
+                if t.bandwidth < 1.02 * grid.delta_f:
+                    raise ConfigError(
+                        f"comm transmission {i} (phase {phase}): bandwidth {t.bandwidth:g} Hz "
+                        f"is narrower than 1.02 grid bins of {grid.delta_f:g} Hz"
                     )
         r = cfg.radar
         if r.carrier - r.b_h / 2.0 < 0 or r.carrier + r.b_h / 2.0 > half_nyq:
@@ -772,22 +780,19 @@ def _prune_support(
 
 def _medium(
     cfg: ScenarioConfig, grid: GridSpec, specs: Sequence[CommTransmissionSpec],
-    noise_psd: float, prefix: str, path: tuple,
-    radar: Callable[[FrequencySet], tuple[RadarEmission | None, SliceSupport]],
-) -> tuple[SliceSpectrum, SliceSpectrum, FrequencySet, SliceSupport, SliceSupport]:
+    noise_psd: float, prefix: str, path: tuple, emission: RadarEmission | None,
+) -> tuple[SliceSpectrum, SliceSpectrum, FrequencySet, SliceSupport]:
     """One sensing pass's medium: the comm signals specs over ambient noise
-    noise_psd, plus one draw of the radar emission. radar(f_c_true) gives
-    that emission (None when the radar is silent) and the radar's slices.
-    The draws are seeded by prefix + "comm" and prefix + "rslice" under path.
-    Returns (comm_x, x, f_c_true, s_c_true, s_r); x is comm plus radar."""
+    noise_psd, plus one draw of the radar emission unless it is None. The
+    draws are seeded by prefix + "comm" and prefix + "rslice" under path.
+    Returns (comm_x, x, f_c_true, s_c_true); x is comm plus radar."""
     comm_x, f_c_true, s_c_true = gen_comm_slices(
         specs, grid, noise_psd, _child_seed(cfg.seed, prefix + "comm", *path)
     )
-    emission, s_r = radar(f_c_true)
     x = comm_x
     if emission is not None:
         x = x + draw_radar_emission(emission, _child_seed(cfg.seed, prefix + "rslice", *path))
-    return comm_x, x, f_c_true, s_c_true, s_r
+    return comm_x, x, f_c_true, s_c_true
 
 
 def _sense_once(
@@ -806,8 +811,8 @@ def _sense_once(
     the pruned comm slice support and the frequency set used for masking
     (sub-slice refined when configured, slice-granular otherwise).
     """
-    _, x, f_c_true, s_c_true, _ = _medium(
-        cfg, grid, specs, cfg.comm.noise_psd, "", (it,), lambda _: (emission, s_r)
+    _, x, f_c_true, s_c_true = _medium(
+        cfg, grid, specs, cfg.comm.noise_psd, "", (it,), emission
     )
     z = xample(x, a)
     result = sense_spectrum(
@@ -844,7 +849,7 @@ def run_specx(cfg: ScenarioConfig) -> RunReport:
     rows: list[dict[str, Any]] = []
     f_c_prev: FrequencySet | None = None
     f_r: FrequencySet | None = None
-    waveform: RadarWaveformSpec | None = None
+    emission, s_r = None, SliceSupport()  # the radar is silent until it picks bands
     kappa_size = None
     occupancy = None
     converged = False
@@ -856,11 +861,6 @@ def run_specx(cfg: ScenarioConfig) -> RunReport:
         if cfg.comm.phase2_transmissions is not None and it >= 1:
             active = cfg.comm.phase2_transmissions
             phase = 2
-        if f_r is None:
-            s_r, emission = SliceSupport(), None
-        else:
-            s_r = radar_slice_support(f_r.shifted(cfg.radar.carrier), grid)
-            emission = radar_emission(waveform, cfg.radar.carrier, grid, cfg.radar.p_t)
         result, s_c_hat, f_c_hat, f_c_true, s_c_true = _sense_once(
             cfg, grid, a, active, s_r, emission, it
         )
@@ -894,7 +894,8 @@ def run_specx(cfg: ScenarioConfig) -> RunReport:
         band_selections += 1
         setup = _radar_setup(cfg.radar, _radar_frame(cfg.radar, f_r), cfg.radar.noise_var)
         radar = _radar_trial(cfg, setup, scene, _child_seed(cfg.seed, "radar", it))
-        waveform = setup.frame.waveform
+        emission = radar_emission(setup.frame.waveform, cfg.radar.carrier, grid, cfg.radar.p_t)
+        s_r = radar_slice_support(f_r.shifted(cfg.radar.carrier), grid)
         kappa_size = radar["kappa_size"]
         occupancy = radar["occupancy_ratio"]
         row.update(radar)
@@ -1064,13 +1065,20 @@ def _index_ratio(est: SliceSupport, truth: SliceSupport) -> float:
 
 
 def _radar_emission(
-    rem_cfg: RemConfig, r: RadarConfig, grid: GridSpec, f_c_base: FrequencySet
+    rem_cfg: RemConfig, r: RadarConfig, grid: GridSpec
 ) -> tuple[RadarEmission, SliceSupport]:
-    """The radar side of a sensing-sweep trial whose comm map on the REM
-    span is f_c_base: the emission profile of the waveform on the bands
-    selected against that map, and the grid slices those bands occupy."""
-    rem = _per_point(RemConfig.to_rem, rem_cfg)
-    _, f_r = select_bands(rem, f_c_base, r.n_bands)
+    """The radar of a sensing sweep: the emission profile of the waveform on
+    the bands selected against an empty comm map, and their grid slices.
+
+    Every trial's comm map on the REM span is empty.
+    _random_transmissions rejects any carrier whose band or mirror meets
+    _radar_avoid_zone, the radar band padded by 1.5 f_p on each side. The
+    REM span, moved to the radar carrier, is wider than the radar band by
+    at most 1e-6 b_h (validate). A sensing sweep needs more channels than
+    the radar has slices (_require_channels), hence more than b_h / f_p,
+    and validate caps the channels at 4096, so f_p > b_h / 4096 and the pad
+    exceeds that overhang about 700 times over."""
+    _, f_r = select_bands(rem_cfg.to_rem(), FrequencySet(), r.n_bands)
     waveform = design_radar_waveform(_flat_base(r.n_delay_bins), r.b_h, f_r, r.p_t)
     return (
         radar_emission(waveform, r.carrier, grid, r.p_t),
@@ -1082,27 +1090,22 @@ def _comm_trial(
     cfg: ScenarioConfig, grid: GridSpec, tag: str, point_idx: int, trial: int
 ) -> tuple[SliceSpectrum, SliceSpectrum, SliceSupport, SliceSupport]:
     """The _medium of one sensing-sweep trial, seeded by tag under
-    (point_idx, trial): a random comm layout clear of the radar, radar bands
-    selected against its true support, and the radar emission on them.
-    Returns (comm_x, x, s_c_true, s_r): the comm signal alone, comm plus
-    radar, the true comm slices and the radar slices.
+    (point_idx, trial): a random comm layout clear of the radar, and the
+    sweep's radar emission on the air. Returns (comm_x, x, s_c_true, s_r):
+    the comm signal alone, comm plus radar, the true comm slices and the
+    radar slices.
 
-    The bands, waveform, emission profile and radar slices depend on the
-    trial only through its comm map on the REM span, so each process builds
-    them once per distinct map in a sweep, and the trial only draws the
-    emission. Comm carriers are drawn clear of the radar's avoid zone, so on
-    the presets that map is empty in every trial and they are built once
-    per sweep."""
-    rem = _per_point(RemConfig.to_rem, cfg.rem)
+    No comm layout reaches the REM span (_radar_emission says why), so
+    every trial shares one radar: each process builds its bands, waveform,
+    emission profile and slices once per sweep, and a trial only draws the
+    emission. The lookup follows the carrier draw, so a trial with no clear
+    carrier raises InfeasibleError before the radar can raise
+    BandSelectionError."""
     rng = derive_rng(cfg.seed, tag, point_idx, trial)
     specs = _random_transmissions(cfg, _per_point(_radar_avoid_zone, cfg.grid, cfg.radar), rng)
-
-    def radar(f_c_true: FrequencySet) -> tuple[RadarEmission, SliceSupport]:
-        f_c_base = f_c_true.shifted(-cfg.radar.carrier).intersection(rem.span)
-        return _per_point(_radar_emission, cfg.rem, cfg.radar, grid, f_c_base)
-
-    comm_x, x, _, s_c_true, s_r = _medium(
-        cfg, grid, specs, 0.0, f"{tag}-", (point_idx, trial), radar
+    emission, s_r = _per_point(_radar_emission, cfg.rem, cfg.radar, grid)
+    comm_x, x, _, s_c_true = _medium(
+        cfg, grid, specs, 0.0, f"{tag}-", (point_idx, trial), emission
     )
     return comm_x, x, s_c_true, s_r
 
@@ -1227,30 +1230,23 @@ def _channels_row(task: tuple, d: _Drawn, comm: list[SliceSupport]) -> dict[str,
     }
 
 
-def _pursue(drawn: list[_Drawn], pursuits: Sequence[tuple[SliceSupport, int]]) -> list[Any]:
-    """Each drawn trial's support from omp_pks_batch, given its pursuit's
-    (known support, budget), or the exception that pursuit raised. Trials
-    with equal pursuits share one batched call. When that call raises, its
-    trials are pursued one at a time in task order, so a failure is pinned
-    on the trial it belongs to."""
-    out: list[Any] = [None] * len(drawn)
-    groups: dict[tuple[SliceSupport, int], list[int]] = {}
-    for i, pursuit in enumerate(pursuits):
-        groups.setdefault(pursuit, []).append(i)
-    for (s_r, k_extra), idx in groups.items():
-        a = drawn[idx[0]].a  # one sweep point, one front end
-        try:
-            found = omp_pks_batch([drawn[i].frame for i in idx], a, s_r, k_extra)
-        except Exception:
-            found = []
-            for i in idx:
-                try:
-                    found += omp_pks_batch([drawn[i].frame], a, s_r, k_extra)
-                except Exception as exc:
-                    found.append(exc)
-        for i, sup in zip(idx, found):
-            out[i] = sup
-    return out
+def _pursue(drawn: list[_Drawn], s_r: SliceSupport, k_extra: int) -> list[Any]:
+    """Each drawn trial's support from one omp_pks_batch call with known
+    support s_r and budget k_extra, or the exception its pursuit raised.
+    The trials share their point, so their front end. When the call raises,
+    the trials are pursued one at a time in task order, so a failure is
+    pinned on the trial it belongs to."""
+    frames, a = [d.frame for d in drawn], drawn[0].a
+    try:
+        return omp_pks_batch(frames, a, s_r, k_extra)
+    except Exception:
+        found: list[Any] = []
+        for frame in frames:
+            try:
+                found += omp_pks_batch([frame], a, s_r, k_extra)
+            except Exception as exc:
+                found.append(exc)
+        return found
 
 
 def _sensing_batch(
@@ -1276,7 +1272,7 @@ def _sensing_batch(
         except Exception as exc:
             failure = _Failure(len(drawn), exc)
             break
-    found = [_pursue(drawn, pursuits) for pursuits in zip(*(d.pursuits for d in drawn))]
+    found = [_pursue(drawn, *pursuit) for pursuit in (drawn[0].pursuits if drawn else ())]
     grid = _per_point(GridConfig.to_grid, cfg.grid)
     rows = []
     for i, (task, d) in enumerate(zip(tasks, drawn)):
@@ -1548,25 +1544,24 @@ def _channel_stats(cfg: ScenarioConfig, grid: GridSpec, rows: list[dict]) -> dic
 
 class _SweepAxis(NamedTuple):
     """One sweep axis: its points (leading columns of its trial and aggregate
-    rows), the name of its batch function, (cfg, same-point tasks) -> rows
-    (looked up when the sweep starts, so it can be replaced like any module
-    attribute), the per-point stats that complete an aggregate row, and any
-    extra report meta."""
+    rows), its batch function, (cfg, same-point tasks) -> rows, the
+    per-point stats that complete an aggregate row, and any extra report
+    meta."""
 
     points: Callable[[ScenarioConfig, GridSpec], list[dict[str, Any]]]
-    batch: str
+    batch: Callable[[ScenarioConfig, list[tuple]], list[dict[str, Any]] | _Failure]
     stats: Callable[[ScenarioConfig, GridSpec, list[dict]], dict[str, Any]]
     meta: Callable[[ScenarioConfig], dict[str, Any]] = lambda cfg: {}
 
 
 _SWEEPS = {
-    "snr": _SweepAxis(_snr_points, "_batch_snr", _snr_stats),
+    "snr": _SweepAxis(_snr_points, _batch_snr, _snr_stats),
     "band_placement": _SweepAxis(
-        _band_points, "_batch_band", _band_stats,
+        _band_points, _batch_band, _band_stats,
         lambda cfg: {"occupancy": cfg.sweep.occupancy},
     ),
     "channels": _SweepAxis(
-        _channel_points, "_batch_channels", _channel_stats,
+        _channel_points, _batch_channels, _channel_stats,
         lambda cfg: {"channels_snr_db": cfg.sweep.channels_snr_db},
     ),
 }
@@ -1588,8 +1583,9 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     MWC front end, with its column norms, matched filters and the QR of the
     radar's known columns, once per sweep for snr and once per channel count
     for channels; the radar bands, waveform, emission variance profile and
-    slices once per distinct comm map on the REM span (once per sweep on the
-    presets), so a trial only draws the emission. For band_placement:
+    slices once per sweep, selected against an empty comm map, because the
+    comm carriers are drawn clear of the radar band and the REM span, so a
+    trial only draws the emission. For band_placement:
     the waveform, kappa and partial Fourier frame once per band set, so once
     per layout however many SNRs share it; the focused noise variance and
     GLRT threshold once per point.
@@ -1622,7 +1618,7 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     tasks = [
         (*point.values(), i, t) for i, point in enumerate(points) for t in range(n_trials)
     ]
-    batch = functools.partial(globals()[spec.batch], cfg)
+    batch = functools.partial(spec.batch, cfg)
     try:
         rows = _run_trials(batch, tasks, n_workers)
     finally:

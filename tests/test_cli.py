@@ -242,6 +242,9 @@ def test_sense_runs_without_channel_counts(tmp_path, absent):
         (None, "run_id", None, ("sense",), "run_id must be a string"),
         ("comm.transmissions.0", "bandwidth", "x", ("sense",),
          "comm.transmissions[0].bandwidth must be a finite number"),
+        # desk's bins are 625 kHz apart, so a 100 kHz band can hold none
+        ("comm.transmissions.0", "bandwidth", 1e5, ("sweep", "--axis", "snr", *SWEEP_ONE),
+         "bandwidth 100000 Hz is narrower than 1.02 grid bins of 625000 Hz"),
     ],
     ids=[
         "seed", "n_trials", "specx-channels", "snr-channels", "channel-counts",
@@ -252,7 +255,7 @@ def test_sense_runs_without_channel_counts(tmp_path, absent):
         "negative-energy", "negative-max-detections", "negative-noise-psd",
         "tiny-p-fa", "overlapping-occupancy", "tiny-bandwidth", "huge-delay-grid",
         "huge-slice-grid", "huge-mixing-bank", "huge-pulse-train", "huge-channel-bank",
-        "list-layout", "null-run-id", "string-bandwidth",
+        "list-layout", "null-run-id", "string-bandwidth", "narrow-bandwidth",
     ],
 )
 def test_bad_config_exits_2_in_one_line(tmp_path, section, key, value, args, message):

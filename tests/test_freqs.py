@@ -166,8 +166,6 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         GridSpec(f_nyq=100e6, f_p=10e6, f_s=10e6, n_grid=5)  # odd n_grid
     with pytest.raises(ValueError):
-        GridSpec(f_nyq=100e6, f_p=10e6, f_s=10e6, n_grid=4, n_slices=8)
-    with pytest.raises(ValueError):
         # f_p not an integer number of dense bins
         GridSpec(f_nyq=100e6, f_p=10e6, f_s=15e6, n_grid=4)
 

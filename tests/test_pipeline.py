@@ -107,6 +107,48 @@ def test_pri_band_product_validation(desk):
         ScenarioConfig.from_dict(raw).validate()
 
 
+# desk's grid, and one whose f_nyq sits 5e-10 above a slice-count step, so
+# slice_count's tolerance leaves its top bin below +f_nyq/2 without a mirror
+@pytest.mark.parametrize("f_nyq", [560e6, 540e6 * (1 + 5e-10)], ids=["desk", "edge"])
+def test_every_accepted_comm_band_holds_a_bin(desk, f_nyq):
+    """Bandwidths near the bound at random carriers, Nyquist edges included:
+    validate accepts a band only when it holds a mirrored dense bin."""
+    from specx.signals import comm_occupancy
+
+    g = dataclasses.replace(desk.grid, f_nyq=f_nyq)
+    grid = g.to_grid()
+    half_nyq = f_nyq / 2.0
+    tx = desk.comm.transmissions[0]
+
+    def narrowed(carrier, bandwidth):
+        return dataclasses.replace(tx, carrier=carrier, bandwidth=bandwidth)
+
+    if f_nyq != 560e6:
+        # a band exactly one bin wide at the top edge holds no mirrored bin
+        edge = narrowed(half_nyq - grid.delta_f / 2.0, grid.delta_f)
+        assert comm_occupancy([edge], grid).measure() == 0.0
+    rng = np.random.default_rng(11)
+    outcomes = {"accepted": 0, "narrow": 0}
+    for _ in range(400):
+        scale = rng.choice([0.98, 1.0, 1 + 1e-9, 1 + 1e-7, 1.01, 1.02, rng.uniform(0.98, 1.06)])
+        bandwidth = grid.delta_f * scale
+        reach = half_nyq - bandwidth / 2.0
+        carrier = rng.choice([-reach, reach, rng.uniform(-reach, reach)])
+        comm = dataclasses.replace(
+            desk.comm, transmissions=(narrowed(carrier, bandwidth),), phase2_transmissions=None
+        )
+        cfg = dataclasses.replace(desk, grid=g, comm=comm)
+        try:
+            cfg.validate()
+        except ConfigError as exc:
+            if "narrower than" in str(exc):
+                outcomes["narrow"] += 1
+            continue
+        outcomes["accepted"] += 1
+        assert comm_occupancy(cfg.comm.transmissions, grid).measure() > 0.0
+    assert min(outcomes.values()) > 50
+
+
 def test_feasibility_summary(desk):
     req = desk.feasibility()
     assert req.feasible
@@ -330,11 +372,11 @@ def test_sweep_caps_blas_threads_and_restores_them(desk, monkeypatch):
 
         seen = []
 
-        def failing_batch(cfg, tasks):
+        def failing_draw(cfg, task):
             seen.append(get())
             raise RuntimeError("trial failed")
 
-        monkeypatch.setattr(pipeline, "_batch_snr", failing_batch)
+        monkeypatch.setattr(pipeline, "_draw_snr", failing_draw)
         with pytest.raises(RuntimeError, match="trial failed"):
             sweep(cfg, "snr", workers=1)
         assert seen == [1]
@@ -413,10 +455,10 @@ def test_sensing_sweep_builds_rem_once(desk, monkeypatch, axis, changes):
     ids=["snr", "channels"],
 )
 def test_sensing_sweep_builds_radar_emission_once(desk, monkeypatch, axis, changes, n_matrices):
-    """desk's comm carriers are drawn clear of the radar, so every trial
-    selects its bands against the same (empty) map: the bands, waveform and
-    emission profile are built once per sweep, not once per trial. The QR
-    of the known radar columns is built once per sensing matrix."""
+    """A sensing sweep's comm carriers are drawn clear of the radar, so its
+    radar is selected once against an empty comm map: the bands, waveform
+    and emission profile are built once per sweep, not once per trial. The
+    QR of the known radar columns is built once per sensing matrix."""
     selections = counted(monkeypatch, "select_bands")
     waveforms = counted(monkeypatch, "design_radar_waveform")
     profiles = counted(monkeypatch, "radar_emission")
@@ -433,6 +475,31 @@ def test_sensing_sweep_builds_radar_emission_once(desk, monkeypatch, axis, chang
     assert len(rep.trials) == 6
     assert len(selections) == len(waveforms) == len(profiles) == 1
     assert len(qr_calls) == len(matrices) == n_matrices
+
+
+# desk's REM widened by 1e-7 (9e-7 of a coefficient bin per REM band), about
+# as far as validate's alignment check lets it go
+@pytest.mark.parametrize(
+    "preset, widen", [("desk", 1.0), ("paper_sw", 1.0), ("desk", 1 + 1e-7)]
+)
+def test_sweep_comm_layouts_miss_the_rem_span(preset, widen):
+    """The carriers a sensing-sweep trial draws leave its comm map on the
+    REM span empty, which lets the sweep select its radar bands once."""
+    from specx.signals import comm_occupancy
+
+    cfg = load_config(preset)
+    cfg = dataclasses.replace(cfg, rem=dataclasses.replace(cfg.rem, b_y=cfg.rem.b_y * widen))
+    cfg = cfg.validate()
+    grid = cfg.grid.to_grid()
+    span = cfg.rem.to_rem().span
+    avoid = pipeline._radar_avoid_zone(cfg.grid, cfg.radar)
+    for tag in ("snr", "chan"):
+        for k in range(200):
+            rng = pipeline.derive_rng(cfg.seed, tag, *divmod(k, 40))
+            specs = pipeline._random_transmissions(cfg, avoid, rng)
+            f_c = comm_occupancy(specs, grid)
+            assert f_c.measure() > 0.0
+            assert f_c.shifted(-cfg.radar.carrier).intersection(span) == pipeline.FrequencySet()
 
 
 def test_sweep_empties_point_setups(desk, monkeypatch):
