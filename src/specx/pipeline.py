@@ -1230,81 +1230,41 @@ def _channels_row(task: tuple, d: _Drawn, comm: list[SliceSupport]) -> dict[str,
     }
 
 
-def _pursue(drawn: list[_Drawn], s_r: SliceSupport, k_extra: int) -> list[Any]:
-    """Each drawn trial's support from one omp_pks_batch call with known
-    support s_r and budget k_extra, or the exception its pursuit raised.
-    The trials share their point, so their front end. When the call raises,
-    the trials are pursued one at a time in task order, so a failure is
-    pinned on the trial it belongs to."""
-    frames, a = [d.frame for d in drawn], drawn[0].a
-    try:
-        return omp_pks_batch(frames, a, s_r, k_extra)
-    except Exception:
-        found: list[Any] = []
-        for frame in frames:
-            try:
-                found += omp_pks_batch([frame], a, s_r, k_extra)
-            except Exception as exc:
-                found.append(exc)
-        return found
-
-
 def _sensing_batch(
     cfg: ScenarioConfig, tasks: list[tuple],
     draw: Callable[[ScenarioConfig, tuple], _Drawn],
     row: Callable[[tuple, _Drawn, list[SliceSupport]], dict[str, Any]],
-) -> list[dict[str, Any]] | _Failure:
-    """Rows of same-point sensing-sweep trials, or their first failure.
+) -> list[dict[str, Any]]:
+    """Rows of same-point sensing-sweep trials.
 
     Each trial is drawn (comm layout, radar emission, channel samples and
-    frame) in task order; then each of its pursuits runs batched across
-    the trials; then, per trial in task order, each pursuit's support is
-    read out as comm slices (_comm_support) and the row is built. A trial
-    fails at the first of these steps a per-trial run would fail at, and
-    the failure returned is that of the lowest task index, as in a serial
-    run of the trials one by one.
+    frame) in task order; then each of its pursuits runs once for all the
+    trials through omp_pks_batch (they share their point, so their front
+    end); then, per trial in task order, each pursuit's support is read out
+    as comm slices (_comm_support) and the row is built. Any failure
+    raises; _run_share pins it on its trial.
     """
-    drawn: list[_Drawn] = []
-    failure = None
-    for task in tasks:
-        try:
-            drawn.append(draw(cfg, task))
-        except Exception as exc:
-            failure = _Failure(len(drawn), exc)
-            break
-    found = [_pursue(drawn, *pursuit) for pursuit in (drawn[0].pursuits if drawn else ())]
+    drawn = [draw(cfg, task) for task in tasks]
+    frames, a = [d.frame for d in drawn], drawn[0].a
+    found = [omp_pks_batch(frames, a, s_r, k_extra) for s_r, k_extra in drawn[0].pursuits]
     grid = _per_point(GridConfig.to_grid, cfg.grid)
-    rows = []
-    for i, (task, d) in enumerate(zip(tasks, drawn)):
-        try:
-            comm = []
-            for sups in found:
-                if isinstance(sups[i], Exception):
-                    raise sups[i]
-                comm.append(_comm_support(cfg, grid, d.z, d.a, sups[i], d.s_r))
-            rows.append(row(task, d, comm))
-        except Exception as exc:
-            return _Failure(i, exc)
-    return failure or rows
+    return [
+        row(task, d, [_comm_support(cfg, grid, d.z, d.a, sups[i], d.s_r) for sups in found])
+        for i, (task, d) in enumerate(zip(tasks, drawn))
+    ]
 
 
-def _batch_snr(cfg: ScenarioConfig, tasks: list[tuple]) -> list[dict[str, Any]] | _Failure:
+def _batch_snr(cfg: ScenarioConfig, tasks: list[tuple]) -> list[dict[str, Any]]:
     return _sensing_batch(cfg, tasks, _draw_snr, _snr_row)
 
 
-def _batch_channels(cfg: ScenarioConfig, tasks: list[tuple]) -> list[dict[str, Any]] | _Failure:
+def _batch_channels(cfg: ScenarioConfig, tasks: list[tuple]) -> list[dict[str, Any]]:
     return _sensing_batch(cfg, tasks, _draw_channels, _channels_row)
 
 
-def _batch_band(cfg: ScenarioConfig, tasks: list[tuple]) -> list[dict[str, Any]] | _Failure:
+def _batch_band(cfg: ScenarioConfig, tasks: list[tuple]) -> list[dict[str, Any]]:
     """Band-placement trials one by one, each through _trial_band."""
-    rows = []
-    for task in tasks:
-        try:
-            rows.append(_trial_band(cfg, task))
-        except Exception as exc:
-            return _Failure(len(rows), exc)
-    return rows
+    return [_trial_band(cfg, task) for task in tasks]
 
 
 def _mean(rows: list[dict[str, Any]], key: str) -> float:
@@ -1396,16 +1356,23 @@ def _run_share(batch, tasks: list[tuple], k: int, w: int) -> list[dict[str, Any]
     """Rows of the interleaved share tasks[k::w], or its first failure.
 
     batch gets the share's runs of same-point tasks, _MAX_BATCH at most at
-    a time, and returns their rows or the _Failure of its lowest failing
-    task, indexed within the run."""
+    a time, and returns their rows. When it raises, that run's tasks are
+    re-run one at a time in task order, and the first to raise is the
+    share's failure: the exception a serial run of the trials one by one
+    raises, at its index in the task list."""
     rows: list[dict[str, Any]] = []
     for _, point in itertools.groupby(tasks[k::w], key=lambda task: task[-2]):
         point = list(point)
         for lo in range(0, len(point), _MAX_BATCH):
-            out = batch(point[lo : lo + _MAX_BATCH])
-            if isinstance(out, _Failure):
-                return _Failure(k + (len(rows) + out.index) * w, out.exc)
-            rows += out
+            run = point[lo : lo + _MAX_BATCH]
+            try:
+                rows += batch(run)
+            except Exception:
+                for task in run:
+                    try:
+                        rows += batch([task])
+                    except Exception as exc:
+                        return _Failure(k + len(rows) * w, exc)
     return rows
 
 
@@ -1425,14 +1392,16 @@ def _child_share(batch, tasks: list[tuple], k: int, w: int, conn) -> None:
 def _run_split(batch, tasks: list[tuple], w: int) -> list[dict[str, Any]]:
     """Run tasks in w interleaved shares: share 0 in this process while w - 1
     children run the others, each sending its outcome through a one-way pipe.
+    At w = 1 no child is started and multiprocessing is not imported.
 
     Rows come back in task order. A failing trial raises the failure with
-    the lowest task index, the one a serial run raises; a child that exits
-    without sending raises WorkerDied. Every child is joined before this
-    returns or raises, and an interrupt terminates them first.
+    the lowest task index, the one a serial run of the trials one by one
+    raises; a child that exits without sending raises WorkerDied. Every
+    child is joined before this returns or raises, and an interrupt
+    terminates them first.
     """
-    import multiprocessing
-
+    if w > 1:
+        import multiprocessing
     children = []
     try:
         for k in range(1, w):
@@ -1471,18 +1440,12 @@ def _run_split(batch, tasks: list[tuple], w: int) -> list[dict[str, Any]]:
 
 def _run_trials(batch, tasks: list[tuple], workers: int) -> list[dict[str, Any]]:
     """Run the trials through batch and return their rows in task order,
-    using w = min(workers, tasks, usable CPUs) processes: this one alone
-    when w is 1, else this one and w - 1 children (_run_split). The count
-    includes the calling process, which runs a share like any child.
+    using w = min(workers, tasks, usable CPUs) processes (_run_split). The
+    count includes the calling process, which runs a share like any child.
     """
     w = min(workers, len(tasks), _usable_cpus())
     with _single_blas_thread():
-        if w > 1:
-            return _run_split(batch, tasks, w)
-        outcome = _run_share(batch, tasks, 0, 1)
-        if isinstance(outcome, _Failure):
-            raise outcome.exc
-        return outcome
+        return _run_split(batch, tasks, w)
 
 
 def _snr_points(cfg: ScenarioConfig, grid: GridSpec) -> list[dict[str, Any]]:
@@ -1549,7 +1512,7 @@ class _SweepAxis(NamedTuple):
     meta."""
 
     points: Callable[[ScenarioConfig, GridSpec], list[dict[str, Any]]]
-    batch: Callable[[ScenarioConfig, list[tuple]], list[dict[str, Any]] | _Failure]
+    batch: Callable[[ScenarioConfig, list[tuple]], list[dict[str, Any]]]
     stats: Callable[[ScenarioConfig, GridSpec, list[dict]], dict[str, Any]]
     meta: Callable[[ScenarioConfig], dict[str, Any]] = lambda cfg: {}
 
@@ -1601,11 +1564,12 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     With w = min(workers, trials, usable CPUs) of 2 or more, this process
     runs every w-th trial and w - 1 children it starts run the rest; the
     rows are put back in task order, so the report does not depend on w.
-    A failing sweep raises the exception of its lowest failing task, the
-    one a serial run of the trials one by one raises, whatever w. The
-    trials run with NumPy's BLAS capped at one thread, in this process and
-    so in every child it forks, and the caller's thread count is restored
-    when the sweep returns or raises.
+    When a batch raises, its trials are re-run one at a time to find the
+    first that fails, so a failing sweep raises the exception of its lowest
+    failing task, the one a serial run of the trials one by one raises,
+    whatever w. The trials run with NumPy's BLAS capped at one thread, in
+    this process and so in every child it forks, and the caller's thread
+    count is restored when the sweep returns or raises.
     """
     cfg = cfg.validate()
     if axis not in SWEEP_AXES:

@@ -85,10 +85,6 @@ class SliceSpectrum:
             raise ValueError("grids differ")
         return SliceSpectrum(self.values + other.values, self.grid)
 
-    def active_slices(self, atol: float = 0.0) -> SliceSupport:
-        mask = np.abs(self.values) > atol
-        return SliceSupport(np.flatnonzero(mask.any(axis=1)))
-
 
 def slices_from_dense(dense: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Gather the slice stack from a dense global spectrum."""

@@ -318,16 +318,22 @@ def test_radar_command_never_imports_scipy(tmp_path):
 
 
 def test_cli_never_imports_multiprocessing(tmp_path):
-    """Only a sweep that starts children imports multiprocessing."""
-    proc = run_python(
-        "-c",
-        "import sys, specx.cli\n"
-        f"code = specx.cli.main(['radar', '--config', 'desk', '--out', {str(tmp_path)!r}])\n"
-        "print(code, sorted(m for m in sys.modules\n"
-        "                   if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    """Only a sweep that starts children imports multiprocessing: neither a
+    single-shot command nor a serial sweep does."""
+    for argv in (
+        ["radar", "--config", "desk"],
+        ["sweep", "--config", "desk", "--axis", "band_placement", "--trials", "1",
+         "--workers", "1"],
+    ):
+        proc = run_python(
+            "-c",
+            "import sys, specx.cli\n"
+            f"code = specx.cli.main({argv + ['--out', str(tmp_path)]!r})\n"
+            "print(code, sorted(m for m in sys.modules\n"
+            "                   if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []", argv
 
 
 def test_noncentral_threshold_imports_scipy_when_used():

@@ -379,7 +379,7 @@ def test_sweep_caps_blas_threads_and_restores_them(desk, monkeypatch):
         monkeypatch.setattr(pipeline, "_draw_snr", failing_draw)
         with pytest.raises(RuntimeError, match="trial failed"):
             sweep(cfg, "snr", workers=1)
-        assert seen == [1]
+        assert seen == [1, 1]  # the batch, then its first trial on its own
         assert get() == 2
     finally:
         set_(saved)
@@ -518,7 +518,9 @@ def test_sweep_empties_point_setups(desk, monkeypatch):
     monkeypatch.setattr(pipeline, "_trial_band", failing_trial)
     with pytest.raises(RuntimeError, match="trial failed"):
         sweep(cfg, "band_placement", workers=1)
-    assert held == [2]  # the point's setup and the frame of its bands
+    # the point's setup and the frame of its bands, in the batch and when
+    # its first trial re-runs on its own
+    assert held == [2, 2]
     assert pipeline._POINT_SETUPS == {}
 
 
@@ -678,7 +680,10 @@ def test_sweep_points_span_batches_like_one_by_one_trials(desk):
 
 
 # trial -> the step at which it fails: its draw, a pursuit or a readout; with
-# two processes the calling one runs the even trials and its child the odd ones
+# two processes the calling one runs the even trials and its child the odd ones.
+# The point has max(8, last failing trial + 1) trials, so in the last two
+# layouts (67 trials) a failing trial lies in a later batch of its share: the
+# second or third of three at one process, the second of two at two
 @pytest.mark.parametrize(
     "failing",
     [
@@ -689,6 +694,8 @@ def test_sweep_points_span_batches_like_one_by_one_trials(desk):
         {3: "pursuit"},
         {4: "readout", 6: "pursuit"},
         {3: "pursuit", 2: "readout"},
+        {66: "draw"},
+        {40: "pursuit", 65: "readout"},
     ],
 )
 @pytest.mark.parametrize("workers", [1, 2])
@@ -719,7 +726,7 @@ def test_sensing_sweep_raises_the_first_failing_task(desk, two_cpus, monkeypatch
     monkeypatch.setattr(pipeline, "_draw_snr", failing_draw)
     monkeypatch.setattr(pipeline, "omp_pks_batch", failing_pursuit)
     monkeypatch.setattr(pipeline, "_comm_support", failing_readout)
-    cfg = small_sweep(desk, snr_db=(10.0,), n_trials=8)
+    cfg = small_sweep(desk, snr_db=(10.0,), n_trials=max(8, max(failing) + 1))
     first = min(failing)
     with pytest.raises(RuntimeError, match=f"^{failing[first]} {first}$"):
         sweep(cfg, "snr", workers=workers)
