@@ -43,9 +43,10 @@ from .radar import (
     DetectionList,
     MinRequirements,
     delay_to_range_m,
-    doppler_focus,
+    doppler_focus_batch,
+    focus_weights,
     focused_noise_var,
-    focused_omp,
+    focused_omp_batch,
     glrt_threshold,
     hit_or_miss,
     make_kappa,
@@ -76,7 +77,7 @@ from .signals import (
     draw_radar_emission,
     gen_comm_slices,
     radar_emission,
-    radar_fourier_coeffs,
+    radar_fourier_coeffs_batch,
 )
 
 __all__ = [
@@ -597,22 +598,38 @@ def _rmse_range_m(dets: DetectionList, scene: TargetScene, pri: float) -> float 
 
 class _RadarFrame(NamedTuple):
     """What a radar pass fixes once its baseband bands f_r are chosen: the
-    waveform on f_r, its coefficient indices and partial Fourier frame."""
+    waveform on f_r, its coefficient indices kappa (k_c centered), the
+    transmitted spectrum h on them, the slow-time signs and per-coefficient
+    scales of Doppler focusing, the partial Fourier frame f_kappa and its
+    adjoint f_adj, and the pulse train. Every array is read-only: the
+    trials on these bands share it."""
 
     f_r: FrequencySet
     waveform: RadarWaveformSpec
     kappa: KappaSet
+    k_c: np.ndarray
+    h: np.ndarray
+    signs: np.ndarray
+    scale: np.ndarray
     f_kappa: np.ndarray
+    f_adj: np.ndarray
+    train: PulseTrainSpec
 
 
 def _radar_frame(r: RadarConfig, f_r: FrequencySet) -> _RadarFrame:
     """The noise-independent part of a radar pass over baseband bands f_r."""
     n_bins = r.n_delay_bins
+    train = r.train()
     waveform = design_radar_waveform(_flat_base(n_bins), r.b_h, f_r, r.p_t)
     kappa = make_kappa(f_r, r.b_h, n_bins)
+    h = waveform.values_on(kappa)
     f_kappa = partial_fourier(kappa)
-    f_kappa.flags.writeable = False  # shared by every trial on these bands
-    return _RadarFrame(f_r, waveform, kappa, f_kappa)
+    # a transposed view, so a back-projection sees the strides it always has
+    f_adj = f_kappa.conj().T
+    arrays = (kappa.centered(), h, *focus_weights(h, train), f_kappa, f_adj)
+    for a in arrays:
+        a.flags.writeable = False
+    return _RadarFrame(f_r, waveform, kappa, *arrays, train)
 
 
 class _RadarSetup(NamedTuple):
@@ -640,29 +657,42 @@ def _radar_setup(r: RadarConfig, frame: _RadarFrame, noise_var: float) -> _Radar
     return _RadarSetup(frame, noise_var, fvar, gamma)
 
 
-def _radar_trial(
-    cfg: ScenarioConfig, setup: _RadarSetup, scene: TargetScene, seed: int
-) -> dict[str, Any]:
-    """One radar transmit/receive/recover pass of scene under setup."""
+def _radar_trials(
+    cfg: ScenarioConfig, setup: _RadarSetup, scenes: Sequence[TargetScene],
+    seeds: Sequence[int],
+) -> list[dict[str, Any]]:
+    """Radar transmit/receive/recover passes of scenes under setup, scene b's
+    coefficient noise drawn from seeds[b]: one coefficient synthesis, one
+    Doppler focus and one first back-projection for the stack, then each
+    scene's own greedy pursuit and scoring. Each pass does the float
+    operations it does alone, so its row does not depend on the others."""
     r = cfg.radar
-    train = r.train()
     frame = setup.frame
-    coeffs = radar_fourier_coeffs(
-        scene, frame.waveform, train, frame.kappa, setup.noise_var, seed
+    # no name holds the coefficients, so they are freed once focused
+    psi = doppler_focus_batch(
+        radar_fourier_coeffs_batch(
+            scenes, frame.h, frame.k_c, frame.train, setup.noise_var, seeds
+        ),
+        frame.signs, frame.scale,
     )
-    focused = doppler_focus(coeffs, frame.waveform, frame.kappa, train)
     max_iter = r.max_detections or max(8, 2 * cfg.scene.n_targets)
-    dets = focused_omp(focused, frame.f_kappa, setup.gamma, setup.fvar, max_iter)
-    hit_rate, _ = hit_or_miss(dets, scene, r.b_h, train)
-    return {
-        "hit_rate": hit_rate,
-        "n_detections": len(dets),
-        "truncated": dets.truncated,
-        "detections": _detections_payload(dets),
-        "rmse_range_m": _rmse_range_m(dets, scene, r.pri),
-        "kappa_size": frame.kappa.k,
-        "occupancy_ratio": frame.f_r.measure() / r.b_h,
-    }
+    found = focused_omp_batch(
+        psi, frame.f_kappa, setup.gamma, setup.fvar, max_iter,
+        f_adj=frame.f_adj, doppler_grid=frame.train.doppler_grid(), pri=r.pri,
+    )
+    rows = []
+    for dets, scene in zip(found, scenes):
+        hit_rate, _ = hit_or_miss(dets, scene, r.b_h, frame.train)
+        rows.append({
+            "hit_rate": hit_rate,
+            "n_detections": len(dets),
+            "truncated": dets.truncated,
+            "detections": _detections_payload(dets),
+            "rmse_range_m": _rmse_range_m(dets, scene, r.pri),
+            "kappa_size": frame.kappa.k,
+            "occupancy_ratio": frame.f_r.measure() / r.b_h,
+        })
+    return rows
 
 
 def _require_feasible(cfg: ScenarioConfig) -> MinRequirements:
@@ -893,7 +923,7 @@ def run_specx(cfg: ScenarioConfig) -> RunReport:
         _, f_r = select_bands(rem, f_c_base, cfg.radar.n_bands)
         band_selections += 1
         setup = _radar_setup(cfg.radar, _radar_frame(cfg.radar, f_r), cfg.radar.noise_var)
-        radar = _radar_trial(cfg, setup, scene, _child_seed(cfg.seed, "radar", it))
+        radar = _radar_trials(cfg, setup, [scene], [_child_seed(cfg.seed, "radar", it)])[0]
         emission = radar_emission(setup.frame.waveform, cfg.radar.carrier, grid, cfg.radar.p_t)
         s_r = radar_slice_support(f_r.shifted(cfg.radar.carrier), grid)
         kappa_size = radar["kappa_size"]
@@ -982,7 +1012,7 @@ def run_radar(cfg: ScenarioConfig) -> RunReport:
     _, f_r = select_bands(rem, f_c_base, cfg.radar.n_bands)
     scene = _draw_scene(cfg, derive_rng(cfg.seed, "scene"))
     setup = _radar_setup(cfg.radar, _radar_frame(cfg.radar, f_r), cfg.radar.noise_var)
-    radar = _radar_trial(cfg, setup, scene, _child_seed(cfg.seed, "radar", 0))
+    radar = _radar_trials(cfg, setup, [scene], [_child_seed(cfg.seed, "radar", 0)])[0]
     rows = []
     for i, det in enumerate(radar["detections"]):
         delay, doppler, re, im, stat = det
@@ -1189,23 +1219,11 @@ def _band_setup(r: RadarConfig, occupancy: float, layout: str, snr_db: float) ->
     return _radar_setup(r, _per_point(_radar_frame, r, f_r), noise_var)
 
 
-def _trial_band(cfg: ScenarioConfig, task: tuple) -> dict[str, Any]:
-    layout, snr_db, point_idx, trial = task
-    setup = _per_point(_band_setup, cfg.radar, cfg.sweep.occupancy, layout, snr_db)
+def _draw_band(cfg: ScenarioConfig, task: tuple) -> tuple[TargetScene, int]:
+    """A band-placement trial's scene and the seed of its coefficient noise."""
+    _, _, point_idx, trial = task
     scene = _draw_scene(cfg, derive_rng(cfg.seed, "band-scene", point_idx, trial))
-    radar = _radar_trial(
-        cfg, setup, scene, _child_seed(cfg.seed, "band-radar", point_idx, trial)
-    )
-    return {
-        "band_layout": layout,
-        "snr_db": snr_db,
-        "trial": trial,
-        "hit_rate": radar["hit_rate"],
-        "n_detections": radar["n_detections"],
-        "truncated": radar["truncated"],
-        "rmse_range_m": radar["rmse_range_m"],
-        "kappa_size": radar["kappa_size"],
-    }
+    return scene, _child_seed(cfg.seed, "band-radar", point_idx, trial)
 
 
 def _draw_channels(cfg: ScenarioConfig, task: tuple) -> _Drawn:
@@ -1263,8 +1281,33 @@ def _batch_channels(cfg: ScenarioConfig, tasks: list[tuple]) -> list[dict[str, A
 
 
 def _batch_band(cfg: ScenarioConfig, tasks: list[tuple]) -> list[dict[str, Any]]:
-    """Band-placement trials one by one, each through _trial_band."""
-    return [_trial_band(cfg, task) for task in tasks]
+    """Rows of same-point band-placement trials.
+
+    The point's setup is looked up first; then each trial's scene and noise
+    seed are drawn in task order (_draw_band), and the trials run as one
+    stack through _radar_trials: one coefficient synthesis, one Doppler
+    focus and one first back-projection, then a pursuit per trial. Every
+    stacked step does each trial's float operations on the operands, and
+    with the strides, a lone trial has, so the rows are those of the
+    trials run one by one. Any failure raises; _run_share pins it on its
+    trial.
+    """
+    layout, snr_db, _, _ = tasks[0]
+    setup = _per_point(_band_setup, cfg.radar, cfg.sweep.occupancy, layout, snr_db)
+    scenes, seeds = zip(*(_draw_band(cfg, task) for task in tasks))
+    return [
+        {
+            "band_layout": layout,
+            "snr_db": snr_db,
+            "trial": task[-1],
+            "hit_rate": radar["hit_rate"],
+            "n_detections": radar["n_detections"],
+            "truncated": radar["truncated"],
+            "rmse_range_m": radar["rmse_range_m"],
+            "kappa_size": radar["kappa_size"],
+        }
+        for task, radar in zip(tasks, _radar_trials(cfg, setup, scenes, seeds))
+    ]
 
 
 def _mean(rows: list[dict[str, Any]], key: str) -> float:
@@ -1549,17 +1592,21 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     slices once per sweep, selected against an empty comm map, because the
     comm carriers are drawn clear of the radar band and the REM span, so a
     trial only draws the emission. For band_placement:
-    the waveform, kappa and partial Fourier frame once per band set, so once
-    per layout however many SNRs share it; the focused noise variance and
-    GLRT threshold once per point.
+    the waveform, kappa, partial Fourier frame and what Doppler focusing
+    and the pursuit take from them once per band set, so once per layout
+    however many SNRs share it; the focused noise variance and GLRT
+    threshold once per point.
 
     Each process runs its trials of a point in batches of at most
     _MAX_BATCH (32). An snr or channels batch draws its trials one by one
     in task order (comm layout, radar emission, channel samples, frame),
     runs each pursuit once for the whole batch through omp_pks_batch, and
-    reads the supports out per trial in task order. Every trial does the
-    float operations it does on its own, so the rows do not depend on the
-    batching. band_placement trials run one by one.
+    reads the supports out per trial in task order. A band_placement batch
+    draws its trials' scenes and noise seeds in task order, synthesizes,
+    focuses and back-projects their coefficients as one stack, and runs
+    each trial's pursuit from its slice (_radar_trials). Every trial does
+    the float operations it does on its own, on operands with the same
+    strides, so the rows do not depend on the batching.
 
     With w = min(workers, trials, usable CPUs) of 2 or more, this process
     runs every w-th trial and w - 1 children it starts run the rest; the

@@ -27,9 +27,12 @@ __all__ = [
     "make_kappa",
     "partial_fourier",
     "doppler_focus",
+    "doppler_focus_batch",
+    "focus_weights",
     "focused_noise_var",
     "glrt_threshold",
     "focused_omp",
+    "focused_omp_batch",
     "min_requirements",
     "hit_or_miss",
     "delay_to_range_m",
@@ -102,19 +105,42 @@ def doppler_focus(
     Column q holds Psi_nu[k] = pri / (P H[k]) * sum_p c_p[k] e^{2j pi nu_q p pri}
     for nu_q = -1/(2 pri) + q/(P pri); the sum over pulses is one inverse FFT
     along slow time after the half-band modulation by (-1)^p. For an on-grid
-    unit target the focused value at its cell equals its amplitude.
+    unit target the focused value at its cell equals its amplitude. This is
+    the one-map call of doppler_focus_batch.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     p = train.n_pulses
     if coeffs.shape != (kappa.k, p):
         raise ValueError(f"coeffs must be ({kappa.k}, {p})")
-    h = waveform.values_at(kappa.centered())
-    if np.any(h == 0):
-        raise ValueError("spectrum is zero on a retained coefficient")
-    signs = np.where(np.arange(p) % 2 == 0, 1.0, -1.0)
-    summed = p * np.fft.ifft(coeffs * signs[None, :], axis=1)
-    psi = (train.pri / (p * h))[:, None] * summed
+    signs, scale = focus_weights(waveform.values_on(kappa), train)
+    psi = doppler_focus_batch(coeffs[None], signs, scale)[0]
     return FocusedMatrix(psi=psi, doppler_grid=train.doppler_grid(), pri=train.pri)
+
+
+def focus_weights(h: np.ndarray, train: PulseTrainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The slow-time signs (-1)^p and per-coefficient scales pri / (P H[k])
+    of Doppler focusing, for the transmitted spectrum h on the retained
+    coefficients."""
+    p = train.n_pulses
+    signs = np.where(np.arange(p) % 2 == 0, 1.0, -1.0)
+    return signs, train.pri / (p * h)
+
+
+def doppler_focus_batch(
+    coeffs: np.ndarray, signs: np.ndarray, scale: np.ndarray
+) -> np.ndarray:
+    """The focused maps of a (B, K, P) stack of coefficient sets on one
+    coefficient set, as a (B, K, P) stack; signs and scale come from
+    focus_weights. One slow-time inverse FFT serves the stack, and it
+    transforms each row on its own, so each slice holds the bits of
+    doppler_focus on that slice. Every step after the modulation works in
+    place, keeping the operand order of scale * (P * ifft(coeffs * signs)),
+    so the stack costs one array beyond coeffs."""
+    p = coeffs.shape[-1]
+    psi = coeffs * signs
+    np.fft.ifft(psi, axis=-1, out=psi)
+    np.multiply(p, psi, out=psi)
+    return np.multiply(scale[:, None], psi, out=psi)
 
 
 def focused_noise_var(
@@ -234,106 +260,138 @@ def focused_omp(
     forming the full product on every step.
 
     Returns the detections flagged truncated when max_iter was exhausted with
-    the stopping rule still unsatisfied.
+    the stopping rule still unsatisfied. This is the one-map call of
+    focused_omp_batch.
     """
-    psi = focused.psi
-    k_count, p_count = psi.shape
+    return focused_omp_batch(
+        focused.psi[None], f_kappa, gamma, noise_var, max_iter,
+        f_adj=f_kappa.conj().T, doppler_grid=focused.doppler_grid, pri=focused.pri,
+    )[0]
+
+
+def focused_omp_batch(
+    psi: np.ndarray,
+    f_kappa: np.ndarray,
+    gamma: float,
+    noise_var: float,
+    max_iter: int,
+    *,
+    f_adj: np.ndarray,
+    doppler_grid: np.ndarray,
+    pri: float,
+) -> list[DetectionList]:
+    """focused_omp on each (K, P) map of a (B, K, P) stack focused on one
+    frame f_kappa, whose adjoint f_adj is f_kappa.conj().T, with the maps'
+    Doppler grid and pri.
+
+    The first back-projection is one stacked matmul, f_adj @ psi[b] for
+    every b at once, with the same operands and strides as a lone call's
+    product, so each slice holds that product's bits. Each map then runs
+    its own greedy loop from its slice and that slice's magnitudes: its own
+    argmax, ceilings, refreshes, refits and stopping rule, and its own
+    early return when it is zero.
+    """
+    b_count, k_count, p_count = psi.shape
     if f_kappa.shape[0] != k_count:
         raise ValueError("f_kappa row count must match psi")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     n_delay = f_kappa.shape[1]
     atom_energy = float(np.sum(np.abs(f_kappa[:, 0]) ** 2))
-    psi_norm = np.linalg.norm(psi)
-    if psi_norm == 0:
-        return DetectionList(detections=())
 
-    f_adj = f_kappa.conj().T
-    selected: list[tuple[int, int]] = []
-    col_atoms: dict[int, list[int]] = {}
-    amplitudes: dict[tuple[int, int], complex] = {}
-    trace: list[float] = []
-    resid = psi.copy()
-    truncated = False
-    corr = f_adj @ resid
-    mag = np.abs(corr)
-    # Doppler column -> ceiling on the magnitudes the full product would give
-    # it, for each column refit since corr was last formed in full
-    ceilings: dict[int, float] = {}
+    def pursue(psi: np.ndarray, corr: np.ndarray) -> DetectionList:
+        """The greedy loop on one map, from its back-projection corr."""
+        psi_norm = np.linalg.norm(psi)
+        if psi_norm == 0:
+            return DetectionList(detections=())
+        mag = np.abs(corr)
 
-    while True:
-        if noise_var <= 0 and np.linalg.norm(resid) <= 1e-10 * psi_norm:
-            break
-        flat = int(np.argmax(mag))
-        r_idx, q_idx = divmod(flat, p_count)
-        if ceilings and (q_idx in ceilings or max(ceilings.values()) >= mag[r_idx, q_idx]):
-            # a refit column could hold, or tie, the full product's maximum
-            corr = f_adj @ resid
-            mag = np.abs(corr)
-            ceilings.clear()
+        selected: list[tuple[int, int]] = []
+        col_atoms: dict[int, list[int]] = {}
+        amplitudes: dict[tuple[int, int], complex] = {}
+        trace: list[float] = []
+        resid = psi.copy()
+        truncated = False
+        # Doppler column -> ceiling on the magnitudes the full product would give it,
+        # for each column refit since corr was last formed in full
+        ceilings: dict[int, float] = {}
+
+        while True:
+            if noise_var <= 0 and np.linalg.norm(resid) <= 1e-10 * psi_norm:
+                break
             flat = int(np.argmax(mag))
             r_idx, q_idx = divmod(flat, p_count)
-        # a column of a full product depends only on that column of resid, so
-        # the columns outside ceilings hold the bits a full product would give
-        # now; the pick, its tie-break and its statistic are then all its own
-        if noise_var > 0:
-            stat = float(
-                np.abs(corr[r_idx, q_idx]) ** 2 / ((noise_var / 2.0) * atom_energy)
-            )
-            trace.append(stat)
-            if stat <= gamma:
+            if ceilings and (
+                q_idx in ceilings or max(ceilings.values()) >= mag[r_idx, q_idx]
+            ):
+                # a refit column could hold, or tie, the full product's maximum
+                corr = f_adj @ resid
+                mag = np.abs(corr)
+                ceilings.clear()
+                flat = int(np.argmax(mag))
+                r_idx, q_idx = divmod(flat, p_count)
+            # a column of a full product depends only on that column of resid, so the
+            # columns outside ceilings hold the bits a full product would give now; the
+            # pick, its tie-break and its statistic are then all its own
+            if noise_var > 0:
+                stat = float(
+                    np.abs(corr[r_idx, q_idx]) ** 2 / ((noise_var / 2.0) * atom_energy)
+                )
+                trace.append(stat)
+                if stat <= gamma:
+                    break
+            if (r_idx, q_idx) in amplitudes:
+                # residual cannot improve on a repeated cell; numerical dead end
                 break
-        if (r_idx, q_idx) in amplitudes:
-            # residual cannot improve on a repeated cell; numerical dead end
-            break
-        if len(selected) >= max_iter:
-            truncated = True
-            break
-        selected.append((r_idx, q_idx))
-        rows = col_atoms.setdefault(q_idx, [])
-        rows.append(r_idx)
+            if len(selected) >= max_iter:
+                truncated = True
+                break
+            selected.append((r_idx, q_idx))
+            rows = col_atoms.setdefault(q_idx, [])
+            rows.append(r_idx)
 
-        # the joint refit decouples per Doppler column, and only column q_idx
-        # gained an atom; every other column's fit is unchanged
-        sub = f_kappa[:, rows]
-        sol, *_ = np.linalg.lstsq(sub, psi[:, q_idx], rcond=None)
-        col = psi[:, q_idx] - sub @ sol
-        resid[:, q_idx] = col
-        for r, val in zip(rows, sol):
-            amplitudes[(r, q_idx)] = complex(val)
+            # the joint refit decouples per Doppler column, and only column q_idx gained
+            # an atom; every other column's fit is unchanged
+            sub = f_kappa[:, rows]
+            sol, *_ = np.linalg.lstsq(sub, psi[:, q_idx], rcond=None)
+            col = psi[:, q_idx] - sub @ sol
+            resid[:, q_idx] = col
+            for r, val in zip(rows, sol):
+                amplitudes[(r, q_idx)] = complex(val)
 
-        # Ceiling on column q_idx of abs(f_adj @ resid) from the column alone.
-        # Each part of a complex K-term dot product is a real sum of 2K
-        # products, so any summation order, blocked or fused, is within
-        # gamma_2K * sum_k |f[k]| |r[k]| <= ~K eps * sum_k |r[k]| per part
-        # (unit-modulus f, gamma_n = n (eps/2) / (1 - n eps/2)) and within
-        # sqrt(2) times that in modulus; two evaluations are within twice
-        # that, under 3 K eps * sum|r|. 16 (K + 4) eps * sum|r| covers it, and
-        # the rounding of the sum and of this ceiling, with a wide margin.
-        # np.abs is within an ulp or two of the true modulus, so the full
-        # product's magnitude is at most this column's (1 + 4 eps) times,
-        # plus that slack.
-        mag[:, q_idx] = np.abs(f_adj @ col)
-        ceilings[q_idx] = float(np.max(mag[:, q_idx])) * _ABS_SLACK + (
-            _DOT_SLACK * (k_count + 4) * float(np.sum(np.abs(col)))
+            # Ceiling on column q_idx of abs(f_adj @ resid) from the column alone. Each
+            # part of a complex K-term dot product is a real sum of 2K products, so any
+            # summation order, blocked or fused, is within gamma_2K * sum_k |f[k]|
+            # |r[k]| <= ~K eps * sum_k |r[k]| per part (unit-modulus f, gamma_n = n
+            # (eps/2) / (1 - n eps/2)) and within sqrt(2) times that in modulus; two
+            # evaluations are within twice that, under 3 K eps * sum|r|. 16 (K + 4) eps
+            # * sum|r| covers it, and the rounding of the sum and of this ceiling, with
+            # a wide margin. np.abs is within an ulp or two of the true modulus, so the
+            # full product's magnitude is at most this column's (1 + 4 eps) times, plus
+            # that slack.
+            mag[:, q_idx] = np.abs(f_adj @ col)
+            ceilings[q_idx] = float(np.max(mag[:, q_idx])) * _ABS_SLACK + (
+                _DOT_SLACK * (k_count + 4) * float(np.sum(np.abs(col)))
+            )
+
+        detections = tuple(
+            Detection(
+                delay=pri * r / n_delay,
+                doppler=float(doppler_grid[q]),
+                amplitude=amplitudes[(r, q)],
+                statistic=trace[i] if i < len(trace) else math.inf,
+                delay_bin=r,
+                doppler_bin=q,
+            )
+            for i, (r, q) in enumerate(selected)
+        )
+        return DetectionList(
+            detections=detections,
+            truncated=truncated,
+            gamma_trace=tuple(trace),
         )
 
-    detections = tuple(
-        Detection(
-            delay=focused.pri * r / n_delay,
-            doppler=float(focused.doppler_grid[q]),
-            amplitude=amplitudes[(r, q)],
-            statistic=trace[i] if i < len(trace) else math.inf,
-            delay_bin=r,
-            doppler_bin=q,
-        )
-        for i, (r, q) in enumerate(selected)
-    )
-    return DetectionList(
-        detections=detections,
-        truncated=truncated,
-        gamma_trace=tuple(trace),
-    )
+    return [pursue(*maps) for maps in zip(psi, f_adj[None] @ psi)]
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ __all__ = [
     "comm_occupancy",
     "design_radar_waveform",
     "radar_fourier_coeffs",
+    "radar_fourier_coeffs_batch",
     "radar_slices",
     "RadarEmission",
     "radar_emission",
@@ -283,6 +284,14 @@ class RadarWaveformSpec:
         """Transmitted spectrum at centered coefficient indices."""
         return self.spectrum[np.asarray(k_centered) + self.n_bins // 2]
 
+    def values_on(self, kappa: KappaSet) -> np.ndarray:
+        """Transmitted spectrum on kappa's coefficients, which must all be
+        nonzero there: the receiver divides by it."""
+        h = self.values_at(kappa.centered())
+        if np.any(h == 0):
+            raise ValueError("kappa includes coefficients where the spectrum is zero")
+        return h
+
 
 def design_radar_waveform(
     base_spectrum: np.ndarray,
@@ -386,7 +395,8 @@ def radar_fourier_coeffs(
     Entry (k, p) = (1/pri) H[k] sum_l alpha_l exp(-2j pi k tau_l / pri)
     * exp(-2j pi nu_l p pri) plus white complex Gaussian noise of variance
     noise_var. Doppler is in cycles/s. H is the transmitted spectrum, which
-    must be nonzero on every requested coefficient.
+    must be nonzero on every requested coefficient. This is the one-scene
+    call of radar_fourier_coeffs_batch.
     """
     if not isinstance(kappa, KappaSet):
         raise TypeError("kappa must be a KappaSet")
@@ -398,23 +408,53 @@ def radar_fourier_coeffs(
         )
     if n != waveform.n_bins:
         raise ValueError("kappa grid size must match waveform resolution")
-    scene.validate_against(train)
+    h = waveform.values_on(kappa)
+    return radar_fourier_coeffs_batch(
+        [scene], h, kappa.centered(), train, noise_var, [seed]
+    )[0]
 
-    k_c = kappa.centered()
-    h = waveform.values_at(k_c)
-    if np.any(h == 0):
-        raise ValueError("kappa includes coefficients where the spectrum is zero")
 
+def radar_fourier_coeffs_batch(
+    scenes: Sequence[TargetScene],
+    h: np.ndarray,
+    k_c: np.ndarray,
+    train: PulseTrainSpec,
+    noise_var: float,
+    seeds: Sequence[int],
+) -> np.ndarray:
+    """radar_fourier_coeffs of several scenes on one coefficient set, as a
+    (B, K, n_pulses) stack; k_c holds the centered coefficient indices, h
+    the transmitted spectrum on them, and scene b's noise is drawn from
+    seeds[b]. The scenes must hold equally many targets.
+
+    The noiseless stack takes one exp per phase factor, one stacked matmul
+    and one in-place product; every entry of those is the float operation
+    a lone scene's call does on the same operands, in the same order, so
+    each slice holds that call's bits.
+    """
+    for scene in scenes:
+        scene.validate_against(train)
+    delays = np.stack([scene.delays for scene in scenes])
+    dopplers = np.stack([scene.dopplers for scene in scenes])
+    amplitudes = np.stack([scene.amplitudes for scene in scenes])
     p = np.arange(train.n_pulses)
-    delay_phase = np.exp(-2j * math.pi * np.outer(k_c, scene.delays) / train.pri)
-    dopp_phase = np.exp(-2j * math.pi * np.outer(scene.dopplers, p) * train.pri)
-    coeffs = (h / train.pri)[:, None] * ((delay_phase * scene.amplitudes) @ dopp_phase)
+    delay_phase = np.exp(
+        -2j * math.pi * (k_c[None, :, None] * delays[:, None, :]) / train.pri
+    )
+    dopp_phase = np.exp(
+        -2j * math.pi * (dopplers[:, :, None] * p[None, None, :]) * train.pri
+    )
+    coeffs = (delay_phase * amplitudes[:, None, :]) @ dopp_phase
+    np.multiply((h / train.pri)[:, None], coeffs, out=coeffs)
 
     if noise_var > 0:
-        rng = derive_rng(seed, "coeffs")
-        coeffs = coeffs + math.sqrt(noise_var / 2.0) * (
-            rng.standard_normal(coeffs.shape) + 1j * rng.standard_normal(coeffs.shape)
-        )
+        scale = math.sqrt(noise_var / 2.0)
+        shape = coeffs.shape[1:]
+        for b, seed in enumerate(seeds):
+            rng = derive_rng(seed, "coeffs")
+            coeffs[b] += scale * (
+                rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            )
     return coeffs
 
 

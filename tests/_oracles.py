@@ -12,7 +12,10 @@ rebuilt the dense-grid geometry and the radar variance profile on every
 call. omp_pks as it ran on one frame at a time, the sensing sweeps' trials
 as they ran one by one on it, and derive_rng as it seeded from a list of
 ints are the exact references for the batched pursuit, the batched sweep
-points and the word-seeded derive_rng.
+points and the word-seeded derive_rng. The radar coefficient synthesis,
+Doppler focus and focused_omp as they ran on one scene at a time, and the
+band-placement trials as they ran one by one on them, are the exact
+references for the stacked radar passes.
 """
 
 import numpy as np
@@ -562,6 +565,150 @@ def trial_channels(cfg, task):
         "trial": trial,
         "pd_pks": _index_ratio(comm, s_c_true),
         "exact_pks": list(comm) == list(s_c_true),
+    }
+
+
+def radar_fourier_coeffs_one_scene(scene, waveform, train, kappa, noise_var, seed):
+    """radar_fourier_coeffs as it ran on one scene, frame checks left out."""
+    import math
+
+    from specx.rng import derive_rng
+
+    scene.validate_against(train)
+    k_c = kappa.centered()
+    h = waveform.values_at(k_c)
+    p = np.arange(train.n_pulses)
+    delay_phase = np.exp(-2j * math.pi * np.outer(k_c, scene.delays) / train.pri)
+    dopp_phase = np.exp(-2j * math.pi * np.outer(scene.dopplers, p) * train.pri)
+    coeffs = (h / train.pri)[:, None] * ((delay_phase * scene.amplitudes) @ dopp_phase)
+    if noise_var > 0:
+        rng = derive_rng(seed, "coeffs")
+        coeffs = coeffs + math.sqrt(noise_var / 2.0) * (
+            rng.standard_normal(coeffs.shape) + 1j * rng.standard_normal(coeffs.shape)
+        )
+    return coeffs
+
+
+def doppler_focus_one_map(coeffs, waveform, kappa, train):
+    """doppler_focus as it ran on one coefficient map."""
+    from specx.radar import FocusedMatrix
+
+    p = train.n_pulses
+    h = waveform.values_at(kappa.centered())
+    signs = np.where(np.arange(p) % 2 == 0, 1.0, -1.0)
+    summed = p * np.fft.ifft(coeffs * signs[None, :], axis=1)
+    psi = (train.pri / (p * h))[:, None] * summed
+    return FocusedMatrix(psi=psi, doppler_grid=train.doppler_grid(), pri=train.pri)
+
+
+def focused_omp_one_map(focused, f_kappa, gamma, noise_var, max_iter):
+    """focused_omp as it ran on one map: its own full back-projection, the
+    adjoint formed per call."""
+    import math
+
+    from specx.radar import _ABS_SLACK, _DOT_SLACK, Detection, DetectionList
+
+    psi = focused.psi
+    k_count, p_count = psi.shape
+    n_delay = f_kappa.shape[1]
+    atom_energy = float(np.sum(np.abs(f_kappa[:, 0]) ** 2))
+    psi_norm = np.linalg.norm(psi)
+    if psi_norm == 0:
+        return DetectionList(detections=())
+
+    f_adj = f_kappa.conj().T
+    selected = []
+    col_atoms = {}
+    amplitudes = {}
+    trace = []
+    resid = psi.copy()
+    truncated = False
+    corr = f_adj @ resid
+    mag = np.abs(corr)
+    ceilings = {}
+
+    while True:
+        if noise_var <= 0 and np.linalg.norm(resid) <= 1e-10 * psi_norm:
+            break
+        flat = int(np.argmax(mag))
+        r_idx, q_idx = divmod(flat, p_count)
+        if ceilings and (q_idx in ceilings or max(ceilings.values()) >= mag[r_idx, q_idx]):
+            corr = f_adj @ resid
+            mag = np.abs(corr)
+            ceilings.clear()
+            flat = int(np.argmax(mag))
+            r_idx, q_idx = divmod(flat, p_count)
+        if noise_var > 0:
+            stat = float(
+                np.abs(corr[r_idx, q_idx]) ** 2 / ((noise_var / 2.0) * atom_energy)
+            )
+            trace.append(stat)
+            if stat <= gamma:
+                break
+        if (r_idx, q_idx) in amplitudes:
+            break
+        if len(selected) >= max_iter:
+            truncated = True
+            break
+        selected.append((r_idx, q_idx))
+        rows = col_atoms.setdefault(q_idx, [])
+        rows.append(r_idx)
+        sub = f_kappa[:, rows]
+        sol, *_ = np.linalg.lstsq(sub, psi[:, q_idx], rcond=None)
+        col = psi[:, q_idx] - sub @ sol
+        resid[:, q_idx] = col
+        for r, val in zip(rows, sol):
+            amplitudes[(r, q_idx)] = complex(val)
+        mag[:, q_idx] = np.abs(f_adj @ col)
+        ceilings[q_idx] = float(np.max(mag[:, q_idx])) * _ABS_SLACK + (
+            _DOT_SLACK * (k_count + 4) * float(np.sum(np.abs(col)))
+        )
+
+    detections = tuple(
+        Detection(
+            delay=focused.pri * r / n_delay,
+            doppler=float(focused.doppler_grid[q]),
+            amplitude=amplitudes[(r, q)],
+            statistic=trace[i] if i < len(trace) else math.inf,
+            delay_bin=r,
+            doppler_bin=q,
+        )
+        for i, (r, q) in enumerate(selected)
+    )
+    return DetectionList(detections=detections, truncated=truncated, gamma_trace=tuple(trace))
+
+
+def trial_band(cfg, task):
+    """One band-placement trial as it ran on its own, on the one-scene
+    coefficients, focus and pursuit."""
+    from specx import hit_or_miss
+    from specx.pipeline import (
+        _band_setup, _child_seed, _draw_scene, _per_point, _rmse_range_m, derive_rng,
+    )
+
+    layout, snr_db, point_idx, trial = task
+    r = cfg.radar
+    train = r.train()
+    setup = _per_point(_band_setup, r, cfg.sweep.occupancy, layout, snr_db)
+    frame = setup.frame
+    scene = _draw_scene(cfg, derive_rng(cfg.seed, "band-scene", point_idx, trial))
+    seed = _child_seed(cfg.seed, "band-radar", point_idx, trial)
+    coeffs = radar_fourier_coeffs_one_scene(
+        scene, frame.waveform, train, frame.kappa, setup.noise_var, seed
+    )
+    focused = doppler_focus_one_map(coeffs, frame.waveform, frame.kappa, train)
+    max_iter = r.max_detections or max(8, 2 * cfg.scene.n_targets)
+    dets = focused_omp_one_map(focused, frame.f_kappa, setup.gamma, setup.fvar, max_iter)
+    hit_rate, _ = hit_or_miss(dets, scene, r.b_h, train)
+    return {
+        "band_layout": layout,
+        "snr_db": snr_db,
+        "trial": trial,
+        "hit_rate": hit_rate,
+        "n_detections": len(dets),
+        "truncated": dets.truncated,
+        "rmse_range_m": _rmse_range_m(dets, scene, r.pri),
+        "kappa_size": frame.kappa.k,
     }
 
 

@@ -20,7 +20,7 @@ from specx import pipeline
 
 # the subprocess imports the same specx as the tests, installed or not
 SRC = str(Path(specx.__file__).resolve().parents[1])
-_REAL_TRIAL_BAND = pipeline._trial_band
+_REAL_DRAW_BAND = pipeline._draw_band
 
 
 def run_python(*args, cwd=None):
@@ -279,11 +279,11 @@ def test_few_channels_suffice_without_radar_slices(tmp_path, command):
     assert run_doc(tmp_path, doc, command).returncode == 0
 
 
-def _dying_trial(cfg, task):
-    """Kills a child that runs it; the calling process runs the real trial."""
+def _dying_draw(cfg, task):
+    """Kills a child that runs it; the calling process draws the real trial."""
     if multiprocessing.parent_process() is not None:
         os._exit(1)
-    return _REAL_TRIAL_BAND(cfg, task)
+    return _REAL_DRAW_BAND(cfg, task)
 
 
 def test_dead_sweep_worker_exits_3(tmp_path, monkeypatch, capsys):
@@ -291,7 +291,7 @@ def test_dead_sweep_worker_exits_3(tmp_path, monkeypatch, capsys):
 
     monkeypatch.delenv("SPECX_WORKERS", raising=False)  # the sweep must not run serially
     monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(pipeline, "_trial_band", _dying_trial)
+    monkeypatch.setattr(pipeline, "_draw_band", _dying_draw)
     code = cli.main([
         "sweep", "--config", "desk", "--axis", "band_placement", "--trials", "2",
         "--workers", "2", "--out", str(tmp_path),
@@ -419,3 +419,94 @@ def test_cli_survives_one_bad_field(case):
     if code:
         assert len(lines) == 1, lines
         assert lines[0].startswith("error:" if code == 2 else ("error:", "infeasible:"))
+
+
+# report columns that hold a rate or a share, each in [0, 1] when set
+RATE_COLUMNS = {
+    "hit_rate", "final_hit_rate", "pd_omp", "pd_pks", "exact_rate_omp", "exact_rate_pks",
+    "exact_rate", "occupancy_ratio", "final_occupancy_ratio", "rate_ratio",
+}
+EDGE_COMMANDS = [
+    ("sense",), ("select-bands",), ("radar",), ("specx",),
+    *(("sweep", "--axis", axis, "--trials", "2", "--workers", "1")
+      for axis in ("snr", "band_placement", "channels")),
+]
+
+
+@st.composite
+def edge_desk(draw):
+    """Desk with several fields at once set to values at the edge of their
+    range: comm bands from 1.02 bins to a slice wide, with carriers at
+    either Nyquist edge, at 0 Hz, on the radar carrier or anywhere; 0 to 3
+    transmissions per phase; 1 to 18 radar bands, occupancy 0.01 to 1, 0 to
+    6 targets, noise from 0 to 1e6 and zeros in the REM."""
+    doc = desk_doc()
+    grid, radar = doc["grid"], doc["radar"]
+    half_nyq = grid["f_nyq"] / 2.0
+
+    def transmission():
+        bandwidth = draw(st.sampled_from([1.02 * grid["f_s"] / grid["n_grid"], 4e6, grid["f_p"]]))
+        reach = half_nyq - bandwidth / 2.0
+        carrier = draw(st.sampled_from([-reach, reach, 0.0, radar["carrier"], None]))
+        if carrier is None:
+            carrier = draw(st.floats(-reach, reach))
+        return {
+            "carrier": carrier,
+            "bandwidth": bandwidth,
+            "power": draw(st.sampled_from([1e-3, 1.0, 1e3])),
+            "shape": draw(st.sampled_from(["flat", "raised-cosine"])),
+        }
+
+    comm = doc["comm"]
+    comm["transmissions"] = [transmission() for _ in range(draw(st.integers(0, 3)))]
+    comm["phase2_transmissions"] = draw(st.sampled_from([None, "draw"]))
+    if comm["phase2_transmissions"]:
+        comm["phase2_transmissions"] = [transmission() for _ in range(draw(st.integers(0, 3)))]
+    comm["noise_psd"] = draw(st.sampled_from([0.0, 4e-11, 1e-3, 1e6]))
+    radar["n_bands"] = draw(st.integers(1, len(doc["rem"]["energies"])))
+    radar["noise_var"] = draw(st.sampled_from([0.0, 3.0, 1e6]))
+    doc["scene"]["n_targets"] = draw(st.integers(0, 6))
+    doc["sweep"]["occupancy"] = draw(st.sampled_from([0.01, 0.2, 0.5, 1.0]))
+    for i in draw(st.sets(st.integers(0, len(doc["rem"]["energies"]) - 1), max_size=6)):
+        doc["rem"]["energies"][i] = 0.0
+    return doc
+
+
+@pytest.mark.parametrize("command", EDGE_COMMANDS, ids=lambda c: c[0] if len(c) == 1 else c[2])
+@settings(max_examples=6, derandomize=True, deadline=None, database=None)
+@given(doc=edge_desk())
+def test_cli_edge_configs_run_correctly_or_exit_in_one_line(command, doc):
+    """Several desk fields at edge values, 6 configs per command: the CLI
+    either exits 2 or 3 with one message line, or writes reports whose radar
+    bands miss the sensed comm map, whose rates lie in [0, 1], and whose
+    true comm support is not empty when its phase has transmissions."""
+    from specx import cli
+
+    with tempfile.TemporaryDirectory() as out:
+        config = Path(out) / "scenario.json"
+        config.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([*command, "--config", str(config), "--out", out, "--format", "json"])
+        reports = [
+            json.loads(path.read_text())
+            for path in sorted(Path(out).glob("*.json"))
+            if path.name != "scenario.json"
+        ]
+    lines = err.getvalue().strip().splitlines()
+    assert code in (0, 2, 3), command
+    if code:
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error:" if code == 2 else ("error:", "infeasible:"))
+        return
+    assert reports
+    phases = {1: doc["comm"]["transmissions"], 2: doc["comm"]["phase2_transmissions"]}
+    for report in reports:
+        for value in (report["meta"].get(c) for c in RATE_COLUMNS):
+            assert value is None or 0.0 <= value <= 1.0
+        for row in (dict(zip(report["columns"], r)) for r in report["rows"]):
+            for value in (row.get(c) for c in RATE_COLUMNS):
+                assert value is None or 0.0 <= value <= 1.0, row
+            assert row.get("f_r_fc_disjoint") in (None, True), row
+            if "f_c_true" in row and phases[row.get("phase", 1)]:
+                assert row["f_c_true"], row

@@ -507,19 +507,19 @@ def test_sweep_empties_point_setups(desk, monkeypatch):
     sweep(cfg, "band_placement", workers=1)
     assert pipeline._POINT_SETUPS == {}
 
-    trial_band = pipeline._trial_band
+    draw_band = pipeline._draw_band
     held = []
 
-    def failing_trial(cfg, task):
-        trial_band(cfg, task)
+    def failing_draw(cfg, task):
+        draw_band(cfg, task)
         held.append(len(pipeline._POINT_SETUPS))
         raise RuntimeError("trial failed")
 
-    monkeypatch.setattr(pipeline, "_trial_band", failing_trial)
+    monkeypatch.setattr(pipeline, "_draw_band", failing_draw)
     with pytest.raises(RuntimeError, match="trial failed"):
         sweep(cfg, "band_placement", workers=1)
-    # the point's setup and the frame of its bands, in the batch and when
-    # its first trial re-runs on its own
+    # the point's setup and the frame of its bands, looked up before the
+    # draws, in the batch and when its first trial re-runs on its own
     assert held == [2, 2]
     assert pipeline._POINT_SETUPS == {}
 
@@ -561,15 +561,15 @@ def test_sweep_without_clear_carrier_is_infeasible(desk, two_cpus, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_parallel_sweep_raises_the_first_failing_task(desk, two_cpus, monkeypatch,
                                                       failing, workers):
-    trial_band = pipeline._trial_band
+    draw_band = pipeline._draw_band
 
-    def failing_trial(cfg, task):
+    def failing_draw(cfg, task):
         index = 2 * task[-2] + task[-1]  # point and trial: 2 trials per point
         if index in failing:
             raise RuntimeError(failing[index])
-        return trial_band(cfg, task)
+        return draw_band(cfg, task)
 
-    monkeypatch.setattr(pipeline, "_trial_band", failing_trial)
+    monkeypatch.setattr(pipeline, "_draw_band", failing_draw)
     cfg = small_sweep(desk, band_layouts=("separated", "adjacent"), band_snr_db=(-18.0,),
                       n_trials=2)
     with pytest.raises(RuntimeError, match=f"^{failing[min(failing)]}$"):
@@ -579,12 +579,12 @@ def test_parallel_sweep_raises_the_first_failing_task(desk, two_cpus, monkeypatc
 
 
 def test_interrupt_terminates_children_at_once(desk, two_cpus, monkeypatch):
-    def trial(cfg, task):
+    def draw(cfg, task):
         if multiprocessing.parent_process() is None:
             raise KeyboardInterrupt
         time.sleep(60)  # the child's share would outlast the test
 
-    monkeypatch.setattr(pipeline, "_trial_band", trial)
+    monkeypatch.setattr(pipeline, "_draw_band", draw)
     cfg = small_sweep(desk, band_layouts=("separated",), band_snr_db=(-18.0,), n_trials=2)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
@@ -599,14 +599,14 @@ class _Unpicklable(Exception):
 
 
 def test_child_failure_that_does_not_pickle(desk, two_cpus, monkeypatch):
-    trial_band = pipeline._trial_band
+    draw_band = pipeline._draw_band
 
-    def failing_trial(cfg, task):
+    def failing_draw(cfg, task):
         if task[-1]:  # trial 1, run by the child
             raise _Unpicklable("trial failed", "task")
-        return trial_band(cfg, task)
+        return draw_band(cfg, task)
 
-    monkeypatch.setattr(pipeline, "_trial_band", failing_trial)
+    monkeypatch.setattr(pipeline, "_draw_band", failing_draw)
     cfg = small_sweep(desk, band_layouts=("separated",), band_snr_db=(-18.0,), n_trials=2)
     with pytest.raises(RuntimeError, match=r"^_Unpicklable\('trial failed at task'\)$"):
         sweep(cfg, "band_placement", workers=2)
@@ -659,6 +659,54 @@ def test_batched_sensing_rows_equal_one_by_one_oracle(preset, axis, monkeypatch)
             mixed.append(len(set(ranks)) > 1)
     if (preset, axis) == ("desk", "snr"):
         assert any(mixed)
+
+
+# band-placement configs: the preset, one that truncates every pursuit with a
+# target left, and one with no targets, whose trials all score 1
+_BAND_VARIANTS = {
+    "preset": lambda cfg: cfg,
+    "truncating": lambda cfg: dataclasses.replace(
+        cfg, radar=dataclasses.replace(cfg.radar, max_detections=1)
+    ),
+    "no-targets": lambda cfg: dataclasses.replace(
+        cfg, scene=dataclasses.replace(cfg.scene, n_targets=0)
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", list(_BAND_VARIANTS))
+@pytest.mark.parametrize("preset", ["desk", "paper_sw"])
+def test_batched_band_rows_equal_one_by_one_oracle(preset, variant):
+    """A batch of 1, 2, 7 or _MAX_BATCH band-placement trials gives the rows
+    the trials give one by one on the one-scene synthesis, focus and
+    pursuit. Each seed takes another layout, at the top, middle and bottom
+    SNR in turn, so trials stop after different numbers of detections."""
+    from _oracles import trial_band
+
+    base = _BAND_VARIANTS[variant](load_config(preset))
+    snrs = base.sweep.band_snr_db
+    counts, truncated = set(), False
+    for i, seed in enumerate((base.seed, 1, 2)):
+        cfg = dataclasses.replace(base, seed=seed)
+        layout = cfg.sweep.band_layouts[i % len(cfg.sweep.band_layouts)]
+        j = (len(snrs) - 1) * (2 - i) // 2
+        point = i * len(snrs) + j
+        for size in (1, 2, 7, pipeline._MAX_BATCH):
+            tasks = [(layout, snrs[j], point, t) for t in range(size)]
+            try:
+                got = pipeline._batch_band(cfg, tasks)
+                want = [trial_band(cfg, task) for task in tasks]
+            finally:
+                pipeline._POINT_SETUPS.clear()
+            assert got == want
+            counts |= {row["n_detections"] for row in got}
+            truncated |= any(row["truncated"] for row in got)
+    if variant == "truncating":
+        assert truncated and counts <= {0, 1}
+    elif variant == "no-targets":
+        assert not truncated
+    else:
+        assert len(counts) > 1
 
 
 def test_sweep_points_span_batches_like_one_by_one_trials(desk):

@@ -14,6 +14,7 @@ from _oracles import focus_direct, focused_omp_refit_all  # noqa: E402
 
 import specx.freqs  # noqa: E402
 import specx.radar  # noqa: E402
+from specx.radar import focused_omp_batch  # noqa: E402
 
 from specx import (  # noqa: E402
     Detection,
@@ -315,6 +316,78 @@ def test_focused_omp_matches_refit_all_oracle(seed, noise_var):
             columns = [d.doppler_bin for d in got]
             shared_column |= len(set(columns)) < len(columns)
             truncated |= got.truncated
+    assert shared_column and truncated
+
+
+@pytest.mark.parametrize("noise_var", [0.0, 0.5])
+@pytest.mark.parametrize("seed", range(4))
+def test_focused_omp_batch_matches_refit_all_oracle(seed, noise_var):
+    """Each map of a stack gets the detections the refit-all oracle gives it
+    alone, bit for bit. The stack holds an all-zero map between non-zero
+    ones, which returns no detections without a step; a map whose loud
+    columns 0 and 1 are equal, so its first pick ties exactly with a cell
+    of column 1, which the tie-break leaves for the second; maps with one loud
+    column and with a refit column tying an untouched one, which force full
+    products again; and noisy focused scenes."""
+    rng = np.random.default_rng(100 + seed)
+    bands = FULL if seed % 2 else FrequencySet([(-B_H / 2, -B_H / 2 + 12 * B_H / N)])
+    wave, train, kappa = setup(bands)
+    f_kappa = partial_fourier(kappa)
+    shape = (kappa.k, 8)
+
+    def noise():
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    twin = noise()
+    twin[:, 0] *= 6.0
+    twin[:, 1] = twin[:, 0]
+    loud = noise() * np.where(np.arange(8) == seed, 6.0, 1.0)
+    tied = 0.1 * noise()
+    atom = f_kappa[:, [int(rng.integers(N))]]
+    tied[:, 0] = 40.0 * atom[:, 0] + noise()[:, 0]
+    tied[:, 1] = tied[:, 0] - atom @ np.linalg.lstsq(atom, tied[:, 0], rcond=None)[0]
+    scenes = [
+        on_grid_scene(
+            train, rng.choice(N, 4, replace=False), [2, 2, 5, int(rng.integers(8))],
+            rng.normal(size=4) + 1j * rng.normal(size=4),
+        )
+        for _ in range(3)
+    ]
+    focused = [
+        doppler_focus(
+            radar_fourier_coeffs(sc, wave, train, kappa, noise_var=noise_var, seed=i),
+            wave, kappa, train,
+        ).psi
+        for i, sc in enumerate(scenes)
+    ]
+    maps = [focused[0], twin, loud, np.zeros(shape, complex), tied, *focused[1:], noise()]
+    stack = np.stack(maps)
+    if noise_var > 0:
+        fvar = focused_noise_var(noise_var, wave, kappa, train)
+        gamma = glrt_threshold(0.01, N * 8)
+    else:
+        fvar = gamma = 0.0
+    shared_column = truncated = False
+    for max_iter in (1, 3, 40):
+        got = focused_omp_batch(
+            stack, f_kappa, gamma, fvar, max_iter,
+            f_adj=f_kappa.conj().T, doppler_grid=train.doppler_grid(), pri=PRI,
+        )
+        want = [
+            focused_omp_refit_all(
+                FocusedMatrix(psi=m, doppler_grid=train.doppler_grid(), pri=PRI),
+                f_kappa, gamma, fvar, max_iter,
+            )
+            for m in maps
+        ]
+        assert got == want
+        assert got[3] == DetectionList(detections=())
+        if max_iter > 1:
+            assert [d.doppler_bin for d in got[1]][:2] == [0, 1]
+        for dets in got:
+            columns = [d.doppler_bin for d in dets]
+            shared_column |= len(set(columns)) < len(columns)
+            truncated |= dets.truncated
     assert shared_column and truncated
 
 
