@@ -58,10 +58,12 @@ from .report import RunReport
 from .rng import derive_rng
 from .sensing import (
     FrameMatrix,
+    SliceEstimate,
     build_frame,
     omp_pks_batch,
     radar_slice_support,
     recover_slices,
+    refine_support_by_energy,
     sense_spectrum,
     support_to_freqs,
 )
@@ -248,7 +250,9 @@ class CommConfig:
     true ones. prune_db sets the pipeline's model-order selection: recovered
     slices whose energy falls more than prune_db below the strongest comm
     slice are discarded before anything downstream sees the support. None
-    disables pruning (adequate only for noise-free scenarios).
+    disables pruning (adequate only for noise-free scenarios). refine_db
+    then narrows the single-shot runs' comm map to the bins of the pruned
+    slices within refine_db of their peak, mirrored about 0 Hz.
     """
 
     transmissions: tuple[CommTransmissionSpec, ...]
@@ -786,26 +790,25 @@ def _report(
     )
 
 
-def _prune_support(
-    estimate, support: SliceSupport, grid: GridSpec, prune_db: float | None
-) -> SliceSupport:
-    """Drop recovered slices whose energy trails the strongest by > prune_db.
-
-    The greedy recovery spends its full budget, so under noise the raw
-    support carries spurious low-energy slices; this is the pipeline's model
-    order selection. The result is re-symmetrized so mirror slices survive
-    together.
-    """
-    if prune_db is None or len(support) == 0:
+def _strong_slices(x: np.ndarray, support: SliceSupport, db: float) -> SliceSupport:
+    """The slices of support whose energy in the slice stack x is at least
+    the strongest one's less db decibels."""
+    if not support:
         return support
-    energies = np.sum(np.abs(estimate.x_hat) ** 2, axis=1)
+    energies = np.sum(np.abs(x) ** 2, axis=1)
     rows = support.to_array()
-    ref = float(energies[rows].max())
-    if ref <= 0.0:
-        return support
-    cutoff = ref * 10.0 ** (-prune_db / 10.0)
-    kept = SliceSupport(int(i) for i in rows if energies[i] >= cutoff)
-    return kept.symmetrized(grid.n_slices)
+    floor = float(energies[rows].max()) * 10.0 ** (-db / 10.0)
+    return SliceSupport(int(i) for i in rows if energies[i] >= floor)
+
+
+def _comm_support(est: SliceEstimate, s_r: SliceSupport, prune_db: float | None) -> SliceSupport:
+    """The comm slices of the greedy support est was refit on: less the
+    radar slices s_r, pruned to those within prune_db of the strongest (the
+    model-order selection; None keeps all), and symmetrized."""
+    comm = est.support.difference(s_r)
+    if prune_db is not None:
+        comm = _strong_slices(est.x_hat, comm, prune_db)
+    return comm.symmetrized(est.grid.n_slices)
 
 
 def _medium(
@@ -837,24 +840,21 @@ def _sense_once(
     """Sense the _medium of single-shot iteration it, the radar emission on
     the air unless it is None, seeding recovery with the radar slices s_r.
 
-    Returns the raw sensing result plus the pipeline's operational view:
-    the pruned comm slice support and the frequency set used for masking
-    (sub-slice refined when configured, slice-granular otherwise).
+    Returns the sensing result plus the pipeline's operational view: the
+    comm slices (_comm_support) and the frequency set used for masking,
+    slice-granular or, with comm.refine_db, refined on them and mirrored.
     """
     _, x, f_c_true, s_c_true = _medium(
         cfg, grid, specs, cfg.comm.noise_psd, "", (it,), emission
     )
     z = xample(x, a)
-    result = sense_spectrum(
-        z, a, grid, s_r=s_r,
-        n_sig_cap=cfg.comm.n_sig_effective,
-        refine_db=cfg.comm.refine_db,
-    )
-    s_c_hat = _prune_support(result.estimate, result.comm_support, grid, cfg.comm.prune_db)
-    if cfg.comm.refine_db is not None:
-        f_c_op = result.f_c
-    else:
+    result = sense_spectrum(z, a, grid, s_r=s_r, n_sig_cap=cfg.comm.n_sig_effective)
+    s_c_hat = _comm_support(result.estimate, s_r, cfg.comm.prune_db)
+    if cfg.comm.refine_db is None:
         f_c_op = support_to_freqs(s_c_hat, grid)
+    else:
+        f_c = refine_support_by_energy(result.estimate, s_c_hat, grid, cfg.comm.refine_db)
+        f_c_op = f_c.union(f_c.mirrored())
     return result, s_c_hat, f_c_op, f_c_true, s_c_true
 
 
@@ -1140,17 +1140,6 @@ def _comm_trial(
     return comm_x, x, s_c_true, s_r
 
 
-def _comm_support(
-    cfg: ScenarioConfig, grid: GridSpec, z: ChannelSamples, a: SensingMatrix,
-    sup: SliceSupport, s_r: SliceSupport,
-) -> SliceSupport:
-    """Comm slices of a greedy support: refit on it, drop the radar slices,
-    prune, and re-symmetrize."""
-    est = recover_slices(z, a, sup)
-    comm = _prune_support(est, sup.difference(s_r), grid, cfg.comm.prune_db)
-    return comm.symmetrized(grid.n_slices)
-
-
 class _Drawn(NamedTuple):
     """A sensing-sweep trial up to its pursuits: the front end a, the
     channel samples z and their frame, the radar slices s_r, the comm
@@ -1182,10 +1171,7 @@ def _draw_snr(cfg: ScenarioConfig, task: tuple) -> _Drawn:
         # relative floor as the readout prune, with a 3 dB guard band so
         # knife-edge slices (a carrier sliver straddling a slice boundary)
         # cannot flip the outcome; without a prune there is no floor
-        energies = np.sum(np.abs(comm_x.values) ** 2, axis=1)
-        strongest = max(energies[i] for i in s_c_true)
-        floor = strongest * 10.0 ** (-max(cfg.comm.prune_db - 3.0, 0.0) / 10.0)
-        s_c_true = SliceSupport([i for i in s_c_true if energies[i] >= floor])
+        s_c_true = _strong_slices(comm_x.values, s_c_true, max(cfg.comm.prune_db - 3.0, 0.0))
 
     # the radar-aware pursuit, then the radar-unaware one: that receiver
     # budgets sparsity for the comm signals only, so the radar emission
@@ -1258,16 +1244,18 @@ def _sensing_batch(
     Each trial is drawn (comm layout, radar emission, channel samples and
     frame) in task order; then each of its pursuits runs once for all the
     trials through omp_pks_batch (they share their point, so their front
-    end); then, per trial in task order, each pursuit's support is read out
-    as comm slices (_comm_support) and the row is built. Any failure
-    raises; _run_share pins it on its trial.
+    end); then, per trial in task order, each pursuit's support is refit
+    (recover_slices) and read out as comm slices (_comm_support), and the
+    row is built. Any failure raises; _run_share pins it on its trial.
     """
     drawn = [draw(cfg, task) for task in tasks]
     frames, a = [d.frame for d in drawn], drawn[0].a
     found = [omp_pks_batch(frames, a, s_r, k_extra) for s_r, k_extra in drawn[0].pursuits]
-    grid = _per_point(GridConfig.to_grid, cfg.grid)
     return [
-        row(task, d, [_comm_support(cfg, grid, d.z, d.a, sups[i], d.s_r) for sups in found])
+        row(task, d, [
+            _comm_support(recover_slices(d.z, d.a, sups[i]), d.s_r, cfg.comm.prune_db)
+            for sups in found
+        ])
         for i, (task, d) in enumerate(zip(tasks, drawn))
     ]
 
@@ -1601,7 +1589,8 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     _MAX_BATCH (32). An snr or channels batch draws its trials one by one
     in task order (comm layout, radar emission, channel samples, frame),
     runs each pursuit once for the whole batch through omp_pks_batch, and
-    reads the supports out per trial in task order. A band_placement batch
+    reads each support out per trial in task order as a single-shot run
+    does (_comm_support on the refit). A band_placement batch
     draws its trials' scenes and noise seeds in task order, synthesizes,
     focuses and back-projects their coefficients as one stack, and runs
     each trial's pursuit from its slice (_radar_trials). Every trial does

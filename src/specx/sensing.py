@@ -372,7 +372,9 @@ def refine_support_by_energy(
 
 @dataclass(frozen=True)
 class SensingResult:
-    """Outcome of one sensing pass."""
+    """Outcome of one sensing pass: the raw greedy support, radar slices
+    included, and the refit on it; comm_support is support less the radar
+    slices, symmetrized, and f_c its frequency content."""
 
     support: SliceSupport
     comm_support: SliceSupport
@@ -390,18 +392,19 @@ def sense_spectrum(
     refine_db: float | None = None,
 ) -> SensingResult:
     """Full sensing pass: frame, support recovery seeded with the radar
-    slices, symmetrization, slice reconstruction, and carrier readout.
+    slices, slice reconstruction on the raw greedy support, then the comm
+    slices (the support less s_r, symmetrized) and their carrier readout.
 
     Each of the n_sig_cap transmissions can occupy up to four slices (two
     spectral sides, possible boundary straddling), which sets the greedy
     budget. The frame and the pursuit use their fixed tolerances (1e-6 of
-    the largest eigenvalue, 1e-6 of ||V||).
+    the largest eigenvalue, 1e-6 of ||V||). A mirror slice the pursuit
+    did not pick has a zero row in the estimate.
     """
     frame = build_frame(z)
     support = omp_pks(frame, a, s_r, k_extra=4 * n_sig_cap)
-    support = support.symmetrized(grid.n_slices)
     est = recover_slices(z, a, support)
-    comm = support.difference(s_r)
+    comm = support.difference(s_r).symmetrized(grid.n_slices)
     if refine_db is None:
         f_c = support_to_freqs(comm, grid)
     else:

@@ -15,12 +15,28 @@ ints are the exact references for the batched pursuit, the batched sweep
 points and the word-seeded derive_rng. The radar coefficient synthesis,
 Doppler focus and focused_omp as they ran on one scene at a time, and the
 band-placement trials as they ran one by one on them, are the exact
-references for the stacked radar passes.
+references for the stacked radar passes. off_slices measures a sensed
+frequency map against its slice support by plain interval arithmetic.
 """
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+
+
+def off_slices(f_c_pairs, support, grid):
+    """Measure in Hz of the frequency map f_c_pairs ([[lo, hi], ...]) that
+    lies outside the slices in support, each slice f_p wide about its
+    center and widened by half a grid bin on either side: a sub-slice bin
+    reaches half a bin past its slice's lower edge."""
+    from specx import FrequencySet
+
+    half = grid.f_p / 2.0 + grid.delta_f / 2.0
+    slices = FrequencySet(
+        (grid.slice_center(i) - half, grid.slice_center(i) + half) for i in support
+    )
+    f_c = FrequencySet(f_c_pairs)
+    return f_c.measure() - f_c.intersection(slices).measure()
 
 
 def mixed_channel_spectrum(x, seqs, grid):
@@ -506,7 +522,7 @@ def somp_one_frame(v, a, max_sparsity):
 
 def trial_snr(cfg, task):
     """One snr-sweep trial as it ran on its own, on the one-frame pursuits."""
-    from specx import SliceSupport, build_frame, xample
+    from specx import SliceSupport, build_frame, recover_slices, xample
     from specx.pipeline import (
         GridConfig, _child_seed, _comm_support, _comm_trial, _index_ratio, _per_point,
         _sensing_matrix,
@@ -529,9 +545,9 @@ def trial_snr(cfg, task):
     n_sig = cfg.comm.n_sig_effective
     frame = build_frame(z)
     pks = omp_pks_one_frame(frame, a, s_r, 4 * n_sig)
-    pks_comm = _comm_support(cfg, grid, z, a, pks, s_r)
+    pks_comm = _comm_support(recover_slices(z, a, pks), s_r, cfg.comm.prune_db)
     omp = somp_one_frame(frame, a, min(4 * n_sig, a.n))
-    omp_comm = _comm_support(cfg, grid, z, a, omp, s_r)
+    omp_comm = _comm_support(recover_slices(z, a, omp), s_r, cfg.comm.prune_db)
     return {
         "snr_db": snr_db,
         "trial": trial,
@@ -545,7 +561,7 @@ def trial_snr(cfg, task):
 
 def trial_channels(cfg, task):
     """One channels-sweep trial as it ran on its own, on the one-frame pursuit."""
-    from specx import build_frame, xample
+    from specx import build_frame, recover_slices, xample
     from specx.pipeline import (
         GridConfig, _child_seed, _comm_support, _comm_trial, _index_ratio, _per_point,
         _sensing_matrix,
@@ -559,7 +575,7 @@ def trial_channels(cfg, task):
     noise_var = p_sig * 10.0 ** (-cfg.sweep.channels_snr_db / 10.0)
     z = xample(x, a, noise_var, _child_seed(cfg.seed, "chan-noise", point_idx, trial))
     sup = omp_pks_one_frame(build_frame(z), a, s_r, 4 * cfg.comm.n_sig_effective)
-    comm = _comm_support(cfg, grid, z, a, sup, s_r)
+    comm = _comm_support(recover_slices(z, a, sup), s_r, cfg.comm.prune_db)
     return {
         "n_channels": m,
         "trial": trial,

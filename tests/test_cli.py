@@ -438,8 +438,9 @@ def edge_desk(draw):
     """Desk with several fields at once set to values at the edge of their
     range: comm bands from 1.02 bins to a slice wide, with carriers at
     either Nyquist edge, at 0 Hz, on the radar carrier or anywhere; 0 to 3
-    transmissions per phase; 1 to 18 radar bands, occupancy 0.01 to 1, 0 to
-    6 targets, noise from 0 to 1e6 and zeros in the REM."""
+    transmissions per phase; no sub-slice refinement or one at 3 or 30 dB;
+    1 to 18 radar bands, occupancy 0.01 to 1, 0 to 6 targets, noise from 0
+    to 1e6 and zeros in the REM."""
     doc = desk_doc()
     grid, radar = doc["grid"], doc["radar"]
     half_nyq = grid["f_nyq"] / 2.0
@@ -463,6 +464,7 @@ def edge_desk(draw):
     if comm["phase2_transmissions"]:
         comm["phase2_transmissions"] = [transmission() for _ in range(draw(st.integers(0, 3)))]
     comm["noise_psd"] = draw(st.sampled_from([0.0, 4e-11, 1e-3, 1e6]))
+    comm["refine_db"] = draw(st.sampled_from([None, 3.0, 30.0]))
     radar["n_bands"] = draw(st.integers(1, len(doc["rem"]["energies"])))
     radar["noise_var"] = draw(st.sampled_from([0.0, 3.0, 1e6]))
     doc["scene"]["n_targets"] = draw(st.integers(0, 6))
@@ -478,9 +480,13 @@ def edge_desk(draw):
 def test_cli_edge_configs_run_correctly_or_exit_in_one_line(command, doc):
     """Several desk fields at edge values, 6 configs per command: the CLI
     either exits 2 or 3 with one message line, or writes reports whose radar
-    bands miss the sensed comm map, whose rates lie in [0, 1], and whose
-    true comm support is not empty when its phase has transmissions."""
+    bands miss the sensed comm map, whose sensed comm map stays on its comm
+    slices, whose rates lie in [0, 1], and whose true comm support is not
+    empty when its phase has transmissions."""
+    from _oracles import off_slices
+
     from specx import cli
+    from specx.pipeline import GridConfig
 
     with tempfile.TemporaryDirectory() as out:
         config = Path(out) / "scenario.json"
@@ -501,6 +507,7 @@ def test_cli_edge_configs_run_correctly_or_exit_in_one_line(command, doc):
         return
     assert reports
     phases = {1: doc["comm"]["transmissions"], 2: doc["comm"]["phase2_transmissions"]}
+    grid = GridConfig(**doc["grid"]).to_grid()
     for report in reports:
         for value in (report["meta"].get(c) for c in RATE_COLUMNS):
             assert value is None or 0.0 <= value <= 1.0
@@ -508,5 +515,8 @@ def test_cli_edge_configs_run_correctly_or_exit_in_one_line(command, doc):
             for value in (row.get(c) for c in RATE_COLUMNS):
                 assert value is None or 0.0 <= value <= 1.0, row
             assert row.get("f_r_fc_disjoint") in (None, True), row
+            if "comm_support_est" in row:
+                off = off_slices(row["f_c_est"], row["comm_support_est"], grid)
+                assert off <= 1e-6 * grid.delta_f, row
             if "f_c_true" in row and phases[row.get("phase", 1)]:
                 assert row["f_c_true"], row

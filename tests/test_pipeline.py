@@ -11,6 +11,7 @@ import pytest
 
 from specx import (
     ConfigError,
+    FrequencySet,
     InfeasibleError,
     ScenarioConfig,
     available_presets,
@@ -299,6 +300,26 @@ def test_single_stage_runners(desk, tmp_path):
 
     paths = emit_report(sense, tmp_path)
     assert len(paths) == 5
+
+
+@pytest.mark.parametrize("refine_db", [3.0, 30.0])
+@pytest.mark.parametrize("preset", ["desk", "paper_sw"])
+def test_refined_comm_map_stays_on_the_pruned_slices(preset, refine_db):
+    """With comm.refine_db the loop's comm map is the sub-slice refinement
+    of the pruned comm slices, mirrored: no bin of a pruned slice reaches
+    the map, which is symmetric about 0 Hz and misses the radar bands."""
+    from _oracles import off_slices
+
+    base = load_config(preset)
+    grid = base.grid.to_grid()
+    comm = dataclasses.replace(base.comm, refine_db=refine_db)
+    for seed in range(6):
+        report = run_specx(dataclasses.replace(base, seed=seed, comm=comm))
+        for row in report.trials:
+            f_c = FrequencySet(row["f_c_est"])
+            assert off_slices(row["f_c_est"], row["comm_support_est"], grid) <= 1e-6 * grid.delta_f
+            assert f_c == f_c.mirrored(), (seed, row["iteration"])
+            assert row["f_r_fc_disjoint"] in (None, True)
 
 
 # -- sweeps ---------------------------------------------------------------------
@@ -749,8 +770,9 @@ def test_sweep_points_span_batches_like_one_by_one_trials(desk):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sensing_sweep_raises_the_first_failing_task(desk, two_cpus, monkeypatch,
                                                      failing, workers):
-    draw, pursue, readout = pipeline._draw_snr, pipeline.omp_pks_batch, pipeline._comm_support
-    trial_of = {}  # id of a drawn frame or sample set -> its trial
+    draw, pursue = pipeline._draw_snr, pipeline.omp_pks_batch
+    refit, readout = pipeline.recover_slices, pipeline._comm_support
+    trial_of = {}  # id of a drawn frame, sample set or refit -> its trial
 
     def failing_draw(cfg, task):
         trial = task[-1]
@@ -766,13 +788,19 @@ def test_sensing_sweep_raises_the_first_failing_task(desk, two_cpus, monkeypatch
                 raise RuntimeError(f"pursuit {trial_of[id(frame)]}")
         return pursue(frames, a, s_r, k_extra)
 
-    def failing_readout(cfg, grid, z, a, sup, s_r):
-        if failing.get(trial_of[id(z)]) == "readout":
-            raise RuntimeError(f"readout {trial_of[id(z)]}")
-        return readout(cfg, grid, z, a, sup, s_r)
+    def traced_refit(z, a, sup):
+        est = refit(z, a, sup)
+        trial_of[id(est)] = trial_of[id(z)]
+        return est
+
+    def failing_readout(est, s_r, prune_db):
+        if failing.get(trial_of[id(est)]) == "readout":
+            raise RuntimeError(f"readout {trial_of[id(est)]}")
+        return readout(est, s_r, prune_db)
 
     monkeypatch.setattr(pipeline, "_draw_snr", failing_draw)
     monkeypatch.setattr(pipeline, "omp_pks_batch", failing_pursuit)
+    monkeypatch.setattr(pipeline, "recover_slices", traced_refit)
     monkeypatch.setattr(pipeline, "_comm_support", failing_readout)
     cfg = small_sweep(desk, snr_db=(10.0,), n_trials=max(8, max(failing) + 1))
     first = min(failing)

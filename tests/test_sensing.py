@@ -120,8 +120,8 @@ def test_recover_slices_reconstructs_on_support():
 
 
 def test_recover_slices_minimum_norm_when_support_exceeds_channels():
-    # a fat support is legitimate after symmetrization; the fit must still
-    # reproduce the observations
+    # a greedy support may outgrow the channel count (its budget is not
+    # capped at m); the fit must still reproduce the observations
     a, x, z, _, s_c = observe(TX, m=6)
     wide = s_c.union(SliceSupport(range(8)))
     assert len(wide) > a.m
@@ -163,6 +163,26 @@ def test_sense_spectrum_end_to_end_noiseless():
     assert result.support == s_c.union(radar)
     assert result.f_c.contains_array(np.array([tx.carrier for tx in TX])).all()
     assert 1 <= result.frame_rank <= a.m
+    assert result.estimate.support == result.support
+
+
+def test_sense_spectrum_refits_on_the_raw_greedy_support():
+    """Under noise the greedy budget pads the support with unpaired
+    slices; the estimate is refit on that raw support, and only the comm
+    slices are symmetrized."""
+    radar = SliceSupport([3]).symmetrized(GRID.n_slices)
+    a = bank(12)
+    x, _, s_c = gen_comm_slices(TX, GRID, seed=21)
+    p_sig = float(np.mean(np.abs(xample(x, a).z) ** 2))
+    z = xample(x, a, noise_var=p_sig / 100.0, seed=0)
+    result = sense_spectrum(z, a, GRID, s_r=radar, n_sig_cap=2)
+    raw = omp_pks(build_frame(z), a, radar, 4 * 2)
+    assert raw != raw.symmetrized(GRID.n_slices)
+    assert result.support == raw
+    assert result.estimate.support == result.support
+    assert result.comm_support == result.support.difference(radar).symmetrized(GRID.n_slices)
+    assert set(s_c) <= set(result.comm_support)
+    assert result.f_c == support_to_freqs(result.comm_support, GRID)
 
 
 def _omp_case(rng):
