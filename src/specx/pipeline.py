@@ -62,7 +62,7 @@ from .sensing import (
     build_frame,
     omp_pks_batch,
     radar_slice_support,
-    recover_slices,
+    recover_slices_batch,
     refine_support_by_energy,
     sense_spectrum,
     support_to_freqs,
@@ -1244,18 +1244,17 @@ def _sensing_batch(
     Each trial is drawn (comm layout, radar emission, channel samples and
     frame) in task order; then each of its pursuits runs once for all the
     trials through omp_pks_batch (they share their point, so their front
-    end); then, per trial in task order, each pursuit's support is refit
-    (recover_slices) and read out as comm slices (_comm_support), and the
-    row is built. Any failure raises; _run_share pins it on its trial.
+    end); then each pursuit's supports are refit for all the trials
+    through recover_slices_batch; then, per trial in task order, each
+    refit is read out as comm slices (_comm_support), and the row is
+    built. Any failure raises; _run_share pins it on its trial.
     """
     drawn = [draw(cfg, task) for task in tasks]
-    frames, a = [d.frame for d in drawn], drawn[0].a
+    frames, zs, a = [d.frame for d in drawn], [d.z for d in drawn], drawn[0].a
     found = [omp_pks_batch(frames, a, s_r, k_extra) for s_r, k_extra in drawn[0].pursuits]
+    refits = [recover_slices_batch(zs, a, sups) for sups in found]
     return [
-        row(task, d, [
-            _comm_support(recover_slices(d.z, d.a, sups[i]), d.s_r, cfg.comm.prune_db)
-            for sups in found
-        ])
+        row(task, d, [_comm_support(ests[i], d.s_r, cfg.comm.prune_db) for ests in refits])
         for i, (task, d) in enumerate(zip(tasks, drawn))
     ]
 

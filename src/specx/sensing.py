@@ -29,6 +29,7 @@ __all__ = [
     "omp_pks_batch",
     "radar_slice_support",
     "recover_slices",
+    "recover_slices_batch",
     "support_to_freqs",
     "refine_support_by_energy",
     "sense_spectrum",
@@ -300,24 +301,54 @@ class SliceEstimate:
 
 
 def recover_slices(z: ChannelSamples, a: SensingMatrix, s: SliceSupport) -> SliceEstimate:
-    """Least-squares slice contents on a known support, zero elsewhere.
+    """Least-squares slice contents on a known support, zero elsewhere, as
+    a one-trial call of recover_slices_batch.
 
     A support wider than the channel count is underdetermined; the
     minimum-norm solution is returned so downstream energy ranking still
     works on over-complete greedy supports.
     """
-    s.validate(a.n)
-    x_hat = np.zeros((a.n, z.z.shape[1]), dtype=np.complex128)
-    if len(s) > 0:
-        cols = s.to_array()
-        # rcond=None cuts singular values at eps * max(M, N) times the
-        # largest, the cut matrix_rank makes
-        sol, _, rank, _ = np.linalg.lstsq(a.a[:, cols], z.z, rcond=None)
-        if rank < min(len(s), a.m):
+    return recover_slices_batch([z], a, [s])[0]
+
+
+def recover_slices_batch(
+    zs: Sequence[ChannelSamples], a: SensingMatrix, supports: Sequence[SliceSupport]
+) -> list[SliceEstimate]:
+    """recover_slices on each (z, support) pair of zs and supports, whose
+    sample sets share one grid; returns one estimate per pair.
+
+    Pairs whose supports have one size k share one stacked SVD of their
+    column blocks A[:, S] = U diag(sigma) V^H, and each solution is
+    x = V (sigma^-1 (U^H z)), by stacked matmuls: the least-squares fit for
+    k <= m and the minimum-norm one for k > m. Each pair's bits are those
+    of its batch-of-one call. Raises if a block's smallest of min(k, m)
+    singular values is at most eps * max(m, k) times its largest, the cut
+    lstsq and matrix_rank make.
+    """
+    m, n = a.a.shape
+    if len(zs) != len(supports):
+        raise ValueError("need one support per sample set")
+    for s in supports:
+        s.validate(n)
+    x_hat = np.zeros((len(zs), n, zs[0].z.shape[1] if zs else 0), dtype=np.complex128)
+    by_size: dict[int, list[int]] = {}
+    for b, s in enumerate(supports):
+        if len(s) > 0:
+            by_size.setdefault(len(s), []).append(b)
+    eps = np.finfo(float).eps
+    for k, ids in by_size.items():
+        cols = np.array([supports[b].indices for b in ids])
+        u, sigma, vh = np.linalg.svd(a.a.T[cols].transpose(0, 2, 1), full_matrices=False)
+        if np.any(sigma[:, -1] <= eps * max(m, k) * sigma[:, 0]):
             raise ValueError("sensing columns on the support are rank-deficient")
-        x_hat[cols] = sol
-    grid = z.grid
-    return SliceEstimate(x_hat=x_hat, support=s, grid=grid)
+        zz = np.stack([zs[b].z for b in ids])
+        x_hat[np.array(ids)[:, None], cols] = vh.conj().transpose(0, 2, 1) @ (
+            (u.conj().transpose(0, 2, 1) @ zz) / sigma[:, :, None]
+        )
+    return [
+        SliceEstimate(x_hat=x, support=s, grid=z.grid)
+        for x, s, z in zip(x_hat, supports, zs)
+    ]
 
 
 def support_to_freqs(s: SliceSupport, grid: GridSpec) -> FrequencySet:
@@ -374,7 +405,8 @@ def refine_support_by_energy(
 class SensingResult:
     """Outcome of one sensing pass: the raw greedy support, radar slices
     included, and the refit on it; comm_support is support less the radar
-    slices, symmetrized, and f_c its frequency content."""
+    slices, symmetrized, and f_c its slice-granular frequency content,
+    support_to_freqs(comm_support, grid)."""
 
     support: SliceSupport
     comm_support: SliceSupport
@@ -389,30 +421,28 @@ def sense_spectrum(
     grid: GridSpec,
     s_r: SliceSupport = SliceSupport(),
     n_sig_cap: int = 2,
-    refine_db: float | None = None,
 ) -> SensingResult:
     """Full sensing pass: frame, support recovery seeded with the radar
     slices, slice reconstruction on the raw greedy support, then the comm
-    slices (the support less s_r, symmetrized) and their carrier readout.
+    slices (the support less s_r, symmetrized) and their slice-granular
+    frequency content.
 
     Each of the n_sig_cap transmissions can occupy up to four slices (two
     spectral sides, possible boundary straddling), which sets the greedy
     budget. The frame and the pursuit use their fixed tolerances (1e-6 of
     the largest eigenvalue, 1e-6 of ||V||). A mirror slice the pursuit
-    did not pick has a zero row in the estimate.
+    did not pick has a zero row in the estimate. Pruning and sub-slice
+    refinement are left to the caller, which reads them off the estimate
+    (refine_support_by_energy).
     """
     frame = build_frame(z)
     support = omp_pks(frame, a, s_r, k_extra=4 * n_sig_cap)
     est = recover_slices(z, a, support)
     comm = support.difference(s_r).symmetrized(grid.n_slices)
-    if refine_db is None:
-        f_c = support_to_freqs(comm, grid)
-    else:
-        f_c = refine_support_by_energy(est, comm, grid, refine_db)
     return SensingResult(
         support=support,
         comm_support=comm,
-        f_c=f_c,
+        f_c=support_to_freqs(comm, grid),
         estimate=est,
         frame_rank=frame.rank,
     )

@@ -15,7 +15,9 @@ ints are the exact references for the batched pursuit, the batched sweep
 points and the word-seeded derive_rng. The radar coefficient synthesis,
 Doppler focus and focused_omp as they ran on one scene at a time, and the
 band-placement trials as they ran one by one on them, are the exact
-references for the stacked radar passes. off_slices measures a sensed
+references for the stacked radar passes. recover_slices as it refit one
+support by lstsq is the reference for the stacked SVD refit, and the
+sensing-sweep trials read out through it. off_slices measures a sensed
 frequency map against its slice support by plain interval arithmetic.
 """
 
@@ -520,9 +522,28 @@ def somp_one_frame(v, a, max_sparsity):
     return omp_pks_one_frame(v, a, SliceSupport(), max_sparsity)
 
 
+def recover_slices_lstsq(z, a, s):
+    """recover_slices as it refit one support by lstsq."""
+    from specx.sensing import SliceEstimate
+
+    s.validate(a.n)
+    x_hat = np.zeros((a.n, z.z.shape[1]), dtype=np.complex128)
+    if len(s) > 0:
+        cols = s.to_array()
+        # rcond=None cuts singular values at eps * max(M, N) times the
+        # largest, the cut matrix_rank makes
+        sol, _, rank, _ = np.linalg.lstsq(a.a[:, cols], z.z, rcond=None)
+        if rank < min(len(s), a.m):
+            raise ValueError("sensing columns on the support are rank-deficient")
+        x_hat[cols] = sol
+    grid = z.grid
+    return SliceEstimate(x_hat=x_hat, support=s, grid=grid)
+
+
 def trial_snr(cfg, task):
-    """One snr-sweep trial as it ran on its own, on the one-frame pursuits."""
-    from specx import SliceSupport, build_frame, recover_slices, xample
+    """One snr-sweep trial as it ran on its own, on the one-frame pursuits
+    and the lstsq refit."""
+    from specx import SliceSupport, build_frame, xample
     from specx.pipeline import (
         GridConfig, _child_seed, _comm_support, _comm_trial, _index_ratio, _per_point,
         _sensing_matrix,
@@ -545,9 +566,9 @@ def trial_snr(cfg, task):
     n_sig = cfg.comm.n_sig_effective
     frame = build_frame(z)
     pks = omp_pks_one_frame(frame, a, s_r, 4 * n_sig)
-    pks_comm = _comm_support(recover_slices(z, a, pks), s_r, cfg.comm.prune_db)
+    pks_comm = _comm_support(recover_slices_lstsq(z, a, pks), s_r, cfg.comm.prune_db)
     omp = somp_one_frame(frame, a, min(4 * n_sig, a.n))
-    omp_comm = _comm_support(recover_slices(z, a, omp), s_r, cfg.comm.prune_db)
+    omp_comm = _comm_support(recover_slices_lstsq(z, a, omp), s_r, cfg.comm.prune_db)
     return {
         "snr_db": snr_db,
         "trial": trial,
@@ -560,8 +581,9 @@ def trial_snr(cfg, task):
 
 
 def trial_channels(cfg, task):
-    """One channels-sweep trial as it ran on its own, on the one-frame pursuit."""
-    from specx import build_frame, recover_slices, xample
+    """One channels-sweep trial as it ran on its own, on the one-frame
+    pursuit and the lstsq refit."""
+    from specx import build_frame, xample
     from specx.pipeline import (
         GridConfig, _child_seed, _comm_support, _comm_trial, _index_ratio, _per_point,
         _sensing_matrix,
@@ -575,7 +597,7 @@ def trial_channels(cfg, task):
     noise_var = p_sig * 10.0 ** (-cfg.sweep.channels_snr_db / 10.0)
     z = xample(x, a, noise_var, _child_seed(cfg.seed, "chan-noise", point_idx, trial))
     sup = omp_pks_one_frame(build_frame(z), a, s_r, 4 * cfg.comm.n_sig_effective)
-    comm = _comm_support(recover_slices(z, a, sup), s_r, cfg.comm.prune_db)
+    comm = _comm_support(recover_slices_lstsq(z, a, sup), s_r, cfg.comm.prune_db)
     return {
         "n_channels": m,
         "trial": trial,

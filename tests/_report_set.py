@@ -2,11 +2,15 @@
 
 write_report_set runs the CLI in this process on both presets: sense,
 select-bands, radar and specx, then a sweep on every axis at 1 and 2
-workers, 100 report files in all at the default layout. compare_report_sets
-checks two such directories file by file: run ids, kinds, column names,
-strings, ints, booleans, nulls and list lengths must match exactly, and
-floats within a relative tolerance (0 means bit for bit). It prints the
-worst relative float drift per column.
+workers, then sense and specx again with comm.refine_db at 30 dB from a
+config it writes next to their reports (refine-config.json): 120 report
+files in all at the default layout. The refined comm maps are the one
+report column a refit's float drift can move without flipping a prune.
+compare_report_sets checks two such directories file by file: run ids,
+kinds, column names, strings, ints, booleans, nulls and list lengths must
+match exactly, and floats within a relative tolerance (0 means bit for
+bit); the refine configs must match byte for byte. It prints the worst
+relative float drift per column.
 
 From a shell, with the specx under test on PYTHONPATH:
 
@@ -24,6 +28,7 @@ import csv
 import io
 import json
 import sys
+from importlib import resources
 from pathlib import Path
 from typing import Any
 
@@ -31,6 +36,9 @@ PRESETS = ("desk", "paper_sw")
 SINGLE_SHOT = ("sense", "select-bands", "radar", "specx")
 AXES = ("snr", "band_placement", "channels")
 WORKERS = (1, 2)
+REFINED = ("sense", "specx")
+REFINE_DB = 30.0
+REFINE_CONFIG = "refine-config.json"
 
 
 def _run(argv: list[str]) -> None:
@@ -43,8 +51,9 @@ def _run(argv: list[str]) -> None:
 
 
 def write_report_set(out_dir: str | Path, trials: int = 4) -> list[Path]:
-    """Write the report set under out_dir/<preset>/{single,w1,w2}; returns
-    the files written, sorted."""
+    """Write the report set under out_dir/<preset>/{single,w1,w2,refine},
+    the refine config as out_dir/<preset>/refine-config.json; returns the
+    files written, sorted."""
     out = Path(out_dir)
     for preset in PRESETS:
         for command in SINGLE_SHOT:
@@ -55,6 +64,13 @@ def write_report_set(out_dir: str | Path, trials: int = 4) -> list[Path]:
                     "sweep", "--config", preset, "--axis", axis, "--trials", str(trials),
                     "--workers", str(w), "--out", str(out / preset / f"w{w}"),
                 ])
+        preset_file = resources.files("specx") / "presets" / f"{preset}.json"
+        config = json.loads(preset_file.read_text(encoding="utf-8"))
+        config["comm"]["refine_db"] = REFINE_DB
+        config_path = out / preset / REFINE_CONFIG
+        config_path.write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
+        for command in REFINED:
+            _run([command, "--config", str(config_path), "--out", str(out / preset / "refine")])
     return sorted(p for p in out.rglob("*") if p.is_file())
 
 
@@ -122,6 +138,10 @@ def compare_report_sets(
     problems += [f"only in {b}: {p}" for p in sorted(files_b - files_a)]
     worst: dict[str, tuple[float, Path]] = {}
     for rel in sorted(files_a & files_b):
+        if rel.name == REFINE_CONFIG:
+            if (a / rel).read_bytes() != (b / rel).read_bytes():
+                problems.append(f"{rel}: configs differ")
+            continue
         header_a, cells_a = _labelled_cells(a / rel)
         header_b, cells_b = _labelled_cells(b / rel)
         if header_a != header_b or len(cells_a) != len(cells_b):

@@ -771,7 +771,7 @@ def test_sweep_points_span_batches_like_one_by_one_trials(desk):
 def test_sensing_sweep_raises_the_first_failing_task(desk, two_cpus, monkeypatch,
                                                      failing, workers):
     draw, pursue = pipeline._draw_snr, pipeline.omp_pks_batch
-    refit, readout = pipeline.recover_slices, pipeline._comm_support
+    refit, readout = pipeline.recover_slices_batch, pipeline._comm_support
     trial_of = {}  # id of a drawn frame, sample set or refit -> its trial
 
     def failing_draw(cfg, task):
@@ -788,10 +788,11 @@ def test_sensing_sweep_raises_the_first_failing_task(desk, two_cpus, monkeypatch
                 raise RuntimeError(f"pursuit {trial_of[id(frame)]}")
         return pursue(frames, a, s_r, k_extra)
 
-    def traced_refit(z, a, sup):
-        est = refit(z, a, sup)
-        trial_of[id(est)] = trial_of[id(z)]
-        return est
+    def traced_refit(zs, a, sups):
+        ests = refit(zs, a, sups)
+        for z, est in zip(zs, ests):
+            trial_of[id(est)] = trial_of[id(z)]
+        return ests
 
     def failing_readout(est, s_r, prune_db):
         if failing.get(trial_of[id(est)]) == "readout":
@@ -800,7 +801,7 @@ def test_sensing_sweep_raises_the_first_failing_task(desk, two_cpus, monkeypatch
 
     monkeypatch.setattr(pipeline, "_draw_snr", failing_draw)
     monkeypatch.setattr(pipeline, "omp_pks_batch", failing_pursuit)
-    monkeypatch.setattr(pipeline, "recover_slices", traced_refit)
+    monkeypatch.setattr(pipeline, "recover_slices_batch", traced_refit)
     monkeypatch.setattr(pipeline, "_comm_support", failing_readout)
     cfg = small_sweep(desk, snr_db=(10.0,), n_trials=max(8, max(failing) + 1))
     first = min(failing)

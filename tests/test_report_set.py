@@ -69,3 +69,13 @@ def test_missing_file_is_caught(tmp_path):
     assert sorted(p.rsplit(": ", 1)[-1] for p in problems) == [
         "toy-snr-aggregate.json", "toy-snr-trials.json",
     ]
+
+
+def test_refine_config_is_compared_byte_for_byte(tmp_path):
+    from _report_set import REFINE_CONFIG
+
+    for side, text in (("a", '{"seed": 7}\n'), ("b", '{"seed": 8}\n')):
+        (tmp_path / side / "desk").mkdir(parents=True)
+        (tmp_path / side / "desk" / REFINE_CONFIG).write_text(text)
+    problems = compare_report_sets(tmp_path / "a", tmp_path / "b", out=io.StringIO())
+    assert problems == [f"desk/{REFINE_CONFIG}: configs differ"]

@@ -22,6 +22,7 @@ from specx import (
     support_to_freqs,
     xample,
 )
+from specx.mwc import ChannelSamples
 from specx.sensing import refine_support_by_energy
 
 GRID = GridSpec(f_nyq=380e6, f_p=20e6, f_s=20e6, n_grid=8)  # 20 slices
@@ -280,6 +281,61 @@ def test_recover_slices_rejects_rank_deficient_support():
     with pytest.raises(ValueError, match="rank-deficient"):
         recover_slices(z, a, SliceSupport([2, 5]))
     assert recover_slices(z, a, SliceSupport([2, 4])).support == SliceSupport([2, 4])
+
+
+def _refit_stack(preset):
+    """A preset's front end, channel samples and supports: the greedy
+    supports of real sensing-sweep trials (radar-aware and radar-unaware)
+    at its highest SNR point, then random supports of size 0, 1, below m,
+    m and above m, and all-zero samples."""
+    from specx import load_config, pipeline
+
+    cfg = load_config(preset)
+    point = len(cfg.sweep.snr_db) - 1
+    try:
+        drawn = [pipeline._draw_snr(cfg, (cfg.sweep.snr_db[point], point, t)) for t in range(6)]
+    finally:
+        pipeline._POINT_SETUPS.clear()
+    a = drawn[0].a
+    zs, sups = [], []
+    for d in drawn:
+        for s_r, k_extra in d.pursuits:
+            zs.append(d.z)
+            sups.append(omp_pks(d.frame, a, s_r, k_extra))
+    rng = np.random.default_rng(5)
+    zero = ChannelSamples(np.zeros_like(zs[0].z), zs[0].grid)
+    for i, k in enumerate((0, 1, a.m // 2, a.m, a.m + 3, 0, a.m // 2, a.m)):
+        zs.append(zero if i >= 5 else zs[i])
+        sups.append(SliceSupport(rng.choice(a.n, size=k, replace=False)))
+    return a, zs, sups
+
+
+@pytest.mark.parametrize("preset", ["desk", "paper_sw"])
+def test_recover_slices_batch_matches_lstsq_oracle(preset):
+    """The stacked SVD refit against the lstsq one: the same supports, every
+    x_hat within 1e-12 of the oracle's largest entry, and each trial's bits
+    those of its batch-of-one call and of its slot in a half batch."""
+    from _oracles import recover_slices_lstsq
+
+    from specx.sensing import recover_slices_batch
+
+    a, zs, sups = _refit_stack(preset)
+    assert {len(s) for s in sups} >= {0, 1, a.m // 2, a.m, a.m + 3}
+    got = recover_slices_batch(zs, a, sups)
+    for z, s, est in zip(zs, sups, got):
+        want = recover_slices_lstsq(z, a, s)
+        assert est.support == want.support == s
+        assert np.abs(est.x_hat - want.x_hat).max() <= 1e-12 * np.abs(want.x_hat).max()
+        assert np.array_equal(est.x_hat, recover_slices(z, a, s).x_hat)
+    half = recover_slices_batch(zs[1::2], a, sups[1::2])
+    assert all(np.array_equal(h.x_hat, g.x_hat) for h, g in zip(half, got[1::2]))
+    assert recover_slices_batch([], a, []) == []
+
+    amat = a.a.copy()
+    amat[:, 5] = amat[:, 2]
+    dup = SensingMatrix(a=amat)
+    with pytest.raises(ValueError, match="rank-deficient"):
+        recover_slices_batch(zs[:3], dup, [SliceSupport([2, 4]), SliceSupport([2, 5]), sups[0]])
 
 
 # -- the batched pursuit against the one-frame oracle ---------------------------
