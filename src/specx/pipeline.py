@@ -468,17 +468,8 @@ class ScenarioConfig:
             )
         if cfg.scene.n_targets > min(n_bins, r.n_pulses):
             raise ConfigError("scene.n_targets exceeds the delay or Doppler grid")
-        s = cfg.sweep
-        if not 0.0 < s.occupancy <= 1.0:
+        if not 0.0 < cfg.sweep.occupancy <= 1.0:
             raise ConfigError("sweep.occupancy must be in (0, 1]")
-        bad = sorted(set(s.band_layouts) - set(_LAYOUT_NAMES))
-        if bad:
-            raise ConfigError(f"sweep.band_layouts: unknown layouts {bad}")
-        for layout in s.band_layouts:
-            try:
-                band_layout(layout, r.b_h, r.n_bands, s.occupancy, n_bins)
-            except ValueError as exc:
-                raise ConfigError(f"sweep.occupancy ({s.occupancy:g}): {exc}") from exc
         return cfg
 
     def feasibility(self) -> MinRequirements:
@@ -1155,15 +1146,14 @@ class _Drawn(NamedTuple):
     pursuits: tuple[tuple[SliceSupport, int], ...]
 
 
-def _draw_snr(cfg: ScenarioConfig, task: tuple) -> _Drawn:
-    snr_db, point_idx, trial = task
+def _draw_snr(cfg: ScenarioConfig, point: dict, point_idx: int, trial: int) -> _Drawn:
     grid = _per_point(GridConfig.to_grid, cfg.grid)
     a = _per_point(_sensing_matrix, cfg.seed, cfg.grid.n_chips, grid, cfg.grid.n_channels)
     comm_x, x, s_c_true, s_r = _comm_trial(cfg, grid, "snr", point_idx, trial)
     # SNR is defined against the comm signal alone; the radar emission is
     # interference at a fixed power, not part of the signal being detected
     p_sig = float(np.mean(np.abs(xample(comm_x, a).z) ** 2))
-    noise_var = p_sig * 10.0 ** (-snr_db / 10.0)
+    noise_var = p_sig * 10.0 ** (-point["snr_db"] / 10.0)
     z = xample(x, a, noise_var, _child_seed(cfg.seed, "snr-noise", point_idx, trial))
 
     if cfg.comm.prune_db is not None:
@@ -1182,12 +1172,9 @@ def _draw_snr(cfg: ScenarioConfig, task: tuple) -> _Drawn:
     return _Drawn(a, z, build_frame(z), s_r, s_c_true, noise_var, pursuits)
 
 
-def _snr_row(task: tuple, d: _Drawn, comm: list[SliceSupport]) -> dict[str, Any]:
-    snr_db, _, trial = task
+def _snr_row(d: _Drawn, comm: list[SliceSupport]) -> dict[str, Any]:
     pks_comm, omp_comm = comm
     return {
-        "snr_db": snr_db,
-        "trial": trial,
         "pd_omp": _index_ratio(omp_comm, d.s_c_true),
         "pd_pks": _index_ratio(pks_comm, d.s_c_true),
         "exact_omp": list(omp_comm) == list(d.s_c_true),
@@ -1205,17 +1192,15 @@ def _band_setup(r: RadarConfig, occupancy: float, layout: str, snr_db: float) ->
     return _radar_setup(r, _per_point(_radar_frame, r, f_r), noise_var)
 
 
-def _draw_band(cfg: ScenarioConfig, task: tuple) -> tuple[TargetScene, int]:
+def _draw_band(cfg: ScenarioConfig, point_idx: int, trial: int) -> tuple[TargetScene, int]:
     """A band-placement trial's scene and the seed of its coefficient noise."""
-    _, _, point_idx, trial = task
     scene = _draw_scene(cfg, derive_rng(cfg.seed, "band-scene", point_idx, trial))
     return scene, _child_seed(cfg.seed, "band-radar", point_idx, trial)
 
 
-def _draw_channels(cfg: ScenarioConfig, task: tuple) -> _Drawn:
-    m, point_idx, trial = task
+def _draw_channels(cfg: ScenarioConfig, point: dict, point_idx: int, trial: int) -> _Drawn:
     grid = _per_point(GridConfig.to_grid, cfg.grid)
-    a = _per_point(_sensing_matrix, cfg.seed, cfg.grid.n_chips, grid, m)
+    a = _per_point(_sensing_matrix, cfg.seed, cfg.grid.n_chips, grid, point["n_channels"])
     _, x, s_c_true, s_r = _comm_trial(cfg, grid, "chan", point_idx, trial)
     p_sig = float(np.mean(np.abs(xample(x, a).z) ** 2))
     noise_var = p_sig * 10.0 ** (-cfg.sweep.channels_snr_db / 10.0)
@@ -1224,76 +1209,77 @@ def _draw_channels(cfg: ScenarioConfig, task: tuple) -> _Drawn:
     return _Drawn(a, z, build_frame(z), s_r, s_c_true, noise_var, pursuits)
 
 
-def _channels_row(task: tuple, d: _Drawn, comm: list[SliceSupport]) -> dict[str, Any]:
-    m, _, trial = task
+def _channels_row(d: _Drawn, comm: list[SliceSupport]) -> dict[str, Any]:
     return {
-        "n_channels": m,
-        "trial": trial,
         "pd_pks": _index_ratio(comm[0], d.s_c_true),
         "exact_pks": list(comm[0]) == list(d.s_c_true),
     }
 
 
 def _sensing_batch(
-    cfg: ScenarioConfig, tasks: list[tuple],
-    draw: Callable[[ScenarioConfig, tuple], _Drawn],
-    row: Callable[[tuple, _Drawn, list[SliceSupport]], dict[str, Any]],
-) -> list[dict[str, Any]]:
-    """Rows of same-point sensing-sweep trials.
+    cfg: ScenarioConfig, points: list[dict], point_idx: int, trials: list[int],
+    draw: Callable[[ScenarioConfig, dict, int, int], _Drawn],
+    measure: Callable[[_Drawn, list[SliceSupport]], dict[str, Any]],
+) -> list[dict]:
+    """Measurements of the given trials of one sensing-sweep point.
 
     Each trial is drawn (comm layout, radar emission, channel samples and
-    frame) in task order; then each of its pursuits runs once for all the
+    frame) in trial order; then each of its pursuits runs once for all the
     trials through omp_pks_batch (they share their point, so their front
     end); then each pursuit's supports are refit for all the trials
-    through recover_slices_batch; then, per trial in task order, each
-    refit is read out as comm slices (_comm_support), and the row is
-    built. Any failure raises; _run_share pins it on its trial.
+    through recover_slices_batch; then, per trial in order, each refit is
+    read out as comm slices (_comm_support) and measured. The point's
+    columns and the trial index are sweep's to write. Any failure raises;
+    _run_share pins it on its trial.
     """
-    drawn = [draw(cfg, task) for task in tasks]
+    drawn = [draw(cfg, points[point_idx], point_idx, t) for t in trials]
     frames, zs, a = [d.frame for d in drawn], [d.z for d in drawn], drawn[0].a
     found = [omp_pks_batch(frames, a, s_r, k_extra) for s_r, k_extra in drawn[0].pursuits]
     refits = [recover_slices_batch(zs, a, sups) for sups in found]
     return [
-        row(task, d, [_comm_support(ests[i], d.s_r, cfg.comm.prune_db) for ests in refits])
-        for i, (task, d) in enumerate(zip(tasks, drawn))
+        measure(d, [_comm_support(ests[i], d.s_r, cfg.comm.prune_db) for ests in refits])
+        for i, d in enumerate(drawn)
     ]
 
 
-def _batch_snr(cfg: ScenarioConfig, tasks: list[tuple]) -> list[dict[str, Any]]:
-    return _sensing_batch(cfg, tasks, _draw_snr, _snr_row)
+def _batch_snr(
+    cfg: ScenarioConfig, points: list[dict], point_idx: int, trials: list[int]
+) -> list[dict]:
+    return _sensing_batch(cfg, points, point_idx, trials, _draw_snr, _snr_row)
 
 
-def _batch_channels(cfg: ScenarioConfig, tasks: list[tuple]) -> list[dict[str, Any]]:
-    return _sensing_batch(cfg, tasks, _draw_channels, _channels_row)
+def _batch_channels(
+    cfg: ScenarioConfig, points: list[dict], point_idx: int, trials: list[int]
+) -> list[dict]:
+    return _sensing_batch(cfg, points, point_idx, trials, _draw_channels, _channels_row)
 
 
-def _batch_band(cfg: ScenarioConfig, tasks: list[tuple]) -> list[dict[str, Any]]:
-    """Rows of same-point band-placement trials.
+_BAND_MEASURES = ("hit_rate", "n_detections", "truncated", "rmse_range_m", "kappa_size")
+
+
+def _batch_band(
+    cfg: ScenarioConfig, points: list[dict], point_idx: int, trials: list[int]
+) -> list[dict]:
+    """Measurements of the given trials of one band-placement point.
 
     The point's setup is looked up first; then each trial's scene and noise
-    seed are drawn in task order (_draw_band), and the trials run as one
+    seed are drawn in trial order (_draw_band), and the trials run as one
     stack through _radar_trials: one coefficient synthesis, one Doppler
     focus and one first back-projection, then a pursuit per trial. Every
     stacked step does each trial's float operations on the operands, and
-    with the strides, a lone trial has, so the rows are those of the
-    trials run one by one. Any failure raises; _run_share pins it on its
-    trial.
+    with the strides, a lone trial has, so the measurements are those of
+    the trials run one by one. Each holds the five _BAND_MEASURES; the
+    point's columns and the trial index are sweep's to write. Any failure
+    raises; _run_share pins it on its trial.
     """
-    layout, snr_db, _, _ = tasks[0]
-    setup = _per_point(_band_setup, cfg.radar, cfg.sweep.occupancy, layout, snr_db)
-    scenes, seeds = zip(*(_draw_band(cfg, task) for task in tasks))
+    point = points[point_idx]
+    setup = _per_point(
+        _band_setup, cfg.radar, cfg.sweep.occupancy, point["band_layout"], point["snr_db"]
+    )
+    scenes, seeds = zip(*(_draw_band(cfg, point_idx, t) for t in trials))
     return [
-        {
-            "band_layout": layout,
-            "snr_db": snr_db,
-            "trial": task[-1],
-            "hit_rate": radar["hit_rate"],
-            "n_detections": radar["n_detections"],
-            "truncated": radar["truncated"],
-            "rmse_range_m": radar["rmse_range_m"],
-            "kappa_size": radar["kappa_size"],
-        }
-        for task, radar in zip(tasks, _radar_trials(cfg, setup, scenes, seeds))
+        {key: radar[key] for key in _BAND_MEASURES}
+        for radar in _radar_trials(cfg, setup, scenes, seeds)
     ]
 
 
@@ -1382,28 +1368,32 @@ class _Failure(NamedTuple):
 _MAX_BATCH = 32
 
 
-def _run_share(batch, tasks: list[tuple], k: int, w: int) -> list[dict[str, Any]] | _Failure:
-    """Rows of the interleaved share tasks[k::w], or its first failure.
+def _run_share(
+    batch, tasks: list[tuple[int, int]], k: int, w: int
+) -> list[dict[str, Any]] | _Failure:
+    """Measurements of the interleaved share tasks[k::w] of (point_idx,
+    trial) tasks, or its first failure.
 
-    batch gets the share's runs of same-point tasks, _MAX_BATCH at most at
-    a time, and returns their rows. When it raises, that run's tasks are
-    re-run one at a time in task order, and the first to raise is the
-    share's failure: the exception a serial run of the trials one by one
-    raises, at its index in the task list."""
-    rows: list[dict[str, Any]] = []
-    for _, point in itertools.groupby(tasks[k::w], key=lambda task: task[-2]):
-        point = list(point)
-        for lo in range(0, len(point), _MAX_BATCH):
-            run = point[lo : lo + _MAX_BATCH]
+    batch(point_idx, trials) gets the share's runs of same-point trials,
+    _MAX_BATCH at most at a time, and returns one measurement dict per
+    trial. When it raises, that run's trials are re-run one at a time in
+    task order, and the first to raise is the share's failure: the
+    exception a serial run of the trials one by one raises, at its index
+    in the task list."""
+    measured: list[dict[str, Any]] = []
+    for point_idx, group in itertools.groupby(tasks[k::w], key=lambda task: task[0]):
+        trials = [trial for _, trial in group]
+        for lo in range(0, len(trials), _MAX_BATCH):
+            run = trials[lo : lo + _MAX_BATCH]
             try:
-                rows += batch(run)
+                measured += batch(point_idx, run)
             except Exception:
-                for task in run:
+                for trial in run:
                     try:
-                        rows += batch([task])
+                        measured += batch(point_idx, [trial])
                     except Exception as exc:
-                        return _Failure(k + len(rows) * w, exc)
-    return rows
+                        return _Failure(k + len(measured) * w, exc)
+    return measured
 
 
 def _child_share(batch, tasks: list[tuple], k: int, w: int, conn) -> None:
@@ -1424,11 +1414,11 @@ def _run_split(batch, tasks: list[tuple], w: int) -> list[dict[str, Any]]:
     children run the others, each sending its outcome through a one-way pipe.
     At w = 1 no child is started and multiprocessing is not imported.
 
-    Rows come back in task order. A failing trial raises the failure with
-    the lowest task index, the one a serial run of the trials one by one
-    raises; a child that exits without sending raises WorkerDied. Every
-    child is joined before this returns or raises, and an interrupt
-    terminates them first.
+    Measurements come back in task order. A failing trial raises the
+    failure with the lowest task index, the one a serial run of the trials
+    one by one raises; a child that exits without sending raises
+    WorkerDied. Every child is joined before this returns or raises, and an
+    interrupt terminates them first.
     """
     if w > 1:
         import multiprocessing
@@ -1462,20 +1452,10 @@ def _run_split(batch, tasks: list[tuple], w: int) -> list[dict[str, Any]]:
     failures = [o for o in outcomes if isinstance(o, _Failure)]
     if failures:
         raise min(failures, key=lambda f: f.index).exc
-    rows: list[Any] = [None] * len(tasks)
+    measured: list[Any] = [None] * len(tasks)
     for k, share in enumerate(outcomes):
-        rows[k::w] = share
-    return rows
-
-
-def _run_trials(batch, tasks: list[tuple], workers: int) -> list[dict[str, Any]]:
-    """Run the trials through batch and return their rows in task order,
-    using w = min(workers, tasks, usable CPUs) processes (_run_split). The
-    count includes the calling process, which runs a share like any child.
-    """
-    w = min(workers, len(tasks), _usable_cpus())
-    with _single_blas_thread():
-        return _run_split(batch, tasks, w)
+        measured[k::w] = share
+    return measured
 
 
 def _snr_points(cfg: ScenarioConfig, grid: GridSpec) -> list[dict[str, Any]]:
@@ -1500,14 +1480,21 @@ def _snr_stats(cfg: ScenarioConfig, grid: GridSpec, rows: list[dict]) -> dict[st
 
 
 def _band_points(cfg: ScenarioConfig, grid: GridSpec) -> list[dict[str, Any]]:
+    s, r = cfg.sweep, cfg.radar
+    bad = sorted(set(s.band_layouts) - set(_LAYOUT_NAMES))
+    if bad:
+        raise ConfigError(f"sweep.band_layouts: unknown layouts {bad}")
+    for layout in s.band_layouts:
+        try:
+            band_layout(layout, r.b_h, r.n_bands, s.occupancy, r.n_delay_bins)
+        except ValueError as exc:
+            raise ConfigError(f"sweep.occupancy ({s.occupancy:g}): {exc}") from exc
     _require_feasible(cfg)
-    snr_grid = cfg.sweep.band_snr_db or cfg.sweep.snr_db
-    if not cfg.sweep.band_layouts or not snr_grid:
+    snr_grid = s.band_snr_db or s.snr_db
+    if not s.band_layouts or not snr_grid:
         raise ConfigError("sweep.band_layouts and the SNR grid must be non-empty")
     return [
-        {"band_layout": layout, "snr_db": snr}
-        for layout in cfg.sweep.band_layouts
-        for snr in snr_grid
+        {"band_layout": layout, "snr_db": snr} for layout in s.band_layouts for snr in snr_grid
     ]
 
 
@@ -1536,13 +1523,14 @@ def _channel_stats(cfg: ScenarioConfig, grid: GridSpec, rows: list[dict]) -> dic
 
 
 class _SweepAxis(NamedTuple):
-    """One sweep axis: its points (leading columns of its trial and aggregate
-    rows), its batch function, (cfg, same-point tasks) -> rows, the
-    per-point stats that complete an aggregate row, and any extra report
-    meta."""
+    """One sweep axis: its points, checked before any trial runs (their
+    keys lead its trial and aggregate rows), its batch function,
+    (cfg, points, point_idx, trials) -> one measurement dict per trial,
+    the per-point stats that complete an aggregate row, and any extra
+    report meta. sweep writes each trial row's point columns and "trial"."""
 
     points: Callable[[ScenarioConfig, GridSpec], list[dict[str, Any]]]
-    batch: Callable[[ScenarioConfig, list[tuple]], list[dict[str, Any]]]
+    batch: Callable[[ScenarioConfig, list[dict], int, list[int]], list[dict]]
     stats: Callable[[ScenarioConfig, GridSpec, list[dict]], dict[str, Any]]
     meta: Callable[[ScenarioConfig], dict[str, Any]] = lambda cfg: {}
 
@@ -1596,9 +1584,15 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     the float operations it does on its own, on operands with the same
     strides, so the rows do not depend on the batching.
 
-    With w = min(workers, trials, usable CPUs) of 2 or more, this process
-    runs every w-th trial and w - 1 children it starts run the rest; the
-    rows are put back in task order, so the report does not depend on w.
+    The tasks are (point_idx, trial) pairs, point by point. A batch returns
+    only what its trials measure; this function writes each trial row as
+    the point's columns, then "trial", then the measurements, so every
+    axis's rows share that layout.
+
+    With w = min(workers, tasks, usable CPUs) of 2 or more, this process
+    runs every w-th task and w - 1 children it starts run the rest; the
+    measurements are put back in task order, so the report does not
+    depend on w.
     When a batch raises, its trials are re-run one at a time to find the
     first that fails, so a failing sweep raises the exception of its lowest
     failing task, the one a serial run of the trials one by one raises,
@@ -1610,18 +1604,17 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis must be one of {SWEEP_AXES}")
     spec = _SWEEPS[axis]
-    n_workers = _resolve_workers(cfg, workers)
     n_trials = cfg.sweep.n_trials
     grid = cfg.grid.to_grid()
     points = spec.points(cfg, grid)
-    tasks = [
-        (*point.values(), i, t) for i, point in enumerate(points) for t in range(n_trials)
-    ]
-    batch = functools.partial(spec.batch, cfg)
+    tasks = [(i, t) for i in range(len(points)) for t in range(n_trials)]
+    w = min(_resolve_workers(cfg, workers), len(tasks), _usable_cpus())
     try:
-        rows = _run_trials(batch, tasks, n_workers)
+        with _single_blas_thread():
+            measured = _run_split(functools.partial(spec.batch, cfg, points), tasks, w)
     finally:
         _POINT_SETUPS.clear()
+    rows = [{**points[i], "trial": t, **m} for (i, t), m in zip(tasks, measured)]
     aggregates = tuple(
         {**point, **spec.stats(cfg, grid, rows[i * n_trials : (i + 1) * n_trials])}
         for i, point in enumerate(points)

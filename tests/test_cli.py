@@ -225,6 +225,8 @@ def test_sense_runs_without_channel_counts(tmp_path, absent):
         ("radar", "p_fa", 1e-13, ("radar",), "radar.p_fa (1e-13) is too small"),
         ("sweep", "occupancy", 0.9, ("sweep", "--axis", "band_placement", *SWEEP_ONE),
          "separated layout blocks overlap"),
+        ("sweep", "band_layouts", ["bogus"], ("sweep", "--axis", "band_placement", *SWEEP_ONE),
+         "sweep.band_layouts: unknown layouts ['bogus']"),
         # carrier +- 5e-14 rounds to one float, so the band would be empty
         ("comm.transmissions.0", "bandwidth", 1e-13, ("sweep", "--axis", "snr", *SWEEP_ONE),
          "bandwidth 1e-13 Hz rounds to an empty band"),
@@ -253,9 +255,10 @@ def test_sense_runs_without_channel_counts(tmp_path, absent):
         "bool-snr", "string-snr", "string-band-snr", "bool-energy", "string-energy",
         "huge-int-f-nyq", "huge-int-snr",
         "negative-energy", "negative-max-detections", "negative-noise-psd",
-        "tiny-p-fa", "overlapping-occupancy", "tiny-bandwidth", "huge-delay-grid",
-        "huge-slice-grid", "huge-mixing-bank", "huge-pulse-train", "huge-channel-bank",
-        "list-layout", "null-run-id", "string-bandwidth", "narrow-bandwidth",
+        "tiny-p-fa", "overlapping-occupancy", "unknown-layout", "tiny-bandwidth",
+        "huge-delay-grid", "huge-slice-grid", "huge-mixing-bank", "huge-pulse-train",
+        "huge-channel-bank", "list-layout", "null-run-id", "string-bandwidth",
+        "narrow-bandwidth",
     ],
 )
 def test_bad_config_exits_2_in_one_line(tmp_path, section, key, value, args, message):
@@ -271,6 +274,21 @@ def test_bad_config_exits_2_in_one_line(tmp_path, section, key, value, args, mes
     assert not list(tmp_path.glob("*.csv"))
 
 
+# only the band-placement sweep lays out blocks at sweep.occupancy, so the
+# occupancy its separated layout cannot fit leaves every other command alone
+@pytest.mark.parametrize(
+    "args",
+    [("sense",), ("select-bands",), ("radar",), ("specx",),
+     ("sweep", "--axis", "snr", *SWEEP_ONE), ("sweep", "--axis", "channels", *SWEEP_ONE)],
+    ids=lambda args: args[0] if len(args) == 1 else args[2],
+)
+def test_overlapping_occupancy_only_stops_band_placement(tmp_path, args):
+    doc = desk_doc()
+    doc["sweep"]["occupancy"] = 0.9
+    proc = run_doc(tmp_path, doc, *args)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("command", ["sense", "select-bands"])
 def test_few_channels_suffice_without_radar_slices(tmp_path, command):
     """Neither command seeds the greedy search with the radar slices."""
@@ -279,11 +297,11 @@ def test_few_channels_suffice_without_radar_slices(tmp_path, command):
     assert run_doc(tmp_path, doc, command).returncode == 0
 
 
-def _dying_draw(cfg, task):
+def _dying_draw(cfg, point_idx, trial):
     """Kills a child that runs it; the calling process draws the real trial."""
     if multiprocessing.parent_process() is not None:
         os._exit(1)
-    return _REAL_DRAW_BAND(cfg, task)
+    return _REAL_DRAW_BAND(cfg, point_idx, trial)
 
 
 def test_dead_sweep_worker_exits_3(tmp_path, monkeypatch, capsys):

@@ -379,6 +379,32 @@ def test_sweep_report_bytes_independent_of_workers(desk, tmp_path, axis, changes
     assert files[0] == files[1]
 
 
+# each axis's report columns: the point's keys, then "trial" and the batch's
+# measurements in a trial row, then the point's stats in an aggregate row
+_SWEEP_COLUMNS = {
+    "snr": (
+        ("snr_db", "trial", "pd_omp", "pd_pks", "exact_omp", "exact_pks", "noise_var"),
+        ("snr_db", "n_trials", "pd_omp", "pd_pks", "ci95_omp", "ci95_pks",
+         "exact_rate_omp", "exact_rate_pks"),
+    ),
+    "band_placement": (
+        ("band_layout", "snr_db", "trial", "hit_rate", "n_detections", "truncated",
+         "rmse_range_m", "kappa_size"),
+        ("band_layout", "snr_db", "hit_rate", "ci95"),
+    ),
+    "channels": (
+        ("n_channels", "trial", "pd_pks", "exact_pks"),
+        ("n_channels", "n_trials", "pd_pks", "ci95", "exact_rate", "f_total_hz", "rate_ratio"),
+    ),
+}
+
+
+@pytest.mark.parametrize("axis", list(_SWEEP_COLUMNS))
+def test_sweep_columns(desk, axis):
+    report = sweep(small_sweep(desk, n_trials=1), axis, workers=1)
+    assert (report.trial_columns, report.aggregate_columns) == _SWEEP_COLUMNS[axis]
+
+
 def test_sweep_caps_blas_threads_and_restores_them(desk, monkeypatch):
     control = pipeline._openblas_thread_control()
     if control is None:
@@ -393,7 +419,7 @@ def test_sweep_caps_blas_threads_and_restores_them(desk, monkeypatch):
 
         seen = []
 
-        def failing_draw(cfg, task):
+        def failing_draw(cfg, point, point_idx, trial):
             seen.append(get())
             raise RuntimeError("trial failed")
 
@@ -531,8 +557,8 @@ def test_sweep_empties_point_setups(desk, monkeypatch):
     draw_band = pipeline._draw_band
     held = []
 
-    def failing_draw(cfg, task):
-        draw_band(cfg, task)
+    def failing_draw(cfg, point_idx, trial):
+        draw_band(cfg, point_idx, trial)
         held.append(len(pipeline._POINT_SETUPS))
         raise RuntimeError("trial failed")
 
@@ -584,11 +610,11 @@ def test_parallel_sweep_raises_the_first_failing_task(desk, two_cpus, monkeypatc
                                                       failing, workers):
     draw_band = pipeline._draw_band
 
-    def failing_draw(cfg, task):
-        index = 2 * task[-2] + task[-1]  # point and trial: 2 trials per point
+    def failing_draw(cfg, point_idx, trial):
+        index = 2 * point_idx + trial  # 2 trials per point
         if index in failing:
             raise RuntimeError(failing[index])
-        return draw_band(cfg, task)
+        return draw_band(cfg, point_idx, trial)
 
     monkeypatch.setattr(pipeline, "_draw_band", failing_draw)
     cfg = small_sweep(desk, band_layouts=("separated", "adjacent"), band_snr_db=(-18.0,),
@@ -600,7 +626,7 @@ def test_parallel_sweep_raises_the_first_failing_task(desk, two_cpus, monkeypatc
 
 
 def test_interrupt_terminates_children_at_once(desk, two_cpus, monkeypatch):
-    def draw(cfg, task):
+    def draw(cfg, point_idx, trial):
         if multiprocessing.parent_process() is None:
             raise KeyboardInterrupt
         time.sleep(60)  # the child's share would outlast the test
@@ -622,10 +648,10 @@ class _Unpicklable(Exception):
 def test_child_failure_that_does_not_pickle(desk, two_cpus, monkeypatch):
     draw_band = pipeline._draw_band
 
-    def failing_draw(cfg, task):
-        if task[-1]:  # trial 1, run by the child
+    def failing_draw(cfg, point_idx, trial):
+        if trial:  # trial 1, run by the child
             raise _Unpicklable("trial failed", "task")
-        return draw_band(cfg, task)
+        return draw_band(cfg, point_idx, trial)
 
     monkeypatch.setattr(pipeline, "_draw_band", failing_draw)
     cfg = small_sweep(desk, band_layouts=("separated",), band_snr_db=(-18.0,), n_trials=2)
@@ -635,6 +661,13 @@ def test_child_failure_that_does_not_pickle(desk, two_cpus, monkeypatch):
 
 
 # -- batched sensing sweep points against the one-by-one oracle ------------------
+
+
+def sweep_rows(points, tasks, measured):
+    """Trial rows as sweep writes them from (point_idx, trial) tasks and a
+    batch's measurements: the point's columns, then "trial", then the
+    measurements."""
+    return [{**points[i], "trial": t, **m} for (i, t), m in zip(tasks, measured)]
 
 
 def _frame_ranks(monkeypatch):
@@ -662,18 +695,23 @@ def test_batched_sensing_rows_equal_one_by_one_oracle(preset, axis, monkeypatch)
     base = load_config(preset)
     batch = getattr(pipeline, f"_batch_{axis}")
     oracle = getattr(_oracles, f"trial_{axis}")
-    values = base.sweep.snr_db if axis == "snr" else base.sweep.channel_counts
+    key, values = (
+        ("snr_db", base.sweep.snr_db) if axis == "snr"
+        else ("n_channels", base.sweep.channel_counts)
+    )
+    points = [{key: value} for value in values]
     point = len(values) - 1
     ranks = _frame_ranks(monkeypatch)
     mixed = []
     for seed in (base.seed, 1, 2):
         cfg = dataclasses.replace(base, seed=seed)
         for size in (1, 2, 7, pipeline._MAX_BATCH):
-            tasks = [(values[point], point, t) for t in range(size)]
+            trials = list(range(size))
+            tasks = [(point, t) for t in trials]
             ranks.clear()
             try:
-                got = batch(cfg, tasks)
-                want = [oracle(cfg, task) for task in tasks]
+                got = sweep_rows(points, tasks, batch(cfg, points, point, trials))
+                want = [oracle(cfg, (values[point], point, t)) for t in trials]
             finally:
                 pipeline._POINT_SETUPS.clear()
             assert got == want
@@ -706,17 +744,23 @@ def test_batched_band_rows_equal_one_by_one_oracle(preset, variant):
 
     base = _BAND_VARIANTS[variant](load_config(preset))
     snrs = base.sweep.band_snr_db
+    points = [
+        {"band_layout": layout, "snr_db": snr}
+        for layout in base.sweep.band_layouts for snr in snrs
+    ]
     counts, truncated = set(), False
     for i, seed in enumerate((base.seed, 1, 2)):
         cfg = dataclasses.replace(base, seed=seed)
         layout = cfg.sweep.band_layouts[i % len(cfg.sweep.band_layouts)]
         j = (len(snrs) - 1) * (2 - i) // 2
         point = i * len(snrs) + j
+        assert points[point] == {"band_layout": layout, "snr_db": snrs[j]}
         for size in (1, 2, 7, pipeline._MAX_BATCH):
-            tasks = [(layout, snrs[j], point, t) for t in range(size)]
+            trials = list(range(size))
+            tasks = [(point, t) for t in trials]
             try:
-                got = pipeline._batch_band(cfg, tasks)
-                want = [trial_band(cfg, task) for task in tasks]
+                got = sweep_rows(points, tasks, pipeline._batch_band(cfg, points, point, trials))
+                want = [trial_band(cfg, (layout, snrs[j], point, t)) for t in trials]
             finally:
                 pipeline._POINT_SETUPS.clear()
             assert got == want
@@ -736,16 +780,19 @@ def test_sweep_points_span_batches_like_one_by_one_trials(desk):
     from _oracles import trial_snr
 
     cfg = small_sweep(desk, snr_db=(0.0, 20.0), n_trials=pipeline._MAX_BATCH + 3)
-    tasks = [(snr, i, t) for i, snr in enumerate(cfg.sweep.snr_db) for t in range(cfg.sweep.n_trials)]
+    points = [{"snr_db": snr} for snr in cfg.sweep.snr_db]
+    tasks = [(i, t) for i in range(len(points)) for t in range(cfg.sweep.n_trials)]
     try:
-        want = [trial_snr(cfg, task) for task in tasks]
+        want = [trial_snr(cfg, (points[i]["snr_db"], i, t)) for i, t in tasks]
     finally:
         pipeline._POINT_SETUPS.clear()
     assert list(sweep(cfg, "snr", workers=1).trials) == want
-    batch = functools.partial(pipeline._batch_snr, cfg)
+    batch = functools.partial(pipeline._batch_snr, cfg, points)
     shares = [pipeline._run_share(batch, tasks, k, 2) for k in (0, 1)]
     pipeline._POINT_SETUPS.clear()
-    assert shares == [want[0::2], want[1::2]]
+    assert [sweep_rows(points, tasks[k::2], share) for k, share in enumerate(shares)] == [
+        want[0::2], want[1::2]
+    ]
 
 
 # trial -> the step at which it fails: its draw, a pursuit or a readout; with
@@ -774,11 +821,10 @@ def test_sensing_sweep_raises_the_first_failing_task(desk, two_cpus, monkeypatch
     refit, readout = pipeline.recover_slices_batch, pipeline._comm_support
     trial_of = {}  # id of a drawn frame, sample set or refit -> its trial
 
-    def failing_draw(cfg, task):
-        trial = task[-1]
+    def failing_draw(cfg, point, point_idx, trial):
         if failing.get(trial) == "draw":
             raise RuntimeError(f"draw {trial}")
-        d = draw(cfg, task)
+        d = draw(cfg, point, point_idx, trial)
         trial_of[id(d.frame)] = trial_of[id(d.z)] = trial
         return d
 

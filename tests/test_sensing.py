@@ -293,7 +293,8 @@ def _refit_stack(preset):
     cfg = load_config(preset)
     point = len(cfg.sweep.snr_db) - 1
     try:
-        drawn = [pipeline._draw_snr(cfg, (cfg.sweep.snr_db[point], point, t)) for t in range(6)]
+        snr = {"snr_db": cfg.sweep.snr_db[point]}
+        drawn = [pipeline._draw_snr(cfg, snr, point, t) for t in range(6)]
     finally:
         pipeline._POINT_SETUPS.clear()
     a = drawn[0].a
