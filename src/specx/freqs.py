@@ -80,6 +80,9 @@ class FrequencySet:
     def __setattr__(self, name, value):
         raise AttributeError("FrequencySet is immutable")
 
+    def __reduce__(self):  # pickle and copy rebuild it through __init__
+        return (FrequencySet, (self._intervals,))
+
     @property
     def intervals(self) -> tuple[FrequencyInterval, ...]:
         return self._intervals

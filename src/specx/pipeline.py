@@ -720,23 +720,6 @@ def _sensing_matrix(seed: int, n_chips: int, grid: GridSpec, n_channels: int) ->
     return build_sensing_matrix(seqs, grid.n_slices)
 
 
-# What the trials of the running sweep share, keyed on (builder, *inputs).
-# The calling process and each child it starts fill their own copy on first
-# use, so nothing large travels to the children and fork and spawn both work;
-# sweep() empties it when it returns or raises.
-_POINT_SETUPS: dict[tuple, Any] = {}
-
-
-def _per_point(build: Callable[..., Any], *args: Any) -> Any:
-    """build(*args), built once per process and sweep; args must be hashable."""
-    key = (build, *args)
-    try:
-        return _POINT_SETUPS[key]
-    except KeyError:
-        value = _POINT_SETUPS[key] = build(*args)
-        return value
-
-
 def _base_meta(cfg: ScenarioConfig, grid: GridSpec) -> dict[str, Any]:
     rate = total_rate(cfg.grid.n_channels, cfg.grid.f_s, grid)
     req = cfg.feasibility()
@@ -1091,7 +1074,8 @@ def _radar_emission(
     """The radar of a sensing sweep: the emission profile of the waveform on
     the bands selected against an empty comm map, and their grid slices.
 
-    Every trial's comm map on the REM span is empty.
+    Every trial's comm map on the REM span is empty, so _sensing_setups
+    builds this once per sweep for all its trials.
     _random_transmissions rejects any carrier whose band or mirror meets
     _radar_avoid_zone, the radar band padded by 1.5 f_p on each side. The
     REM span, moved to the radar carrier, is wider than the radar band by
@@ -1107,49 +1091,68 @@ def _radar_emission(
     )
 
 
+class _SensingSetup(NamedTuple):
+    """What the trials of a sensing-sweep point share: the grid, the MWC
+    front end a, the zone their comm carriers keep clear of
+    (_radar_avoid_zone), and the radar's emission profile and slices s_r
+    (_radar_emission)."""
+
+    grid: GridSpec
+    a: SensingMatrix
+    avoid: FrequencySet
+    emission: RadarEmission
+    s_r: SliceSupport
+
+
+def _sensing_setups(
+    cfg: ScenarioConfig, grid: GridSpec, counts: Sequence[int]
+) -> list[_SensingSetup]:
+    """The setup of each sensing-sweep point, point i's front end having
+    counts[i] channels: one avoid zone and one radar per sweep, and one
+    front end per distinct channel count."""
+    avoid = _radar_avoid_zone(cfg.grid, cfg.radar)
+    emission, s_r = _radar_emission(cfg.rem, cfg.radar, grid)
+    fronts = {m: _sensing_matrix(cfg.seed, cfg.grid.n_chips, grid, m) for m in set(counts)}
+    return [_SensingSetup(grid, fronts[m], avoid, emission, s_r) for m in counts]
+
+
 def _comm_trial(
-    cfg: ScenarioConfig, grid: GridSpec, tag: str, point_idx: int, trial: int
-) -> tuple[SliceSpectrum, SliceSpectrum, SliceSupport, SliceSupport]:
+    cfg: ScenarioConfig, setup: _SensingSetup, tag: str, point_idx: int, trial: int
+) -> tuple[SliceSpectrum, SliceSpectrum, SliceSupport]:
     """The _medium of one sensing-sweep trial, seeded by tag under
-    (point_idx, trial): a random comm layout clear of the radar, and the
-    sweep's radar emission on the air. Returns (comm_x, x, s_c_true, s_r):
-    the comm signal alone, comm plus radar, the true comm slices and the
-    radar slices.
+    (point_idx, trial): a random comm layout clear of setup.avoid, and the
+    sweep's radar emission on the air. Returns (comm_x, x, s_c_true): the
+    comm signal alone, comm plus radar, and the true comm slices.
 
     No comm layout reaches the REM span (_radar_emission says why), so
-    every trial shares one radar: each process builds its bands, waveform,
-    emission profile and slices once per sweep, and a trial only draws the
-    emission. The lookup follows the carrier draw, so a trial with no clear
-    carrier raises InfeasibleError before the radar can raise
-    BandSelectionError."""
+    every trial shares the sweep's one radar, and a trial only draws the
+    emission from setup.emission."""
     rng = derive_rng(cfg.seed, tag, point_idx, trial)
-    specs = _random_transmissions(cfg, _per_point(_radar_avoid_zone, cfg.grid, cfg.radar), rng)
-    emission, s_r = _per_point(_radar_emission, cfg.rem, cfg.radar, grid)
+    specs = _random_transmissions(cfg, setup.avoid, rng)
     comm_x, x, _, s_c_true = _medium(
-        cfg, grid, specs, 0.0, f"{tag}-", (point_idx, trial), emission
+        cfg, setup.grid, specs, 0.0, f"{tag}-", (point_idx, trial), setup.emission
     )
-    return comm_x, x, s_c_true, s_r
+    return comm_x, x, s_c_true
 
 
 class _Drawn(NamedTuple):
-    """A sensing-sweep trial up to its pursuits: the front end a, the
-    channel samples z and their frame, the radar slices s_r, the comm
-    slices it is scored against, the channel noise variance, and the
-    (known support, budget) of each greedy pursuit it runs, in order."""
+    """A sensing-sweep trial up to its pursuits: the channel samples z and
+    their frame, the comm slices it is scored against, the channel noise
+    variance, and the (known support, budget) of each greedy pursuit it
+    runs, in order."""
 
-    a: SensingMatrix
     z: ChannelSamples
     frame: FrameMatrix
-    s_r: SliceSupport
     s_c_true: SliceSupport
     noise_var: float
     pursuits: tuple[tuple[SliceSupport, int], ...]
 
 
-def _draw_snr(cfg: ScenarioConfig, point: dict, point_idx: int, trial: int) -> _Drawn:
-    grid = _per_point(GridConfig.to_grid, cfg.grid)
-    a = _per_point(_sensing_matrix, cfg.seed, cfg.grid.n_chips, grid, cfg.grid.n_channels)
-    comm_x, x, s_c_true, s_r = _comm_trial(cfg, grid, "snr", point_idx, trial)
+def _draw_snr(
+    cfg: ScenarioConfig, setup: _SensingSetup, point: dict, point_idx: int, trial: int
+) -> _Drawn:
+    a = setup.a
+    comm_x, x, s_c_true = _comm_trial(cfg, setup, "snr", point_idx, trial)
     # SNR is defined against the comm signal alone; the radar emission is
     # interference at a fixed power, not part of the signal being detected
     p_sig = float(np.mean(np.abs(xample(comm_x, a).z) ** 2))
@@ -1168,8 +1171,8 @@ def _draw_snr(cfg: ScenarioConfig, point: dict, point_idx: int, trial: int) -> _
     # competes for its greedy picks (a pursuit picks at most a.n columns,
     # so the cap changes no pick)
     budget = 4 * cfg.comm.n_sig_effective
-    pursuits = ((s_r, budget), (SliceSupport(), min(budget, a.n)))
-    return _Drawn(a, z, build_frame(z), s_r, s_c_true, noise_var, pursuits)
+    pursuits = ((setup.s_r, budget), (SliceSupport(), min(budget, a.n)))
+    return _Drawn(z, build_frame(z), s_c_true, noise_var, pursuits)
 
 
 def _snr_row(d: _Drawn, comm: list[SliceSupport]) -> dict[str, Any]:
@@ -1183,30 +1186,22 @@ def _snr_row(d: _Drawn, comm: list[SliceSupport]) -> dict[str, Any]:
     }
 
 
-def _band_setup(r: RadarConfig, occupancy: float, layout: str, snr_db: float) -> _RadarSetup:
-    """Radar setup of one band-placement point: a scripted layout, with the
-    coefficient noise snr_db below the power of a flat full-band emission.
-    Every point on the same bands shares one frame."""
-    f_r = band_layout(layout, r.b_h, r.n_bands, occupancy, r.n_delay_bins)
-    noise_var = (r.p_t / (r.b_h * r.pri**2)) * 10.0 ** (-snr_db / 10.0)
-    return _radar_setup(r, _per_point(_radar_frame, r, f_r), noise_var)
-
-
 def _draw_band(cfg: ScenarioConfig, point_idx: int, trial: int) -> tuple[TargetScene, int]:
     """A band-placement trial's scene and the seed of its coefficient noise."""
     scene = _draw_scene(cfg, derive_rng(cfg.seed, "band-scene", point_idx, trial))
     return scene, _child_seed(cfg.seed, "band-radar", point_idx, trial)
 
 
-def _draw_channels(cfg: ScenarioConfig, point: dict, point_idx: int, trial: int) -> _Drawn:
-    grid = _per_point(GridConfig.to_grid, cfg.grid)
-    a = _per_point(_sensing_matrix, cfg.seed, cfg.grid.n_chips, grid, point["n_channels"])
-    _, x, s_c_true, s_r = _comm_trial(cfg, grid, "chan", point_idx, trial)
+def _draw_channels(
+    cfg: ScenarioConfig, setup: _SensingSetup, point: dict, point_idx: int, trial: int
+) -> _Drawn:
+    a = setup.a
+    _, x, s_c_true = _comm_trial(cfg, setup, "chan", point_idx, trial)
     p_sig = float(np.mean(np.abs(xample(x, a).z) ** 2))
     noise_var = p_sig * 10.0 ** (-cfg.sweep.channels_snr_db / 10.0)
     z = xample(x, a, noise_var, _child_seed(cfg.seed, "chan-noise", point_idx, trial))
-    pursuits = ((s_r, 4 * cfg.comm.n_sig_effective),)
-    return _Drawn(a, z, build_frame(z), s_r, s_c_true, noise_var, pursuits)
+    pursuits = ((setup.s_r, 4 * cfg.comm.n_sig_effective),)
+    return _Drawn(z, build_frame(z), s_c_true, noise_var, pursuits)
 
 
 def _channels_row(d: _Drawn, comm: list[SliceSupport]) -> dict[str, Any]:
@@ -1217,69 +1212,68 @@ def _channels_row(d: _Drawn, comm: list[SliceSupport]) -> dict[str, Any]:
 
 
 def _sensing_batch(
-    cfg: ScenarioConfig, points: list[dict], point_idx: int, trials: list[int],
-    draw: Callable[[ScenarioConfig, dict, int, int], _Drawn],
+    cfg: ScenarioConfig, points: list[dict], setups: list, point_idx: int, trials: list[int],
+    draw: Callable[[ScenarioConfig, _SensingSetup, dict, int, int], _Drawn],
     measure: Callable[[_Drawn, list[SliceSupport]], dict[str, Any]],
 ) -> list[dict]:
-    """Measurements of the given trials of one sensing-sweep point.
+    """Measurements of the given trials of one sensing-sweep point, on the
+    point's setup.
 
     Each trial is drawn (comm layout, radar emission, channel samples and
     frame) in trial order; then each of its pursuits runs once for all the
-    trials through omp_pks_batch (they share their point, so their front
-    end); then each pursuit's supports are refit for all the trials
-    through recover_slices_batch; then, per trial in order, each refit is
-    read out as comm slices (_comm_support) and measured. The point's
-    columns and the trial index are sweep's to write. Any failure raises;
-    _run_share pins it on its trial.
+    trials through omp_pks_batch on the point's front end; then each
+    pursuit's supports are refit for all the trials through
+    recover_slices_batch; then, per trial in order, each refit is read out
+    as comm slices (_comm_support) and measured. The point's columns and
+    the trial index are sweep's to write. Any failure raises; _run_share
+    pins it on its trial.
     """
-    drawn = [draw(cfg, points[point_idx], point_idx, t) for t in trials]
-    frames, zs, a = [d.frame for d in drawn], [d.z for d in drawn], drawn[0].a
+    setup = setups[point_idx]
+    drawn = [draw(cfg, setup, points[point_idx], point_idx, t) for t in trials]
+    frames, zs, a = [d.frame for d in drawn], [d.z for d in drawn], setup.a
     found = [omp_pks_batch(frames, a, s_r, k_extra) for s_r, k_extra in drawn[0].pursuits]
     refits = [recover_slices_batch(zs, a, sups) for sups in found]
     return [
-        measure(d, [_comm_support(ests[i], d.s_r, cfg.comm.prune_db) for ests in refits])
+        measure(d, [_comm_support(ests[i], setup.s_r, cfg.comm.prune_db) for ests in refits])
         for i, d in enumerate(drawn)
     ]
 
 
 def _batch_snr(
-    cfg: ScenarioConfig, points: list[dict], point_idx: int, trials: list[int]
+    cfg: ScenarioConfig, points: list[dict], setups: list, point_idx: int, trials: list[int]
 ) -> list[dict]:
-    return _sensing_batch(cfg, points, point_idx, trials, _draw_snr, _snr_row)
+    return _sensing_batch(cfg, points, setups, point_idx, trials, _draw_snr, _snr_row)
 
 
 def _batch_channels(
-    cfg: ScenarioConfig, points: list[dict], point_idx: int, trials: list[int]
+    cfg: ScenarioConfig, points: list[dict], setups: list, point_idx: int, trials: list[int]
 ) -> list[dict]:
-    return _sensing_batch(cfg, points, point_idx, trials, _draw_channels, _channels_row)
+    return _sensing_batch(cfg, points, setups, point_idx, trials, _draw_channels, _channels_row)
 
 
 _BAND_MEASURES = ("hit_rate", "n_detections", "truncated", "rmse_range_m", "kappa_size")
 
 
 def _batch_band(
-    cfg: ScenarioConfig, points: list[dict], point_idx: int, trials: list[int]
+    cfg: ScenarioConfig, points: list[dict], setups: list, point_idx: int, trials: list[int]
 ) -> list[dict]:
-    """Measurements of the given trials of one band-placement point.
+    """Measurements of the given trials of one band-placement point, on the
+    point's radar setup.
 
-    The point's setup is looked up first; then each trial's scene and noise
-    seed are drawn in trial order (_draw_band), and the trials run as one
-    stack through _radar_trials: one coefficient synthesis, one Doppler
-    focus and one first back-projection, then a pursuit per trial. Every
-    stacked step does each trial's float operations on the operands, and
-    with the strides, a lone trial has, so the measurements are those of
-    the trials run one by one. Each holds the five _BAND_MEASURES; the
-    point's columns and the trial index are sweep's to write. Any failure
-    raises; _run_share pins it on its trial.
+    Each trial's scene and noise seed are drawn in trial order
+    (_draw_band), and the trials run as one stack through _radar_trials:
+    one coefficient synthesis, one Doppler focus and one first
+    back-projection, then a pursuit per trial. Every stacked step does
+    each trial's float operations on the operands, and with the strides, a
+    lone trial has, so the measurements are those of the trials run one by
+    one. Each holds the five _BAND_MEASURES; the point's columns and the
+    trial index are sweep's to write. Any failure raises; _run_share pins
+    it on its trial.
     """
-    point = points[point_idx]
-    setup = _per_point(
-        _band_setup, cfg.radar, cfg.sweep.occupancy, point["band_layout"], point["snr_db"]
-    )
     scenes, seeds = zip(*(_draw_band(cfg, point_idx, t) for t in trials))
     return [
         {key: radar[key] for key in _BAND_MEASURES}
-        for radar in _radar_trials(cfg, setup, scenes, seeds)
+        for radar in _radar_trials(cfg, setups[point_idx], scenes, seeds)
     ]
 
 
@@ -1295,16 +1289,7 @@ def _ci95(rows: list[dict[str, Any]], key: str) -> float:
 
 
 def _resolve_workers(cfg: ScenarioConfig, workers: int | None) -> int:
-    requested = workers if workers is not None else cfg.sweep.workers
-    if requested < 1:
-        requested = 1
-    cap = os.environ.get("SPECX_WORKERS", "")
-    if cap.strip():
-        try:
-            requested = min(requested, max(1, int(cap)))
-        except ValueError:
-            pass
-    return requested
+    return max(1, workers if workers is not None else cfg.sweep.workers)
 
 
 @functools.cache
@@ -1458,13 +1443,14 @@ def _run_split(batch, tasks: list[tuple], w: int) -> list[dict[str, Any]]:
     return measured
 
 
-def _snr_points(cfg: ScenarioConfig, grid: GridSpec) -> list[dict[str, Any]]:
+def _snr_plan(cfg: ScenarioConfig, grid: GridSpec) -> tuple[list[dict], list[_SensingSetup]]:
     if not cfg.sweep.snr_db:
         raise ConfigError("sweep.snr_db must be non-empty")
     if not cfg.comm.transmissions:
         raise ConfigError("an snr sweep needs at least one comm.transmissions entry")
     _require_channels(cfg, grid, cfg.grid.n_channels, "grid.n_channels")
-    return [{"snr_db": snr} for snr in cfg.sweep.snr_db]
+    points = [{"snr_db": snr} for snr in cfg.sweep.snr_db]
+    return points, _sensing_setups(cfg, grid, [cfg.grid.n_channels] * len(points))
 
 
 def _snr_stats(cfg: ScenarioConfig, grid: GridSpec, rows: list[dict]) -> dict[str, Any]:
@@ -1479,22 +1465,33 @@ def _snr_stats(cfg: ScenarioConfig, grid: GridSpec, rows: list[dict]) -> dict[st
     }
 
 
-def _band_points(cfg: ScenarioConfig, grid: GridSpec) -> list[dict[str, Any]]:
+def _band_plan(cfg: ScenarioConfig, grid: GridSpec) -> tuple[list[dict], list[_RadarSetup]]:
+    """Each layout at each SNR, and each point's radar setup: the layout's
+    scripted bands, with the coefficient noise snr_db below the power of a
+    flat full-band emission. Every point on the same bands shares one
+    frame."""
     s, r = cfg.sweep, cfg.radar
     bad = sorted(set(s.band_layouts) - set(_LAYOUT_NAMES))
     if bad:
         raise ConfigError(f"sweep.band_layouts: unknown layouts {bad}")
+    bands = {}
     for layout in s.band_layouts:
         try:
-            band_layout(layout, r.b_h, r.n_bands, s.occupancy, r.n_delay_bins)
+            bands[layout] = band_layout(layout, r.b_h, r.n_bands, s.occupancy, r.n_delay_bins)
         except ValueError as exc:
             raise ConfigError(f"sweep.occupancy ({s.occupancy:g}): {exc}") from exc
     _require_feasible(cfg)
     snr_grid = s.band_snr_db or s.snr_db
     if not s.band_layouts or not snr_grid:
         raise ConfigError("sweep.band_layouts and the SNR grid must be non-empty")
-    return [
+    points = [
         {"band_layout": layout, "snr_db": snr} for layout in s.band_layouts for snr in snr_grid
+    ]
+    frames = {f_r: _radar_frame(r, f_r) for f_r in set(bands.values())}
+    full_band = r.p_t / (r.b_h * r.pri**2)
+    return points, [
+        _radar_setup(r, frames[bands[p["band_layout"]]], full_band * 10.0 ** (-p["snr_db"] / 10.0))
+        for p in points
     ]
 
 
@@ -1502,12 +1499,13 @@ def _band_stats(cfg: ScenarioConfig, grid: GridSpec, rows: list[dict]) -> dict[s
     return {"hit_rate": _mean(rows, "hit_rate"), "ci95": _ci95(rows, "hit_rate")}
 
 
-def _channel_points(cfg: ScenarioConfig, grid: GridSpec) -> list[dict[str, Any]]:
-    if not cfg.sweep.channel_counts:
+def _channel_plan(cfg: ScenarioConfig, grid: GridSpec) -> tuple[list[dict], list[_SensingSetup]]:
+    counts = cfg.sweep.channel_counts
+    if not counts:
         raise ConfigError("sweep.channel_counts must be non-empty")
-    for m in cfg.sweep.channel_counts:
+    for m in counts:
         _require_channels(cfg, grid, m, "sweep.channel_counts entry")
-    return [{"n_channels": m} for m in cfg.sweep.channel_counts]
+    return [{"n_channels": m} for m in counts], _sensing_setups(cfg, grid, counts)
 
 
 def _channel_stats(cfg: ScenarioConfig, grid: GridSpec, rows: list[dict]) -> dict[str, Any]:
@@ -1523,26 +1521,28 @@ def _channel_stats(cfg: ScenarioConfig, grid: GridSpec, rows: list[dict]) -> dic
 
 
 class _SweepAxis(NamedTuple):
-    """One sweep axis: its points, checked before any trial runs (their
-    keys lead its trial and aggregate rows), its batch function,
-    (cfg, points, point_idx, trials) -> one measurement dict per trial,
-    the per-point stats that complete an aggregate row, and any extra
-    report meta. sweep writes each trial row's point columns and "trial"."""
+    """One sweep axis: its plan, (cfg, grid) -> (points, setups), which
+    checks the points and builds one setup per point, what that point's
+    trials share, before any trial runs (the points' keys lead its trial
+    and aggregate rows); its batch function, (cfg, points, setups,
+    point_idx, trials) -> one measurement dict per trial; the per-point
+    stats that complete an aggregate row, and any extra report meta. sweep
+    writes each trial row's point columns and "trial"."""
 
-    points: Callable[[ScenarioConfig, GridSpec], list[dict[str, Any]]]
-    batch: Callable[[ScenarioConfig, list[dict], int, list[int]], list[dict]]
+    plan: Callable[[ScenarioConfig, GridSpec], tuple[list[dict[str, Any]], list[Any]]]
+    batch: Callable[[ScenarioConfig, list[dict], list[Any], int, list[int]], list[dict]]
     stats: Callable[[ScenarioConfig, GridSpec, list[dict]], dict[str, Any]]
     meta: Callable[[ScenarioConfig], dict[str, Any]] = lambda cfg: {}
 
 
 _SWEEPS = {
-    "snr": _SweepAxis(_snr_points, _batch_snr, _snr_stats),
+    "snr": _SweepAxis(_snr_plan, _batch_snr, _snr_stats),
     "band_placement": _SweepAxis(
-        _band_points, _batch_band, _band_stats,
+        _band_plan, _batch_band, _band_stats,
         lambda cfg: {"occupancy": cfg.sweep.occupancy},
     ),
     "channels": _SweepAxis(
-        _channel_points, _batch_channels, _channel_stats,
+        _channel_plan, _batch_channels, _channel_stats,
         lambda cfg: {"channels_snr_db": cfg.sweep.channels_snr_db},
     ),
 }
@@ -1558,8 +1558,11 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     the sampler's channel count. Trial records carry every per-run metric
     the aggregates are computed from.
 
-    What trials share is built once per process that runs them. For snr
-    and channels: the grid, with its dense frequencies, mirror positions and
+    What a point's trials share is built once per sweep, in this process,
+    by the axis's plan before any trial runs, so a failure to build it
+    raises before any trial or child starts. Forked children inherit it;
+    under spawn it travels pickled with the batch function. For snr and
+    channels: the grid, with its dense frequencies, mirror positions and
     slice index map, and the REM and radar avoid zone once per sweep; the
     MWC front end, with its column norms, matched filters and the QR of the
     radar's known columns, once per sweep for snr and once per channel count
@@ -1606,14 +1609,11 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     spec = _SWEEPS[axis]
     n_trials = cfg.sweep.n_trials
     grid = cfg.grid.to_grid()
-    points = spec.points(cfg, grid)
+    points, setups = spec.plan(cfg, grid)
     tasks = [(i, t) for i in range(len(points)) for t in range(n_trials)]
     w = min(_resolve_workers(cfg, workers), len(tasks), _usable_cpus())
-    try:
-        with _single_blas_thread():
-            measured = _run_split(functools.partial(spec.batch, cfg, points), tasks, w)
-    finally:
-        _POINT_SETUPS.clear()
+    with _single_blas_thread():
+        measured = _run_split(functools.partial(spec.batch, cfg, points, setups), tasks, w)
     rows = [{**points[i], "trial": t, **m} for (i, t), m in zip(tasks, measured)]
     aggregates = tuple(
         {**point, **spec.stats(cfg, grid, rows[i * n_trials : (i + 1) * n_trials])}

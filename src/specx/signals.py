@@ -258,10 +258,6 @@ class RadarWaveformSpec:
         return self.base_spectrum.size
 
     @property
-    def n_b(self) -> int:
-        return len(self.bands)
-
-    @property
     def delta(self) -> float:
         return self.b_h / self.n_bins
 

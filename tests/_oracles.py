@@ -540,19 +540,27 @@ def recover_slices_lstsq(z, a, s):
     return SliceEstimate(x_hat=x_hat, support=s, grid=grid)
 
 
+def sensing_setup(cfg, n_channels):
+    """A sensing-sweep point's setup built afresh from its builders: the
+    grid, a front end of n_channels, the radar avoid zone and the radar."""
+    from specx.pipeline import _radar_avoid_zone, _radar_emission, _sensing_matrix, _SensingSetup
+
+    grid = cfg.grid.to_grid()
+    a = _sensing_matrix(cfg.seed, cfg.grid.n_chips, grid, n_channels)
+    emission, s_r = _radar_emission(cfg.rem, cfg.radar, grid)
+    return _SensingSetup(grid, a, _radar_avoid_zone(cfg.grid, cfg.radar), emission, s_r)
+
+
 def trial_snr(cfg, task):
     """One snr-sweep trial as it ran on its own, on the one-frame pursuits
     and the lstsq refit."""
     from specx import SliceSupport, build_frame, xample
-    from specx.pipeline import (
-        GridConfig, _child_seed, _comm_support, _comm_trial, _index_ratio, _per_point,
-        _sensing_matrix,
-    )
+    from specx.pipeline import _child_seed, _comm_support, _comm_trial, _index_ratio
 
     snr_db, point_idx, trial = task
-    grid = _per_point(GridConfig.to_grid, cfg.grid)
-    a = _per_point(_sensing_matrix, cfg.seed, cfg.grid.n_chips, grid, cfg.grid.n_channels)
-    comm_x, x, s_c_true, s_r = _comm_trial(cfg, grid, "snr", point_idx, trial)
+    setup = sensing_setup(cfg, cfg.grid.n_channels)
+    a, s_r = setup.a, setup.s_r
+    comm_x, x, s_c_true = _comm_trial(cfg, setup, "snr", point_idx, trial)
     p_sig = float(np.mean(np.abs(xample(comm_x, a).z) ** 2))
     noise_var = p_sig * 10.0 ** (-snr_db / 10.0)
     z = xample(x, a, noise_var, _child_seed(cfg.seed, "snr-noise", point_idx, trial))
@@ -584,15 +592,12 @@ def trial_channels(cfg, task):
     """One channels-sweep trial as it ran on its own, on the one-frame
     pursuit and the lstsq refit."""
     from specx import build_frame, xample
-    from specx.pipeline import (
-        GridConfig, _child_seed, _comm_support, _comm_trial, _index_ratio, _per_point,
-        _sensing_matrix,
-    )
+    from specx.pipeline import _child_seed, _comm_support, _comm_trial, _index_ratio
 
     m, point_idx, trial = task
-    grid = _per_point(GridConfig.to_grid, cfg.grid)
-    a = _per_point(_sensing_matrix, cfg.seed, cfg.grid.n_chips, grid, m)
-    _, x, s_c_true, s_r = _comm_trial(cfg, grid, "chan", point_idx, trial)
+    setup = sensing_setup(cfg, m)
+    a, s_r = setup.a, setup.s_r
+    _, x, s_c_true = _comm_trial(cfg, setup, "chan", point_idx, trial)
     p_sig = float(np.mean(np.abs(xample(x, a).z) ** 2))
     noise_var = p_sig * 10.0 ** (-cfg.sweep.channels_snr_db / 10.0)
     z = xample(x, a, noise_var, _child_seed(cfg.seed, "chan-noise", point_idx, trial))
@@ -721,13 +726,16 @@ def trial_band(cfg, task):
     coefficients, focus and pursuit."""
     from specx import hit_or_miss
     from specx.pipeline import (
-        _band_setup, _child_seed, _draw_scene, _per_point, _rmse_range_m, derive_rng,
+        _child_seed, _draw_scene, _radar_frame, _radar_setup, _rmse_range_m, band_layout,
+        derive_rng,
     )
 
     layout, snr_db, point_idx, trial = task
     r = cfg.radar
     train = r.train()
-    setup = _per_point(_band_setup, r, cfg.sweep.occupancy, layout, snr_db)
+    f_r = band_layout(layout, r.b_h, r.n_bands, cfg.sweep.occupancy, r.n_delay_bins)
+    noise_var = (r.p_t / (r.b_h * r.pri**2)) * 10.0 ** (-snr_db / 10.0)
+    setup = _radar_setup(r, _radar_frame(r, f_r), noise_var)
     frame = setup.frame
     scene = _draw_scene(cfg, derive_rng(cfg.seed, "band-scene", point_idx, trial))
     seed = _child_seed(cfg.seed, "band-radar", point_idx, trial)

@@ -307,7 +307,6 @@ def _dying_draw(cfg, point_idx, trial):
 def test_dead_sweep_worker_exits_3(tmp_path, monkeypatch, capsys):
     from specx import cli
 
-    monkeypatch.delenv("SPECX_WORKERS", raising=False)  # the sweep must not run serially
     monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(pipeline, "_draw_band", _dying_draw)
     code = cli.main([

@@ -1,6 +1,8 @@
 """Interval algebra, grid geometry, and slice-support bookkeeping."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -33,6 +35,15 @@ def test_interval_rejects_degenerate():
 
 
 # -- set normalization and algebra -------------------------------------------
+
+
+def test_pickle_and_deepcopy_give_back_an_equal_set():
+    s = fset([(0, 2), (5, 7.5)])
+    for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
+        assert copied == s and copied.intervals == s.intervals
+        with pytest.raises(AttributeError, match="immutable"):
+            copied._intervals = ()
+    assert pickle.loads(pickle.dumps(FrequencySet())) == FrequencySet()
 
 
 def test_normalization_merges_overlaps_and_abutments():

@@ -419,7 +419,7 @@ def test_sweep_caps_blas_threads_and_restores_them(desk, monkeypatch):
 
         seen = []
 
-        def failing_draw(cfg, point, point_idx, trial):
+        def failing_draw(cfg, setup, point, point_idx, trial):
             seen.append(get())
             raise RuntimeError("trial failed")
 
@@ -549,28 +549,6 @@ def test_sweep_comm_layouts_miss_the_rem_span(preset, widen):
             assert f_c.shifted(-cfg.radar.carrier).intersection(span) == pipeline.FrequencySet()
 
 
-def test_sweep_empties_point_setups(desk, monkeypatch):
-    cfg = small_sweep(desk, band_snr_db=(-18.0,), n_trials=2)
-    sweep(cfg, "band_placement", workers=1)
-    assert pipeline._POINT_SETUPS == {}
-
-    draw_band = pipeline._draw_band
-    held = []
-
-    def failing_draw(cfg, point_idx, trial):
-        draw_band(cfg, point_idx, trial)
-        held.append(len(pipeline._POINT_SETUPS))
-        raise RuntimeError("trial failed")
-
-    monkeypatch.setattr(pipeline, "_draw_band", failing_draw)
-    with pytest.raises(RuntimeError, match="trial failed"):
-        sweep(cfg, "band_placement", workers=1)
-    # the point's setup and the frame of its bands, looked up before the
-    # draws, in the batch and when its first trial re-runs on its own
-    assert held == [2, 2]
-    assert pipeline._POINT_SETUPS == {}
-
-
 def test_sweep_without_blas_thread_control(desk, monkeypatch):
     cfg = small_sweep(desk, band_snr_db=(-18.0,), n_trials=2)
     expected = sweep(cfg, "band_placement", workers=1)
@@ -583,7 +561,6 @@ def test_sweep_without_blas_thread_control(desk, monkeypatch):
 @pytest.fixture
 def two_cpus(monkeypatch):
     """A sweep may use two processes, whatever this machine has."""
-    monkeypatch.delenv("SPECX_WORKERS", raising=False)
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
 
 
@@ -622,7 +599,6 @@ def test_parallel_sweep_raises_the_first_failing_task(desk, two_cpus, monkeypatc
     with pytest.raises(RuntimeError, match=f"^{failing[min(failing)]}$"):
         sweep(cfg, "band_placement", workers=workers)
     assert multiprocessing.active_children() == []
-    assert pipeline._POINT_SETUPS == {}
 
 
 def test_interrupt_terminates_children_at_once(desk, two_cpus, monkeypatch):
@@ -658,6 +634,96 @@ def test_child_failure_that_does_not_pickle(desk, two_cpus, monkeypatch):
     with pytest.raises(RuntimeError, match=r"^_Unpicklable\('trial failed at task'\)$"):
         sweep(cfg, "band_placement", workers=2)
     assert multiprocessing.active_children() == []
+
+
+def counted_in_every_process(monkeypatch, name):
+    """Replace pipeline.<name> by a wrapper that counts its calls in this
+    process and in every child it forks, in one shared counter."""
+    calls = multiprocessing.Value("i", 0)
+    original = getattr(pipeline, name)
+
+    def wrapper(*args, **kwargs):
+        with calls.get_lock():
+            calls.value += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "axis, changes, builder, builds",
+    [
+        ("band_placement", {"band_snr_db": (-21.0, -15.0), "n_trials": 3}, "partial_fourier", 3),
+        ("snr", {"snr_db": (0.0, 10.0), "n_trials": 3}, "build_sensing_matrix", 1),
+    ],
+    ids=["band_placement", "snr"],
+)
+def test_parallel_sweep_builds_each_setup_once(desk, two_cpus, monkeypatch, axis, changes,
+                                               builder, builds):
+    """At two workers a sweep still builds its setups once, in the calling
+    process: the child it forks inherits them and builds none."""
+    cfg = small_sweep(desk, **changes)
+    expected = sweep(cfg, axis, workers=1)
+    built = counted_in_every_process(monkeypatch, builder)
+    children = counted_in_every_process(monkeypatch, "_child_share")
+    assert sweep(cfg, axis, workers=2) == expected
+    assert children.value == 1
+    assert built.value == builds
+
+
+def test_plan_failure_raises_before_any_trial(desk, two_cpus, monkeypatch):
+    """A setup that cannot be built raises from the plan: no share of
+    trials runs and no child starts."""
+
+    def failing_frame(r, f_r):
+        raise ValueError("frame failed")
+
+    monkeypatch.setattr(pipeline, "_radar_frame", failing_frame)
+    draws = counted_in_every_process(monkeypatch, "_draw_band")
+    shares = counted_in_every_process(monkeypatch, "_run_share")
+    cfg = small_sweep(desk, band_snr_db=(-18.0,), n_trials=2)
+    with pytest.raises(ValueError, match="^frame failed$"):
+        sweep(cfg, "band_placement", workers=2)
+    assert draws.value == shares.value == 0
+    assert multiprocessing.active_children() == []
+
+
+_SPAWN_SWEEPS = """
+import dataclasses, multiprocessing
+from specx import load_config, pipeline
+
+multiprocessing.set_start_method("spawn")
+pipeline._usable_cpus = lambda: 2
+desk = load_config("desk")
+for axis, changes in (
+    ("band_placement", {"band_layouts": ("separated", "wideband"), "band_snr_db": (-18.0,)}),
+    ("snr", {"snr_db": (0.0, 10.0)}),
+):
+    cfg = dataclasses.replace(desk, sweep=dataclasses.replace(desk.sweep, n_trials=3, **changes))
+    assert pipeline.sweep(cfg, axis, workers=2) == pipeline.sweep(cfg, axis, workers=1), axis
+print(multiprocessing.get_start_method())
+"""
+
+
+def test_spawned_sweep_children_get_the_setups():
+    """Under the spawn start method the setups reach the child pickled with
+    its batch function, and a 2-worker sweep gives the 1-worker rows. A
+    child that cannot unpickle them can leave the caller blocked starting
+    it, so the sweeps run in a subprocess under a timeout."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SPAWN_SWEEPS], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "spawn\n"
 
 
 # -- batched sensing sweep points against the one-by-one oracle ------------------
@@ -699,21 +765,19 @@ def test_batched_sensing_rows_equal_one_by_one_oracle(preset, axis, monkeypatch)
         ("snr_db", base.sweep.snr_db) if axis == "snr"
         else ("n_channels", base.sweep.channel_counts)
     )
-    points = [{key: value} for value in values]
     point = len(values) - 1
     ranks = _frame_ranks(monkeypatch)
     mixed = []
     for seed in (base.seed, 1, 2):
         cfg = dataclasses.replace(base, seed=seed)
+        points, setups = pipeline._SWEEPS[axis].plan(cfg, cfg.grid.to_grid())
+        assert points == [{key: value} for value in values]
         for size in (1, 2, 7, pipeline._MAX_BATCH):
             trials = list(range(size))
             tasks = [(point, t) for t in trials]
             ranks.clear()
-            try:
-                got = sweep_rows(points, tasks, batch(cfg, points, point, trials))
-                want = [oracle(cfg, (values[point], point, t)) for t in trials]
-            finally:
-                pipeline._POINT_SETUPS.clear()
+            got = sweep_rows(points, tasks, batch(cfg, points, setups, point, trials))
+            want = [oracle(cfg, (values[point], point, t)) for t in trials]
             assert got == want
             mixed.append(len(set(ranks)) > 1)
     if (preset, axis) == ("desk", "snr"):
@@ -744,13 +808,14 @@ def test_batched_band_rows_equal_one_by_one_oracle(preset, variant):
 
     base = _BAND_VARIANTS[variant](load_config(preset))
     snrs = base.sweep.band_snr_db
-    points = [
-        {"band_layout": layout, "snr_db": snr}
-        for layout in base.sweep.band_layouts for snr in snrs
-    ]
     counts, truncated = set(), False
     for i, seed in enumerate((base.seed, 1, 2)):
         cfg = dataclasses.replace(base, seed=seed)
+        points, setups = pipeline._band_plan(cfg, cfg.grid.to_grid())
+        assert points == [
+            {"band_layout": layout, "snr_db": snr}
+            for layout in base.sweep.band_layouts for snr in snrs
+        ]
         layout = cfg.sweep.band_layouts[i % len(cfg.sweep.band_layouts)]
         j = (len(snrs) - 1) * (2 - i) // 2
         point = i * len(snrs) + j
@@ -758,11 +823,9 @@ def test_batched_band_rows_equal_one_by_one_oracle(preset, variant):
         for size in (1, 2, 7, pipeline._MAX_BATCH):
             trials = list(range(size))
             tasks = [(point, t) for t in trials]
-            try:
-                got = sweep_rows(points, tasks, pipeline._batch_band(cfg, points, point, trials))
-                want = [trial_band(cfg, (layout, snrs[j], point, t)) for t in trials]
-            finally:
-                pipeline._POINT_SETUPS.clear()
+            measured = pipeline._batch_band(cfg, points, setups, point, trials)
+            got = sweep_rows(points, tasks, measured)
+            want = [trial_band(cfg, (layout, snrs[j], point, t)) for t in trials]
             assert got == want
             counts |= {row["n_detections"] for row in got}
             truncated |= any(row["truncated"] for row in got)
@@ -780,16 +843,13 @@ def test_sweep_points_span_batches_like_one_by_one_trials(desk):
     from _oracles import trial_snr
 
     cfg = small_sweep(desk, snr_db=(0.0, 20.0), n_trials=pipeline._MAX_BATCH + 3)
-    points = [{"snr_db": snr} for snr in cfg.sweep.snr_db]
+    points, setups = pipeline._snr_plan(cfg, cfg.grid.to_grid())
+    assert points == [{"snr_db": snr} for snr in cfg.sweep.snr_db]
     tasks = [(i, t) for i in range(len(points)) for t in range(cfg.sweep.n_trials)]
-    try:
-        want = [trial_snr(cfg, (points[i]["snr_db"], i, t)) for i, t in tasks]
-    finally:
-        pipeline._POINT_SETUPS.clear()
+    want = [trial_snr(cfg, (points[i]["snr_db"], i, t)) for i, t in tasks]
     assert list(sweep(cfg, "snr", workers=1).trials) == want
-    batch = functools.partial(pipeline._batch_snr, cfg, points)
+    batch = functools.partial(pipeline._batch_snr, cfg, points, setups)
     shares = [pipeline._run_share(batch, tasks, k, 2) for k in (0, 1)]
-    pipeline._POINT_SETUPS.clear()
     assert [sweep_rows(points, tasks[k::2], share) for k, share in enumerate(shares)] == [
         want[0::2], want[1::2]
     ]
@@ -821,10 +881,10 @@ def test_sensing_sweep_raises_the_first_failing_task(desk, two_cpus, monkeypatch
     refit, readout = pipeline.recover_slices_batch, pipeline._comm_support
     trial_of = {}  # id of a drawn frame, sample set or refit -> its trial
 
-    def failing_draw(cfg, point, point_idx, trial):
+    def failing_draw(cfg, setup, point, point_idx, trial):
         if failing.get(trial) == "draw":
             raise RuntimeError(f"draw {trial}")
-        d = draw(cfg, point, point_idx, trial)
+        d = draw(cfg, setup, point, point_idx, trial)
         trial_of[id(d.frame)] = trial_of[id(d.z)] = trial
         return d
 
@@ -854,7 +914,6 @@ def test_sensing_sweep_raises_the_first_failing_task(desk, two_cpus, monkeypatch
     with pytest.raises(RuntimeError, match=f"^{failing[first]} {first}$"):
         sweep(cfg, "snr", workers=workers)
     assert multiprocessing.active_children() == []
-    assert pipeline._POINT_SETUPS == {}
 
 
 def test_run_radar_draws_no_comm_spectrum(desk, monkeypatch):
@@ -872,12 +931,7 @@ def test_sweep_rejects_unknown_axis(desk):
         sweep(desk, "volume")
 
 
-def test_worker_env_cap(desk, monkeypatch):
-    monkeypatch.setenv("SPECX_WORKERS", "2")
-    assert _resolve_workers(desk, 8) == 2
-    monkeypatch.setenv("SPECX_WORKERS", "not-a-number")
-    assert _resolve_workers(desk, 8) == 8
-    monkeypatch.delenv("SPECX_WORKERS")
+def test_worker_env_cap(desk):
     assert _resolve_workers(desk, None) == max(1, desk.sweep.workers)
 
 
@@ -908,7 +962,6 @@ def _sized_sweeps(desk):
 
 @pytest.mark.parametrize("cpus, want", [(2, [2, 2]), (16, [6, 16])])
 def test_sweep_pool_capped_by_tasks_and_cpus(desk, monkeypatch, cpus, want):
-    monkeypatch.delenv("SPECX_WORKERS", raising=False)
     monkeypatch.setattr(pipeline, "_run_split", _InlineSplit.run)
     monkeypatch.setattr(
         pipeline.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
@@ -921,7 +974,6 @@ def test_sweep_pool_capped_by_tasks_and_cpus(desk, monkeypatch, cpus, want):
 
 
 def test_sweep_pool_cap_without_affinity(desk, monkeypatch):
-    monkeypatch.delenv("SPECX_WORKERS", raising=False)
     monkeypatch.setattr(pipeline, "_run_split", _InlineSplit.run)
     monkeypatch.delattr(pipeline.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 3)

@@ -292,12 +292,9 @@ def _refit_stack(preset):
 
     cfg = load_config(preset)
     point = len(cfg.sweep.snr_db) - 1
-    try:
-        snr = {"snr_db": cfg.sweep.snr_db[point]}
-        drawn = [pipeline._draw_snr(cfg, snr, point, t) for t in range(6)]
-    finally:
-        pipeline._POINT_SETUPS.clear()
-    a = drawn[0].a
+    points, setups = pipeline._snr_plan(cfg, cfg.grid.to_grid())
+    drawn = [pipeline._draw_snr(cfg, setups[point], points[point], point, t) for t in range(6)]
+    a = setups[point].a
     zs, sups = [], []
     for d in drawn:
         for s_r, k_extra in d.pursuits:
