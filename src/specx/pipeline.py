@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import itertools
 import json
 import math
 import numbers
@@ -1341,7 +1340,7 @@ def _usable_cpus() -> int:
 
 
 class _Failure(NamedTuple):
-    """The first failing trial of a share: its index in the task list."""
+    """The first failing trial of a process: its index in the task list."""
 
     index: int
     exc: BaseException
@@ -1353,38 +1352,50 @@ class _Failure(NamedTuple):
 _MAX_BATCH = 32
 
 
-def _run_share(
-    batch, tasks: list[tuple[int, int]], k: int, w: int
-) -> list[dict[str, Any]] | _Failure:
-    """Measurements of the interleaved share tasks[k::w] of (point_idx,
-    trial) tasks, or its first failure.
-
-    batch(point_idx, trials) gets the share's runs of same-point trials,
-    _MAX_BATCH at most at a time, and returns one measurement dict per
-    trial. When it raises, that run's trials are re-run one at a time in
-    task order, and the first to raise is the share's failure: the
-    exception a serial run of the trials one by one raises, at its index
-    in the task list."""
-    measured: list[dict[str, Any]] = []
-    for point_idx, group in itertools.groupby(tasks[k::w], key=lambda task: task[0]):
-        trials = [trial for _, trial in group]
-        for lo in range(0, len(trials), _MAX_BATCH):
-            run = trials[lo : lo + _MAX_BATCH]
-            try:
-                measured += batch(point_idx, run)
-            except Exception:
-                for trial in run:
-                    try:
-                        measured += batch(point_idx, [trial])
-                    except Exception as exc:
-                        return _Failure(k + len(measured) * w, exc)
-    return measured
+def _claim(tasks: list[tuple], w: int, cursor, lock) -> tuple[int, int]:
+    """Claim the next run of same-point tasks from the shared cursor: at most
+    _MAX_BATCH and ceil(unclaimed / w) of them, so claims shrink near the
+    end. Returns its [lo, hi) bounds, empty once every task is claimed."""
+    with lock:
+        lo = hi = cursor.value
+        cap = lo + min(_MAX_BATCH, math.ceil((len(tasks) - lo) / w))
+        while hi < cap and tasks[hi][0] == tasks[lo][0]:
+            hi += 1
+        cursor.value = hi
+    return lo, hi
 
 
-def _child_share(batch, tasks: list[tuple], k: int, w: int, conn) -> None:
-    """Body of child k: send its share's outcome through conn. An exception
+def _run_share(batch, tasks: list[tuple], w: int, cursor, lock) -> list[tuple] | _Failure:
+    """Claim runs of (point_idx, trial) tasks until none is left, running each
+    as one batch(point_idx, trials) call that returns a measurement dict per
+    trial. Returns a (start index, measurements) pair per claim, or the first
+    failure: a raising batch's trials re-run one at a time in task order, and
+    the first to raise is pinned at its task index once the cursor is moved
+    to the end, so that no process claims more work."""
+    runs = []
+    while True:
+        lo, hi = _claim(tasks, w, cursor, lock)
+        if lo == hi:
+            return runs
+        point_idx, trials = tasks[lo][0], [trial for _, trial in tasks[lo:hi]]
+        try:
+            runs.append((lo, batch(point_idx, trials)))
+        except Exception:
+            measured: list[dict[str, Any]] = []
+            for trial in trials:
+                try:
+                    measured += batch(point_idx, [trial])
+                except Exception as exc:
+                    with lock:
+                        cursor.value = len(tasks)
+                    return _Failure(lo + len(measured), exc)
+            runs.append((lo, measured))
+
+
+def _child_share(batch, tasks: list[tuple], w: int, cursor, lock, conn) -> None:
+    """Body of a child: send its claims' outcome through conn. An exception
     that does not survive pickling travels as a RuntimeError with its repr."""
-    outcome = _run_share(batch, tasks, k, w)
+    outcome = _run_share(batch, tasks, w, cursor, lock)
     if isinstance(outcome, _Failure):
         try:
             pickle.loads(pickle.dumps(outcome.exc))
@@ -1395,29 +1406,42 @@ def _child_share(batch, tasks: list[tuple], k: int, w: int, conn) -> None:
 
 
 def _run_split(batch, tasks: list[tuple], w: int) -> list[dict[str, Any]]:
-    """Run tasks in w interleaved shares: share 0 in this process while w - 1
-    children run the others, each sending its outcome through a one-way pipe.
-    At w = 1 no child is started and multiprocessing is not imported.
+    """Run tasks in this process and w - 1 children, each claiming runs of
+    them from one shared cursor (_run_share) and sending its outcome through
+    a one-way pipe. At w = 1 the cursor is a plain counter, no child starts
+    and multiprocessing is not imported: the claims are then every point's
+    trials in runs of _MAX_BATCH.
 
     Measurements come back in task order. A failing trial raises the
     failure with the lowest task index, the one a serial run of the trials
-    one by one raises; a child that exits without sending raises
-    WorkerDied. Every child is joined before this returns or raises, and an
+    one by one raises: the cursor only moves forward, so every task before
+    a failure was claimed, and runs, before the failing process ends the
+    claims. A child that exits without sending, or dies while it starts,
+    raises WorkerDied; one killed while it holds the cursor's lock, for the
+    few bytecodes of a claim, leaves the others waiting on it for ever.
+    Every started child is joined before this returns or raises, and an
     interrupt terminates them first.
     """
     if w > 1:
         import multiprocessing
+        cursor, lock = multiprocessing.RawValue("q", 0), multiprocessing.Lock()
+    else:
+        cursor, lock = ctypes.c_longlong(0), contextlib.nullcontext()
     children = []
     try:
         for k in range(1, w):
             recv, send = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(
-                target=_child_share, args=(batch, tasks, k, w, send), name=f"specx-share-{k}"
-            )
-            child.start()
-            send.close()
+            child = multiprocessing.Process(target=_child_share, name=f"specx-share-{k}",
+                                            args=(batch, tasks, w, cursor, lock, send))
+            try:
+                child.start()
+            except BrokenPipeError:  # forkserver: it died reading its payload
+                recv.close()
+                raise WorkerDied(f"{child.name} died while it was started") from None
+            finally:
+                send.close()
             children.append((child, recv))
-        outcomes = [_run_share(batch, tasks, 0, w)]
+        outcomes = [_run_share(batch, tasks, w, cursor, lock)]
         for child, recv in children:
             try:
                 outcomes.append(recv.recv())
@@ -1438,8 +1462,9 @@ def _run_split(batch, tasks: list[tuple], w: int) -> list[dict[str, Any]]:
     if failures:
         raise min(failures, key=lambda f: f.index).exc
     measured: list[Any] = [None] * len(tasks)
-    for k, share in enumerate(outcomes):
-        measured[k::w] = share
+    for runs in outcomes:
+        for lo, run in runs:
+            measured[lo : lo + len(run)] = run
     return measured
 
 
@@ -1593,9 +1618,9 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     axis's rows share that layout.
 
     With w = min(workers, tasks, usable CPUs) of 2 or more, this process
-    runs every w-th task and w - 1 children it starts run the rest; the
-    measurements are put back in task order, so the report does not
-    depend on w.
+    and w - 1 children it starts claim runs of at most _MAX_BATCH and
+    ceil(unclaimed / w) same-point tasks from one shared cursor until none
+    is left; the measurements go back in task order, whatever w.
     When a batch raises, its trials are re-run one at a time to find the
     first that fails, so a failing sweep raises the exception of its lowest
     failing task, the one a serial run of the trials one by one raises,

@@ -297,18 +297,23 @@ def test_few_channels_suffice_without_radar_slices(tmp_path, command):
     assert run_doc(tmp_path, doc, command).returncode == 0
 
 
-def _dying_draw(cfg, point_idx, trial):
-    """Kills a child that runs it; the calling process draws the real trial."""
-    if multiprocessing.parent_process() is not None:
-        os._exit(1)
-    return _REAL_DRAW_BAND(cfg, point_idx, trial)
-
-
 def test_dead_sweep_worker_exits_3(tmp_path, monkeypatch, capsys):
     from specx import cli
 
+    child_drew = multiprocessing.Event()
+
+    def dying_draw(cfg, point_idx, trial):
+        """Kills a child that runs it; the calling process waits until the
+        child has claimed a trial, so the child cannot find none left, and
+        draws the real trial."""
+        if multiprocessing.parent_process() is not None:
+            child_drew.set()
+            os._exit(1)
+        child_drew.wait(timeout=30)
+        return _REAL_DRAW_BAND(cfg, point_idx, trial)
+
     monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(pipeline, "_draw_band", _dying_draw)
+    monkeypatch.setattr(pipeline, "_draw_band", dying_draw)
     code = cli.main([
         "sweep", "--config", "desk", "--axis", "band_placement", "--trials", "2",
         "--workers", "2", "--out", str(tmp_path),

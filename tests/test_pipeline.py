@@ -1,10 +1,18 @@
 """Scenario configuration, the coexistence loop, and the sweep harness."""
 
+import contextlib
+import ctypes
 import dataclasses
 import functools
+import itertools
 import json
+import math
 import multiprocessing
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +43,14 @@ def desk():
 
 def small_sweep(cfg, **changes):
     return dataclasses.replace(cfg, sweep=dataclasses.replace(cfg.sweep, **changes))
+
+
+def run_python(code, timeout):
+    """Run code in a fresh interpreter that imports this specx."""
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=timeout, env={**os.environ, "PYTHONPATH": path})
 
 
 # -- configuration ------------------------------------------------------------
@@ -579,25 +595,85 @@ def test_sweep_without_clear_carrier_is_infeasible(desk, two_cpus, workers):
     assert multiprocessing.active_children() == []
 
 
-# task index -> message of the trial that fails there; with two processes the
-# calling one runs the even tasks and its child the odd ones
-@pytest.mark.parametrize("failing", [{1: "odd", 2: "even"}, {0: "even", 3: "odd"}])
+def caller_claims_first(monkeypatch):
+    """Holds a child's first claim from the shared cursor until the calling
+    process has made its own, so a 2-process split's first two claims go to
+    the caller and then the child, whatever the start-up timing."""
+    claimed = multiprocessing.Event()
+    claim = pipeline._claim
+
+    def ordered_claim(*args):
+        if multiprocessing.parent_process() is not None:
+            claimed.wait(timeout=30)
+            return claim(*args)
+        out = claim(*args)
+        claimed.set()
+        return out
+
+    monkeypatch.setattr(pipeline, "_claim", ordered_claim)
+
+
+class _ChildFirst:
+    """Lays out a 2-process sweep's claims for a test: the calling process
+    makes the first claim and the child the second (caller_claims_first),
+    and the caller's draws wait until the child's first draw. Records the
+    pid of the process that ran a chosen trial, so a test can assert where
+    that trial ran instead of assuming it."""
+
+    def __init__(self, workers, monkeypatch):
+        caller_claims_first(monkeypatch)
+        self.workers = workers
+        self.child_drew = multiprocessing.Event()
+        self.pid = multiprocessing.Value("q", 0)
+
+    def draw(self):
+        """Call first thing in every draw."""
+        if multiprocessing.parent_process() is not None:
+            self.child_drew.set()
+        elif self.workers > 1:
+            self.child_drew.wait(timeout=30)
+
+    def ran(self):
+        """Call in the draw, pursuit or readout of the chosen trial."""
+        self.pid.value = os.getpid()
+
+    def where(self):
+        return {0: None, os.getpid(): "caller"}.get(self.pid.value, "child")
+
+
+# task index -> the failing tasks; 2 points of 2 trials, so at two processes
+# the calling one claims tasks 0 and 1 (point 0), its child task 2 and
+# either one task 3
+@pytest.mark.parametrize(
+    "failing, where",
+    [
+        pytest.param(failing, where, id=f"failing{i}")
+        for i, (failing, where) in enumerate(
+            [({1, 2}, "caller"), ({0, 3}, "caller"), ({2, 3}, "child")]
+        )
+    ],
+)
 @pytest.mark.parametrize("workers", [1, 2])
 def test_parallel_sweep_raises_the_first_failing_task(desk, two_cpus, monkeypatch,
-                                                      failing, workers):
+                                                      failing, where, workers):
     draw_band = pipeline._draw_band
+    layout = _ChildFirst(workers, monkeypatch)
 
     def failing_draw(cfg, point_idx, trial):
+        layout.draw()
         index = 2 * point_idx + trial  # 2 trials per point
         if index in failing:
-            raise RuntimeError(failing[index])
+            if index == min(failing):
+                layout.ran()
+            raise RuntimeError(f"task {index}")
         return draw_band(cfg, point_idx, trial)
 
     monkeypatch.setattr(pipeline, "_draw_band", failing_draw)
     cfg = small_sweep(desk, band_layouts=("separated", "adjacent"), band_snr_db=(-18.0,),
                       n_trials=2)
-    with pytest.raises(RuntimeError, match=f"^{failing[min(failing)]}$"):
+    with pytest.raises(RuntimeError, match=f"^task {min(failing)}$"):
         sweep(cfg, "band_placement", workers=workers)
+    assert layout.where() == (where if workers > 1 else "caller")
     assert multiprocessing.active_children() == []
 
 
@@ -623,9 +699,12 @@ class _Unpicklable(Exception):
 
 def test_child_failure_that_does_not_pickle(desk, two_cpus, monkeypatch):
     draw_band = pipeline._draw_band
+    layout = _ChildFirst(2, monkeypatch)
 
     def failing_draw(cfg, point_idx, trial):
-        if trial:  # trial 1, run by the child
+        layout.draw()
+        if trial:  # trial 1, claimed by the child
+            layout.ran()
             raise _Unpicklable("trial failed", "task")
         return draw_band(cfg, point_idx, trial)
 
@@ -633,6 +712,7 @@ def test_child_failure_that_does_not_pickle(desk, two_cpus, monkeypatch):
     cfg = small_sweep(desk, band_layouts=("separated",), band_snr_db=(-18.0,), n_trials=2)
     with pytest.raises(RuntimeError, match=r"^_Unpicklable\('trial failed at task'\)$"):
         sweep(cfg, "band_placement", workers=2)
+    assert layout.where() == "child"
     assert multiprocessing.active_children() == []
 
 
@@ -711,19 +791,169 @@ def test_spawned_sweep_children_get_the_setups():
     its batch function, and a 2-worker sweep gives the 1-worker rows. A
     child that cannot unpickle them can leave the caller blocked starting
     it, so the sweeps run in a subprocess under a timeout."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = str(Path(pipeline.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", _SPAWN_SWEEPS], capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run_python(_SPAWN_SWEEPS, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "spawn\n"
+
+
+# -- claims from the shared cursor, on toy task lists ---------------------------
+
+
+def toy_tasks(sizes):
+    """(point_idx, trial) tasks of points with the given trial counts."""
+    return [(i, t) for i, n in enumerate(sizes) for t in range(n)]
+
+
+@pytest.mark.parametrize("sizes", [(1,), (5, 40, 3), (70, 1, 1, 33), (2,) * 9])
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_claims_take_every_task_once_in_order(sizes, w):
+    """Claims from one cursor, in whatever order the processes make them,
+    cover the tasks once and in order; none crosses a point or exceeds
+    _MAX_BATCH or ceil(unclaimed / w), and at one process they are every
+    point's trials in runs of _MAX_BATCH."""
+    tasks, cursor, claims = toy_tasks(sizes), ctypes.c_longlong(0), []
+    while (claim := pipeline._claim(tasks, w, cursor, contextlib.nullcontext()))[1] > claim[0]:
+        claims.append(claim)
+    assert [j for lo, hi in claims for j in range(lo, hi)] == list(range(len(tasks)))
+    for lo, hi in claims:
+        assert {point for point, _ in tasks[lo:hi]} == {tasks[lo][0]}
+        assert hi - lo <= min(pipeline._MAX_BATCH, math.ceil((len(tasks) - lo) / w))
+    if w == 1:
+        batches = [
+            (point, trials[k : k + pipeline._MAX_BATCH])
+            for point, group in itertools.groupby(tasks, key=lambda task: task[0])
+            for trials in [[trial for _, trial in group]]
+            for k in range(0, len(trials), pipeline._MAX_BATCH)
+        ]
+        assert [(tasks[lo][0], [t for _, t in tasks[lo:hi]]) for lo, hi in claims] == batches
+        calls = []
+
+        def batch(point_idx, trials):
+            calls.append((point_idx, trials))
+            return [{"task": (point_idx, t)} for t in trials]
+
+        assert pipeline._run_split(batch, tasks, 1) == [{"task": task} for task in tasks]
+        assert calls == batches
+
+
+def test_slow_caller_leaves_the_rest_to_the_child(two_cpus, monkeypatch):
+    """The calling process claims first; while its batch runs, its child
+    claims every other run, in shrinking claims."""
+    caller_claims_first(monkeypatch)
+    tasks = toy_tasks((5, 5, 5))
+    child_done = multiprocessing.Event()
+
+    def batch(point_idx, trials):
+        if multiprocessing.parent_process() is None:
+            child_done.wait(timeout=30)
+        elif (point_idx, trials[-1]) == tasks[-1]:
+            child_done.set()
+        return [{"pid": os.getpid(), "claim": len(trials)} for _ in trials]
+
+    measured = pipeline._run_split(batch, tasks, 2)
+    assert child_done.is_set()
+    caller = [m["pid"] == os.getpid() for m in measured]
+    assert caller == [True] * 5 + [False] * 10
+    assert [m["claim"] for m in measured] == [5] * 10 + [3] * 3 + [1, 1]
+    assert multiprocessing.active_children() == []
+
+
+def test_more_processes_than_cores_claim_each_task_once():
+    """Four processes on two cores hammer one cursor with empty batches:
+    each task still runs exactly once and comes back in its place."""
+    tasks = toy_tasks((1,) * 40 + (37,) * 6 + (3,) * 20)
+    index = {task: j for j, task in enumerate(tasks)}
+    for _ in range(20):
+        runs = multiprocessing.Array("i", len(tasks))
+
+        def batch(point_idx, trials):
+            for t in trials:
+                with runs.get_lock():
+                    runs[index[point_idx, t]] += 1
+            return [{"task": (point_idx, t)} for t in trials]
+
+        assert pipeline._run_split(batch, tasks, 4) == [{"task": task} for task in tasks]
+        assert runs[:] == [1] * len(tasks)
+        assert multiprocessing.active_children() == []
+
+
+class _SignalledFailure(pipeline._Failure):
+    """A process's pinned failure that also sets pinned, an Event: a process
+    builds it only after it has moved the cursor to the end."""
+
+    pinned = None
+
+    def __new__(cls, index, exc):
+        cls.pinned.set()
+        return super().__new__(cls, index, exc)
+
+
+# failing tasks of one 8-trial point -> the process whose failure is raised.
+# The caller claims tasks 0-3 and waits until its child has claimed 4 and 5;
+# the child's batches wait until the caller has pinned its failure. So the
+# caller fails at 1, and then no process claims 6 or 7 any more, or, having
+# also claimed 6 and then 7, at 7.
+@pytest.mark.parametrize(
+    "failing, where", [({1}, "caller"), ({1, 4}, "caller"), ({5, 7}, "child")]
+)
+def test_lowest_failing_index_wins_in_caller_or_child(two_cpus, monkeypatch, failing, where):
+    caller_claims_first(monkeypatch)
+    tasks = toy_tasks((8,))
+    child_began, caller_pinned = multiprocessing.Event(), multiprocessing.Event()
+    failed_in, ran = multiprocessing.Array("q", len(tasks)), multiprocessing.Array("b", len(tasks))
+    monkeypatch.setattr(_SignalledFailure, "pinned", caller_pinned)
+    monkeypatch.setattr(pipeline, "_Failure", _SignalledFailure)
+
+    def batch(point_idx, trials):
+        for t in trials:
+            ran[t] = 1
+        if multiprocessing.parent_process() is not None:
+            child_began.set()
+            caller_pinned.wait(timeout=30)
+        else:
+            child_began.wait(timeout=30)
+        bad = failing.intersection(trials)
+        if bad:
+            failed_in[min(bad)] = os.getpid()
+            raise RuntimeError(f"task {min(bad)}")
+        return [{} for _ in trials]
+
+    with pytest.raises(RuntimeError, match=f"^task {min(failing)}$"):
+        pipeline._run_split(batch, tasks, 2)
+    pids = {j: failed_in[j] for j in failing}
+    assert 0 not in pids.values() and len(set(pids.values())) == len(failing)
+    assert (pids[min(failing)] == os.getpid()) == (where == "caller")
+    assert ran[:] == [1] * 6 + [int(where == "child")] * 2
+    assert multiprocessing.active_children() == []
+
+
+_FORKSERVER_START_FAILURE = """
+import functools, multiprocessing, operator
+from specx import WorkerDied, pipeline
+
+class FailsToUnpickle:
+    def __reduce__(self):
+        return operator.truediv, (1, 0)
+
+multiprocessing.set_start_method("forkserver")
+# the child dies unpickling the first argument while the caller still
+# writes the second, 2 MiB, into its pipe
+batch = functools.partial(len, FailsToUnpickle(), bytes(2 << 20))
+try:
+    pipeline._run_split(batch, [(0, 0), (0, 1)], 2)
+except WorkerDied as exc:
+    print(exc)
+print(multiprocessing.active_children())
+"""
+
+
+def test_child_dying_at_forkserver_start_raises_worker_died():
+    """Under forkserver a child that dies while it unpickles its payload
+    breaks the pipe the caller writes the payload into; that raises
+    WorkerDied naming the child, which the CLI reports with exit code 3."""
+    proc = run_python(_FORKSERVER_START_FAILURE, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "specx-share-1 died while it was started\n[]\n"
 
 
 # -- batched sensing sweep points against the one-by-one oracle ------------------
@@ -837,9 +1067,10 @@ def test_batched_band_rows_equal_one_by_one_oracle(preset, variant):
         assert len(counts) > 1
 
 
-def test_sweep_points_span_batches_like_one_by_one_trials(desk):
-    """Points of _MAX_BATCH + 3 trials run as two batches each, serially and
-    in two interleaved shares; the rows are the one-by-one trials'."""
+def test_sweep_points_span_batches_like_one_by_one_trials(desk, two_cpus):
+    """Points of _MAX_BATCH + 3 trials run as two batches each serially, and
+    split across shrinking claims when the cursor is shared by two
+    processes; the rows are the one-by-one trials'."""
     from _oracles import trial_snr
 
     cfg = small_sweep(desk, snr_db=(0.0, 20.0), n_trials=pipeline._MAX_BATCH + 3)
@@ -848,50 +1079,66 @@ def test_sweep_points_span_batches_like_one_by_one_trials(desk):
     tasks = [(i, t) for i in range(len(points)) for t in range(cfg.sweep.n_trials)]
     want = [trial_snr(cfg, (points[i]["snr_db"], i, t)) for i, t in tasks]
     assert list(sweep(cfg, "snr", workers=1).trials) == want
+    assert list(sweep(cfg, "snr", workers=2).trials) == want
+    # the claims of two processes from one cursor, all made by this one
     batch = functools.partial(pipeline._batch_snr, cfg, points, setups)
-    shares = [pipeline._run_share(batch, tasks, k, 2) for k in (0, 1)]
-    assert [sweep_rows(points, tasks[k::2], share) for k, share in enumerate(shares)] == [
-        want[0::2], want[1::2]
-    ]
+    runs = pipeline._run_share(batch, tasks, 2, ctypes.c_longlong(0), contextlib.nullcontext())
+    for point_idx in range(len(points)):
+        assert sum(tasks[lo][0] == point_idx for lo, _ in runs) > 1
+    assert [row for lo, run in runs for row in sweep_rows(points, tasks[lo:], run)] == want
 
 
-# trial -> the step at which it fails: its draw, a pursuit or a readout; with
-# two processes the calling one runs the even trials and its child the odd ones.
-# The point has max(8, last failing trial + 1) trials, so in the last two
-# layouts (67 trials) a failing trial lies in a later batch of its share: the
-# second or third of three at one process, the second of two at two
+# trial -> the step at which it fails: its draw, a pursuit or a readout, and
+# the process that runs the first failing trial at two processes. The point
+# has max(8, last failing trial + 1) trials. At 8 the calling process claims
+# trials 0-3 and its child 4 and 5; at 66 or 67 the caller claims 0-31 and
+# the child 32-48 or 32-49, and a serial run reaches trial 40 in its second
+# batch and trial 66 in its third. Later trials go to whichever process asks
+# first.
 @pytest.mark.parametrize(
-    "failing",
+    "failing, where",
     [
-        {3: "draw"},
-        {2: "pursuit", 5: "draw"},
-        {1: "draw", 4: "pursuit"},
-        {5: "pursuit", 2: "pursuit"},
-        {3: "pursuit"},
-        {4: "readout", 6: "pursuit"},
-        {3: "pursuit", 2: "readout"},
-        {66: "draw"},
-        {40: "pursuit", 65: "readout"},
+        pytest.param(failing, where, id=f"failing{i}")
+        for i, (failing, where) in enumerate([
+            ({3: "draw"}, "caller"),
+            ({2: "pursuit", 5: "draw"}, "caller"),
+            ({1: "draw", 4: "pursuit"}, "caller"),
+            ({5: "pursuit", 2: "pursuit"}, "caller"),
+            ({3: "pursuit"}, "caller"),
+            ({4: "readout", 6: "pursuit"}, "child"),
+            ({3: "pursuit", 2: "readout"}, "caller"),
+            ({66: "draw"}, "either"),
+            ({40: "pursuit", 65: "readout"}, "child"),
+            ({5: "draw"}, "child"),
+            ({5: "pursuit", 4: "pursuit"}, "child"),
+        ])
     ],
 )
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sensing_sweep_raises_the_first_failing_task(desk, two_cpus, monkeypatch,
-                                                     failing, workers):
+                                                     failing, where, workers):
     draw, pursue = pipeline._draw_snr, pipeline.omp_pks_batch
     refit, readout = pipeline.recover_slices_batch, pipeline._comm_support
     trial_of = {}  # id of a drawn frame, sample set or refit -> its trial
+    first = min(failing)
+    layout = _ChildFirst(workers, monkeypatch)
+
+    def fail(step, trial):
+        if failing.get(trial) == step:
+            if trial == first:
+                layout.ran()
+            raise RuntimeError(f"{step} {trial}")
 
     def failing_draw(cfg, setup, point, point_idx, trial):
-        if failing.get(trial) == "draw":
-            raise RuntimeError(f"draw {trial}")
+        layout.draw()
+        fail("draw", trial)
         d = draw(cfg, setup, point, point_idx, trial)
         trial_of[id(d.frame)] = trial_of[id(d.z)] = trial
         return d
 
     def failing_pursuit(frames, a, s_r, k_extra):
         for frame in frames:
-            if failing.get(trial_of[id(frame)]) == "pursuit":
-                raise RuntimeError(f"pursuit {trial_of[id(frame)]}")
+            fail("pursuit", trial_of[id(frame)])
         return pursue(frames, a, s_r, k_extra)
 
     def traced_refit(zs, a, sups):
@@ -901,8 +1148,7 @@ def test_sensing_sweep_raises_the_first_failing_task(desk, two_cpus, monkeypatch
         return ests
 
     def failing_readout(est, s_r, prune_db):
-        if failing.get(trial_of[id(est)]) == "readout":
-            raise RuntimeError(f"readout {trial_of[id(est)]}")
+        fail("readout", trial_of[id(est)])
         return readout(est, s_r, prune_db)
 
     monkeypatch.setattr(pipeline, "_draw_snr", failing_draw)
@@ -910,9 +1156,12 @@ def test_sensing_sweep_raises_the_first_failing_task(desk, two_cpus, monkeypatch
     monkeypatch.setattr(pipeline, "recover_slices_batch", traced_refit)
     monkeypatch.setattr(pipeline, "_comm_support", failing_readout)
     cfg = small_sweep(desk, snr_db=(10.0,), n_trials=max(8, max(failing) + 1))
-    first = min(failing)
     with pytest.raises(RuntimeError, match=f"^{failing[first]} {first}$"):
         sweep(cfg, "snr", workers=workers)
+    if workers == 1:
+        assert layout.where() == "caller"
+    else:
+        assert layout.where() in ({"caller", "child"} if where == "either" else {where})
     assert multiprocessing.active_children() == []
 
 
@@ -945,7 +1194,8 @@ class _InlineSplit:
     @classmethod
     def run(cls, batch, tasks, w):
         cls.requested.append(w)
-        return pipeline._run_share(batch, tasks, 0, 1)
+        runs = pipeline._run_share(batch, tasks, 1, ctypes.c_longlong(0), contextlib.nullcontext())
+        return [m for _, run in runs for m in run]
 
 
 def _sized_sweeps(desk):
