@@ -15,6 +15,7 @@ from .bands import (
     select_bands,
     struct_omp,
 )
+from .engine import WorkerDied
 from .freqs import (
     FrequencyInterval,
     FrequencySet,
@@ -44,7 +45,6 @@ from .pipeline import (
     ScenarioConfig,
     SceneConfig,
     SweepConfig,
-    WorkerDied,
     available_presets,
     band_layout,
     load_config,

@@ -15,12 +15,12 @@ import sys
 from dataclasses import replace
 
 from .bands import BandSelectionError
+from .engine import WorkerDied
 from .pipeline import (
     SWEEP_AXES,
     ConfigError,
     InfeasibleError,
     ScenarioConfig,
-    WorkerDied,
     load_config,
     run_radar,
     run_select_bands,

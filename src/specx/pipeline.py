@@ -12,14 +12,10 @@ are byte-reproducible for a fixed master seed regardless of worker count.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import functools
 import json
 import math
 import numbers
-import os
-import pickle
 from dataclasses import MISSING, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -28,6 +24,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
+from . import engine
 from .bands import RemGrid, select_bands
 from .freqs import FrequencySet, GridSpec, KappaSet, SliceSupport
 from .mwc import (
@@ -117,10 +114,6 @@ class ConfigError(ValueError):
 class InfeasibleError(RuntimeError):
     """The configured scene cannot be recovered even noiselessly, or a sweep
     cannot place a comm transmission clear of the radar band."""
-
-
-class WorkerDied(RuntimeError):
-    """A sweep's child process exited without sending back its trials."""
 
 
 def _child_seed(master: int, *path) -> int:
@@ -1224,7 +1217,7 @@ def _sensing_batch(
     pursuit's supports are refit for all the trials through
     recover_slices_batch; then, per trial in order, each refit is read out
     as comm slices (_comm_support) and measured. The point's columns and
-    the trial index are sweep's to write. Any failure raises; _run_share
+    the trial index are sweep's to write. Any failure raises; the engine
     pins it on its trial.
     """
     setup = setups[point_idx]
@@ -1263,8 +1256,8 @@ def _batch_band(
     each trial's float operations on the operands, and with the strides, a
     lone trial has, so the measurements are those of the trials run one by
     one. Each holds the band measures of _radar_trials; the point's columns
-    and the trial index are sweep's to write. Any failure raises;
-    _run_share pins it on its trial.
+    and the trial index are sweep's to write. Any failure raises; the
+    engine pins it on its trial.
     """
     scenes, seeds = zip(*(_draw_band(cfg, point_idx, t) for t in trials))
     return _radar_trials(cfg, setups[point_idx], scenes, seeds)[1]
@@ -1279,207 +1272,6 @@ def _ci95(rows: list[dict[str, Any]], key: str) -> float:
     if arr.size < 2:
         return 0.0
     return float(1.96 * arr.std(ddof=1) / math.sqrt(arr.size))
-
-
-def _resolve_workers(cfg: ScenarioConfig, workers: int | None) -> int:
-    return max(1, workers if workers is not None else cfg.sweep.workers)
-
-
-@functools.cache
-def _openblas_thread_control():
-    """(get, set) thread-count functions of the OpenBLAS bundled with NumPy.
-
-    None when NumPy ships no such library or it lacks the symbols. Looked up
-    on first use rather than at import, so importing specx stays cheap.
-    """
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas64_*.so*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def _single_blas_thread():
-    """Cap NumPy's BLAS at one thread; restore the caller's count on exit.
-
-    Sweep matrices are tiny, and forked children inherit the cap, so no
-    process of a sweep builds a BLAS thread pool that would contend with the
-    others for the cores. A no-op when the BLAS offers no thread control.
-    """
-    control = _openblas_thread_control()
-    if control is None:
-        yield
-        return
-    get, set_ = control
-    saved = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(saved)
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-class _Failure(NamedTuple):
-    """The first failing trial of a process: its index in the task list."""
-
-    index: int
-    exc: BaseException
-
-
-# A sweep point's trials go to its batch function at most this many at a
-# time: the batched pursuit gains little beyond 10 to 20 trials, and this
-# bounds its stacked arrays.
-_MAX_BATCH = 32
-
-
-def _claim(tasks: list[tuple], w: int, cursor, lock) -> tuple[int, int]:
-    """Claim the next run of same-point tasks from the shared cursor: at most
-    _MAX_BATCH and ceil(unclaimed / w) of them, so claims shrink near the
-    end. Returns its [lo, hi) bounds, empty once every task is claimed."""
-    with lock:
-        lo = hi = cursor.value
-        cap = lo + min(_MAX_BATCH, math.ceil((len(tasks) - lo) / w))
-        while hi < cap and tasks[hi][0] == tasks[lo][0]:
-            hi += 1
-        cursor.value = hi
-    return lo, hi
-
-
-class _WatchedLock(NamedTuple):
-    """The claim lock as the caller takes it: a child killed holding it never
-    releases it, so each second of waiting raises WorkerDied for a failed child."""
-
-    lock: Any
-    children: list
-
-    def __enter__(self) -> None:
-        while not self.lock.acquire(timeout=1.0):
-            if dead := [child for child in self.children if child.exitcode not in (None, 0)]:
-                raise WorkerDied(f"{dead[0].name} exited with code {dead[0].exitcode} "
-                                 "while the claim lock was held")
-
-    def __exit__(self, *exc) -> None:
-        self.lock.release()
-
-
-def _run_share(batch, tasks: list[tuple], w: int, cursor, lock) -> list[tuple] | _Failure:
-    """Claim runs of (point_idx, trial) tasks until none is left, running each
-    as one batch(point_idx, trials) call that returns a measurement dict per
-    trial. Returns a (start index, measurements) pair per claim, or the first
-    failure: a raising batch's trials re-run one at a time in task order, and
-    the first to raise is pinned at its task index once the cursor is moved
-    to the end, so that no process claims more work."""
-    runs = []
-    while True:
-        lo, hi = _claim(tasks, w, cursor, lock)
-        if lo == hi:
-            return runs
-        point_idx, trials = tasks[lo][0], [trial for _, trial in tasks[lo:hi]]
-        try:
-            runs.append((lo, batch(point_idx, trials)))
-        except Exception:
-            measured: list[dict[str, Any]] = []
-            for trial in trials:
-                try:
-                    measured += batch(point_idx, [trial])
-                except Exception as exc:
-                    with lock:
-                        cursor.value = len(tasks)
-                    return _Failure(lo + len(measured), exc)
-            runs.append((lo, measured))
-
-
-def _child_share(batch, tasks: list[tuple], w: int, cursor, lock, conn) -> None:
-    """Body of a child: send its claims' outcome through conn. An exception
-    that does not survive pickling travels as a RuntimeError with its repr."""
-    outcome = _run_share(batch, tasks, w, cursor, lock)
-    if isinstance(outcome, _Failure):
-        try:
-            pickle.loads(pickle.dumps(outcome.exc))
-        except Exception:
-            outcome = _Failure(outcome.index, RuntimeError(repr(outcome.exc)))
-    conn.send(outcome)
-    conn.close()
-
-
-def _run_split(batch, tasks: list[tuple], w: int) -> list[dict[str, Any]]:
-    """Run tasks in this process and w - 1 children, each claiming runs of
-    them from one shared cursor (_run_share) and sending its outcome through
-    a one-way pipe. At w = 1 the cursor is a plain counter, no child starts
-    and multiprocessing is not imported: the claims are then every point's
-    trials in runs of _MAX_BATCH.
-
-    Measurements come back in task order. A failing trial raises the
-    failure with the lowest task index, the one a serial run of the trials
-    one by one raises: the cursor only moves forward, so every task before
-    a failure was claimed, and runs, before the failing process ends the
-    claims. A child that exits without sending, or dies while it starts,
-    raises WorkerDied. So does one killed while it holds the cursor's lock,
-    for the few bytecodes of a claim: this process waits for the lock a
-    second at a time and checks the children between waits (_WatchedLock).
-    Every started child is joined before this returns or raises, and an
-    interrupt terminates them first.
-    """
-    if w > 1:
-        import multiprocessing
-        cursor, lock = multiprocessing.RawValue("q", 0), multiprocessing.Lock()
-    else:
-        cursor, lock = ctypes.c_longlong(0), contextlib.nullcontext()
-    children = []
-    try:
-        for k in range(1, w):
-            recv, send = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(target=_child_share, name=f"specx-share-{k}",
-                                            args=(batch, tasks, w, cursor, lock, send))
-            try:
-                child.start()
-            except BrokenPipeError:  # forkserver: it died reading its payload
-                recv.close()
-                raise WorkerDied(f"{child.name} died while it was started") from None
-            finally:
-                send.close()
-            children.append((child, recv))
-        if children:
-            lock = _WatchedLock(lock, [child for child, _ in children])
-        outcomes = [_run_share(batch, tasks, w, cursor, lock)]
-        for child, recv in children:
-            try:
-                outcomes.append(recv.recv())
-            except EOFError:
-                child.join()
-                raise WorkerDied(
-                    f"{child.name} exited with code {child.exitcode} before sending its trials"
-                ) from None
-    except BaseException:
-        for child, _ in children:
-            child.terminate()
-        raise
-    finally:
-        for child, recv in children:
-            child.join()
-            recv.close()
-    failures = [o for o in outcomes if isinstance(o, _Failure)]
-    if failures:
-        raise min(failures, key=lambda f: f.index).exc
-    measured: list[Any] = [None] * len(tasks)
-    for runs in outcomes:
-        for lo, run in runs:
-            measured[lo : lo + len(run)] = run
-    return measured
 
 
 def _snr_plan(cfg: ScenarioConfig, grid: GridSpec) -> tuple[list[dict], list[_SensingSetup]]:
@@ -1614,8 +1406,8 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     however many SNRs share it; the focused noise variance and GLRT
     threshold once per point.
 
-    Each process runs its trials of a point in batches of at most
-    _MAX_BATCH (32). An snr or channels batch draws its trials one by one
+    Each process runs its trials of a point in batches of at most 32
+    (engine._MAX_BATCH). An snr or channels batch draws its trials one by one
     in task order (comm layout, radar emission, channel samples, frame),
     runs each pursuit once for the whole batch through omp_pks_batch, and
     reads each support out per trial in task order as a single-shot run
@@ -1627,22 +1419,14 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     the float operations it does on its own, on operands with the same
     strides, so the rows do not depend on the batching.
 
-    The tasks are (point_idx, trial) pairs, point by point. A batch returns
-    only what its trials measure; this function writes each trial row as
-    the point's columns, then "trial", then the measurements, so every
-    axis's rows share that layout.
-
-    With w = min(workers, tasks, usable CPUs) of 2 or more, this process
-    and w - 1 children it starts claim runs of at most _MAX_BATCH and
-    ceil(unclaimed / w) same-point tasks from one shared cursor until none
-    is left; the measurements go back in task order, whatever w.
-    When a batch raises, its trials are re-run one at a time to find the
-    first that fails, so a failing sweep raises the exception of its lowest
-    failing task, the one a serial run of the trials one by one raises,
-    whatever w. The trials run with NumPy's BLAS capped at one thread, in
-    this process and so in every child it forks, and the caller's thread
-    count is restored when the sweep returns or raises.
+    engine.run runs the (point_idx, trial) tasks, point by point, on
+    sweep.workers processes (workers, when given, replaces it before the
+    config is checked) and returns what each batch measures in task order;
+    this function writes each trial row as the point's columns, then
+    "trial", then the measurements, the same layout on every axis.
     """
+    if workers is not None:
+        cfg = replace(cfg, sweep=replace(cfg.sweep, workers=workers))
     cfg = cfg.validate()
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis must be one of {SWEEP_AXES}")
@@ -1651,9 +1435,8 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     grid = cfg.grid.to_grid()
     points, setups = spec.plan(cfg, grid)
     tasks = [(i, t) for i in range(len(points)) for t in range(n_trials)]
-    w = min(_resolve_workers(cfg, workers), len(tasks), _usable_cpus())
-    with _single_blas_thread():
-        measured = _run_split(functools.partial(spec.batch, cfg, points, setups), tasks, w)
+    batch = functools.partial(spec.batch, cfg, points, setups)
+    measured = engine.run(batch, tasks, cfg.sweep.workers)
     rows = [{**points[i], "trial": t, **m} for (i, t), m in zip(tasks, measured)]
     aggregates = tuple(
         {**point, **spec.stats(cfg, grid, rows[i * n_trials : (i + 1) * n_trials])}

@@ -1,6 +1,8 @@
 """The public API: every exported name resolves, the benchmark's traced
-names exist, and the README's library example runs as documented."""
+names exist, the sweep engine stays apart from the scenarios, and the
+README's library example runs as documented."""
 
+import ast
 import contextlib
 import importlib
 import importlib.util
@@ -48,6 +50,22 @@ def test_every_all_entry_resolves():
         if not hasattr(m, name)
     ]
     assert missing == []
+
+
+def test_engine_imports_no_specx_module():
+    """The sweep engine knows no scenario: it imports no specx module, and
+    specx exports its WorkerDied."""
+    engine = importlib.import_module("specx.engine")
+    tree = ast.parse(Path(engine.__file__).read_text())
+    imported = [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    ] + [
+        "." * node.level + (node.module or "") for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+    ]
+    assert [name for name in imported if name.split(".")[0] in ("", "specx")] == []
+    assert specx.WorkerDied is engine.WorkerDied
 
 
 def test_readme_quick_start_runs():

@@ -187,6 +187,8 @@ def test_sense_runs_without_channel_counts(tmp_path, absent):
         (None, "seed", "abc", ("sense",), "seed must be an integer"),
         ("sweep", "n_trials", True, ("sweep", "--axis", "snr", "--workers", "1"),
          "sweep.n_trials must be an integer"),
+        ("sweep", "workers", 0, ("sweep", "--axis", "snr", "--trials", "1", "--workers", "-1"),
+         "sweep.workers must be >= 0"),
         # desk's radar band touches 4 slices, so radar-aware sensing needs 5
         ("grid", "n_channels", 4, ("specx",), "grid.n_channels (4) must be >= 5"),
         ("grid", "n_channels", 4, ("sweep", "--axis", "snr", *SWEEP_ONE),
@@ -249,7 +251,7 @@ def test_sense_runs_without_channel_counts(tmp_path, absent):
          "bandwidth 100000 Hz is narrower than 1.02 grid bins of 625000 Hz"),
     ],
     ids=[
-        "seed", "n_trials", "specx-channels", "snr-channels", "channel-counts",
+        "seed", "n_trials", "negative-workers", "specx-channels", "snr-channels", "channel-counts",
         "float-channels", "string-channels", "float-max-iterations", "float-pulses",
         "float-channel-count", "empty-channel-counts", "nan-carrier", "inf-noise-var",
         "bool-snr", "string-snr", "string-band-snr", "bool-energy", "string-energy",
@@ -312,7 +314,7 @@ def test_dead_sweep_worker_exits_3(tmp_path, monkeypatch, capsys):
         child_drew.wait(timeout=30)
         return _REAL_DRAW_BAND(cfg, point_idx, trial)
 
-    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(pipeline, "_draw_band", dying_draw)
     code = cli.main([
         "sweep", "--config", "desk", "--axis", "band_placement", "--trials", "2",

@@ -32,8 +32,8 @@ from specx import (
     run_specx,
     sweep,
 )
-from specx import pipeline
-from specx.pipeline import _resolve_workers
+from specx import engine, pipeline
+from test_engine import caller_claims_first, toy_tasks
 
 
 @pytest.fixture(scope="module")
@@ -421,33 +421,6 @@ def test_sweep_columns(desk, axis):
     assert (report.trial_columns, report.aggregate_columns) == _SWEEP_COLUMNS[axis]
 
 
-def test_sweep_caps_blas_threads_and_restores_them(desk, monkeypatch):
-    control = pipeline._openblas_thread_control()
-    if control is None:
-        pytest.skip("NumPy's BLAS exposes no thread control")
-    get, set_ = control
-    cfg = small_sweep(desk, snr_db=(10.0,), n_trials=2)
-    saved = get()
-    set_(2)
-    try:
-        sweep(cfg, "snr", workers=1)
-        assert get() == 2
-
-        seen = []
-
-        def failing_draw(cfg, setup, point, point_idx, trial):
-            seen.append(get())
-            raise RuntimeError("trial failed")
-
-        monkeypatch.setattr(pipeline, "_draw_snr", failing_draw)
-        with pytest.raises(RuntimeError, match="trial failed"):
-            sweep(cfg, "snr", workers=1)
-        assert seen == [1, 1]  # the batch, then its first trial on its own
-        assert get() == 2
-    finally:
-        set_(saved)
-
-
 def counted(monkeypatch, name):
     """Replace pipeline.<name> by a wrapper that records each call's args."""
     calls = []
@@ -565,21 +538,6 @@ def test_sweep_comm_layouts_miss_the_rem_span(preset, widen):
             assert f_c.shifted(-cfg.radar.carrier).intersection(span) == pipeline.FrequencySet()
 
 
-def test_sweep_without_blas_thread_control(desk, monkeypatch):
-    cfg = small_sweep(desk, band_snr_db=(-18.0,), n_trials=2)
-    expected = sweep(cfg, "band_placement", workers=1)
-    monkeypatch.setattr(pipeline, "_openblas_thread_control", lambda: None)
-    got = sweep(cfg, "band_placement", workers=1)
-    assert got.trials == expected.trials
-    assert got.aggregates == expected.aggregates
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """A sweep may use two processes, whatever this machine has."""
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_without_clear_carrier_is_infeasible(desk, two_cpus, workers):
     """The radar's avoid zone covers every carrier a transmission can take."""
@@ -593,24 +551,6 @@ def test_sweep_without_clear_carrier_is_infeasible(desk, two_cpus, workers):
     with pytest.raises(InfeasibleError, match=r"transmissions\[0\].*10000 draws"):
         sweep(cfg, "snr", workers=workers)
     assert multiprocessing.active_children() == []
-
-
-def caller_claims_first(monkeypatch):
-    """Holds a child's first claim from the shared cursor until the calling
-    process has made its own, so a 2-process split's first two claims go to
-    the caller and then the child, whatever the start-up timing."""
-    claimed = multiprocessing.Event()
-    claim = pipeline._claim
-
-    def ordered_claim(*args):
-        if multiprocessing.parent_process() is not None:
-            claimed.wait(timeout=30)
-            return claim(*args)
-        out = claim(*args)
-        claimed.set()
-        return out
-
-    monkeypatch.setattr(pipeline, "_claim", ordered_claim)
 
 
 class _ChildFirst:
@@ -716,18 +656,18 @@ def test_child_failure_that_does_not_pickle(desk, two_cpus, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def counted_in_every_process(monkeypatch, name):
-    """Replace pipeline.<name> by a wrapper that counts its calls in this
+def counted_in_every_process(monkeypatch, name, module=pipeline):
+    """Replace module.<name> by a wrapper that counts its calls in this
     process and in every child it forks, in one shared counter."""
     calls = multiprocessing.Value("i", 0)
-    original = getattr(pipeline, name)
+    original = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         with calls.get_lock():
             calls.value += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -746,7 +686,7 @@ def test_parallel_sweep_builds_each_setup_once(desk, two_cpus, monkeypatch, axis
     cfg = small_sweep(desk, **changes)
     expected = sweep(cfg, axis, workers=1)
     built = counted_in_every_process(monkeypatch, builder)
-    children = counted_in_every_process(monkeypatch, "_child_share")
+    children = counted_in_every_process(monkeypatch, "_child_share", engine)
     assert sweep(cfg, axis, workers=2) == expected
     assert children.value == 1
     assert built.value == builds
@@ -761,7 +701,7 @@ def test_plan_failure_raises_before_any_trial(desk, two_cpus, monkeypatch):
 
     monkeypatch.setattr(pipeline, "_radar_frame", failing_frame)
     draws = counted_in_every_process(monkeypatch, "_draw_band")
-    shares = counted_in_every_process(monkeypatch, "_run_share")
+    shares = counted_in_every_process(monkeypatch, "_run_share", engine)
     cfg = small_sweep(desk, band_snr_db=(-18.0,), n_trials=2)
     with pytest.raises(ValueError, match="^frame failed$"):
         sweep(cfg, "band_placement", workers=2)
@@ -771,10 +711,10 @@ def test_plan_failure_raises_before_any_trial(desk, two_cpus, monkeypatch):
 
 _SPAWN_SWEEPS = """
 import dataclasses, multiprocessing
-from specx import load_config, pipeline
+from specx import engine, load_config, pipeline
 
 multiprocessing.set_start_method("spawn")
-pipeline._usable_cpus = lambda: 2
+engine._usable_cpus = lambda: 2
 desk = load_config("desk")
 for axis, changes in (
     ("band_placement", {"band_layouts": ("separated", "wideband"), "band_snr_db": (-18.0,)}),
@@ -799,11 +739,6 @@ def test_spawned_sweep_children_get_the_setups():
 # -- claims from the shared cursor, on toy task lists ---------------------------
 
 
-def toy_tasks(sizes):
-    """(point_idx, trial) tasks of points with the given trial counts."""
-    return [(i, t) for i, n in enumerate(sizes) for t in range(n)]
-
-
 @pytest.mark.parametrize("sizes", [(1,), (5, 40, 3), (70, 1, 1, 33), (2,) * 9])
 @pytest.mark.parametrize("w", [1, 2, 3])
 def test_claims_take_every_task_once_in_order(sizes, w):
@@ -812,18 +747,18 @@ def test_claims_take_every_task_once_in_order(sizes, w):
     _MAX_BATCH or ceil(unclaimed / w), and at one process they are every
     point's trials in runs of _MAX_BATCH."""
     tasks, cursor, claims = toy_tasks(sizes), ctypes.c_longlong(0), []
-    while (claim := pipeline._claim(tasks, w, cursor, contextlib.nullcontext()))[1] > claim[0]:
+    while (claim := engine._claim(tasks, w, cursor, contextlib.nullcontext()))[1] > claim[0]:
         claims.append(claim)
     assert [j for lo, hi in claims for j in range(lo, hi)] == list(range(len(tasks)))
     for lo, hi in claims:
         assert {point for point, _ in tasks[lo:hi]} == {tasks[lo][0]}
-        assert hi - lo <= min(pipeline._MAX_BATCH, math.ceil((len(tasks) - lo) / w))
+        assert hi - lo <= min(engine._MAX_BATCH, math.ceil((len(tasks) - lo) / w))
     if w == 1:
         batches = [
-            (point, trials[k : k + pipeline._MAX_BATCH])
+            (point, trials[k : k + engine._MAX_BATCH])
             for point, group in itertools.groupby(tasks, key=lambda task: task[0])
             for trials in [[trial for _, trial in group]]
-            for k in range(0, len(trials), pipeline._MAX_BATCH)
+            for k in range(0, len(trials), engine._MAX_BATCH)
         ]
         assert [(tasks[lo][0], [t for _, t in tasks[lo:hi]]) for lo, hi in claims] == batches
         calls = []
@@ -832,7 +767,7 @@ def test_claims_take_every_task_once_in_order(sizes, w):
             calls.append((point_idx, trials))
             return [{"task": (point_idx, t)} for t in trials]
 
-        assert pipeline._run_split(batch, tasks, 1) == [{"task": task} for task in tasks]
+        assert engine._run_split(batch, tasks, 1) == [{"task": task} for task in tasks]
         assert calls == batches
 
 
@@ -850,7 +785,7 @@ def test_slow_caller_leaves_the_rest_to_the_child(two_cpus, monkeypatch):
             child_done.set()
         return [{"pid": os.getpid(), "claim": len(trials)} for _ in trials]
 
-    measured = pipeline._run_split(batch, tasks, 2)
+    measured = engine._run_split(batch, tasks, 2)
     assert child_done.is_set()
     caller = [m["pid"] == os.getpid() for m in measured]
     assert caller == [True] * 5 + [False] * 10
@@ -872,12 +807,12 @@ def test_more_processes_than_cores_claim_each_task_once():
                     runs[index[point_idx, t]] += 1
             return [{"task": (point_idx, t)} for t in trials]
 
-        assert pipeline._run_split(batch, tasks, 4) == [{"task": task} for task in tasks]
+        assert engine._run_split(batch, tasks, 4) == [{"task": task} for task in tasks]
         assert runs[:] == [1] * len(tasks)
         assert multiprocessing.active_children() == []
 
 
-class _SignalledFailure(pipeline._Failure):
+class _SignalledFailure(engine._Failure):
     """A process's pinned failure that also sets pinned, an Event: a process
     builds it only after it has moved the cursor to the end."""
 
@@ -902,7 +837,7 @@ def test_lowest_failing_index_wins_in_caller_or_child(two_cpus, monkeypatch, fai
     child_began, caller_pinned = multiprocessing.Event(), multiprocessing.Event()
     failed_in, ran = multiprocessing.Array("q", len(tasks)), multiprocessing.Array("b", len(tasks))
     monkeypatch.setattr(_SignalledFailure, "pinned", caller_pinned)
-    monkeypatch.setattr(pipeline, "_Failure", _SignalledFailure)
+    monkeypatch.setattr(engine, "_Failure", _SignalledFailure)
 
     def batch(point_idx, trials):
         for t in trials:
@@ -919,7 +854,7 @@ def test_lowest_failing_index_wins_in_caller_or_child(two_cpus, monkeypatch, fai
         return [{} for _ in trials]
 
     with pytest.raises(RuntimeError, match=f"^task {min(failing)}$"):
-        pipeline._run_split(batch, tasks, 2)
+        engine._run_split(batch, tasks, 2)
     pids = {j: failed_in[j] for j in failing}
     assert 0 not in pids.values() and len(set(pids.values())) == len(failing)
     assert (pids[min(failing)] == os.getpid()) == (where == "caller")
@@ -929,7 +864,7 @@ def test_lowest_failing_index_wins_in_caller_or_child(two_cpus, monkeypatch, fai
 
 _FORKSERVER_START_FAILURE = """
 import functools, multiprocessing, operator
-from specx import WorkerDied, pipeline
+from specx import WorkerDied, engine
 
 class FailsToUnpickle:
     def __reduce__(self):
@@ -940,7 +875,7 @@ multiprocessing.set_start_method("forkserver")
 # writes the second, 2 MiB, into its pipe
 batch = functools.partial(len, FailsToUnpickle(), bytes(2 << 20))
 try:
-    pipeline._run_split(batch, [(0, 0), (0, 1)], 2)
+    engine._run_split(batch, [(0, 0), (0, 1)], 2)
 except WorkerDied as exc:
     print(exc)
 print(multiprocessing.active_children())
@@ -958,10 +893,10 @@ def test_child_dying_at_forkserver_start_raises_worker_died():
 
 _CHILD_DIES_HOLDING_THE_LOCK = """
 import multiprocessing, os
-from specx import WorkerDied, pipeline
+from specx import WorkerDied, engine
 
 multiprocessing.set_start_method("fork")
-caller, claim, held = os.getpid(), pipeline._claim, multiprocessing.Event()
+caller, claim, held = os.getpid(), engine._claim, multiprocessing.Event()
 
 def dying_claim(tasks, w, cursor, lock):
     if os.getpid() != caller:  # the child takes the lock and never releases it
@@ -974,9 +909,9 @@ def batch(point_idx, trials):
     held.wait(30)  # the caller's next claim comes after the child died
     return [{} for _ in trials]
 
-pipeline._claim = dying_claim
+engine._claim = dying_claim
 try:
-    pipeline._run_split(batch, [(0, t) for t in range(4)], 2)
+    engine._run_split(batch, [(0, t) for t in range(4)], 2)
 except WorkerDied as exc:
     print(exc)
 print(multiprocessing.active_children())
@@ -1040,7 +975,7 @@ def test_batched_sensing_rows_equal_one_by_one_oracle(preset, axis, monkeypatch)
         cfg = dataclasses.replace(base, seed=seed)
         points, setups = pipeline._SWEEPS[axis].plan(cfg, cfg.grid.to_grid())
         assert points == [{key: value} for value in values]
-        for size in (1, 2, 7, pipeline._MAX_BATCH):
+        for size in (1, 2, 7, engine._MAX_BATCH):
             trials = list(range(size))
             tasks = [(point, t) for t in trials]
             ranks.clear()
@@ -1088,7 +1023,7 @@ def test_batched_band_rows_equal_one_by_one_oracle(preset, variant):
         j = (len(snrs) - 1) * (2 - i) // 2
         point = i * len(snrs) + j
         assert points[point] == {"band_layout": layout, "snr_db": snrs[j]}
-        for size in (1, 2, 7, pipeline._MAX_BATCH):
+        for size in (1, 2, 7, engine._MAX_BATCH):
             trials = list(range(size))
             tasks = [(point, t) for t in trials]
             measured = pipeline._batch_band(cfg, points, setups, point, trials)
@@ -1111,7 +1046,7 @@ def test_sweep_points_span_batches_like_one_by_one_trials(desk, two_cpus):
     processes; the rows are the one-by-one trials'."""
     from _oracles import trial_snr
 
-    cfg = small_sweep(desk, snr_db=(0.0, 20.0), n_trials=pipeline._MAX_BATCH + 3)
+    cfg = small_sweep(desk, snr_db=(0.0, 20.0), n_trials=engine._MAX_BATCH + 3)
     points, setups = pipeline._snr_plan(cfg, cfg.grid.to_grid())
     assert points == [{"snr_db": snr} for snr in cfg.sweep.snr_db]
     tasks = [(i, t) for i in range(len(points)) for t in range(cfg.sweep.n_trials)]
@@ -1120,7 +1055,7 @@ def test_sweep_points_span_batches_like_one_by_one_trials(desk, two_cpus):
     assert list(sweep(cfg, "snr", workers=2).trials) == want
     # the claims of two processes from one cursor, all made by this one
     batch = functools.partial(pipeline._batch_snr, cfg, points, setups)
-    runs = pipeline._run_share(batch, tasks, 2, ctypes.c_longlong(0), contextlib.nullcontext())
+    runs = engine._run_share(batch, tasks, 2, ctypes.c_longlong(0), contextlib.nullcontext())
     for point_idx in range(len(points)):
         assert sum(tasks[lo][0] == point_idx for lo, _ in runs) > 1
     assert [row for lo, run in runs for row in sweep_rows(points, tasks[lo:], run)] == want
@@ -1218,8 +1153,14 @@ def test_sweep_rejects_unknown_axis(desk):
         sweep(desk, "volume")
 
 
-def test_worker_env_cap(desk):
-    assert _resolve_workers(desk, None) == max(1, desk.sweep.workers)
+@pytest.mark.parametrize(
+    "workers, message",
+    [(2.0, "sweep.workers must be an integer"), (-3, "sweep.workers must be >= 0")],
+    ids=["float", "negative"],
+)
+def test_sweep_workers_go_through_the_config_check(desk, workers, message):
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        sweep(desk, "snr", workers=workers)
 
 
 class _InlineSplit:
@@ -1232,7 +1173,7 @@ class _InlineSplit:
     @classmethod
     def run(cls, batch, tasks, w):
         cls.requested.append(w)
-        runs = pipeline._run_share(batch, tasks, 1, ctypes.c_longlong(0), contextlib.nullcontext())
+        runs = engine._run_share(batch, tasks, 1, ctypes.c_longlong(0), contextlib.nullcontext())
         return [m for _, run in runs for m in run]
 
 
@@ -1250,21 +1191,22 @@ def _sized_sweeps(desk):
 
 @pytest.mark.parametrize("cpus, want", [(2, [2, 2]), (16, [6, 16])])
 def test_sweep_pool_capped_by_tasks_and_cpus(desk, monkeypatch, cpus, want):
-    monkeypatch.setattr(pipeline, "_run_split", _InlineSplit.run)
-    monkeypatch.setattr(
-        pipeline.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
-    )
+    """workers=64, and sweep.workers = 64 with no workers argument, ask for
+    the same pool."""
+    monkeypatch.setattr(engine, "_run_split", _InlineSplit.run)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(_InlineSplit, "requested", [])
     for cfg, axis in _sized_sweeps(desk):
         report = sweep(cfg, axis, workers=64)
         assert len(report.trials) == cfg.sweep.n_trials * len(report.aggregates)
-    assert _InlineSplit.requested == want
+        assert sweep(small_sweep(cfg, workers=64), axis) == report
+    assert _InlineSplit.requested[::2] == _InlineSplit.requested[1::2] == want
 
 
 def test_sweep_pool_cap_without_affinity(desk, monkeypatch):
-    monkeypatch.setattr(pipeline, "_run_split", _InlineSplit.run)
-    monkeypatch.delattr(pipeline.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(engine, "_run_split", _InlineSplit.run)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setattr(_InlineSplit, "requested", [])
     for cfg, axis in _sized_sweeps(desk):
         sweep(cfg, axis, workers=64)
