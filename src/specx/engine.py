@@ -133,22 +133,46 @@ def _child_share(batch, tasks: list[tuple], w: int, cursor, lock, conn) -> None:
     conn.close()
 
 
+def _unforked_share(job, w: int, cursor, lock, conn) -> None:
+    """Body of a child that was not forked: cap BLAS at one thread, as a
+    forked child inherits the cap, unpickle (batch, tasks) from the job
+    pipe as it arrives, then run _child_share."""
+    control = _openblas_thread_control()
+    if control is not None:
+        control[1](1)
+    with job, open(job.fileno(), "rb", closefd=False) as stream:
+        batch, tasks = pickle.load(stream)
+    _child_share(batch, tasks, w, cursor, lock, conn)
+
+
 def _run_split(batch, tasks: list[tuple], w: int) -> list[Any]:
     """Run tasks in this process and w - 1 children, each claiming runs of
     them from one shared cursor (_run_share) and sending its outcome through
     a one-way pipe. At w = 1 the cursor is a plain counter, no child starts
-    and multiprocessing is not imported."""
+    and multiprocessing is not imported.
+
+    A forked child inherits batch and tasks. Any other child starts with
+    only the cursor, the lock and its pipes, and the caller then writes
+    (batch, tasks), pickled once, into a job pipe whose read end only that
+    child holds (_unforked_share): a child that dies reading it breaks the
+    pipe, and the write raises WorkerDied instead of waiting for ever."""
     if w > 1:
         import multiprocessing
         cursor, lock = multiprocessing.RawValue("q", 0), multiprocessing.Lock()
+        forked = multiprocessing.get_start_method() == "fork"
     else:
         cursor, lock = ctypes.c_longlong(0), contextlib.nullcontext()
-    children = []
+    children, jobs = [], []
     try:
         for k in range(1, w):
             recv, send = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(target=_child_share, name=f"specx-share-{k}",
-                                            args=(batch, tasks, w, cursor, lock, send))
+            if forked:
+                target, args = _child_share, (batch, tasks, w, cursor, lock, send)
+            else:
+                job_recv, job_send = multiprocessing.Pipe(duplex=False)
+                jobs.append(job_send)
+                target, args = _unforked_share, (job_recv, w, cursor, lock, send)
+            child = multiprocessing.Process(target=target, name=f"specx-share-{k}", args=args)
             try:
                 child.start()
             except BrokenPipeError:  # forkserver: it died reading its payload
@@ -156,7 +180,17 @@ def _run_split(batch, tasks: list[tuple], w: int) -> list[Any]:
                 raise WorkerDied(f"{child.name} died while it was started") from None
             finally:
                 send.close()
+                if not forked:
+                    job_recv.close()
             children.append((child, recv))
+        if jobs:
+            job = pickle.dumps((batch, tasks))
+            for (child, _), job_send in zip(children, jobs):
+                try:
+                    with job_send, open(job_send.fileno(), "wb", closefd=False) as stream:
+                        stream.write(job)
+                except BrokenPipeError:
+                    raise WorkerDied(f"{child.name} died while it was started") from None
         if children:
             lock = _WatchedLock(lock, [child for child, _ in children])
         outcomes = [_run_share(batch, tasks, w, cursor, lock)]
@@ -176,6 +210,8 @@ def _run_split(batch, tasks: list[tuple], w: int) -> list[Any]:
         for child, recv in children:
             child.join()
             recv.close()
+        for job_send in jobs:
+            job_send.close()
     failures = [o for o in outcomes if isinstance(o, _Failure)]
     if failures:
         raise min(failures, key=lambda f: f.index).exc
@@ -203,7 +239,8 @@ def run(batch, tasks: list[tuple], workers: int) -> list[Any]:
     interrupt terminates them first.
 
     NumPy's BLAS is capped at one thread meanwhile, in this process and so
-    in every child it forks, as the matrices are tiny; the caller's count is
+    in every child it forks, as the matrices are tiny; a child started any
+    other way sets the cap itself (_unforked_share). The caller's count is
     restored on return or raise. Without the OpenBLAS bundled with NumPy,
     threading is left as it is.
     """

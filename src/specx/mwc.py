@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "gen_mixing_sequences",
     "build_sensing_matrix",
     "xample",
+    "xample_batch",
     "total_rate",
 ]
 
@@ -183,18 +185,37 @@ def xample(
     """Apply the channel model z(f) = A x(f) bin-wise, plus receiver noise.
 
     noise_var is the per-entry complex variance added to each channel bin.
+    This is the one-trial call of xample_batch.
     """
-    if a.n != x.grid.n_slices:
+    return ChannelSamples(xample_batch(x.values[None], a, [noise_var], [seed])[0], x.grid)
+
+
+def xample_batch(
+    x: np.ndarray, a: SensingMatrix, noise_var: Sequence[float], seeds: Sequence[int]
+) -> np.ndarray:
+    """xample of each slice stack in x, shape (B, n_slices, n_grid), trial b
+    with noise of variance noise_var[b] drawn from seeds[b]; returns the
+    (B, m, n_grid) channel spectra. A trial's product A x and its noise
+    (one stream: the real parts, then the imaginary parts) are those of
+    its lone call, so each trial holds that call's bits."""
+    if a.n != x.shape[1]:
         raise ValueError(
-            f"sensing matrix has {a.n} columns but grid has {x.grid.n_slices} slices"
+            f"sensing matrix has {a.n} columns but grid has {x.shape[1]} slices"
         )
-    z = a.a @ x.values
-    if noise_var > 0:
-        rng = derive_rng(seed, "xample")
-        z = z + math.sqrt(noise_var / 2.0) * (
-            rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)
-        )
-    return ChannelSamples(z=z, grid=x.grid)
+    z = a.a @ x
+    noise_var = np.asarray(noise_var, dtype=float)
+    noisy = np.flatnonzero(noise_var > 0)
+    if noisy.size:
+        unit = np.empty((noisy.size, 2, *z.shape[1:]))
+        for row, b in zip(unit, noisy):
+            derive_rng(seeds[b], "xample").standard_normal(out=row)
+        # scale * (re + 1j * im), formed in place: each step's operands
+        # commute, so every entry keeps the lone call's bits
+        noise = unit[:, 1] * 1j
+        noise += unit[:, 0]
+        noise *= np.sqrt(noise_var[noisy] / 2.0)[:, None, None]
+        z[noisy] += noise
+    return z
 
 
 @dataclass(frozen=True)

@@ -28,12 +28,12 @@ from . import engine
 from .bands import RemGrid, select_bands
 from .freqs import FrequencySet, GridSpec, KappaSet, SliceSupport
 from .mwc import (
-    ChannelSamples,
     SensingMatrix,
     build_sensing_matrix,
     gen_mixing_sequences,
     total_rate,
     xample,
+    xample_batch,
 )
 from .radar import (
     DetectionList,
@@ -55,7 +55,7 @@ from .rng import derive_rng
 from .sensing import (
     FrameMatrix,
     SliceEstimate,
-    build_frame,
+    build_frame_batch,
     omp_pks_batch,
     radar_slice_support,
     recover_slices_batch,
@@ -72,8 +72,8 @@ from .signals import (
     TargetScene,
     comm_occupancy,
     design_radar_waveform,
-    draw_radar_emission,
-    gen_comm_slices,
+    draw_radar_emission_batch,
+    gen_comm_slices_batch,
     radar_emission,
     radar_fourier_coeffs_batch,
 )
@@ -755,42 +755,58 @@ def _report(
     )
 
 
-def _strong_slices(x: np.ndarray, support: SliceSupport, db: float) -> SliceSupport:
-    """The slices of support whose energy in the slice stack x is at least
-    the strongest one's less db decibels."""
-    if not support:
-        return support
-    energies = np.sum(np.abs(x) ** 2, axis=1)
-    rows = support.to_array()
-    floor = float(energies[rows].max()) * 10.0 ** (-db / 10.0)
-    return SliceSupport(int(i) for i in rows if energies[i] >= floor)
+def _strong_rows(x: np.ndarray, rows: np.ndarray, db: float) -> np.ndarray:
+    """The rows marked in the (B, n_slices) mask rows whose energy in the
+    slice stacks x, shape (B, n_slices, n_grid), is at least the strongest
+    marked one's of the same stack less db decibels."""
+    energies = np.sum(np.abs(x) ** 2, axis=2)
+    strongest = np.where(rows, energies, -np.inf).max(axis=1)
+    return rows & (energies >= strongest[:, None] * 10.0 ** (-db / 10.0))
+
+
+def _comm_supports(
+    x_hat: np.ndarray, supports: Sequence[SliceSupport], s_r: SliceSupport,
+    prune_db: float | None,
+) -> list[SliceSupport]:
+    """The comm slices of each greedy support in supports, read off the
+    refit stack x_hat (B, n_slices, n_grid) fit on them: less the radar
+    slices s_r, pruned to those within prune_db of the strongest (the
+    model-order selection; None keeps all), and symmetrized (slice i and
+    n_slices - i hold conjugate content; slice 0 has no mirror)."""
+    comm = np.zeros(x_hat.shape[:2], dtype=bool)
+    for row, s in zip(comm, supports):
+        row[s.to_array()] = True
+    comm[:, s_r.to_array()] = False
+    if prune_db is not None:
+        comm = _strong_rows(x_hat, comm, prune_db)
+    comm[:, 1:] |= comm[:, :0:-1].copy()
+    return [SliceSupport(np.flatnonzero(row)) for row in comm]
 
 
 def _comm_support(est: SliceEstimate, s_r: SliceSupport, prune_db: float | None) -> SliceSupport:
-    """The comm slices of the greedy support est was refit on: less the
-    radar slices s_r, pruned to those within prune_db of the strongest (the
-    model-order selection; None keeps all), and symmetrized."""
-    comm = est.support.difference(s_r)
-    if prune_db is not None:
-        comm = _strong_slices(est.x_hat, comm, prune_db)
-    return comm.symmetrized(est.grid.n_slices)
+    """The _comm_supports of one refit."""
+    return _comm_supports(est.x_hat[None], [est.support], s_r, prune_db)[0]
 
 
 def _medium(
-    cfg: ScenarioConfig, grid: GridSpec, specs: Sequence[CommTransmissionSpec],
-    noise_psd: float, prefix: str, path: tuple, emission: RadarEmission | None,
-) -> tuple[SliceSpectrum, SliceSpectrum, FrequencySet, SliceSupport]:
-    """One sensing pass's medium: the comm signals specs over ambient noise
-    noise_psd, plus one draw of the radar emission unless it is None. The
-    draws are seeded by prefix + "comm" and prefix + "rslice" under path.
-    Returns (comm_x, x, f_c_true, s_c_true); x is comm plus radar."""
-    comm_x, f_c_true, s_c_true = gen_comm_slices(
-        specs, grid, noise_psd, _child_seed(cfg.seed, prefix + "comm", *path)
+    cfg: ScenarioConfig, grid: GridSpec, specs: Sequence[Sequence[CommTransmissionSpec]],
+    noise_psd: float, prefix: str, paths: Sequence[tuple], emission: RadarEmission | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sensing passes' media as slice stacks, pass b's the comm signals
+    specs[b] over ambient noise noise_psd, plus one draw of the radar
+    emission unless it is None. Pass b's draws are seeded by prefix +
+    "comm" and prefix + "rslice" under paths[b]. Returns (comm, x,
+    occupied): the comm signals alone, comm plus radar, and the (B,
+    n_slices) mask of the slices the comm signals occupy."""
+    comm, occupied = gen_comm_slices_batch(
+        specs, grid, noise_psd, [_child_seed(cfg.seed, prefix + "comm", *p) for p in paths]
     )
-    x = comm_x
+    x = comm
     if emission is not None:
-        x = x + draw_radar_emission(emission, _child_seed(cfg.seed, prefix + "rslice", *path))
-    return comm_x, x, f_c_true, s_c_true
+        seeds = [_child_seed(cfg.seed, prefix + "rslice", *p) for p in paths]
+        x = draw_radar_emission_batch(emission, seeds)
+        x += comm  # the sum comm + radar, in the radar's array
+    return comm, x, occupied
 
 
 def _sense_once(
@@ -809,10 +825,9 @@ def _sense_once(
     comm slices (_comm_support) and the frequency set used for masking,
     slice-granular or, with comm.refine_db, refined on them and mirrored.
     """
-    _, x, f_c_true, s_c_true = _medium(
-        cfg, grid, specs, cfg.comm.noise_psd, "", (it,), emission
-    )
-    z = xample(x, a)
+    _, x, occupied = _medium(cfg, grid, [specs], cfg.comm.noise_psd, "", [(it,)], emission)
+    f_c_true, s_c_true = comm_occupancy(specs, grid), SliceSupport(np.flatnonzero(occupied[0]))
+    z = xample(SliceSpectrum(x[0], grid), a)
     result = sense_spectrum(z, a, grid, s_r=s_r, n_sig_cap=cfg.comm.n_sig_effective)
     s_c_hat = _comm_support(result.estimate, s_r, cfg.comm.prune_db)
     if cfg.comm.refine_db is None:
@@ -1028,14 +1043,14 @@ def _random_transmissions(
     """
     out = []
     half_nyq = cfg.grid.f_nyq / 2.0
+    zone = [(iv.lo, iv.hi) for iv in avoid]
     for idx, spec in enumerate(cfg.comm.transmissions):
         half = spec.bandwidth / 2.0
         lo = -(half_nyq - cfg.grid.f_p / 2.0 - half)
         hi = half_nyq - cfg.grid.f_p / 2.0 - half
         for _ in range(_MAX_CARRIER_DRAWS):
             c = float(rng.uniform(lo, hi))
-            band = FrequencySet([(c - half, c + half)])
-            if band.union(band.mirrored()).intersection(avoid).measure() == 0.0:
+            if _clear(c - half, c + half, zone):
                 break
         else:
             raise InfeasibleError(
@@ -1044,6 +1059,17 @@ def _random_transmissions(
             )
         out.append(replace(spec, carrier=c))
     return tuple(out)
+
+
+def _clear(lo: float, hi: float, zone: Sequence[tuple[float, float]]) -> bool:
+    """Whether the band [lo, hi) and its mirror [-hi, -lo) meet no interval
+    of zone in positive measure. Two half-open intervals do exactly when the
+    later start lies below the earlier end."""
+    return not any(
+        max(b_lo, z_lo) < min(b_hi, z_hi)
+        for b_lo, b_hi in ((lo, hi), (-hi, -lo))
+        for z_lo, z_hi in zone
+    )
 
 
 def _radar_avoid_zone(g: GridConfig, r: RadarConfig) -> FrequencySet:
@@ -1108,139 +1134,117 @@ def _sensing_setups(
     return [_SensingSetup(grid, fronts[m], avoid, emission, s_r) for m in counts]
 
 
-def _comm_trial(
-    cfg: ScenarioConfig, setup: _SensingSetup, tag: str, point_idx: int, trial: int
-) -> tuple[SliceSpectrum, SliceSpectrum, SliceSupport]:
-    """The _medium of one sensing-sweep trial, seeded by tag under
-    (point_idx, trial): a random comm layout clear of setup.avoid, and the
-    sweep's radar emission on the air. Returns (comm_x, x, s_c_true): the
-    comm signal alone, comm plus radar, and the true comm slices.
-
-    No comm layout reaches the REM span (_radar_emission says why), so
-    every trial shares the sweep's one radar, and a trial only draws the
-    emission from setup.emission."""
-    rng = derive_rng(cfg.seed, tag, point_idx, trial)
-    specs = _random_transmissions(cfg, setup.avoid, rng)
-    comm_x, x, _, s_c_true = _medium(
-        cfg, setup.grid, specs, 0.0, f"{tag}-", (point_idx, trial), setup.emission
-    )
-    return comm_x, x, s_c_true
-
-
 class _Drawn(NamedTuple):
-    """A sensing-sweep trial up to its pursuits: the channel samples z and
-    their frame, the comm slices it is scored against, the channel noise
-    variance, and the (known support, budget) of each greedy pursuit it
-    runs, in order."""
+    """A sensing-sweep batch up to its pursuits, trial by trial along axis
+    0: the channel samples z and their frames, the comm slices each trial
+    is scored against, and the channel noise variances."""
 
-    z: ChannelSamples
-    frame: FrameMatrix
-    s_c_true: SliceSupport
-    noise_var: float
-    pursuits: tuple[tuple[SliceSupport, int], ...]
+    z: np.ndarray
+    frames: list[FrameMatrix]
+    s_c_true: list[SliceSupport]
+    noise_var: np.ndarray
 
 
-def _draw_snr(
-    cfg: ScenarioConfig, setup: _SensingSetup, point: dict, point_idx: int, trial: int
+def _draw_sensing(
+    cfg: ScenarioConfig, setup: _SensingSetup, tag: str, snr_db: float, comm_snr: bool,
+    point_idx: int, trials: list[int],
 ) -> _Drawn:
-    a = setup.a
-    comm_x, x, s_c_true = _comm_trial(cfg, setup, "snr", point_idx, trial)
-    # SNR is defined against the comm signal alone; the radar emission is
-    # interference at a fixed power, not part of the signal being detected
-    p_sig = float(np.mean(np.abs(xample(comm_x, a).z) ** 2))
-    noise_var = p_sig * 10.0 ** (-point["snr_db"] / 10.0)
-    z = xample(x, a, noise_var, _child_seed(cfg.seed, "snr-noise", point_idx, trial))
+    """The trials of one sensing-sweep point drawn as one stack, each seeded
+    by tag under (point_idx, trial): a random comm layout clear of
+    setup.avoid, the sweep's radar emission on the air (_medium), and
+    channel noise snr_db below the signal power. No comm layout reaches the
+    REM span (_radar_emission says why), so every trial shares the sweep's
+    one radar, and a trial only draws the emission from setup.emission.
 
-    if cfg.comm.prune_db is not None:
-        # score against slices holding non-negligible comm power: same
-        # relative floor as the readout prune, with a 3 dB guard band so
-        # knife-edge slices (a carrier sliver straddling a slice boundary)
-        # cannot flip the outcome; without a prune there is no floor
-        s_c_true = _strong_slices(comm_x.values, s_c_true, max(cfg.comm.prune_db - 3.0, 0.0))
+    With comm_snr (the snr axis) the signal is the comm signal alone, the
+    radar emission being interference at a fixed power, and a trial is
+    scored against the comm slices holding non-negligible power: the
+    readout prune's relative floor with a 3 dB guard band, so knife-edge
+    slices (a carrier sliver straddling a slice boundary) cannot flip the
+    outcome; without a prune there is no floor. Otherwise the signal is
+    comm plus radar, scored against every comm slice.
 
-    # the radar-aware pursuit, then the radar-unaware one: that receiver
-    # budgets sparsity for the comm signals only, so the radar emission
-    # competes for its greedy picks (a pursuit picks at most a.n columns,
-    # so the cap changes no pick)
-    budget = 4 * cfg.comm.n_sig_effective
-    pursuits = ((setup.s_r, budget), (SliceSupport(), min(budget, a.n)))
-    return _Drawn(z, build_frame(z), s_c_true, noise_var, pursuits)
-
-
-def _snr_row(d: _Drawn, comm: list[SliceSupport]) -> dict[str, Any]:
-    pks_comm, omp_comm = comm
-    return {
-        "pd_omp": _index_ratio(omp_comm, d.s_c_true),
-        "pd_pks": _index_ratio(pks_comm, d.s_c_true),
-        "exact_omp": list(omp_comm) == list(d.s_c_true),
-        "exact_pks": list(pks_comm) == list(d.s_c_true),
-        "noise_var": d.noise_var,
-    }
-
-
-def _draw_band(cfg: ScenarioConfig, point_idx: int, trial: int) -> tuple[TargetScene, int]:
-    """A band-placement trial's scene and the seed of its coefficient noise."""
-    scene = _draw_scene(cfg, derive_rng(cfg.seed, "band-scene", point_idx, trial))
-    return scene, _child_seed(cfg.seed, "band-radar", point_idx, trial)
-
-
-def _draw_channels(
-    cfg: ScenarioConfig, setup: _SensingSetup, point: dict, point_idx: int, trial: int
-) -> _Drawn:
-    a = setup.a
-    _, x, s_c_true = _comm_trial(cfg, setup, "chan", point_idx, trial)
-    p_sig = float(np.mean(np.abs(xample(x, a).z) ** 2))
-    noise_var = p_sig * 10.0 ** (-cfg.sweep.channels_snr_db / 10.0)
-    z = xample(x, a, noise_var, _child_seed(cfg.seed, "chan-noise", point_idx, trial))
-    pursuits = ((setup.s_r, 4 * cfg.comm.n_sig_effective),)
-    return _Drawn(z, build_frame(z), s_c_true, noise_var, pursuits)
-
-
-def _channels_row(d: _Drawn, comm: list[SliceSupport]) -> dict[str, Any]:
-    return {
-        "pd_pks": _index_ratio(comm[0], d.s_c_true),
-        "exact_pks": list(comm[0]) == list(d.s_c_true),
-    }
-
-
-def _sensing_batch(
-    cfg: ScenarioConfig, points: list[dict], setups: list, point_idx: int, trials: list[int],
-    draw: Callable[[ScenarioConfig, _SensingSetup, dict, int, int], _Drawn],
-    measure: Callable[[_Drawn, list[SliceSupport]], dict[str, Any]],
-) -> list[dict]:
-    """Measurements of the given trials of one sensing-sweep point, on the
-    point's setup.
-
-    Each trial is drawn (comm layout, radar emission, channel samples and
-    frame) in trial order; then each of its pursuits runs once for all the
-    trials through omp_pks_batch on the point's front end; then each
-    pursuit's supports are refit for all the trials through
-    recover_slices_batch; then, per trial in order, each refit is read out
-    as comm slices (_comm_support) and measured. The point's columns and
-    the trial index are sweep's to write. Any failure raises; the engine
-    pins it on its trial.
+    Each trial draws from its own streams, and every stacked step does a
+    lone trial's float operations on its operands, so a trial's samples,
+    frame, truth and noise variance do not depend on the batch.
     """
-    setup = setups[point_idx]
-    drawn = [draw(cfg, setup, points[point_idx], point_idx, t) for t in trials]
-    frames, zs, a = [d.frame for d in drawn], [d.z for d in drawn], setup.a
-    found = [omp_pks_batch(frames, a, s_r, k_extra) for s_r, k_extra in drawn[0].pursuits]
-    refits = [recover_slices_batch(zs, a, sups) for sups in found]
+    a, paths = setup.a, [(point_idx, t) for t in trials]
+    specs = [_random_transmissions(cfg, setup.avoid, derive_rng(cfg.seed, tag, *p)) for p in paths]
+    comm, x, occupied = _medium(cfg, setup.grid, specs, 0.0, f"{tag}-", paths, setup.emission)
+    p_sig = (np.abs(a.a @ (comm if comm_snr else x)) ** 2).reshape(len(x), -1).mean(axis=1)
+    noise_var = p_sig * 10.0 ** (-snr_db / 10.0)
+    noise_seeds = [_child_seed(cfg.seed, f"{tag}-noise", *p) for p in paths]
+    z = xample_batch(x, a, noise_var, noise_seeds)
+    if comm_snr and cfg.comm.prune_db is not None:
+        occupied = _strong_rows(comm, occupied, max(cfg.comm.prune_db - 3.0, 0.0))
+    s_c_true = [SliceSupport(np.flatnonzero(row)) for row in occupied]
+    return _Drawn(z, build_frame_batch(z), s_c_true, noise_var)
+
+
+def _read_out(
+    cfg: ScenarioConfig, setup: _SensingSetup, d: _Drawn,
+    pursuits: Sequence[tuple[SliceSupport, int]],
+) -> list[list[SliceSupport]]:
+    """The comm slices each (known support, budget) pursuit finds in each
+    drawn trial: the pursuit runs once for all the trials through
+    omp_pks_batch on the point's front end, its supports are refit for all
+    of them through recover_slices_batch, and the refit stack is read out
+    as comm slices (_comm_supports)."""
+    found = [omp_pks_batch(d.frames, setup.a, s_r, k_extra) for s_r, k_extra in pursuits]
+    refits = [recover_slices_batch(d.z, setup.a, sups) for sups in found]
     return [
-        measure(d, [_comm_support(ests[i], setup.s_r, cfg.comm.prune_db) for ests in refits])
-        for i, d in enumerate(drawn)
+        _comm_supports(x_hat, sups, setup.s_r, cfg.comm.prune_db)
+        for x_hat, sups in zip(refits, found)
     ]
 
 
 def _batch_snr(
     cfg: ScenarioConfig, points: list[dict], setups: list, point_idx: int, trials: list[int]
 ) -> list[dict]:
-    return _sensing_batch(cfg, points, setups, point_idx, trials, _draw_snr, _snr_row)
+    """Measurements of the given trials of one snr point, drawn as one
+    stack (_draw_sensing) and read out by the radar-aware pursuit, then the
+    radar-unaware one (_read_out): that receiver budgets sparsity for the
+    comm signals only, so the radar emission competes for its greedy picks
+    (a pursuit picks at most a.n columns, so the cap changes no pick). The
+    point's columns and the trial index are sweep's to write. Any failure
+    raises; the engine pins it on its trial."""
+    setup = setups[point_idx]
+    d = _draw_sensing(cfg, setup, "snr", points[point_idx]["snr_db"], True, point_idx, trials)
+    budget = 4 * cfg.comm.n_sig_effective
+    pursuits = ((setup.s_r, budget), (SliceSupport(), min(budget, setup.a.n)))
+    pks, omp = _read_out(cfg, setup, d, pursuits)
+    return [
+        {
+            "pd_omp": _index_ratio(omp_comm, truth),
+            "pd_pks": _index_ratio(pks_comm, truth),
+            "exact_omp": list(omp_comm) == list(truth),
+            "exact_pks": list(pks_comm) == list(truth),
+            "noise_var": float(noise_var),
+        }
+        for pks_comm, omp_comm, truth, noise_var in zip(pks, omp, d.s_c_true, d.noise_var)
+    ]
 
 
 def _batch_channels(
     cfg: ScenarioConfig, points: list[dict], setups: list, point_idx: int, trials: list[int]
 ) -> list[dict]:
-    return _sensing_batch(cfg, points, setups, point_idx, trials, _draw_channels, _channels_row)
+    """Measurements of the given trials of one channels point, drawn as one
+    stack (_draw_sensing) at sweep.channels_snr_db and read out by the
+    radar-aware pursuit (_read_out); as _batch_snr otherwise."""
+    setup = setups[point_idx]
+    snr_db = cfg.sweep.channels_snr_db
+    d = _draw_sensing(cfg, setup, "chan", snr_db, False, point_idx, trials)
+    (pks,) = _read_out(cfg, setup, d, ((setup.s_r, 4 * cfg.comm.n_sig_effective),))
+    return [
+        {"pd_pks": _index_ratio(comm, truth), "exact_pks": list(comm) == list(truth)}
+        for comm, truth in zip(pks, d.s_c_true)
+    ]
+
+
+def _draw_band(cfg: ScenarioConfig, point_idx: int, trial: int) -> tuple[TargetScene, int]:
+    """A band-placement trial's scene and the seed of its coefficient noise."""
+    scene = _draw_scene(cfg, derive_rng(cfg.seed, "band-scene", point_idx, trial))
+    return scene, _child_seed(cfg.seed, "band-radar", point_idx, trial)
 
 
 def _batch_band(
@@ -1392,7 +1396,7 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     What a point's trials share is built once per sweep, in this process,
     by the axis's plan before any trial runs, so a failure to build it
     raises before any trial or child starts. Forked children inherit it;
-    under spawn it travels pickled with the batch function. For snr and
+    other children get it pickled with the batch function. For snr and
     channels: the grid, with its dense frequencies, mirror positions and
     slice index map, and the REM and radar avoid zone once per sweep; the
     MWC front end, with its column norms, matched filters and the QR of the
@@ -1407,11 +1411,14 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     threshold once per point.
 
     Each process runs its trials of a point in batches of at most 32
-    (engine._MAX_BATCH). An snr or channels batch draws its trials one by one
-    in task order (comm layout, radar emission, channel samples, frame),
-    runs each pursuit once for the whole batch through omp_pks_batch, and
-    reads each support out per trial in task order as a single-shot run
-    does (_comm_support on the refit). A band_placement batch
+    (engine._MAX_BATCH). An snr or channels batch draws its trials as one
+    stack (_draw_sensing): each trial's carriers and its comm, radar and
+    channel-noise draws come from its own streams, and the dense scatter,
+    the slice gather, both products A x, the Gram matrices and their eigh,
+    and the true comm slices run once per batch. It runs each pursuit once
+    for the whole batch through omp_pks_batch, refits the supports as one
+    stack and reads them out as a single-shot run does (_comm_supports,
+    whose one-refit call _comm_support is). A band_placement batch
     draws its trials' scenes and noise seeds in task order, synthesizes
     and focuses their coefficients as one stack, and runs the trials'
     pursuits in lockstep, one stacked refit per support size a greedy step

@@ -24,6 +24,7 @@ __all__ = [
     "SliceEstimate",
     "SensingResult",
     "build_frame",
+    "build_frame_batch",
     "somp",
     "omp_pks",
     "omp_pks_batch",
@@ -73,19 +74,31 @@ def build_frame(z: ChannelSamples) -> FrameMatrix:
 
     Eigenvalues above 1e-6 times the largest survive; V scales the kept
     eigenvectors by sqrt(eigenvalue) so V V^H = Q on the retained subspace.
-    An all-zero input yields a rank-0 frame.
+    An all-zero input yields a rank-0 frame. This is the one-trial call of
+    build_frame_batch.
     """
-    zz = z.z
-    q = zz @ zz.conj().T
-    if not np.any(q):
-        return FrameMatrix(np.zeros((z.m, 0), dtype=np.complex128))
-    w, u = np.linalg.eigh(q)
-    w = np.maximum(w, 0.0)
-    keep = w > _EIG_TOL * w[-1]
-    # descending eigenvalue order for a stable column layout
-    order = np.argsort(w[keep])[::-1]
-    v = u[:, keep][:, order] * np.sqrt(w[keep][order])
-    return FrameMatrix(v)
+    return build_frame_batch(z.z[None])[0]
+
+
+def build_frame_batch(z: np.ndarray) -> list[FrameMatrix]:
+    """build_frame of each channel-sample set in z, shape (B, m, n_grid):
+    one stacked Gram product and one stacked eigh, whose slices hold the
+    bits of a lone trial's, then each trial's kept directions."""
+    q = z @ z.conj().transpose(0, 2, 1)
+    live = q.reshape(len(q), -1).any(axis=1)
+    w, u = np.linalg.eigh(q[live])
+    eig = zip(np.maximum(w, 0.0), u)
+    frames = []
+    for is_live in live:
+        if not is_live:
+            frames.append(FrameMatrix(np.zeros((z.shape[1], 0), dtype=np.complex128)))
+            continue
+        w_b, u_b = next(eig)
+        keep = w_b > _EIG_TOL * w_b[-1]
+        # descending eigenvalue order for a stable column layout
+        order = np.argsort(w_b[keep])[::-1]
+        frames.append(FrameMatrix(u_b[:, keep][:, order] * np.sqrt(w_b[keep][order])))
+    return frames
 
 
 def somp(v: FrameMatrix, a: SensingMatrix, max_sparsity: int) -> SliceSupport:
@@ -308,29 +321,30 @@ def recover_slices(z: ChannelSamples, a: SensingMatrix, s: SliceSupport) -> Slic
     minimum-norm solution is returned so downstream energy ranking still
     works on over-complete greedy supports.
     """
-    return recover_slices_batch([z], a, [s])[0]
+    return SliceEstimate(x_hat=recover_slices_batch(z.z[None], a, [s])[0], support=s, grid=z.grid)
 
 
 def recover_slices_batch(
-    zs: Sequence[ChannelSamples], a: SensingMatrix, supports: Sequence[SliceSupport]
-) -> list[SliceEstimate]:
-    """recover_slices on each (z, support) pair of zs and supports, whose
-    sample sets share one grid; returns one estimate per pair.
+    z: np.ndarray, a: SensingMatrix, supports: Sequence[SliceSupport]
+) -> np.ndarray:
+    """recover_slices of each channel-sample set in z, shape (B, m, n_grid),
+    on the support of the same index in supports; returns the (B, n,
+    n_grid) stack of slice estimates.
 
-    Pairs whose supports have one size k share one stacked SVD of their
+    Sets whose supports have one size k share one stacked SVD of their
     column blocks A[:, S] = U diag(sigma) V^H, and each solution is
     x = V (sigma^-1 (U^H z)), by stacked matmuls: the least-squares fit for
-    k <= m and the minimum-norm one for k > m. Each pair's bits are those
+    k <= m and the minimum-norm one for k > m. Each set's bits are those
     of its batch-of-one call. Raises if a block's smallest of min(k, m)
     singular values is at most eps * max(m, k) times its largest, the cut
     lstsq and matrix_rank make.
     """
     m, n = a.a.shape
-    if len(zs) != len(supports):
+    if len(z) != len(supports):
         raise ValueError("need one support per sample set")
     for s in supports:
         s.validate(n)
-    x_hat = np.zeros((len(zs), n, zs[0].z.shape[1] if zs else 0), dtype=np.complex128)
+    x_hat = np.zeros((len(z), n, z.shape[2]), dtype=np.complex128)
     by_size: dict[int, list[int]] = {}
     for b, s in enumerate(supports):
         if len(s) > 0:
@@ -341,14 +355,10 @@ def recover_slices_batch(
         u, sigma, vh = np.linalg.svd(a.a.T[cols].transpose(0, 2, 1), full_matrices=False)
         if np.any(sigma[:, -1] <= eps * max(m, k) * sigma[:, 0]):
             raise ValueError("sensing columns on the support are rank-deficient")
-        zz = np.stack([zs[b].z for b in ids])
         x_hat[np.array(ids)[:, None], cols] = vh.conj().transpose(0, 2, 1) @ (
-            (u.conj().transpose(0, 2, 1) @ zz) / sigma[:, :, None]
+            (u.conj().transpose(0, 2, 1) @ z[ids]) / sigma[:, :, None]
         )
-    return [
-        SliceEstimate(x_hat=x, support=s, grid=z.grid)
-        for x, s, z in zip(x_hat, supports, zs)
-    ]
+    return x_hat
 
 
 def support_to_freqs(s: SliceSupport, grid: GridSpec) -> FrequencySet:

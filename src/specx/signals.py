@@ -30,6 +30,7 @@ __all__ = [
     "TargetScene",
     "PulseTrainSpec",
     "gen_comm_slices",
+    "gen_comm_slices_batch",
     "comm_occupancy",
     "design_radar_waveform",
     "radar_fourier_coeffs",
@@ -38,6 +39,7 @@ __all__ = [
     "RadarEmission",
     "radar_emission",
     "draw_radar_emission",
+    "draw_radar_emission_batch",
     "slices_from_dense",
     "dense_from_slices",
 ]
@@ -141,7 +143,9 @@ def _comm_bands(
     specs: Sequence[CommTransmissionSpec], grid: GridSpec
 ) -> Iterator[tuple[int, CommTransmissionSpec, float, float, np.ndarray]]:
     """(index, spec, lo, hi, dense positions) of each transmission's band,
-    clipped to +-f_nyq/2, skipping a band that holds no dense bin."""
+    clipped to +-f_nyq/2, skipping a band that holds no dense bin. The
+    positions are those whose frequency lies in [lo, hi), found by binary
+    search on the ascending dense frequencies, less any without a mirror."""
     half_nyq = grid.f_nyq / 2.0
     for tx in specs:
         if abs(tx.carrier) > half_nyq:
@@ -157,7 +161,8 @@ def _comm_bands(
         hi = min(tx.carrier + tx.bandwidth / 2.0, half_nyq)
         if lo >= hi:
             continue
-        pos = np.flatnonzero((freqs >= lo) & (freqs < hi) & (mirror_all >= 0))
+        pos = np.arange(*np.searchsorted(freqs, (lo, hi)))
+        pos = pos[mirror_all[pos] >= 0]
         if pos.size:
             yield idx, tx, lo, hi, pos
 
@@ -188,35 +193,65 @@ def gen_comm_slices(
     top (also conjugate-symmetric).
 
     Returns (slice spectrum, occupied frequency set F_C, true slice support
-    S_C). The support reflects signal content only, not ambient noise.
+    S_C). The support reflects signal content only, not ambient noise. This
+    is the one-draw call of gen_comm_slices_batch.
     """
-    freqs = grid.dense_freqs()
-    mirror_all = grid.dense_mirror()
-    dense = np.zeros(grid.dense_size, dtype=np.complex128)
-    occupied = np.zeros(grid.dense_size, dtype=bool)
-    intervals: list[FrequencyInterval] = []
+    values, occupied = gen_comm_slices_batch([specs], grid, noise_psd, [seed])
+    return (
+        SliceSpectrum(values[0], grid),
+        comm_occupancy(specs, grid),
+        SliceSupport(np.flatnonzero(occupied[0])),
+    )
 
-    for idx, tx, lo, hi, pos in _comm_bands(specs, grid):
-        w = _band_weights(freqs[pos], tx, grid.delta_f)
-        rng = derive_rng(seed, "comm", idx)
-        draw = np.sqrt(w / 2.0) * (
-            rng.standard_normal(pos.size) + 1j * rng.standard_normal(pos.size)
+
+def gen_comm_slices_batch(
+    specs: Sequence[Sequence[CommTransmissionSpec]],
+    grid: GridSpec,
+    noise_psd: float,
+    seeds: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """gen_comm_slices of each transmission list in specs, draw b seeded by
+    seeds[b], as a (B, n_slices, n_grid) slice stack and a (B, n_slices)
+    mask of the slices each draw's transmissions occupy.
+
+    Each band's bins are drawn from its own seeded stream, as a lone draw
+    takes them, and the bands are added onto the dense stack in spec order,
+    each as one scatter over every draw, so overlapping bands sum in the
+    order they do in a lone draw and each draw holds its bits.
+    """
+    n_draws, size = len(specs), grid.dense_size
+    freqs, mirror_all = grid.dense_freqs(), grid.dense_mirror()
+    dense = np.zeros((n_draws, size), dtype=np.complex128)
+    occupied = np.zeros((n_draws, size), dtype=bool)
+    # per spec index, the (draw, band) pairs holding bins, in draw order
+    by_index: dict[int, list[tuple[int, CommTransmissionSpec, np.ndarray]]] = {}
+    for b, draw_specs in enumerate(specs):
+        for idx, tx, _, _, pos in _comm_bands(draw_specs, grid):
+            by_index.setdefault(idx, []).append((b, tx, pos))
+    flat_dense, flat_occupied = dense.reshape(-1), occupied.reshape(-1)
+    for idx in sorted(by_index):
+        bands = by_index[idx]
+        scale = np.concatenate(
+            [np.sqrt(_band_weights(freqs[pos], tx, grid.delta_f) / 2.0) for _, tx, pos in bands]
         )
-        dense[pos] += draw
-        dense[mirror_all[pos]] += np.conj(draw)
-        occupied[pos] = True
-        occupied[mirror_all[pos]] = True
-        intervals += _two_sided(lo, hi)
+        unit = np.concatenate([
+            derive_rng(seeds[b], "comm", idx).standard_normal((2, pos.size))
+            for b, _, pos in bands
+        ], axis=1)
+        draw = scale * (unit[0] + 1j * unit[1])
+        at = np.concatenate([b * size + pos for b, _, pos in bands])
+        at_mirror = np.concatenate([b * size + mirror_all[pos] for b, _, pos in bands])
+        flat_dense[at] += draw
+        flat_dense[at_mirror] += np.conj(draw)
+        flat_occupied[at] = True
+        flat_occupied[at_mirror] = True
 
     if noise_psd > 0:
-        dense += _symmetric_noise(grid, noise_psd, derive_rng(seed, "comm-noise"))
+        for b, seed in enumerate(seeds):
+            dense[b] += _symmetric_noise(grid, noise_psd, derive_rng(seed, "comm-noise"))
 
-    support = SliceSupport(np.flatnonzero(occupied[grid.dense_index_map()].any(axis=1)))
-    return (
-        SliceSpectrum(slices_from_dense(dense, grid), grid),
-        FrequencySet(intervals),
-        support,
-    )
+    index_map = grid.dense_index_map()
+    return dense[:, index_map], occupied[:, index_map].any(axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -514,19 +549,28 @@ def radar_emission(
 
 def draw_radar_emission(emission: RadarEmission, seed: int = 0) -> SliceSpectrum:
     """One seeded draw of the radar emission as the sensing receiver sees it:
-    conjugate-symmetric band-limited complex Gaussian noise."""
+    conjugate-symmetric band-limited complex Gaussian noise. This is the
+    one-draw call of draw_radar_emission_batch."""
+    return SliceSpectrum(draw_radar_emission_batch(emission, [seed])[0], emission.grid)
+
+
+def draw_radar_emission_batch(emission: RadarEmission, seeds: Sequence[int]) -> np.ndarray:
+    """draw_radar_emission of each seed in seeds, as a (B, n_slices, n_grid)
+    slice stack. Draw b takes its pair values' real parts, their imaginary
+    parts and then its self-paired values from one stream seeded by
+    seeds[b], in that order, as a lone draw does."""
     grid = emission.grid
-    dense = np.zeros(grid.dense_size, dtype=np.complex128)
-    if emission.pairs.size or emission.self_paired.size:
-        rng = derive_rng(seed, "radar-slices")
-        n = emission.pairs.size
-        draw = emission.pair_scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        dense[emission.pairs] = draw
-        dense[emission.pair_mirrors] = np.conj(draw)
-        dense[emission.self_paired] = emission.self_scale * rng.standard_normal(
-            emission.self_paired.size
-        )
-    return SliceSpectrum(slices_from_dense(dense, grid), grid)
+    dense = np.zeros((len(seeds), grid.dense_size), dtype=np.complex128)
+    n, n_self = emission.pairs.size, emission.self_paired.size
+    if n or n_self:
+        unit = np.empty((len(seeds), 2 * n + n_self))
+        for row, seed in zip(unit, seeds):
+            derive_rng(seed, "radar-slices").standard_normal(out=row)
+        draw = emission.pair_scale * (unit[:, :n] + 1j * unit[:, n : 2 * n])
+        dense[:, emission.pairs] = draw
+        dense[:, emission.pair_mirrors] = np.conj(draw)
+        dense[:, emission.self_paired] = emission.self_scale * unit[:, 2 * n :]
+    return dense[:, grid.dense_index_map()]
 
 
 def radar_slices(

@@ -17,7 +17,11 @@ Doppler focus and focused_omp as they ran on one scene at a time, and the
 band-placement trials as they ran one by one on them, are the exact
 references for the stacked radar passes. recover_slices as it refit one
 support by lstsq is the reference for the stacked SVD refit, and the
-sensing-sweep trials read out through it. off_slices measures a sensed
+sensing-sweep trials read out through it. The sensing-sweep trials draw
+through per-call versions of every step the stacked draw merges: the
+carrier rejection on FrequencySets, the per-call comm and radar draws, A x
+plus the seeded noise, the frame from the Gram matrix's eigh, and the
+readout on SliceSupport set operations. off_slices measures a sensed
 frequency map against its slice support by plain interval arithmetic.
 """
 
@@ -542,41 +546,155 @@ def recover_slices_lstsq(z, a, s):
 
 def sensing_setup(cfg, n_channels):
     """A sensing-sweep point's setup built afresh from its builders: the
-    grid, a front end of n_channels, the radar avoid zone and the radar."""
-    from specx.pipeline import _radar_avoid_zone, _radar_emission, _sensing_matrix, _SensingSetup
+    grid, a front end of n_channels, the radar avoid zone and the radar,
+    plus the radar's waveform, from which radar_slices_per_call draws."""
+    from specx import FrequencySet, design_radar_waveform, select_bands
+    from specx.pipeline import (
+        _flat_base,
+        _radar_avoid_zone,
+        _radar_emission,
+        _sensing_matrix,
+        _SensingSetup,
+    )
 
+    r = cfg.radar
     grid = cfg.grid.to_grid()
     a = _sensing_matrix(cfg.seed, cfg.grid.n_chips, grid, n_channels)
-    emission, s_r = _radar_emission(cfg.rem, cfg.radar, grid)
-    return _SensingSetup(grid, a, _radar_avoid_zone(cfg.grid, cfg.radar), emission, s_r)
+    emission, s_r = _radar_emission(cfg.rem, r, grid)
+    _, f_r = select_bands(cfg.rem.to_rem(), FrequencySet(), r.n_bands)
+    waveform = design_radar_waveform(_flat_base(r.n_delay_bins), r.b_h, f_r, r.p_t)
+    setup = _SensingSetup(grid, a, _radar_avoid_zone(cfg.grid, r), emission, s_r)
+    return setup, waveform
 
 
-def trial_snr(cfg, task):
-    """One snr-sweep trial as it ran on its own, on the one-frame pursuits
-    and the lstsq refit."""
-    from specx import SliceSupport, build_frame, xample
-    from specx.pipeline import _child_seed, _comm_support, _comm_trial, _index_ratio
+def random_transmissions_per_set(cfg, avoid, rng):
+    """_random_transmissions as first written: each candidate band and its
+    mirror tested against the avoid zone as FrequencySets."""
+    from dataclasses import replace
 
-    snr_db, point_idx, trial = task
-    setup = sensing_setup(cfg, cfg.grid.n_channels)
-    a, s_r = setup.a, setup.s_r
-    comm_x, x, s_c_true = _comm_trial(cfg, setup, "snr", point_idx, trial)
-    p_sig = float(np.mean(np.abs(xample(comm_x, a).z) ** 2))
+    from specx import FrequencySet, InfeasibleError
+    from specx.pipeline import _MAX_CARRIER_DRAWS
+
+    out = []
+    half_nyq = cfg.grid.f_nyq / 2.0
+    for idx, spec in enumerate(cfg.comm.transmissions):
+        half = spec.bandwidth / 2.0
+        lo = -(half_nyq - cfg.grid.f_p / 2.0 - half)
+        hi = half_nyq - cfg.grid.f_p / 2.0 - half
+        for _ in range(_MAX_CARRIER_DRAWS):
+            c = float(rng.uniform(lo, hi))
+            band = FrequencySet([(c - half, c + half)])
+            if band.union(band.mirrored()).intersection(avoid).measure() == 0.0:
+                break
+        else:
+            raise InfeasibleError(
+                f"comm.transmissions[{idx}]: no carrier clear of the radar band "
+                f"in {_MAX_CARRIER_DRAWS} draws"
+            )
+        out.append(replace(spec, carrier=c))
+    return tuple(out)
+
+
+def frame_per_call(z):
+    """build_frame as first written, on a (m, n_grid) sample array: the Gram
+    matrix's eigh, its significant directions scaled by sqrt(eigenvalue)."""
+    from specx import FrameMatrix
+    from specx.sensing import _EIG_TOL
+
+    q = z @ z.conj().T
+    if not np.any(q):
+        return FrameMatrix(np.zeros((z.shape[0], 0), dtype=np.complex128))
+    w, u = np.linalg.eigh(q)
+    w = np.maximum(w, 0.0)
+    keep = w > _EIG_TOL * w[-1]
+    order = np.argsort(w[keep])[::-1]
+    return FrameMatrix(u[:, keep][:, order] * np.sqrt(w[keep][order]))
+
+
+def samples_per_call(x, a, noise_var, seed):
+    """xample as first written, on a slice-stack array: A x plus complex
+    noise of variance noise_var, real parts then imaginary parts drawn."""
+    import math
+
+    from specx.rng import derive_rng
+
+    z = a.a @ x
+    if noise_var > 0:
+        rng = derive_rng(seed, "xample")
+        z = z + math.sqrt(noise_var / 2.0) * (
+            rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)
+        )
+    return z
+
+
+def sensing_trial_per_call(cfg, tag, snr_db, comm_snr, n_channels, point_idx, trial):
+    """One sensing-sweep trial's draw as it ran on its own, every draw made
+    per call: its carriers (random_transmissions_per_set), its comm
+    spectrum (gen_comm_slices_per_call) and radar (radar_slices_per_call),
+    channel samples snr_db below the signal power (the comm signal alone
+    with comm_snr, else comm plus radar) and their frame (frame_per_call).
+    With comm_snr and a prune, the truth keeps the slices within the prune
+    less 3 dB of the strongest. Returns (setup, z, frame, s_c_true,
+    noise_var)."""
+    from specx import ChannelSamples, SliceSupport
+    from specx.pipeline import _child_seed
+    from specx.rng import derive_rng
+
+    setup, waveform = sensing_setup(cfg, n_channels)
+    grid, a = setup.grid, setup.a
+    rng = derive_rng(cfg.seed, tag, point_idx, trial)
+    specs = random_transmissions_per_set(cfg, setup.avoid, rng)
+    comm_x, _, s_c_true = gen_comm_slices_per_call(
+        specs, grid, 0.0, _child_seed(cfg.seed, f"{tag}-comm", point_idx, trial)
+    )
+    radar = radar_slices_per_call(
+        waveform, cfg.radar.carrier, grid, cfg.radar.p_t,
+        _child_seed(cfg.seed, f"{tag}-rslice", point_idx, trial),
+    )
+    x = comm_x.values + radar.values
+    p_sig = float(np.mean(np.abs(a.a @ (comm_x.values if comm_snr else x)) ** 2))
     noise_var = p_sig * 10.0 ** (-snr_db / 10.0)
-    z = xample(x, a, noise_var, _child_seed(cfg.seed, "snr-noise", point_idx, trial))
+    z = samples_per_call(x, a, noise_var, _child_seed(cfg.seed, f"{tag}-noise", point_idx, trial))
 
-    if cfg.comm.prune_db is not None:
+    if comm_snr and cfg.comm.prune_db is not None:
         energies = np.sum(np.abs(comm_x.values) ** 2, axis=1)
         strongest = max(energies[i] for i in s_c_true)
         floor = strongest * 10.0 ** (-max(cfg.comm.prune_db - 3.0, 0.0) / 10.0)
         s_c_true = SliceSupport([i for i in s_c_true if energies[i] >= floor])
+    return setup, ChannelSamples(z, grid), frame_per_call(z), s_c_true, noise_var
 
+
+def comm_support_per_trial(est, s_r, prune_db):
+    """_comm_support as first written, on SliceSupport set operations: the
+    refit's support less s_r, pruned to the slices within prune_db of the
+    strongest, symmetrized."""
+    from specx import SliceSupport
+
+    comm = est.support.difference(s_r)
+    if prune_db is not None and comm:
+        energies = np.sum(np.abs(est.x_hat) ** 2, axis=1)
+        rows = comm.to_array()
+        floor = float(energies[rows].max()) * 10.0 ** (-prune_db / 10.0)
+        comm = SliceSupport(int(i) for i in rows if energies[i] >= floor)
+    return comm.symmetrized(est.grid.n_slices)
+
+
+def trial_snr(cfg, task):
+    """One snr-sweep trial as it ran on its own: the per-call draws, the
+    one-frame pursuits, the lstsq refit and the set-operation readout."""
+    from specx import SliceSupport
+    from specx.pipeline import _index_ratio
+
+    snr_db, point_idx, trial = task
+    setup, z, frame, s_c_true, noise_var = sensing_trial_per_call(
+        cfg, "snr", snr_db, True, cfg.grid.n_channels, point_idx, trial
+    )
+    a, s_r = setup.a, setup.s_r
     n_sig = cfg.comm.n_sig_effective
-    frame = build_frame(z)
     pks = omp_pks_one_frame(frame, a, s_r, 4 * n_sig)
-    pks_comm = _comm_support(recover_slices_lstsq(z, a, pks), s_r, cfg.comm.prune_db)
+    pks_comm = comm_support_per_trial(recover_slices_lstsq(z, a, pks), s_r, cfg.comm.prune_db)
     omp = somp_one_frame(frame, a, min(4 * n_sig, a.n))
-    omp_comm = _comm_support(recover_slices_lstsq(z, a, omp), s_r, cfg.comm.prune_db)
+    omp_comm = comm_support_per_trial(recover_slices_lstsq(z, a, omp), s_r, cfg.comm.prune_db)
     return {
         "snr_db": snr_db,
         "trial": trial,
@@ -589,20 +707,17 @@ def trial_snr(cfg, task):
 
 
 def trial_channels(cfg, task):
-    """One channels-sweep trial as it ran on its own, on the one-frame
-    pursuit and the lstsq refit."""
-    from specx import build_frame, xample
-    from specx.pipeline import _child_seed, _comm_support, _comm_trial, _index_ratio
+    """One channels-sweep trial as it ran on its own: the per-call draws,
+    the one-frame pursuit, the lstsq refit and the set-operation readout."""
+    from specx.pipeline import _index_ratio
 
     m, point_idx, trial = task
-    setup = sensing_setup(cfg, m)
+    setup, z, frame, s_c_true, _ = sensing_trial_per_call(
+        cfg, "chan", cfg.sweep.channels_snr_db, False, m, point_idx, trial
+    )
     a, s_r = setup.a, setup.s_r
-    _, x, s_c_true = _comm_trial(cfg, setup, "chan", point_idx, trial)
-    p_sig = float(np.mean(np.abs(xample(x, a).z) ** 2))
-    noise_var = p_sig * 10.0 ** (-cfg.sweep.channels_snr_db / 10.0)
-    z = xample(x, a, noise_var, _child_seed(cfg.seed, "chan-noise", point_idx, trial))
-    sup = omp_pks_one_frame(build_frame(z), a, s_r, 4 * cfg.comm.n_sig_effective)
-    comm = _comm_support(recover_slices_lstsq(z, a, sup), s_r, cfg.comm.prune_db)
+    sup = omp_pks_one_frame(frame, a, s_r, 4 * cfg.comm.n_sig_effective)
+    comm = comm_support_per_trial(recover_slices_lstsq(z, a, sup), s_r, cfg.comm.prune_db)
     return {
         "n_channels": m,
         "trial": trial,

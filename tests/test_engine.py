@@ -1,6 +1,10 @@
 """The sweep engine on toy batches: no scenario, no config."""
 
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,3 +98,108 @@ def test_child_failure_that_does_not_pickle_raises_its_repr(two_cpus, monkeypatc
     assert type(raised.value) is RuntimeError
     assert str(raised.value) == "RuntimeError('task 2')"
     assert multiprocessing.active_children() == []
+
+
+def run_script(tmp_path, code, timeout):
+    """Run code as a script file in a fresh interpreter that imports this
+    specx, so that spawned children can import the script's functions."""
+    script = tmp_path / "script.py"
+    script.write_text(code)
+    src = str(Path(engine.__file__).resolve().parents[1])
+    env = {
+        k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    }
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          timeout=timeout, env=env, cwd=tmp_path)
+
+
+_BLAS_THREADS = """
+import multiprocessing, os, pathlib, time
+from specx import engine
+
+CHILD_RAN = pathlib.Path("child-ran")
+
+
+def threads(point_idx, trials):
+    # the caller's trials wait until the child has run one, so both run some
+    if multiprocessing.parent_process() is not None:
+        CHILD_RAN.touch()
+    else:
+        deadline = time.monotonic() + 30
+        while not CHILD_RAN.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+    return [(os.getpid(), engine._openblas_thread_control()[0]()) for _ in trials]
+
+
+if __name__ == "__main__":
+    engine._usable_cpus = lambda: 2
+    engine._openblas_thread_control()[1](2)
+    for method in ("fork", "spawn", "forkserver"):
+        multiprocessing.set_start_method(method, force=True)
+        CHILD_RAN.unlink(missing_ok=True)
+        seen = engine.run(threads, [(point, 0) for point in range(8)], 2)
+        in_child = {count for pid, count in seen if pid != os.getpid()}
+        print(method, sorted({count for _, count in seen}), bool(in_child))
+    print(engine._openblas_thread_control()[0]())
+"""
+
+
+def test_every_start_method_runs_trials_on_one_blas_thread(tmp_path):
+    """A child that was spawned or started by the fork server caps BLAS at
+    one thread before its first claim, as a forked child inherits the cap;
+    each trial reads its process's thread count, and the caller's count of
+    2 is restored after each run."""
+    if engine._openblas_thread_control() is None:
+        pytest.skip("NumPy's BLAS exposes no thread control")
+    proc = run_script(tmp_path, _BLAS_THREADS, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "fork [1] True\nspawn [1] True\nforkserver [1] True\n2\n"
+
+
+_UNPICKLABLE_PAYLOAD = """
+import functools, multiprocessing, operator, sys, tempfile
+from specx import WorkerDied, cli, engine
+
+
+class FailsToUnpickle:
+    def __reduce__(self):
+        return operator.truediv, (1, 0)
+
+
+def with_bad_payload(batch):
+    # the child dies unpickling the first argument while the caller still
+    # writes the second, 2 MiB, into its job pipe
+    return functools.partial(len, FailsToUnpickle(), bytes(2 << 20), batch)
+
+
+if __name__ == "__main__":
+    engine._usable_cpus = lambda: 2
+    run = engine.run
+    for method in ("spawn", "forkserver"):
+        multiprocessing.set_start_method(method, force=True)
+        try:
+            engine._run_split(with_bad_payload(None), [(0, 0), (0, 1)], 2)
+        except WorkerDied as exc:
+            print(method, exc)
+        engine.run = lambda batch, tasks, workers: run(with_bad_payload(batch), tasks, workers)
+        with tempfile.TemporaryDirectory() as out:
+            code = cli.main(["sweep", "--config", "desk", "--axis", "snr", "--trials", "2",
+                             "--workers", "2", "--out", out])
+        engine.run = run
+        print(method, code, multiprocessing.active_children())
+"""
+
+
+def test_child_dying_on_its_payload_raises_worker_died_under_every_start_method(tmp_path):
+    """Under spawn and forkserver a child starts without the batch and
+    unpickles it from a pipe whose read end only it holds; a child that dies
+    doing so breaks the pipe while the caller writes, which raises
+    WorkerDied instead of hanging, and the CLI exits 3 on it."""
+    proc = run_script(tmp_path, _UNPICKLABLE_PAYLOAD, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    died = "specx-share-1 died while it was started"
+    assert proc.stdout == (
+        f"spawn {died}\nspawn 3 []\nforkserver {died}\nforkserver 3 []\n"
+    )
+    assert proc.stderr.count(f"error: a sweep worker died: {died}\n") == 2

@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _oracles import chip_fourier_series_quad, mixed_channel_spectrum  # noqa: E402
+from _oracles import (  # noqa: E402
+    chip_fourier_series_quad,
+    mixed_channel_spectrum,
+    samples_per_call,
+)
 
 from specx import (  # noqa: E402
     CommTransmissionSpec,
@@ -16,12 +20,14 @@ from specx import (  # noqa: E402
     build_sensing_matrix,
     gen_comm_slices,
     gen_mixing_sequences,
+    load_config,
     total_rate,
     xample,
 )
 from specx.mwc import (  # noqa: E402
     MixingSequenceSet,
     sequence_fourier_coeffs,
+    xample_batch,
 )
 
 
@@ -126,3 +132,28 @@ def test_rate_accounting():
     assert rate.nyquist_ratio == pytest.approx(0.385, rel=1e-12)
     bare = total_rate(25, 154e6)
     assert bare.channel_ratio is None and bare.nyquist_ratio is None
+
+
+@pytest.mark.parametrize("preset", ["desk", "paper_sw"])
+def test_xample_batch_equals_lone_first_written_xample(preset):
+    """Every trial of a stack of four, and of a stack of one, gets the bits
+    of the first-written lone call: A x plus its own seeded noise, and none
+    at noise_var 0; xample is the stack of one."""
+    cfg = load_config(preset)
+    grid = cfg.grid.to_grid()
+    a = build_sensing_matrix(
+        gen_mixing_sequences(cfg.grid.n_channels, cfg.grid.n_chips, seed=3), grid.n_slices
+    )
+    rng = np.random.default_rng(0)
+    shape = (4, grid.n_slices, grid.n_grid)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    noise_var, seeds = [0.3, 0.0, 1e-4, 2.5], [5, 6, 7, 8]
+    got = xample_batch(x, a, noise_var, seeds)
+    assert got.shape == (4, a.m, grid.n_grid)
+    for b in range(4):
+        want = samples_per_call(x[b], a, noise_var[b], seeds[b])
+        assert got[b].tobytes() == want.tobytes()
+        lone = xample(SliceSpectrum(x[b], grid), a, noise_var[b], seeds[b])
+        assert lone.z.tobytes() == want.tobytes()
+    assert xample_batch(x[2:3], a, noise_var[2:3], seeds[2:3]).tobytes() == got[2].tobytes()
+    assert np.array_equal(got[1], a.a @ x[1])

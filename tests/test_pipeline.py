@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specx import (
     ConfigError,
@@ -553,6 +555,104 @@ def test_sweep_without_clear_carrier_is_infeasible(desk, two_cpus, workers):
     assert multiprocessing.active_children() == []
 
 
+# band edges on a quarter-unit grid, so that bands and zones often abut
+_EDGES = st.integers(-24, 24).map(lambda k: k / 4)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(
+    carrier=st.one_of(_EDGES, st.floats(-6.0, 6.0), st.floats(-0.3, 0.3)),
+    half=st.one_of(st.integers(1, 12).map(lambda k: k / 8), st.floats(0.01, 3.0)),
+    zone=st.lists(st.tuples(_EDGES, _EDGES).filter(lambda iv: iv[0] < iv[1]), min_size=1,
+                  max_size=3),
+    mirrored=st.booleans(),
+)
+@example(carrier=0.0, half=0.5, zone=[(0.5, 1.0)], mirrored=False)  # abuts, meets its mirror
+@example(carrier=0.5, half=0.5, zone=[(-1.0, 0.0)], mirrored=False)  # mirror abuts the zone
+@example(carrier=0.25, half=0.5, zone=[(-0.5, -0.25)], mirrored=False)  # mirror meets it
+@example(carrier=2.0, half=0.5, zone=[(-2.5, -1.5)], mirrored=False)  # only the mirror hits
+def test_float_clear_test_agrees_with_frequency_sets(carrier, half, zone, mirrored):
+    """_clear's interval arithmetic agrees with the FrequencySet test it
+    replaced: the band and its mirror meet the avoid zone in zero measure."""
+    avoid = FrequencySet(zone)
+    if mirrored:
+        avoid = avoid.union(avoid.mirrored())
+    band = FrequencySet([(carrier - half, carrier + half)])
+    want = band.union(band.mirrored()).intersection(avoid).measure() == 0.0
+    assert pipeline._clear(carrier - half, carrier + half, [(iv.lo, iv.hi) for iv in avoid]) == want
+
+
+def test_stacked_readout_equals_per_trial_readout():
+    """_comm_supports reads every refit of a stack as the first-written
+    per-trial readout does, with and without a prune: empty supports, a
+    support inside the radar slices, slice 0 (no mirror), all-zero rows,
+    and a stack of one (_comm_support)."""
+    from _oracles import comm_support_per_trial
+
+    from specx.sensing import SliceEstimate
+
+    grid = load_config("desk").grid.to_grid()
+    n, rng = grid.n_slices, np.random.default_rng(3)
+    s_r = pipeline.SliceSupport([11, 12, 18, 19])
+    supports = [
+        pipeline.SliceSupport(),
+        pipeline.SliceSupport([11, 12]),
+        pipeline.SliceSupport([0, 1, 5, 11]),
+        pipeline.SliceSupport([3, 4, 26, 27, 12]),
+        *(pipeline.SliceSupport(rng.choice(n, size=k, replace=False)) for k in (1, 6, 9, 14)),
+    ]
+    x_hat = np.zeros((len(supports), n, grid.n_grid), dtype=complex)
+    for b, s in enumerate(supports[:-1]):
+        rows = s.to_array()
+        scale = 10.0 ** rng.uniform(-3.0, 0.0, size=(len(rows), 1))
+        x_hat[b, rows] = scale * (rng.standard_normal((len(rows), grid.n_grid)) + 1j)
+    for prune_db in (None, 12.0, 0.0, 40.0):
+        got = pipeline._comm_supports(x_hat, supports, s_r, prune_db)
+        for b, s in enumerate(supports):
+            est = SliceEstimate(x_hat[b], s, grid)
+            want = comm_support_per_trial(est, s_r, prune_db)
+            assert got[b] == want == pipeline._comm_support(est, s_r, prune_db)
+
+
+@pytest.mark.parametrize("axis", ["snr", "channels"])
+def test_failure_at_one_trial_of_a_stack_is_pinned_on_it(desk, monkeypatch, axis):
+    """A failure at trial 5 of a stacked batch of 8, an InfeasibleError
+    from its carrier draw or a ValueError from the stacked comm draw at its
+    seed, fails the whole batch, and the engine raises that failure pinned
+    at task 5; the sweep raises it too."""
+    cfg = small_sweep(desk, n_trials=8)
+    tag, point, k = {"snr": "snr", "channels": "chan"}[axis], 0, 5
+    points, setups = pipeline._SWEEPS[axis].plan(cfg, cfg.grid.to_grid())
+    batch = functools.partial(pipeline._SWEEPS[axis].batch, cfg, points, setups)
+    tasks = [(point, t) for t in range(8)]
+    carriers, comm = pipeline._random_transmissions, pipeline.gen_comm_slices_batch
+    failing_seed = pipeline._child_seed(cfg.seed, f"{tag}-comm", point, k)
+
+    def infeasible(cfg_, avoid, rng):
+        failing = pipeline.derive_rng(cfg.seed, tag, point, k)
+        if rng.bit_generator.state == failing.bit_generator.state:
+            raise InfeasibleError(f"no carrier for trial {k}")
+        return carriers(cfg_, avoid, rng)
+
+    def bad_draw(specs, grid, noise_psd, seeds):
+        if failing_seed in seeds:
+            raise ValueError(f"bad draw for trial {k}")
+        return comm(specs, grid, noise_psd, seeds)
+
+    for name, fake, error in (("_random_transmissions", infeasible, InfeasibleError),
+                              ("gen_comm_slices_batch", bad_draw, ValueError)):
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, name, fake)
+            with pytest.raises(error, match=f"trial {k}$"):
+                batch(point, list(range(8)))
+            failure = engine._run_share(batch, tasks, 1, ctypes.c_longlong(0),
+                                        contextlib.nullcontext())
+            assert isinstance(failure, engine._Failure)
+            assert failure.index == k and type(failure.exc) is error
+            with pytest.raises(error, match=f"trial {k}$"):
+                sweep(cfg, axis, workers=1)
+
+
 class _ChildFirst:
     """Lays out a 2-process sweep's claims for a test: the calling process
     makes the first claim and the child the second (caller_claims_first),
@@ -942,14 +1042,14 @@ def sweep_rows(points, tasks, measured):
 def _frame_ranks(monkeypatch):
     """Record the rank of every frame the sweep code builds."""
     ranks = []
-    build = pipeline.build_frame
+    build = pipeline.build_frame_batch
 
     def recording(z):
-        frame = build(z)
-        ranks.append(frame.rank)
-        return frame
+        frames = build(z)
+        ranks.extend(frame.rank for frame in frames)
+        return frames
 
-    monkeypatch.setattr(pipeline, "build_frame", recording)
+    monkeypatch.setattr(pipeline, "build_frame_batch", recording)
     return ranks
 
 
@@ -1090,9 +1190,9 @@ def test_sweep_points_span_batches_like_one_by_one_trials(desk, two_cpus):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sensing_sweep_raises_the_first_failing_task(desk, two_cpus, monkeypatch,
                                                      failing, where, workers):
-    draw, pursue = pipeline._draw_snr, pipeline.omp_pks_batch
-    refit, readout = pipeline.recover_slices_batch, pipeline._comm_support
-    trial_of = {}  # id of a drawn frame, sample set or refit -> its trial
+    draw, pursue = pipeline._draw_sensing, pipeline.omp_pks_batch
+    refit, readout = pipeline.recover_slices_batch, pipeline._comm_supports
+    trial_of = {}  # id of a drawn frame -> its trial; of a sample or refit stack -> its trials
     first = min(failing)
     layout = _ChildFirst(workers, monkeypatch)
 
@@ -1102,11 +1202,13 @@ def test_sensing_sweep_raises_the_first_failing_task(desk, two_cpus, monkeypatch
                 layout.ran()
             raise RuntimeError(f"{step} {trial}")
 
-    def failing_draw(cfg, setup, point, point_idx, trial):
-        layout.draw()
-        fail("draw", trial)
-        d = draw(cfg, setup, point, point_idx, trial)
-        trial_of[id(d.frame)] = trial_of[id(d.z)] = trial
+    def failing_draw(cfg, setup, tag, snr_db, comm_snr, point_idx, trials):
+        for trial in trials:
+            layout.draw()
+            fail("draw", trial)
+        d = draw(cfg, setup, tag, snr_db, comm_snr, point_idx, trials)
+        trial_of.update((id(frame), trial) for frame, trial in zip(d.frames, trials))
+        trial_of[id(d.z)] = list(trials)
         return d
 
     def failing_pursuit(frames, a, s_r, k_extra):
@@ -1114,20 +1216,20 @@ def test_sensing_sweep_raises_the_first_failing_task(desk, two_cpus, monkeypatch
             fail("pursuit", trial_of[id(frame)])
         return pursue(frames, a, s_r, k_extra)
 
-    def traced_refit(zs, a, sups):
-        ests = refit(zs, a, sups)
-        for z, est in zip(zs, ests):
-            trial_of[id(est)] = trial_of[id(z)]
-        return ests
+    def traced_refit(z, a, sups):
+        x_hat = refit(z, a, sups)
+        trial_of[id(x_hat)] = trial_of[id(z)]
+        return x_hat
 
-    def failing_readout(est, s_r, prune_db):
-        fail("readout", trial_of[id(est)])
-        return readout(est, s_r, prune_db)
+    def failing_readout(x_hat, sups, s_r, prune_db):
+        for trial in trial_of[id(x_hat)]:
+            fail("readout", trial)
+        return readout(x_hat, sups, s_r, prune_db)
 
-    monkeypatch.setattr(pipeline, "_draw_snr", failing_draw)
+    monkeypatch.setattr(pipeline, "_draw_sensing", failing_draw)
     monkeypatch.setattr(pipeline, "omp_pks_batch", failing_pursuit)
     monkeypatch.setattr(pipeline, "recover_slices_batch", traced_refit)
-    monkeypatch.setattr(pipeline, "_comm_support", failing_readout)
+    monkeypatch.setattr(pipeline, "_comm_supports", failing_readout)
     cfg = small_sweep(desk, snr_db=(10.0,), n_trials=max(8, max(failing) + 1))
     with pytest.raises(RuntimeError, match=f"^{failing[first]} {first}$"):
         sweep(cfg, "snr", workers=workers)
@@ -1142,7 +1244,7 @@ def test_run_radar_draws_no_comm_spectrum(desk, monkeypatch):
     """run_radar reads the comm bands off their specs, not off a drawn
     spectrum."""
     expected = run_radar(desk)
-    calls = counted(monkeypatch, "gen_comm_slices")
+    calls = counted(monkeypatch, "gen_comm_slices_batch")
     got = run_radar(desk)
     assert calls == []
     assert got == expected

@@ -23,7 +23,7 @@ from specx import (
     xample,
 )
 from specx.mwc import ChannelSamples
-from specx.sensing import refine_support_by_energy
+from specx.sensing import build_frame_batch, refine_support_by_energy
 
 GRID = GridSpec(f_nyq=380e6, f_p=20e6, f_s=20e6, n_grid=8)  # 20 slices
 
@@ -283,6 +283,39 @@ def test_recover_slices_rejects_rank_deficient_support():
     assert recover_slices(z, a, SliceSupport([2, 4])).support == SliceSupport([2, 4])
 
 
+@pytest.mark.parametrize("preset", ["desk", "paper_sw"])
+def test_build_frame_batch_equals_lone_first_written_frame(preset):
+    """Every frame of a stack of five, and of a stack of one, holds the bits
+    of the first-written lone frame: samples of rank 1, 3 and m (noise), an
+    all-zero set (rank 0) and a noisy real trial's; build_frame is the stack
+    of one."""
+    from _oracles import frame_per_call
+
+    from specx import load_config
+
+    cfg = load_config(preset)
+    grid = cfg.grid.to_grid()
+    a = build_sensing_matrix(
+        gen_mixing_sequences(cfg.grid.n_channels, cfg.grid.n_chips, seed=2), grid.n_slices
+    )
+    rng = np.random.default_rng(4)
+    z = np.zeros((5, a.m, grid.n_grid), dtype=complex)
+    for b, rank in ((0, 1), (1, 3)):
+        x = np.zeros((grid.n_slices, grid.n_grid), dtype=complex)
+        x[rng.choice(grid.n_slices, rank, replace=False)] = rng.standard_normal((rank, grid.n_grid))
+        z[b] = a.a @ x
+    z[2] = rng.standard_normal(z[2].shape) + 1j * rng.standard_normal(z[2].shape)
+    x, _, _ = gen_comm_slices(cfg.comm.transmissions, grid, cfg.comm.noise_psd, seed=9)
+    z[4] = xample(x, a, noise_var=1e-3, seed=9).z
+    frames = build_frame_batch(z)
+    assert [f.rank for f in frames][:4] == [1, 3, a.m, 0]
+    for b, frame in enumerate(frames):
+        want = frame_per_call(z[b])
+        assert frame.v.tobytes() == want.v.tobytes()
+        assert build_frame(ChannelSamples(z[b], grid)).v.tobytes() == want.v.tobytes()
+    assert build_frame_batch(z[1:2])[0].v.tobytes() == frames[1].v.tobytes()
+
+
 def _refit_stack(preset):
     """A preset's front end, channel samples and supports: the greedy
     supports of real sensing-sweep trials (radar-aware and radar-unaware)
@@ -293,13 +326,16 @@ def _refit_stack(preset):
     cfg = load_config(preset)
     point = len(cfg.sweep.snr_db) - 1
     points, setups = pipeline._snr_plan(cfg, cfg.grid.to_grid())
-    drawn = [pipeline._draw_snr(cfg, setups[point], points[point], point, t) for t in range(6)]
-    a = setups[point].a
+    setup = setups[point]
+    d = pipeline._draw_sensing(
+        cfg, setup, "snr", points[point]["snr_db"], True, point, list(range(6))
+    )
+    a, budget = setup.a, 4 * cfg.comm.n_sig_effective
     zs, sups = [], []
-    for d in drawn:
-        for s_r, k_extra in d.pursuits:
-            zs.append(d.z)
-            sups.append(omp_pks(d.frame, a, s_r, k_extra))
+    for z, frame in zip(d.z, d.frames):
+        for s_r, k_extra in ((setup.s_r, budget), (SliceSupport(), min(budget, a.n))):
+            zs.append(ChannelSamples(z, setup.grid))
+            sups.append(omp_pks(frame, a, s_r, k_extra))
     rng = np.random.default_rng(5)
     zero = ChannelSamples(np.zeros_like(zs[0].z), zs[0].grid)
     for i, k in enumerate((0, 1, a.m // 2, a.m, a.m + 3, 0, a.m // 2, a.m)):
@@ -319,21 +355,23 @@ def test_recover_slices_batch_matches_lstsq_oracle(preset):
 
     a, zs, sups = _refit_stack(preset)
     assert {len(s) for s in sups} >= {0, 1, a.m // 2, a.m, a.m + 3}
-    got = recover_slices_batch(zs, a, sups)
-    for z, s, est in zip(zs, sups, got):
+    stack = np.stack([z.z for z in zs])
+    got = recover_slices_batch(stack, a, sups)
+    for z, s, x_hat in zip(zs, sups, got):
         want = recover_slices_lstsq(z, a, s)
+        est = recover_slices(z, a, s)
         assert est.support == want.support == s
-        assert np.abs(est.x_hat - want.x_hat).max() <= 1e-12 * np.abs(want.x_hat).max()
-        assert np.array_equal(est.x_hat, recover_slices(z, a, s).x_hat)
-    half = recover_slices_batch(zs[1::2], a, sups[1::2])
-    assert all(np.array_equal(h.x_hat, g.x_hat) for h, g in zip(half, got[1::2]))
-    assert recover_slices_batch([], a, []) == []
+        assert np.abs(x_hat - want.x_hat).max() <= 1e-12 * np.abs(want.x_hat).max()
+        assert np.array_equal(x_hat, est.x_hat)
+    half = recover_slices_batch(stack[1::2], a, sups[1::2])
+    assert np.array_equal(half, got[1::2])
+    assert recover_slices_batch(stack[:0], a, []).shape == (0, a.n, stack.shape[2])
 
     amat = a.a.copy()
     amat[:, 5] = amat[:, 2]
     dup = SensingMatrix(a=amat)
     with pytest.raises(ValueError, match="rank-deficient"):
-        recover_slices_batch(zs[:3], dup, [SliceSupport([2, 4]), SliceSupport([2, 5]), sups[0]])
+        recover_slices_batch(stack[:3], dup, [SliceSupport([2, 4]), SliceSupport([2, 5]), sups[0]])
 
 
 # -- the batched pursuit against the one-frame oracle ---------------------------

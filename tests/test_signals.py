@@ -31,7 +31,12 @@ from specx import (  # noqa: E402
     radar_slices,
     slices_from_dense,
 )
-from specx.signals import radar_emission, radar_fourier_coeffs_batch  # noqa: E402
+from specx.signals import (  # noqa: E402
+    draw_radar_emission_batch,
+    gen_comm_slices_batch,
+    radar_emission,
+    radar_fourier_coeffs_batch,
+)
 
 GRID = GridSpec(f_nyq=380e6, f_p=20e6, f_s=20e6, n_grid=8)  # 20 slices
 
@@ -325,6 +330,72 @@ def test_slice_draws_match_per_call_oracles(preset):
                 got = radar_slices(wave, r.carrier, grid, power_scale, seed)
                 want = radar_slices_per_call(wave, r.carrier, grid, power_scale, seed)
                 assert same_bits(got, want)
+
+
+def _draw_case(case):
+    """A grid and a radar on it: a preset's grid and its radar on the
+    separated layout, or a grid whose slices overlap (f_s > f_p) with a
+    two-band radar."""
+    if case == "overlapping-slices":
+        grid = GridSpec(f_nyq=380e6, f_p=20e6, f_s=25e6, n_grid=10)
+        bands = FrequencySet([(-6e6, -2e6), (3e6, 7e6)])
+        return grid, design_radar_waveform(flat_base(64), 20e6, bands, 1.0), 100e6
+    cfg = load_config(case)
+    r = cfg.radar
+    f_r = band_layout("separated", r.b_h, r.n_bands, 0.2, r.n_delay_bins)
+    wave = design_radar_waveform(flat_base(r.n_delay_bins), r.b_h, f_r, r.p_t)
+    return cfg.grid.to_grid(), wave, r.carrier
+
+
+@pytest.mark.parametrize("case", ["desk", "paper_sw", "overlapping-slices"])
+def test_stacked_draws_equal_lone_first_written_draws(case):
+    """gen_comm_slices_batch and draw_radar_emission_batch give every draw
+    of a stack of five, and of a stack of one, the bits of the first-written
+    lone draw with its seed: overlapping bands, three of them around 0 Hz
+    where their mirrors overlap them too, bands clipped at -f_nyq/2 and
+    +f_nyq/2, raised-cosine shapes, a zero-power band, draws with different
+    band counts (none included), with and without ambient noise; and the
+    radar at full and at zero power."""
+    grid, wave, carrier = _draw_case(case)
+    half, bw = grid.f_nyq / 2.0, 0.8 * grid.f_p
+    layouts = [
+        (
+            CommTransmissionSpec(5 * grid.f_p, bw),
+            CommTransmissionSpec(5 * grid.f_p + bw / 3, bw, 2.0, "raised-cosine"),
+            CommTransmissionSpec(half - bw / 4, bw),
+        ),
+        (
+            CommTransmissionSpec(-half + bw / 5, bw, 0.5, "raised-cosine"),
+            CommTransmissionSpec(-3 * grid.f_p, bw, 0.0),
+            CommTransmissionSpec(0.0, 5 * grid.delta_f, shape="raised-cosine"),
+        ),
+        (),
+        (CommTransmissionSpec(-7 * grid.f_p + bw / 7, bw),),
+        # three bands around 0 Hz and their mirrors: up to six terms a bin
+        (
+            CommTransmissionSpec(0.0, bw),
+            CommTransmissionSpec(bw / 4, bw / 2, 3.0, "raised-cosine"),
+            CommTransmissionSpec(-bw / 5, bw / 3, 0.5),
+        ),
+    ]
+    seeds = [11, 12, 13, 14, 15]
+    for noise_psd in (0.0, 1e-3):
+        for lo, hi in ((0, 5), (1, 2)):
+            values, occupied = gen_comm_slices_batch(layouts[lo:hi], grid, noise_psd, seeds[lo:hi])
+            assert values.shape == (hi - lo, grid.n_slices, grid.n_grid)
+            for b, (specs, seed) in enumerate(zip(layouts[lo:hi], seeds[lo:hi])):
+                want, _, support = gen_comm_slices_per_call(specs, grid, noise_psd, seed)
+                assert values[b].tobytes() == want.values.tobytes()
+                assert SliceSupport(np.flatnonzero(occupied[b])) == support
+    assert np.all(gen_comm_slices_batch(layouts, grid, 0.0, seeds)[0][2] == 0)
+    for power_scale in (wave.p_t, 0.0):
+        emission = radar_emission(wave, carrier, grid, power_scale)
+        for lo, hi in ((0, 5), (1, 2)):
+            got = draw_radar_emission_batch(emission, seeds[lo:hi])
+            for b, seed in enumerate(seeds[lo:hi]):
+                want = radar_slices_per_call(wave, carrier, grid, power_scale, seed)
+                assert got[b].tobytes() == want.values.tobytes()
+        assert np.any(got) == (power_scale > 0)
 
 
 @pytest.mark.parametrize("preset", ["desk", "paper_sw"])
