@@ -38,17 +38,19 @@ from .mwc import (
 from .radar import (
     DetectionList,
     MinRequirements,
+    Pursuit,
     delay_to_range_m,
     doppler_focus_batch,
     focus_weights,
     focused_noise_var,
     focused_omp_batch,
     glrt_threshold,
-    hit_or_miss,
+    hit_or_miss_batch,
     make_kappa,
     min_requirements,
     partial_fourier,
     per_test_level,
+    wrapped_gaps,
 )
 from .report import RunReport
 from .rng import derive_rng
@@ -69,7 +71,7 @@ from .signals import (
     RadarEmission,
     RadarWaveformSpec,
     SliceSpectrum,
-    TargetScene,
+    check_scenes,
     comm_occupancy,
     design_radar_waveform,
     draw_radar_emission_batch,
@@ -504,18 +506,39 @@ def _flat_base(n_bins: int) -> np.ndarray:
     return np.ones(n_bins)
 
 
-def _draw_scene(cfg: ScenarioConfig, rng: np.random.Generator) -> TargetScene:
+def _draw_targets(
+    cfg: ScenarioConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A scene's raw draw: distinct delay bins, distinct Doppler bins, phases."""
     l = cfg.scene.n_targets
+    delay_bins = rng.choice(cfg.radar.n_delay_bins, size=l, replace=False)
+    dopp_bins = rng.choice(cfg.radar.n_pulses, size=l, replace=False)
+    return delay_bins, dopp_bins, rng.uniform(0.0, 2.0 * math.pi, size=l)
+
+
+def _scenes(
+    cfg: ScenarioConfig,
+    delay_bins: Sequence[np.ndarray],
+    dopp_bins: Sequence[np.ndarray],
+    phases: Sequence[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (B, L) delay, Doppler and amplitude stacks of B scenes' raw draws,
+    checked as TargetScene checks each scene. Every entry is the float
+    operation a lone scene's draw does on it."""
     n_bins = cfg.radar.n_delay_bins
     train = cfg.radar.train()
-    delay_bins = rng.choice(n_bins, size=l, replace=False)
-    dopp_bins = rng.choice(train.n_pulses, size=l, replace=False)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=l)
-    return TargetScene(
-        delays=delay_bins * train.pri / n_bins,
-        dopplers=train.doppler_grid()[dopp_bins],
-        amplitudes=cfg.scene.amplitude * np.exp(1j * phases),
-    )
+    delays = np.stack(delay_bins) * train.pri / n_bins
+    dopplers = train.doppler_grid()[np.stack(dopp_bins)]
+    amplitudes = cfg.scene.amplitude * np.exp(1j * np.stack(phases))
+    check_scenes(delays, dopplers, amplitudes)
+    return delays, dopplers, amplitudes
+
+
+def _draw_scene(
+    cfg: ScenarioConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One scene as (1, L) stacks: the one-scene call of _scenes."""
+    return _scenes(cfg, *([draw] for draw in _draw_targets(cfg, rng)))
 
 
 def band_layout(
@@ -555,7 +578,8 @@ def band_layout(
     return out
 
 
-def _detections_payload(dets: DetectionList) -> list[list[float | None]]:
+def _detections_payload(r: RadarConfig, found: Pursuit) -> list[list[float | None]]:
+    dets = DetectionList.from_pursuit(found, r.n_delay_bins, r.train().doppler_grid(), r.pri)
     rows = []
     for d in dets:
         stat = float(d.statistic) if math.isfinite(d.statistic) else None
@@ -566,21 +590,23 @@ def _detections_payload(dets: DetectionList) -> list[list[float | None]]:
     return rows
 
 
-def _rmse_range_m(dets: DetectionList, scene: TargetScene, pri: float) -> float | None:
-    """Per-target nearest-detection delay error, as range RMSE in meters.
+def _rmse_range_m(d_tau: np.ndarray, counts: Sequence[int], pri: float) -> list[float | None]:
+    """Per trial, the per-target nearest-detection delay error as range RMSE
+    in meters, from wrapped_gaps's (B, M, L) delay stack, trial b holding
+    counts[b] detections.
 
     Targets with no detection anywhere count at the worst wrapped distance
-    pri/2 rather than being dropped.
+    pri/2 rather than being dropped. Each trial's mean is its own call.
     """
-    if len(scene) == 0:
-        return None
-    if len(dets) == 0:
-        errs = np.full(len(scene), pri / 2.0)
-    else:
-        d = np.abs(dets.delays()[:, None] - scene.delays[None, :]) % pri
-        d = np.minimum(d, pri - d)
-        errs = d.min(axis=0)
-    return float(delay_to_range_m(math.sqrt(float(np.mean(errs**2)))))
+    b_count, width, l = d_tau.shape
+    if l == 0:
+        return [None] * b_count
+    counts = np.asarray(counts)
+    picked = np.arange(width)[None, :, None] < counts[:, None, None]
+    errs = np.where(picked, d_tau, np.inf).min(axis=1, initial=np.inf)
+    errs[counts == 0] = pri / 2.0
+    means = [float(np.mean(sq)) for sq in errs**2]
+    return delay_to_range_m(np.sqrt(means)).tolist()
 
 
 class _RadarFrame(NamedTuple):
@@ -645,40 +671,66 @@ def _radar_setup(r: RadarConfig, frame: _RadarFrame, noise_var: float) -> _Radar
 
 
 def _radar_trials(
-    cfg: ScenarioConfig, setup: _RadarSetup, scenes: Sequence[TargetScene],
-    seeds: Sequence[int],
-) -> tuple[list[DetectionList], list[dict[str, Any]]]:
-    """Radar transmit/receive/recover passes of scenes under setup, scene b's
-    coefficient noise drawn from seeds[b]: one coefficient synthesis, one
-    Doppler focus and one lockstep pursuit for the stack, then each scene's
-    scoring. Returns each scene's detections and its row of band measures.
-    Each pass does the float operations it does alone, so its row does not
-    depend on the others."""
+    cfg: ScenarioConfig, setup: _RadarSetup,
+    scenes: tuple[np.ndarray, np.ndarray, np.ndarray], seeds: Sequence[int],
+) -> tuple[list[Pursuit], list[dict[str, Any]]]:
+    """Radar transmit/receive/recover passes of B scenes under setup, given
+    as _scenes's (B, L) delay, Doppler and amplitude stacks, scene b's
+    coefficient noise drawn from seeds[b]. The stack takes one coefficient
+    synthesis, one Doppler focus, one lockstep pursuit and one scoring pass
+    (_score) that builds no Detection. Returns each scene's pursuit and its
+    row of band measures. Each pass does the float operations it does
+    alone, so its row does not depend on the others."""
     r = cfg.radar
     frame = setup.frame
+    delays, dopplers, amplitudes = scenes
     # no name holds the coefficients, so they are freed once focused
     psi = doppler_focus_batch(
         radar_fourier_coeffs_batch(
-            scenes, frame.h, frame.k_c, frame.train, setup.noise_var, seeds
+            delays, dopplers, amplitudes, frame.h, frame.k_c, frame.train,
+            setup.noise_var, seeds,
         ),
         frame.signs, frame.scale,
     )
     max_iter = r.max_detections or max(8, 2 * cfg.scene.n_targets)
     found = focused_omp_batch(
-        psi, frame.f_kappa, setup.gamma, setup.fvar, max_iter,
-        f_adj=frame.f_adj, doppler_grid=frame.train.doppler_grid(), pri=r.pri,
+        psi, frame.f_kappa, setup.gamma, setup.fvar, max_iter, f_adj=frame.f_adj
     )
-    rows = []
-    for dets, scene in zip(found, scenes):
-        hit_rate, _ = hit_or_miss(dets, scene, r.b_h, frame.train)
-        rows.append({
+    rows = [
+        {
             "hit_rate": hit_rate,
-            "n_detections": len(dets),
-            "truncated": dets.truncated,
-            "rmse_range_m": _rmse_range_m(dets, scene, r.pri),
+            "n_detections": len(p.amplitudes),
+            "truncated": p.truncated,
+            "rmse_range_m": err,
             "kappa_size": frame.kappa.k,
-        })
+        }
+        for p, hit_rate, err in zip(found, *_score(r, found, delays, dopplers))
+    ]
     return found, rows
+
+
+def _score(
+    r: RadarConfig, found: Sequence[Pursuit], delays: np.ndarray, dopplers: np.ndarray
+) -> tuple[list[float], list[float | None]]:
+    """Hit rates and range RMSEs of B pursuits against their scenes' (B, L)
+    delay and Doppler stacks. The detections' delays and Dopplers, pri * r /
+    n_delay_bins and the Doppler grid's q-th entry as in a Detection, are
+    read off the picked bins, padded with bin 0 to the most detections, so
+    no Detection is built; the scene-to-detection gaps are formed once for
+    the stack (wrapped_gaps) and both scorers read them."""
+    counts = [len(p.amplitudes) for p in found]
+    width = max(counts)
+    cells = [
+        cell for p in found for cell in [*p.amplitudes, *[(0, 0)] * (width - len(p.amplitudes))]
+    ]
+    bins = np.array(cells, dtype=np.intp).reshape(len(found), width, 2)
+    train = r.train()
+    gaps = wrapped_gaps(
+        r.pri * bins[..., 0] / r.n_delay_bins, train.doppler_grid()[bins[..., 1]],
+        delays, dopplers, r.pri,
+    )
+    hit_rates = [rate for rate, _ in hit_or_miss_batch(*gaps, counts, r.b_h, train)]
+    return hit_rates, _rmse_range_m(gaps[0], counts, r.pri)
 
 
 def _require_feasible(cfg: ScenarioConfig) -> MinRequirements:
@@ -904,12 +956,14 @@ def run_specx(cfg: ScenarioConfig) -> RunReport:
         band_selections += 1
         setup = _radar_setup(cfg.radar, _radar_frame(cfg.radar, f_r), cfg.radar.noise_var)
         seed = _child_seed(cfg.seed, "radar", it)
-        (dets,), (radar,) = _radar_trials(cfg, setup, [scene], [seed])
+        (found,), (radar,) = _radar_trials(cfg, setup, scene, [seed])
         emission = radar_emission(setup.frame.waveform, cfg.radar.carrier, grid, cfg.radar.p_t)
         s_r = radar_slice_support(f_r.shifted(cfg.radar.carrier), grid)
         kappa_size = radar["kappa_size"]
         occupancy = f_r.measure() / cfg.radar.b_h
-        row.update(radar, detections=_detections_payload(dets), occupancy_ratio=occupancy)
+        row.update(
+            radar, detections=_detections_payload(cfg.radar, found), occupancy_ratio=occupancy
+        )
         row["f_r"] = f_r.to_pairs()
         row["f_r_fc_disjoint"] = f_r.intersection(f_c_base).measure() == 0.0
         rows.append(row)
@@ -993,10 +1047,10 @@ def run_radar(cfg: ScenarioConfig) -> RunReport:
     _, f_r = select_bands(rem, f_c_base, cfg.radar.n_bands)
     scene = _draw_scene(cfg, derive_rng(cfg.seed, "scene"))
     setup = _radar_setup(cfg.radar, _radar_frame(cfg.radar, f_r), cfg.radar.noise_var)
-    (dets,), (radar,) = _radar_trials(cfg, setup, [scene], [_child_seed(cfg.seed, "radar", 0)])
+    (found,), (radar,) = _radar_trials(cfg, setup, scene, [_child_seed(cfg.seed, "radar", 0)])
     occupancy = f_r.measure() / cfg.radar.b_h
     rows = []
-    for i, det in enumerate(_detections_payload(dets)):
+    for i, det in enumerate(_detections_payload(cfg.radar, found)):
         delay, doppler, re, im, stat = det
         rows.append(
             {
@@ -1241,10 +1295,13 @@ def _batch_channels(
     ]
 
 
-def _draw_band(cfg: ScenarioConfig, point_idx: int, trial: int) -> tuple[TargetScene, int]:
-    """A band-placement trial's scene and the seed of its coefficient noise."""
-    scene = _draw_scene(cfg, derive_rng(cfg.seed, "band-scene", point_idx, trial))
-    return scene, _child_seed(cfg.seed, "band-radar", point_idx, trial)
+def _draw_band(
+    cfg: ScenarioConfig, point_idx: int, trial: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """A band-placement trial's raw scene draw (_draw_targets) and the seed of
+    its coefficient noise."""
+    rng = derive_rng(cfg.seed, "band-scene", point_idx, trial)
+    return (*_draw_targets(cfg, rng), _child_seed(cfg.seed, "band-radar", point_idx, trial))
 
 
 def _batch_band(
@@ -1253,18 +1310,20 @@ def _batch_band(
     """Measurements of the given trials of one band-placement point, on the
     point's radar setup.
 
-    Each trial's scene and noise seed are drawn in trial order
-    (_draw_band), and the trials run as one stack through _radar_trials:
-    one coefficient synthesis, one Doppler focus and one pursuit whose
-    trials take their greedy steps in lockstep. Every stacked step does
-    each trial's float operations on the operands, and with the strides, a
-    lone trial has, so the measurements are those of the trials run one by
-    one. Each holds the band measures of _radar_trials; the point's columns
-    and the trial index are sweep's to write. Any failure raises; the
-    engine pins it on its trial.
+    Each trial's raw scene draw and noise seed are drawn in trial order
+    (_draw_band). The batch makes them into (B, L) target stacks and checks
+    those once (_scenes), and the trials run as one stack through
+    _radar_trials: one coefficient synthesis, one Doppler focus, one
+    pursuit whose trials take their greedy steps in lockstep, and one
+    scoring pass, with no per-trial scene, detection or train object. Every
+    stacked step does each trial's float operations on the operands, and
+    with the strides, a lone trial has, so the measurements are those of
+    the trials run one by one. Each holds the band measures of
+    _radar_trials; the point's columns and the trial index are sweep's to
+    write. Any failure raises; the engine pins it on its trial.
     """
-    scenes, seeds = zip(*(_draw_band(cfg, point_idx, t) for t in trials))
-    return _radar_trials(cfg, setups[point_idx], scenes, seeds)[1]
+    *draws, seeds = zip(*(_draw_band(cfg, point_idx, t) for t in trials))
+    return _radar_trials(cfg, setups[point_idx], _scenes(cfg, *draws), seeds)[1]
 
 
 def _mean(rows: list[dict[str, Any]], key: str) -> float:
@@ -1419,10 +1478,12 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     for the whole batch through omp_pks_batch, refits the supports as one
     stack and reads them out as a single-shot run does (_comm_supports,
     whose one-refit call _comm_support is). A band_placement batch
-    draws its trials' scenes and noise seeds in task order, synthesizes
-    and focuses their coefficients as one stack, and runs the trials'
-    pursuits in lockstep, one stacked refit per support size a greedy step
-    (_radar_trials, focused_omp_batch). Every trial does
+    draws its trials' raw scenes and noise seeds in task order, makes the
+    scenes into target stacks, synthesizes and focuses their coefficients
+    as one stack, runs the trials' pursuits in lockstep, one stacked refit
+    per support size a greedy step, and scores the picks as one padded
+    stack, with no per-trial scene or detection object (_batch_band,
+    _radar_trials, focused_omp_batch, _score). Every trial does
     the float operations it does on its own, on operands with the same
     strides, so the rows do not depend on the batching.
 

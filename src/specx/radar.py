@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -26,6 +26,7 @@ __all__ = [
     "FocusedMatrix",
     "Detection",
     "DetectionList",
+    "Pursuit",
     "MinRequirements",
     "make_kappa",
     "partial_fourier",
@@ -38,6 +39,8 @@ __all__ = [
     "focused_omp_batch",
     "min_requirements",
     "hit_or_miss",
+    "hit_or_miss_batch",
+    "wrapped_gaps",
     "delay_to_range_m",
 ]
 
@@ -213,6 +216,16 @@ class Detection:
     doppler_bin: int
 
 
+class Pursuit(NamedTuple):
+    """What focused_omp_batch finds on one map: each picked (delay bin,
+    Doppler bin) cell with its amplitude, in pick order, the GLRT statistic
+    of every step, and whether max_iter cut the pursuit short."""
+
+    amplitudes: dict[tuple[int, int], complex]
+    gamma_trace: list[float]
+    truncated: bool
+
+
 @dataclass(frozen=True)
 class DetectionList:
     """Recovered targets in detection order."""
@@ -220,6 +233,29 @@ class DetectionList:
     detections: tuple[Detection, ...]
     truncated: bool = False
     gamma_trace: tuple[float, ...] = ()
+
+    @classmethod
+    def from_pursuit(
+        cls, found: Pursuit, n_delay: int, doppler_grid: np.ndarray, pri: float
+    ) -> "DetectionList":
+        """The detections of a pursuit over n_delay delay bins and the Doppler
+        grid of a train with this pri."""
+        trace = found.gamma_trace
+        return cls(
+            detections=tuple(
+                Detection(
+                    delay=pri * r / n_delay,
+                    doppler=float(doppler_grid[q]),
+                    amplitude=amplitude,
+                    statistic=trace[i] if i < len(trace) else math.inf,
+                    delay_bin=r,
+                    doppler_bin=q,
+                )
+                for i, ((r, q), amplitude) in enumerate(found.amplitudes.items())
+            ),
+            truncated=found.truncated,
+            gamma_trace=tuple(trace),
+        )
 
     def __len__(self) -> int:
         return len(self.detections)
@@ -266,10 +302,12 @@ def focused_omp(
     the stopping rule still unsatisfied. This is the one-map call of
     focused_omp_batch.
     """
-    return focused_omp_batch(
-        focused.psi[None], f_kappa, gamma, noise_var, max_iter,
-        f_adj=f_kappa.conj().T, doppler_grid=focused.doppler_grid, pri=focused.pri,
+    found = focused_omp_batch(
+        focused.psi[None], f_kappa, gamma, noise_var, max_iter, f_adj=f_kappa.conj().T
     )[0]
+    return DetectionList.from_pursuit(
+        found, f_kappa.shape[1], focused.doppler_grid, focused.pri
+    )
 
 
 def focused_omp_batch(
@@ -280,12 +318,12 @@ def focused_omp_batch(
     max_iter: int,
     *,
     f_adj: np.ndarray,
-    doppler_grid: np.ndarray,
-    pri: float,
-) -> list[DetectionList]:
+) -> list[Pursuit]:
     """focused_omp on each (K, P) map of a (B, K, P) stack focused on one
-    frame f_kappa, whose adjoint f_adj is f_kappa.conj().T, with the maps'
-    Doppler grid and pri.
+    frame f_kappa, whose adjoint f_adj is f_kappa.conj().T. Returns each
+    map's Pursuit: its picks in pick order with their amplitudes, its
+    statistic trace and its truncated flag, which DetectionList.from_pursuit
+    makes into detections; a sweep scores the picks without them.
 
     The maps take their greedy steps in lockstep, each with its own picks,
     ceilings, refreshes, stopping rule and early exit. A step takes one
@@ -384,24 +422,7 @@ def focused_omp_batch(
             _DOT_SLACK * (k_count + 4) * np.abs(refit).sum(axis=1)
         )
 
-    return [
-        DetectionList(
-            detections=tuple(
-                Detection(
-                    delay=pri * r / n_delay,
-                    doppler=float(doppler_grid[q]),
-                    amplitude=amplitude,
-                    statistic=trace[i] if i < len(trace) else math.inf,
-                    delay_bin=r,
-                    doppler_bin=q,
-                )
-                for i, ((r, q), amplitude) in enumerate(found.items())
-            ),
-            truncated=cut,
-            gamma_trace=tuple(trace),
-        )
-        for found, trace, cut in zip(amplitudes, traces, truncated)
-    ]
+    return [Pursuit(*found) for found in zip(amplitudes, traces, truncated)]
 
 
 def _lstsq_stack(a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -458,6 +479,23 @@ def _wrapped(delta: np.ndarray, period: float) -> np.ndarray:
     return np.minimum(d, period - d)
 
 
+def wrapped_gaps(
+    delays: np.ndarray,
+    dopplers: np.ndarray,
+    truth_delays: np.ndarray,
+    truth_dopplers: np.ndarray,
+    pri: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Delay and Doppler gaps between B trials' detections, (B, M) stacks,
+    and their targets, (B, L) stacks, as two (B, M, L) stacks: entry
+    (b, e, t) is |detection e - target t| of trial b, wrapped to the
+    unambiguous range pri in delay and 1/pri in Doppler. Rows past a trial's
+    detection count may hold anything; its scores never read them."""
+    d_tau = _wrapped(delays[:, :, None] - truth_delays[:, None, :], pri)
+    d_nu = _wrapped(dopplers[:, :, None] - truth_dopplers[:, None, :], 1.0 / pri)
+    return d_tau, d_nu
+
+
 def hit_or_miss(
     est: DetectionList,
     truth: TargetScene,
@@ -469,38 +507,57 @@ def hit_or_miss(
     A detection hits a target when (dtau / (3/b_h))^2 + (dnu / (3/(P pri)))^2
     <= 1, with both differences wrapped to the unambiguous ranges. Pairs are
     matched greedily nearest first and each detection can claim one target.
-    Returns (hit rate, per-target hit flags); an empty truth scores 1.
+    Returns (hit rate, per-target hit flags); an empty truth scores 1. This
+    is the one-trial call of hit_or_miss_batch.
     """
-    l = len(truth)
+    gaps = wrapped_gaps(
+        est.delays()[None], est.dopplers()[None], truth.delays[None], truth.dopplers[None],
+        train.pri,
+    )
+    return hit_or_miss_batch(*gaps, [len(est)], b_h, train)[0]
+
+
+def hit_or_miss_batch(
+    d_tau: np.ndarray,
+    d_nu: np.ndarray,
+    counts: Sequence[int],
+    b_h: float,
+    train: PulseTrainSpec,
+) -> list[tuple[float, tuple[bool, ...]]]:
+    """hit_or_miss of B trials from their wrapped_gaps stacks, trial b
+    holding counts[b] detections.
+
+    The normalized squared distances are formed once for the stack, each
+    entry by the operations a lone trial does on it. The nearest-first
+    matching argsorts each trial's own (counts[b], L) block, the array a
+    lone call sorts, since the order argsort gives tied distances depends on
+    the block it is given.
+    """
+    l = d_tau.shape[2]
     if l == 0:
-        return 1.0, ()
+        return [(1.0, ())] * len(counts)
     axis_tau = 3.0 / b_h
     axis_nu = 3.0 / (train.n_pulses * train.pri)
-    n_est = len(est)
-    flags = [False] * l
-    if n_est == 0:
-        return 0.0, tuple(flags)
-
-    d_tau = _wrapped(
-        est.delays()[:, None] - truth.delays[None, :], train.pri
-    )
-    d_nu = _wrapped(
-        est.dopplers()[:, None] - truth.dopplers[None, :], 1.0 / train.pri
-    )
     dist2 = (d_tau / axis_tau) ** 2 + (d_nu / axis_nu) ** 2
-    order = np.argsort(dist2, axis=None)
-    used_est = set()
-    used_truth = set()
-    for flat in order:
-        e, t = divmod(int(flat), l)
-        if dist2[e, t] > 1.0:
-            break
-        if e in used_est or t in used_truth:
-            continue
-        used_est.add(e)
-        used_truth.add(t)
-        flags[t] = True
-    return sum(flags) / l, tuple(flags)
+    scores = []
+    for block, n_est in zip(dist2, counts):
+        flags = [False] * l
+        if n_est:
+            block = block[:n_est]
+            dist = block.ravel().tolist()
+            used_est = set()
+            used_truth = set()
+            for flat in np.argsort(block, axis=None).tolist():
+                if dist[flat] > 1.0:
+                    break
+                e, t = divmod(flat, l)
+                if e in used_est or t in used_truth:
+                    continue
+                used_est.add(e)
+                used_truth.add(t)
+                flags[t] = True
+        scores.append((sum(flags) / l, tuple(flags)))
+    return scores
 
 
 def delay_to_range_m(delay: float | np.ndarray) -> float | np.ndarray:

@@ -392,10 +392,7 @@ class TargetScene:
         d = np.atleast_1d(np.asarray(self.delays, dtype=float)).copy()
         v = np.atleast_1d(np.asarray(self.dopplers, dtype=float)).copy()
         a = np.atleast_1d(np.asarray(self.amplitudes, dtype=np.complex128)).copy()
-        if not (d.shape == v.shape == a.shape) or d.ndim != 1:
-            raise ValueError("delays, dopplers, amplitudes must be 1-D of equal length")
-        if np.any(d < 0):
-            raise ValueError("delays must be nonnegative")
+        check_scenes(d[None], v[None], a[None])
         for arr in (d, v, a):
             arr.flags.writeable = False
         object.__setattr__(self, "delays", d)
@@ -406,11 +403,25 @@ class TargetScene:
         return self.delays.size
 
     def validate_against(self, train: PulseTrainSpec) -> "TargetScene":
-        if np.any(self.delays >= train.pri):
-            raise ValueError("delays must be < pri (unambiguous range)")
-        if np.any(np.abs(self.dopplers) > 0.5 / train.pri + 1e-12 / train.pri):
-            raise ValueError("dopplers must be within +-1/(2 pri)")
+        check_scenes_in_train(self.delays, self.dopplers, train)
         return self
+
+
+def check_scenes(delays: np.ndarray, dopplers: np.ndarray, amplitudes: np.ndarray) -> None:
+    """TargetScene's checks on (B, L) stacks of B scenes, row b holding scene
+    b's targets."""
+    if not (delays.shape == dopplers.shape == amplitudes.shape) or delays.ndim != 2:
+        raise ValueError("delays, dopplers, amplitudes must be 1-D of equal length")
+    if np.any(delays < 0):
+        raise ValueError("delays must be nonnegative")
+
+
+def check_scenes_in_train(delays: np.ndarray, dopplers: np.ndarray, train: PulseTrainSpec) -> None:
+    """TargetScene.validate_against on delay and Doppler arrays of any shape."""
+    if np.any(delays >= train.pri):
+        raise ValueError("delays must be < pri (unambiguous range)")
+    if np.any(np.abs(dopplers) > 0.5 / train.pri + 1e-12 / train.pri):
+        raise ValueError("dopplers must be within +-1/(2 pri)")
 
 
 def radar_fourier_coeffs(
@@ -441,22 +452,27 @@ def radar_fourier_coeffs(
         raise ValueError("kappa grid size must match waveform resolution")
     h = waveform.values_on(kappa)
     return radar_fourier_coeffs_batch(
-        [scene], h, kappa.centered(), train, noise_var, [seed]
+        scene.delays[None], scene.dopplers[None], scene.amplitudes[None],
+        h, kappa.centered(), train, noise_var, [seed],
     )[0]
 
 
 def radar_fourier_coeffs_batch(
-    scenes: Sequence[TargetScene],
+    delays: np.ndarray,
+    dopplers: np.ndarray,
+    amplitudes: np.ndarray,
     h: np.ndarray,
     k_c: np.ndarray,
     train: PulseTrainSpec,
     noise_var: float,
     seeds: Sequence[int],
 ) -> np.ndarray:
-    """radar_fourier_coeffs of several scenes on one coefficient set, as a
-    (B, K, n_pulses) stack; k_c holds the centered coefficient indices, h
-    the transmitted spectrum on them, and scene b's noise is drawn from
-    seeds[b]. The scenes must hold equally many targets.
+    """radar_fourier_coeffs of B scenes on one coefficient set, as a
+    (B, K, n_pulses) stack. The scenes come as (B, L) stacks of delays,
+    Dopplers and amplitudes, row b holding scene b's targets (TargetScene's
+    checks are the caller's, check_scenes); they are checked against train
+    here. k_c holds the centered coefficient indices, h the transmitted
+    spectrum on them, and scene b's noise is drawn from seeds[b].
 
     The noiseless stack takes one exp per phase factor, one stacked matmul
     and one in-place product; every entry of those is the float operation
@@ -465,11 +481,7 @@ def radar_fourier_coeffs_batch(
     its real parts, then its imaginary parts, scaled in place and added
     through a float view of the stack, with no complex temporary.
     """
-    for scene in scenes:
-        scene.validate_against(train)
-    delays = np.stack([scene.delays for scene in scenes])
-    dopplers = np.stack([scene.dopplers for scene in scenes])
-    amplitudes = np.stack([scene.amplitudes for scene in scenes])
+    check_scenes_in_train(delays, dopplers, train)
     p = np.arange(train.n_pulses)
     delay_phase = np.exp(
         -2j * math.pi * (k_c[None, :, None] * delays[:, None, :]) / train.pri

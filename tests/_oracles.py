@@ -15,7 +15,10 @@ ints are the exact references for the batched pursuit, the batched sweep
 points and the word-seeded derive_rng. The radar coefficient synthesis,
 Doppler focus and focused_omp as they ran on one scene at a time, and the
 band-placement trials as they ran one by one on them, are the exact
-references for the stacked radar passes. recover_slices as it refit one
+references for the stacked radar passes; those trials draw their scenes
+and score their detections as first written, one TargetScene and one
+DetectionList at a time, the references for the stacked scene draw and
+the stacked scorers. recover_slices as it refit one
 support by lstsq is the reference for the stacked SVD refit, and the
 sensing-sweep trials read out through it. The sensing-sweep trials draw
 through per-call versions of every step the stacked draw merges: the
@@ -836,14 +839,81 @@ def focused_omp_one_map(focused, f_kappa, gamma, noise_var, max_iter):
     return DetectionList(detections=detections, truncated=truncated, gamma_trace=tuple(trace))
 
 
+def draw_scene_per_trial(cfg, rng):
+    """A scene's draw as first written: one TargetScene per scene."""
+    import math
+
+    from specx import TargetScene
+
+    l = cfg.scene.n_targets
+    n_bins = cfg.radar.n_delay_bins
+    train = cfg.radar.train()
+    delay_bins = rng.choice(n_bins, size=l, replace=False)
+    dopp_bins = rng.choice(train.n_pulses, size=l, replace=False)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=l)
+    return TargetScene(
+        delays=delay_bins * train.pri / n_bins,
+        dopplers=train.doppler_grid()[dopp_bins],
+        amplitudes=cfg.scene.amplitude * np.exp(1j * phases),
+    )
+
+
+def _wrapped(delta, period):
+    d = np.abs(delta) % period
+    return np.minimum(d, period - d)
+
+
+def hit_or_miss_per_trial(est, truth, b_h, train):
+    """hit_or_miss as first written, on one DetectionList and one scene."""
+    l = len(truth)
+    if l == 0:
+        return 1.0, ()
+    axis_tau = 3.0 / b_h
+    axis_nu = 3.0 / (train.n_pulses * train.pri)
+    n_est = len(est)
+    flags = [False] * l
+    if n_est == 0:
+        return 0.0, tuple(flags)
+
+    d_tau = _wrapped(est.delays()[:, None] - truth.delays[None, :], train.pri)
+    d_nu = _wrapped(est.dopplers()[:, None] - truth.dopplers[None, :], 1.0 / train.pri)
+    dist2 = (d_tau / axis_tau) ** 2 + (d_nu / axis_nu) ** 2
+    order = np.argsort(dist2, axis=None)
+    used_est = set()
+    used_truth = set()
+    for flat in order:
+        e, t = divmod(int(flat), l)
+        if dist2[e, t] > 1.0:
+            break
+        if e in used_est or t in used_truth:
+            continue
+        used_est.add(e)
+        used_truth.add(t)
+        flags[t] = True
+    return sum(flags) / l, tuple(flags)
+
+
+def rmse_range_m_per_trial(dets, scene, pri):
+    """The range RMSE as first written, on one DetectionList and one scene."""
+    import math
+
+    from specx import delay_to_range_m
+
+    if len(scene) == 0:
+        return None
+    if len(dets) == 0:
+        errs = np.full(len(scene), pri / 2.0)
+    else:
+        d = np.abs(dets.delays()[:, None] - scene.delays[None, :]) % pri
+        d = np.minimum(d, pri - d)
+        errs = d.min(axis=0)
+    return float(delay_to_range_m(math.sqrt(float(np.mean(errs**2)))))
+
+
 def trial_band(cfg, task):
     """One band-placement trial as it ran on its own, on the one-scene
-    coefficients, focus and pursuit."""
-    from specx import hit_or_miss
-    from specx.pipeline import (
-        _child_seed, _draw_scene, _radar_frame, _radar_setup, _rmse_range_m, band_layout,
-        derive_rng,
-    )
+    draw, coefficients, focus, pursuit and scoring as first written."""
+    from specx.pipeline import _child_seed, _radar_frame, _radar_setup, band_layout, derive_rng
 
     layout, snr_db, point_idx, trial = task
     r = cfg.radar
@@ -852,7 +922,7 @@ def trial_band(cfg, task):
     noise_var = (r.p_t / (r.b_h * r.pri**2)) * 10.0 ** (-snr_db / 10.0)
     setup = _radar_setup(r, _radar_frame(r, f_r), noise_var)
     frame = setup.frame
-    scene = _draw_scene(cfg, derive_rng(cfg.seed, "band-scene", point_idx, trial))
+    scene = draw_scene_per_trial(cfg, derive_rng(cfg.seed, "band-scene", point_idx, trial))
     seed = _child_seed(cfg.seed, "band-radar", point_idx, trial)
     coeffs = radar_fourier_coeffs_one_scene(
         scene, frame.waveform, train, frame.kappa, setup.noise_var, seed
@@ -860,7 +930,7 @@ def trial_band(cfg, task):
     focused = doppler_focus_one_map(coeffs, frame.waveform, frame.kappa, train)
     max_iter = r.max_detections or max(8, 2 * cfg.scene.n_targets)
     dets = focused_omp_one_map(focused, frame.f_kappa, setup.gamma, setup.fvar, max_iter)
-    hit_rate, _ = hit_or_miss(dets, scene, r.b_h, train)
+    hit_rate, _ = hit_or_miss_per_trial(dets, scene, r.b_h, train)
     return {
         "band_layout": layout,
         "snr_db": snr_db,
@@ -868,7 +938,7 @@ def trial_band(cfg, task):
         "hit_rate": hit_rate,
         "n_detections": len(dets),
         "truncated": dets.truncated,
-        "rmse_range_m": _rmse_range_m(dets, scene, r.pri),
+        "rmse_range_m": rmse_range_m_per_trial(dets, scene, r.pri),
         "kappa_size": frame.kappa.k,
     }
 

@@ -47,11 +47,12 @@ def small_sweep(cfg, **changes):
     return dataclasses.replace(cfg, sweep=dataclasses.replace(cfg.sweep, **changes))
 
 
-def run_python(code, timeout):
-    """Run code in a fresh interpreter that imports this specx."""
+def run_python(code, timeout, *args):
+    """Run code in a fresh interpreter that imports this specx, with args as
+    its sys.argv[1:]."""
     src = str(Path(pipeline.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           timeout=timeout, env={**os.environ, "PYTHONPATH": path})
 
 
@@ -809,11 +810,13 @@ def test_plan_failure_raises_before_any_trial(desk, two_cpus, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-_SPAWN_SWEEPS = """
-import dataclasses, multiprocessing
+# band and snr sweeps at 2 workers under the start method sys.argv[1] (spawn by
+# default) against the 1-worker rows
+_UNFORKED_SWEEPS = """
+import dataclasses, multiprocessing, sys
 from specx import engine, load_config, pipeline
 
-multiprocessing.set_start_method("spawn")
+multiprocessing.set_start_method(sys.argv[1] if len(sys.argv) > 1 else "spawn")
 engine._usable_cpus = lambda: 2
 desk = load_config("desk")
 for axis, changes in (
@@ -831,9 +834,17 @@ def test_spawned_sweep_children_get_the_setups():
     its batch function, and a 2-worker sweep gives the 1-worker rows. A
     child that cannot unpickle them can leave the caller blocked starting
     it, so the sweeps run in a subprocess under a timeout."""
-    proc = run_python(_SPAWN_SWEEPS, timeout=60)
+    proc = run_python(_UNFORKED_SWEEPS, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "spawn\n"
+
+
+def test_forkserver_sweep_children_give_the_serial_rows():
+    """Under the forkserver start method too, band and snr sweeps at 2
+    workers give the 1-worker rows, in a subprocess under a timeout."""
+    proc = run_python(_UNFORKED_SWEEPS, 60, "forkserver")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "forkserver\n"
 
 
 # -- claims from the shared cursor, on toy task lists ---------------------------
@@ -1138,6 +1149,148 @@ def test_batched_band_rows_equal_one_by_one_oracle(preset, variant):
         assert not truncated
     else:
         assert len(counts) > 1
+
+
+@pytest.mark.parametrize("size", [1, 8])
+@pytest.mark.parametrize("n_targets", [0, 1, 3])
+@pytest.mark.parametrize("preset", ["desk", "paper_sw"])
+def test_stacked_scene_draw_equals_first_written_draws(preset, n_targets, size):
+    """A batch's raw draws made into (B, L) target stacks hold, row by row,
+    the bits of the scenes drawn one TargetScene at a time from the same
+    streams, and the noise seeds are the trials' own; the one-scene draw of
+    a single-shot run is the same stack at B = 1."""
+    from _oracles import draw_scene_per_trial
+
+    base = load_config(preset)
+    cfg = dataclasses.replace(base, scene=dataclasses.replace(base.scene, n_targets=n_targets))
+    point = 2
+    *draws, seeds = zip(*(pipeline._draw_band(cfg, point, t) for t in range(size)))
+    stacks = pipeline._scenes(cfg, *draws)
+    assert [a.shape for a in stacks] == [(size, n_targets)] * 3
+    for t in range(size):
+        want = draw_scene_per_trial(cfg, pipeline.derive_rng(cfg.seed, "band-scene", point, t))
+        for got, field in zip(stacks, ("delays", "dopplers", "amplitudes")):
+            assert got[t].tobytes() == getattr(want, field).tobytes(), field
+        assert seeds[t] == pipeline._child_seed(cfg.seed, "band-radar", point, t)
+    lone = pipeline._draw_scene(cfg, pipeline.derive_rng(cfg.seed, "scene"))
+    want = draw_scene_per_trial(cfg, pipeline.derive_rng(cfg.seed, "scene"))
+    for got, field in zip(lone, ("delays", "dopplers", "amplitudes")):
+        assert got.shape == (1, n_targets) and got[0].tobytes() == getattr(want, field).tobytes()
+
+
+def test_scene_stack_checks_keep_their_messages(desk):
+    """TargetScene's checks and validate_against's, run once on a batch's
+    stacks, reject a bad target in any row with the lone scene's message."""
+    from specx.signals import check_scenes, radar_fourier_coeffs_batch
+
+    train = desk.radar.train()
+    delays = np.full((3, 2), 0.5 * train.pri)
+    dopplers, amplitudes = np.zeros((3, 2)), np.ones((3, 2), complex)
+    check_scenes(delays, dopplers, amplitudes)
+    bad = delays.copy()
+    bad[2, 1] = -1e-9
+    with pytest.raises(ValueError, match="^delays must be nonnegative$"):
+        check_scenes(bad, dopplers, amplitudes)
+    with pytest.raises(ValueError, match="^delays, dopplers, amplitudes must be 1-D"):
+        check_scenes(delays, dopplers[:, :1], amplitudes)
+    frame = pipeline._radar_frame(desk.radar, FrequencySet([(-1e5, 1e5)]))
+    for stack, message in (
+        ((bad + 2 * train.pri, dopplers), "delays must be < pri"),
+        ((delays, dopplers + [[0.0, 0.0], [0.0, 0.6 / train.pri], [0.0, 0.0]]),
+         "dopplers must be within"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            radar_fourier_coeffs_batch(
+                *stack, amplitudes, frame.h, frame.k_c, train, 0.0, [0, 1, 2]
+            )
+
+
+def _exact_radar(desk):
+    """A radar whose delay bins and Doppler grid are binary fractions, so
+    equal bin offsets give bit-equal gaps and distances tie exactly."""
+    return dataclasses.replace(desk.radar, pri=2.0**-13, b_h=64 * 2.0**13, n_pulses=16)
+
+
+def _score_case(r, trials, truncated=()):
+    """Pursuits and (B, L) target stacks of trials given as (picked cells,
+    target cells), each cell a (delay bin, Doppler bin) pair."""
+    from specx.radar import Pursuit
+
+    found = [
+        Pursuit({cell: complex(i, -i) for i, cell in enumerate(cells)}, [], b in truncated)
+        for b, (cells, _) in enumerate(trials)
+    ]
+    grid = r.train().doppler_grid()
+    targets = np.array([t for _, t in trials], dtype=np.intp).reshape(len(trials), -1, 2)
+    return found, targets[..., 0] * r.pri / r.n_delay_bins, grid[targets[..., 1]]
+
+
+def _tie_trial(rng, n_far):
+    """A trial whose three tied distances decide its hit count: detection e0
+    sits 3 delay bins from targets t0 and t1, and e1 3 Doppler bins from t1,
+    all at distance exactly 1. If e0 claims t1 first, t0 goes unmatched. The
+    far detections share distances among themselves too; the cells are
+    shuffled, so the ties fall at other places of the block."""
+    x, y = int(rng.integers(8, 50)), int(rng.integers(4, 12))
+    targets = [(x - 3, y), (x + 3, y), ((x + 32) % 64, (y + 8) % 16)]
+    close = [(x, y), (x + 3, y + 3)]
+    far = [((x + 16 + 2 * k) % 64, (y + 4 + k % 2) % 16) for k in range(n_far)]
+    cells = close + far
+    order = rng.permutation(len(cells))
+    return [cells[i] for i in order], targets
+
+
+def test_stacked_scorers_equal_first_written_scorers(desk):
+    """The hit rates and range RMSEs of a padded stack of trials equal those
+    of the first-written scorers on each trial's DetectionList and scene, bit
+    for bit, and the one-trial hit_or_miss gives the first-written flags:
+    with no detections, with no targets, with gaps that wrap around in delay
+    and in Doppler, with more detections than targets, with a map cut at
+    max_iter, and with exact distance ties inside blocks of 18 to 24
+    entries, beside a much wider trial, whose order the matching keeps."""
+    from _oracles import hit_or_miss_per_trial, rmse_range_m_per_trial
+
+    from specx import DetectionList, TargetScene, hit_or_miss
+
+    r = _exact_radar(desk)
+    train, n, grid = r.train(), r.n_delay_bins, r.train().doppler_grid()
+    rng = np.random.default_rng(25)
+    far_targets = [(5, 2), (20, 7), (40, 12)]
+    cases = [
+        # (trials, indices of the trials cut at max_iter)
+        ([([], far_targets), ([(6, 2)], far_targets)], ()),
+        ([([], []), ([(1, 1), (9, 3)], [])], ()),
+        (
+            [
+                ([(63, 3), (30, 15)], [(0, 3), (30, 0), (50, 8)]),  # wrap-around
+                ([(k * 7 % 64, k % 16) for k in range(8)], far_targets),  # 8 for 3
+                ([(4, 2), (21, 7), (60, 1), (40, 11), (2, 2), (6, 14), (33, 9), (41, 12)],
+                 far_targets),  # cut at max_iter = 8
+                ([], far_targets),
+            ],
+            (2,),
+        ),
+        *(
+            # beside a trial of 22 detections, a block padded to its width would
+            # hold 66 entries and sort its ties in another order
+            ([*(_tie_trial(rng, n_far) for n_far in (4, 5, 6, 4, 6, 5)),
+              ([(k * 5 % 64, k * 3 % 16) for k in range(22)], far_targets)], ())
+            for _ in range(6)
+        ),
+    ]
+    hits = 0
+    for trials, cut in cases:
+        found, delays, dopplers = _score_case(r, trials, cut)
+        rates, rmses = pipeline._score(r, found, delays, dopplers)
+        for b, p in enumerate(found):
+            dets = DetectionList.from_pursuit(p, n, grid, r.pri)
+            scene = TargetScene(delays[b], dopplers[b], np.ones(delays.shape[1], complex))
+            want_rate, want_flags = hit_or_miss_per_trial(dets, scene, r.b_h, train)
+            assert rates[b] == want_rate
+            assert hit_or_miss(dets, scene, r.b_h, train) == (want_rate, want_flags)
+            assert rmses[b] == rmse_range_m_per_trial(dets, scene, r.pri)
+            hits += want_rate > 0
+    assert hits
 
 
 def test_sweep_points_span_batches_like_one_by_one_trials(desk, two_cpus):

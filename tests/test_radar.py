@@ -322,8 +322,9 @@ def test_focused_omp_matches_refit_all_oracle(seed, noise_var):
 @pytest.mark.parametrize("noise_var", [0.0, 0.5])
 @pytest.mark.parametrize("seed", range(4))
 def test_focused_omp_batch_matches_refit_all_oracle(seed, noise_var):
-    """Each map of a stack gets the detections the refit-all oracle gives it
-    alone, bit for bit. The stack holds an all-zero map between non-zero
+    """Each map of a stack gets the detections the refit-all oracle and the
+    one-map loop give it alone, bit for bit, once its pursuit is made into a
+    DetectionList. The stack holds an all-zero map between non-zero
     ones, which returns no detections without a step; a map whose loud
     columns 0 and 1 are equal, so its first pick ties exactly with a cell
     of column 1, which the tie-break leaves for the second; maps with one loud
@@ -369,10 +370,12 @@ def test_focused_omp_batch_matches_refit_all_oracle(seed, noise_var):
         fvar = gamma = 0.0
     shared_column = truncated = False
     for max_iter in (1, 3, 40):
-        got = focused_omp_batch(
-            stack, f_kappa, gamma, fvar, max_iter,
-            f_adj=f_kappa.conj().T, doppler_grid=train.doppler_grid(), pri=PRI,
-        )
+        got = [
+            DetectionList.from_pursuit(found, N, train.doppler_grid(), PRI)
+            for found in focused_omp_batch(
+                stack, f_kappa, gamma, fvar, max_iter, f_adj=f_kappa.conj().T
+            )
+        ]
         want = [
             focused_omp_refit_all(
                 FocusedMatrix(psi=m, doppler_grid=train.doppler_grid(), pri=PRI),
@@ -381,6 +384,13 @@ def test_focused_omp_batch_matches_refit_all_oracle(seed, noise_var):
             for m in maps
         ]
         assert got == want
+        assert got == [
+            focused_omp_one_map(
+                FocusedMatrix(psi=m, doppler_grid=train.doppler_grid(), pri=PRI),
+                f_kappa, gamma, fvar, max_iter,
+            )
+            for m in maps
+        ]
         assert got[3] == DetectionList(detections=())
         if max_iter > 1:
             assert [d.doppler_bin for d in got[1]][:2] == [0, 1]
@@ -468,10 +478,13 @@ def test_lockstep_maps_stopping_at_different_steps_match_the_oracles(seed, noise
     else:
         fvar = gamma = 0.0
     for max_iter in (1, 3, 40):
-        got = focused_omp_batch(
-            np.stack(list(maps.values())), f_kappa, gamma, fvar, max_iter,
-            f_adj=f_kappa.conj().T, doppler_grid=train.doppler_grid(), pri=PRI,
-        )
+        got = [
+            DetectionList.from_pursuit(found, N, train.doppler_grid(), PRI)
+            for found in focused_omp_batch(
+                np.stack(list(maps.values())), f_kappa, gamma, fvar, max_iter,
+                f_adj=f_kappa.conj().T,
+            )
+        ]
         got = dict(zip(maps, got))
         for name, psi in maps.items():
             focused = FocusedMatrix(psi=psi, doppler_grid=train.doppler_grid(), pri=PRI)
@@ -529,10 +542,12 @@ def test_lockstep_pursuit_refits_once_per_support_size_per_step(monkeypatch):
     monkeypatch.setattr(specx.radar, "_lstsq_stack", counted)
     monkeypatch.setattr(specx.radar, "np", _CountingNumpy(log))
     monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
-    got = focused_omp_batch(
-        np.stack(list(maps.values())), f_kappa, gamma, fvar, 6,
-        f_adj=f_kappa.conj().T, doppler_grid=train.doppler_grid(), pri=PRI,
-    )
+    got = [
+        DetectionList.from_pursuit(found, N, train.doppler_grid(), PRI)
+        for found in focused_omp_batch(
+            np.stack(list(maps.values())), f_kappa, gamma, fvar, 6, f_adj=f_kappa.conj().T
+        )
+    ]
     monkeypatch.undo()
     steps = max(len(d.gamma_trace) for d in got)
     refreshes = []  # (step, maps formed in full, live maps)

@@ -265,7 +265,9 @@ def test_coeffs_batch_noise_has_the_one_scene_bits():
     ]
     seeds = [11, 12, 13]
     got = radar_fourier_coeffs_batch(
-        scenes, wave.values_on(kappa), kappa.centered(), train, 0.3, seeds
+        *(np.stack([getattr(sc, name) for sc in scenes])
+          for name in ("delays", "dopplers", "amplitudes")),
+        wave.values_on(kappa), kappa.centered(), train, 0.3, seeds,
     )
     for stacked, scene, seed in zip(got, scenes, seeds):
         want = radar_fourier_coeffs_one_scene(scene, wave, train, kappa, 0.3, seed)
