@@ -56,14 +56,14 @@ from .report import RunReport
 from .rng import derive_rng
 from .sensing import (
     FrameMatrix,
-    SliceEstimate,
     build_frame_batch,
+    comm_supports,
     omp_pks_batch,
     radar_slice_support,
     recover_slices_batch,
     refine_support_by_energy,
     sense_spectrum,
-    support_to_freqs,
+    strong_rows,
 )
 from .signals import (
     CommTransmissionSpec,
@@ -246,14 +246,16 @@ class CommConfig:
     slice are discarded before anything downstream sees the support. None
     disables pruning (adequate only for noise-free scenarios). refine_db
     then narrows the single-shot runs' comm map to the bins of the pruned
-    slices within refine_db of their peak, mirrored about 0 Hz.
+    slices within refine_db of their peak, mirrored about 0 Hz. Both dB
+    margins are >= 0: a negative one would drop even the strongest slice
+    or bin.
     """
 
     transmissions: tuple[CommTransmissionSpec, ...]
     noise_psd: float = _at_least(0, 0.0)
     n_sig: int = 0
-    prune_db: float | None = None
-    refine_db: float | None = None
+    prune_db: float | None = _at_least(0, None)
+    refine_db: float | None = _at_least(0, None)
     phase2_transmissions: tuple[CommTransmissionSpec, ...] | None = None
 
     @property
@@ -807,39 +809,6 @@ def _report(
     )
 
 
-def _strong_rows(x: np.ndarray, rows: np.ndarray, db: float) -> np.ndarray:
-    """The rows marked in the (B, n_slices) mask rows whose energy in the
-    slice stacks x, shape (B, n_slices, n_grid), is at least the strongest
-    marked one's of the same stack less db decibels."""
-    energies = np.sum(np.abs(x) ** 2, axis=2)
-    strongest = np.where(rows, energies, -np.inf).max(axis=1)
-    return rows & (energies >= strongest[:, None] * 10.0 ** (-db / 10.0))
-
-
-def _comm_supports(
-    x_hat: np.ndarray, supports: Sequence[SliceSupport], s_r: SliceSupport,
-    prune_db: float | None,
-) -> list[SliceSupport]:
-    """The comm slices of each greedy support in supports, read off the
-    refit stack x_hat (B, n_slices, n_grid) fit on them: less the radar
-    slices s_r, pruned to those within prune_db of the strongest (the
-    model-order selection; None keeps all), and symmetrized (slice i and
-    n_slices - i hold conjugate content; slice 0 has no mirror)."""
-    comm = np.zeros(x_hat.shape[:2], dtype=bool)
-    for row, s in zip(comm, supports):
-        row[s.to_array()] = True
-    comm[:, s_r.to_array()] = False
-    if prune_db is not None:
-        comm = _strong_rows(x_hat, comm, prune_db)
-    comm[:, 1:] |= comm[:, :0:-1].copy()
-    return [SliceSupport(np.flatnonzero(row)) for row in comm]
-
-
-def _comm_support(est: SliceEstimate, s_r: SliceSupport, prune_db: float | None) -> SliceSupport:
-    """The _comm_supports of one refit."""
-    return _comm_supports(est.x_hat[None], [est.support], s_r, prune_db)[0]
-
-
 def _medium(
     cfg: ScenarioConfig, grid: GridSpec, specs: Sequence[Sequence[CommTransmissionSpec]],
     noise_psd: float, prefix: str, paths: Sequence[tuple], emission: RadarEmission | None,
@@ -873,21 +842,24 @@ def _sense_once(
     """Sense the _medium of single-shot iteration it, the radar emission on
     the air unless it is None, seeding recovery with the radar slices s_r.
 
-    Returns the sensing result plus the pipeline's operational view: the
-    comm slices (_comm_support) and the frequency set used for masking,
-    slice-granular or, with comm.refine_db, refined on them and mirrored.
+    Returns the sensing result (its comm_support pruned by comm.prune_db),
+    the frequency set used for masking, its f_c or, with comm.refine_db,
+    refined on its comm_support and mirrored, and the true F_C and S_C.
     """
     _, x, occupied = _medium(cfg, grid, [specs], cfg.comm.noise_psd, "", [(it,)], emission)
     f_c_true, s_c_true = comm_occupancy(specs, grid), SliceSupport(np.flatnonzero(occupied[0]))
     z = xample(SliceSpectrum(x[0], grid), a)
-    result = sense_spectrum(z, a, grid, s_r=s_r, n_sig_cap=cfg.comm.n_sig_effective)
-    s_c_hat = _comm_support(result.estimate, s_r, cfg.comm.prune_db)
+    result = sense_spectrum(
+        z, a, grid, s_r=s_r, n_sig_cap=cfg.comm.n_sig_effective, prune_db=cfg.comm.prune_db
+    )
     if cfg.comm.refine_db is None:
-        f_c_op = support_to_freqs(s_c_hat, grid)
+        f_c_op = result.f_c
     else:
-        f_c = refine_support_by_energy(result.estimate, s_c_hat, grid, cfg.comm.refine_db)
+        f_c = refine_support_by_energy(
+            result.estimate, result.comm_support, grid, cfg.comm.refine_db
+        )
         f_c_op = f_c.union(f_c.mirrored())
-    return result, s_c_hat, f_c_op, f_c_true, s_c_true
+    return result, f_c_op, f_c_true, s_c_true
 
 
 # ---------------------------------------------------------------------------
@@ -923,17 +895,15 @@ def run_specx(cfg: ScenarioConfig) -> RunReport:
         if cfg.comm.phase2_transmissions is not None and it >= 1:
             active = cfg.comm.phase2_transmissions
             phase = 2
-        result, s_c_hat, f_c_hat, f_c_true, s_c_true = _sense_once(
-            cfg, grid, a, active, s_r, emission, it
-        )
+        result, f_c_hat, f_c_true, s_c_true = _sense_once(cfg, grid, a, active, s_r, emission, it)
         changed = f_c_prev is None or f_c_hat != f_c_prev
         row: dict[str, Any] = {
             "iteration": it,
             "phase": phase,
             "f_c_true": f_c_true.to_pairs(),
             "f_c_est": f_c_hat.to_pairs(),
-            "comm_support_est": list(s_c_hat),
-            "support_exact": list(s_c_hat) == list(s_c_true),
+            "comm_support_est": list(result.comm_support),
+            "support_exact": list(result.comm_support) == list(s_c_true),
             "f_c_changed": changed,
             "f_r": f_r.to_pairs() if f_r is not None else None,
             "s_r": list(s_r),
@@ -991,9 +961,10 @@ def run_sense(cfg: ScenarioConfig) -> RunReport:
     cfg = cfg.validate()
     grid = cfg.grid.to_grid()
     a = _sensing_matrix(cfg.seed, cfg.grid.n_chips, grid, cfg.grid.n_channels)
-    result, s_c_hat, f_c_op, f_c_true, s_c_true = _sense_once(
+    result, f_c_op, f_c_true, s_c_true = _sense_once(
         cfg, grid, a, cfg.comm.transmissions, SliceSupport(), None, 0
     )
+    s_c_hat = result.comm_support
     row = {
         "f_c_true": f_c_true.to_pairs(),
         "f_c_est": f_c_op.to_pairs(),
@@ -1016,9 +987,7 @@ def run_select_bands(cfg: ScenarioConfig) -> RunReport:
     grid = cfg.grid.to_grid()
     a = _sensing_matrix(cfg.seed, cfg.grid.n_chips, grid, cfg.grid.n_channels)
     rem = cfg.rem.to_rem()
-    result, _, f_c_op, f_c_true, _ = _sense_once(
-        cfg, grid, a, cfg.comm.transmissions, SliceSupport(), None, 0
-    )
+    _, f_c_op, _, _ = _sense_once(cfg, grid, a, cfg.comm.transmissions, SliceSupport(), None, 0)
     f_c_base = f_c_op.shifted(-cfg.radar.carrier).intersection(rem.span)
     bsv, f_r = select_bands(rem, f_c_base, cfg.radar.n_bands)
     kappa = make_kappa(f_r, cfg.radar.b_h, cfg.radar.n_delay_bins)
@@ -1230,7 +1199,7 @@ def _draw_sensing(
     noise_seeds = [_child_seed(cfg.seed, f"{tag}-noise", *p) for p in paths]
     z = xample_batch(x, a, noise_var, noise_seeds)
     if comm_snr and cfg.comm.prune_db is not None:
-        occupied = _strong_rows(comm, occupied, max(cfg.comm.prune_db - 3.0, 0.0))
+        occupied = strong_rows(comm, occupied, max(cfg.comm.prune_db - 3.0, 0.0))
     s_c_true = [SliceSupport(np.flatnonzero(row)) for row in occupied]
     return _Drawn(z, build_frame_batch(z), s_c_true, noise_var)
 
@@ -1243,11 +1212,12 @@ def _read_out(
     drawn trial: the pursuit runs once for all the trials through
     omp_pks_batch on the point's front end, its supports are refit for all
     of them through recover_slices_batch, and the refit stack is read out
-    as comm slices (_comm_supports)."""
+    as comm slices (comm_supports, the rule sense_spectrum reads a single
+    pass out by)."""
     found = [omp_pks_batch(d.frames, setup.a, s_r, k_extra) for s_r, k_extra in pursuits]
     refits = [recover_slices_batch(d.z, setup.a, sups) for sups in found]
     return [
-        _comm_supports(x_hat, sups, setup.s_r, cfg.comm.prune_db)
+        comm_supports(x_hat, sups, setup.s_r, cfg.comm.prune_db)
         for x_hat, sups in zip(refits, found)
     ]
 
@@ -1476,8 +1446,8 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     the slice gather, both products A x, the Gram matrices and their eigh,
     and the true comm slices run once per batch. It runs each pursuit once
     for the whole batch through omp_pks_batch, refits the supports as one
-    stack and reads them out as a single-shot run does (_comm_supports,
-    whose one-refit call _comm_support is). A band_placement batch
+    stack and reads them out as a single-shot run does (comm_supports,
+    which sense_spectrum calls on its one refit). A band_placement batch
     draws its trials' raw scenes and noise seeds in task order, makes the
     scenes into target stacks, synthesizes and focuses their coefficients
     as one stack, runs the trials' pursuits in lockstep, one stacked refit

@@ -33,6 +33,8 @@ __all__ = [
     "recover_slices_batch",
     "support_to_freqs",
     "refine_support_by_energy",
+    "strong_rows",
+    "comm_supports",
     "sense_spectrum",
 ]
 
@@ -411,11 +413,39 @@ def refine_support_by_energy(
     return FrequencySet(intervals)
 
 
+def strong_rows(x: np.ndarray, rows: np.ndarray, db: float) -> np.ndarray:
+    """The rows marked in the (B, n_slices) mask rows whose energy in the
+    slice stacks x, shape (B, n_slices, n_grid), is at least the strongest
+    marked one's of the same stack less db decibels."""
+    energies = np.sum(np.abs(x) ** 2, axis=2)
+    strongest = np.where(rows, energies, -np.inf).max(axis=1)
+    return rows & (energies >= strongest[:, None] * 10.0 ** (-db / 10.0))
+
+
+def comm_supports(
+    x_hat: np.ndarray, supports: Sequence[SliceSupport], s_r: SliceSupport,
+    prune_db: float | None,
+) -> list[SliceSupport]:
+    """The comm slices of each greedy support in supports, read off the
+    refit stack x_hat (B, n_slices, n_grid) fit on them: less the radar
+    slices s_r, pruned to those within prune_db of the strongest (the
+    model-order selection; None keeps all), and symmetrized (slice i and
+    n_slices - i hold conjugate content; slice 0 has no mirror)."""
+    comm = np.zeros(x_hat.shape[:2], dtype=bool)
+    for row, s in zip(comm, supports):
+        row[s.to_array()] = True
+    comm[:, s_r.to_array()] = False
+    if prune_db is not None:
+        comm = strong_rows(x_hat, comm, prune_db)
+    comm[:, 1:] |= comm[:, :0:-1].copy()
+    return [SliceSupport(np.flatnonzero(row)) for row in comm]
+
+
 @dataclass(frozen=True)
 class SensingResult:
     """Outcome of one sensing pass: the raw greedy support, radar slices
-    included, and the refit on it; comm_support is support less the radar
-    slices, symmetrized, and f_c its slice-granular frequency content,
+    included, and the refit on it; comm_support is its comm_supports
+    read-out and f_c its slice-granular frequency content,
     support_to_freqs(comm_support, grid)."""
 
     support: SliceSupport
@@ -431,24 +461,27 @@ def sense_spectrum(
     grid: GridSpec,
     s_r: SliceSupport = SliceSupport(),
     n_sig_cap: int = 2,
+    prune_db: float | None = None,
 ) -> SensingResult:
     """Full sensing pass: frame, support recovery seeded with the radar
     slices, slice reconstruction on the raw greedy support, then the comm
-    slices (the support less s_r, symmetrized) and their slice-granular
-    frequency content.
+    slices (comm_supports: the support less s_r, pruned to the slices within
+    prune_db of the strongest unless it is None, symmetrized) and their
+    slice-granular frequency content. Single-shot runs and sweeps read
+    their comm slices out by this one rule.
 
     Each of the n_sig_cap transmissions can occupy up to four slices (two
     spectral sides, possible boundary straddling), which sets the greedy
     budget. The frame and the pursuit use their fixed tolerances (1e-6 of
     the largest eigenvalue, 1e-6 of ||V||). A mirror slice the pursuit
-    did not pick has a zero row in the estimate. Pruning and sub-slice
-    refinement are left to the caller, which reads them off the estimate
+    did not pick has a zero row in the estimate. Sub-slice refinement is
+    left to the caller, which reads it off the estimate
     (refine_support_by_energy).
     """
     frame = build_frame(z)
     support = omp_pks(frame, a, s_r, k_extra=4 * n_sig_cap)
     est = recover_slices(z, a, support)
-    comm = support.difference(s_r).symmetrized(grid.n_slices)
+    (comm,) = comm_supports(est.x_hat[None], [support], s_r, prune_db)
     return SensingResult(
         support=support,
         comm_support=comm,

@@ -108,24 +108,6 @@ def dense_from_slices(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return acc / cnt
 
 
-def _symmetric_noise(grid: GridSpec, per_bin_var: float, rng: np.random.Generator) -> np.ndarray:
-    """Conjugate-symmetric complex noise on the dense grid (a real signal)."""
-    dense = np.zeros(grid.dense_size, dtype=np.complex128)
-    if per_bin_var <= 0:
-        return dense
-    pos = np.arange(grid.dense_size)
-    mirror = grid.dense_mirror()
-    half = (mirror > pos)
-    draw = math.sqrt(per_bin_var / 2.0) * (
-        rng.standard_normal(half.sum()) + 1j * rng.standard_normal(half.sum())
-    )
-    dense[pos[half]] = draw
-    dense[mirror[half]] = np.conj(draw)
-    self_paired = mirror == pos
-    dense[self_paired] = math.sqrt(per_bin_var) * rng.standard_normal(self_paired.sum())
-    return dense
-
-
 def _band_weights(freqs: np.ndarray, spec: CommTransmissionSpec, delta_f: float) -> np.ndarray:
     """Per-bin variance profile integrating to power/2 over the given bins."""
     if spec.shape == "flat":
@@ -247,8 +229,8 @@ def gen_comm_slices_batch(
         flat_occupied[at_mirror] = True
 
     if noise_psd > 0:
-        for b, seed in enumerate(seeds):
-            dense[b] += _symmetric_noise(grid, noise_psd, derive_rng(seed, "comm-noise"))
+        flat = _emission(grid, np.full(size, float(noise_psd)), mirror_all >= 0)
+        dense += _draw_dense(flat, seeds, "comm-noise")
 
     index_map = grid.dense_index_map()
     return dense[:, index_map], occupied[:, index_map].any(axis=2)
@@ -506,7 +488,9 @@ class RadarEmission(NamedTuple):
     positions the emission occupies and the standard deviation drawn at
     each. All arrays are read-only and empty when the emission carries no
     power. The pipeline builds one per radar band selection and draws each
-    sensing pass's radar from it with draw_radar_emission."""
+    sensing pass's radar from it with draw_radar_emission. The same profile
+    carries ambient noise: gen_comm_slices_batch draws its flat per-bin
+    noise_psd through one."""
 
     grid: GridSpec
     pairs: np.ndarray  # positions drawn as complex values, below their mirrors
@@ -531,29 +515,32 @@ def radar_emission(
         raise ValueError("radar bands fall outside the receiver Nyquist range")
     two_sided = bands_abs.union(bands_abs.mirrored())
 
-    none = np.zeros(0, dtype=np.int64)
-    arrays = (none, none, np.zeros(0), none, np.zeros(0))
+    overlap = np.zeros(grid.dense_size)
     if power_scale > 0:
         freqs = grid.dense_freqs()
-        pos_all = np.arange(grid.dense_size)
-        mirror = grid.dense_mirror()
         half_cell = grid.delta_f / 2.0
-        overlap = np.zeros(grid.dense_size)
         for lo, hi in two_sided.to_pairs():
             overlap += np.clip(
                 np.minimum(hi, freqs + half_cell) - np.maximum(lo, freqs - half_cell),
                 0.0, None,
             )
-        overlap[mirror < 0] = 0.0
-        total = overlap.sum()
-        if total > 0:
-            var = power_scale * overlap / (total * grid.delta_f)
-            half = (overlap > 0) & (mirror > pos_all)
-            self_paired = (overlap > 0) & (mirror == pos_all)
-            arrays = (
-                np.flatnonzero(half), mirror[half], np.sqrt(var[half] / 2.0),
-                np.flatnonzero(self_paired), np.sqrt(var[self_paired]),
-            )
+        overlap[grid.dense_mirror() < 0] = 0.0
+    total = overlap.sum()
+    var = power_scale * overlap / (total * grid.delta_f) if total > 0 else overlap
+    return _emission(grid, var, overlap > 0)
+
+
+def _emission(grid: GridSpec, var: np.ndarray, on: np.ndarray) -> RadarEmission:
+    """The RadarEmission drawing variance var[p] at each dense position p
+    marked in on that has a mirror: a complex value at p below its mirror,
+    whose mirror gets the conjugate, and a real value at p its own mirror."""
+    pos, mirror = np.arange(grid.dense_size), grid.dense_mirror()
+    half = on & (mirror > pos)
+    self_paired = on & (mirror == pos)
+    arrays = (
+        np.flatnonzero(half), mirror[half], np.sqrt(var[half] / 2.0),
+        np.flatnonzero(self_paired), np.sqrt(var[self_paired]),
+    )
     for arr in arrays:
         arr.flags.writeable = False
     return RadarEmission(grid, *arrays)
@@ -568,21 +555,27 @@ def draw_radar_emission(emission: RadarEmission, seed: int = 0) -> SliceSpectrum
 
 def draw_radar_emission_batch(emission: RadarEmission, seeds: Sequence[int]) -> np.ndarray:
     """draw_radar_emission of each seed in seeds, as a (B, n_slices, n_grid)
-    slice stack. Draw b takes its pair values' real parts, their imaginary
-    parts and then its self-paired values from one stream seeded by
-    seeds[b], in that order, as a lone draw does."""
-    grid = emission.grid
-    dense = np.zeros((len(seeds), grid.dense_size), dtype=np.complex128)
+    slice stack (_draw_dense on each seed's "radar-slices" stream)."""
+    return _draw_dense(emission, seeds, "radar-slices")[:, emission.grid.dense_index_map()]
+
+
+def _draw_dense(emission: RadarEmission, seeds: Sequence[int], stream: str) -> np.ndarray:
+    """One draw of the profile emission per seed in seeds, as a (B,
+    dense_size) stack on the dense grid. Draw b takes its pair values' real
+    parts, their imaginary parts and then its self-paired values from one
+    stream, derive_rng(seeds[b], stream), in that order, as a lone draw
+    does."""
+    dense = np.zeros((len(seeds), emission.grid.dense_size), dtype=np.complex128)
     n, n_self = emission.pairs.size, emission.self_paired.size
     if n or n_self:
         unit = np.empty((len(seeds), 2 * n + n_self))
         for row, seed in zip(unit, seeds):
-            derive_rng(seed, "radar-slices").standard_normal(out=row)
+            derive_rng(seed, stream).standard_normal(out=row)
         draw = emission.pair_scale * (unit[:, :n] + 1j * unit[:, n : 2 * n])
         dense[:, emission.pairs] = draw
         dense[:, emission.pair_mirrors] = np.conj(draw)
         dense[:, emission.self_paired] = emission.self_scale * unit[:, 2 * n :]
-    return dense[:, grid.dense_index_map()]
+    return dense
 
 
 def radar_slices(

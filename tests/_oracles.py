@@ -668,9 +668,9 @@ def sensing_trial_per_call(cfg, tag, snr_db, comm_snr, n_channels, point_idx, tr
 
 
 def comm_support_per_trial(est, s_r, prune_db):
-    """_comm_support as first written, on SliceSupport set operations: the
-    refit's support less s_r, pruned to the slices within prune_db of the
-    strongest, symmetrized."""
+    """The one-refit comm read-out as first written, on SliceSupport set
+    operations: the refit's support less s_r, pruned to the slices within
+    prune_db of the strongest, symmetrized."""
     from specx import SliceSupport
 
     comm = est.support.difference(s_r)

@@ -385,9 +385,9 @@ FUZZ_FIELDS = {
     "number": [
         "grid.f_nyq", "grid.f_p", "grid.f_s", "comm.transmissions.0.carrier",
         "comm.transmissions.0.bandwidth", "comm.transmissions.0.power", "comm.noise_psd",
-        "comm.prune_db", "rem.energies.3", "rem.b_y", "radar.carrier", "radar.b_h",
-        "radar.pri", "radar.p_t", "radar.noise_var", "radar.p_fa", "scene.amplitude",
-        "sweep.channels_snr_db", "sweep.occupancy",
+        "comm.prune_db", "comm.refine_db", "rem.energies.3", "rem.b_y", "radar.carrier",
+        "radar.b_h", "radar.pri", "radar.p_t", "radar.noise_var", "radar.p_fa",
+        "scene.amplitude", "sweep.channels_snr_db", "sweep.occupancy",
     ],
     "other": [
         "comm.transmissions", "comm.transmissions.0.shape", "comm.phase2_transmissions",
@@ -443,6 +443,27 @@ def test_cli_survives_one_bad_field(case):
     if code:
         assert len(lines) == 1, lines
         assert lines[0].startswith("error:" if code == 2 else ("error:", "infeasible:"))
+
+
+@pytest.mark.parametrize("key", ["prune_db", "refine_db"])
+def test_negative_db_margin_exits_2_on_every_command(key):
+    """A negative comm.prune_db or comm.refine_db would drop even the
+    strongest comm slice or bin, so every command refuses it in one line
+    instead of sensing an empty comm map."""
+    from specx import cli
+
+    doc = desk_doc()
+    doc["comm"][key] = -1.0
+    with tempfile.TemporaryDirectory() as out:
+        config = Path(out) / "scenario.json"
+        config.write_text(json.dumps(doc))
+        for command in FUZZ_COMMANDS:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main([*command, "--config", str(config), "--out", out])
+            assert code == 2, command
+            assert err.getvalue().splitlines() == [f"error: comm.{key} must be >= 0"], command
+        assert not list(Path(out).glob("*.csv"))
 
 
 # report columns that hold a rate or a share, each in [0, 1] when set

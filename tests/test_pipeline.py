@@ -584,15 +584,20 @@ def test_float_clear_test_agrees_with_frequency_sets(carrier, half, zone, mirror
 
 
 def test_stacked_readout_equals_per_trial_readout():
-    """_comm_supports reads every refit of a stack as the first-written
-    per-trial readout does, with and without a prune: empty supports, a
-    support inside the radar slices, slice 0 (no mirror), all-zero rows,
-    and a stack of one (_comm_support)."""
+    """The read-out (comm_supports) reads every refit of a stack as the
+    first-written per-trial readout does, with and without a prune: empty
+    supports, a support inside the radar slices, slice 0 (no mirror),
+    all-zero rows. sense_spectrum reads a noisy desk frame, the radar
+    slices known, out through it as a stack of one, and its f_c is that
+    read-out's slice-granular frequency content."""
     from _oracles import comm_support_per_trial
 
-    from specx.sensing import SliceEstimate
+    from specx import gen_comm_slices, support_to_freqs, xample
+    from specx.sensing import SliceEstimate, sense_spectrum
+    from specx.signals import draw_radar_emission
 
-    grid = load_config("desk").grid.to_grid()
+    cfg = load_config("desk")
+    grid = cfg.grid.to_grid()
     n, rng = grid.n_slices, np.random.default_rng(3)
     s_r = pipeline.SliceSupport([11, 12, 18, 19])
     supports = [
@@ -607,12 +612,27 @@ def test_stacked_readout_equals_per_trial_readout():
         rows = s.to_array()
         scale = 10.0 ** rng.uniform(-3.0, 0.0, size=(len(rows), 1))
         x_hat[b, rows] = scale * (rng.standard_normal((len(rows), grid.n_grid)) + 1j)
+
+    a = pipeline._sensing_matrix(cfg.seed, cfg.grid.n_chips, grid, cfg.grid.n_channels)
+    emission, radar_slices = pipeline._radar_emission(cfg.rem, cfg.radar, grid)
+    x, _, s_c = gen_comm_slices(cfg.comm.transmissions, grid, cfg.comm.noise_psd, seed=5)
+    # channel noise about 12 dB below the comm power pads the greedy support
+    z = xample(x + draw_radar_emission(emission, seed=6), a, noise_var=1e-10, seed=7)
+    sensed = {}
     for prune_db in (None, 12.0, 0.0, 40.0):
-        got = pipeline._comm_supports(x_hat, supports, s_r, prune_db)
+        got = pipeline.comm_supports(x_hat, supports, s_r, prune_db)
         for b, s in enumerate(supports):
-            est = SliceEstimate(x_hat[b], s, grid)
-            want = comm_support_per_trial(est, s_r, prune_db)
-            assert got[b] == want == pipeline._comm_support(est, s_r, prune_db)
+            want = comm_support_per_trial(SliceEstimate(x_hat[b], s, grid), s_r, prune_db)
+            assert got[b] == want
+
+        result = sense_spectrum(z, a, grid, s_r=radar_slices, n_sig_cap=2, prune_db=prune_db)
+        est = result.estimate
+        (stacked,) = pipeline.comm_supports(est.x_hat[None], [est.support], radar_slices, prune_db)
+        assert result.comm_support == comm_support_per_trial(est, radar_slices, prune_db)
+        assert result.comm_support == stacked
+        assert result.f_c == support_to_freqs(result.comm_support, grid)
+        sensed[prune_db] = result.comm_support
+    assert sensed[12.0] == s_c != sensed[None]
 
 
 @pytest.mark.parametrize("axis", ["snr", "channels"])
@@ -1344,7 +1364,7 @@ def test_sweep_points_span_batches_like_one_by_one_trials(desk, two_cpus):
 def test_sensing_sweep_raises_the_first_failing_task(desk, two_cpus, monkeypatch,
                                                      failing, where, workers):
     draw, pursue = pipeline._draw_sensing, pipeline.omp_pks_batch
-    refit, readout = pipeline.recover_slices_batch, pipeline._comm_supports
+    refit, readout = pipeline.recover_slices_batch, pipeline.comm_supports
     trial_of = {}  # id of a drawn frame -> its trial; of a sample or refit stack -> its trials
     first = min(failing)
     layout = _ChildFirst(workers, monkeypatch)
@@ -1382,7 +1402,7 @@ def test_sensing_sweep_raises_the_first_failing_task(desk, two_cpus, monkeypatch
     monkeypatch.setattr(pipeline, "_draw_sensing", failing_draw)
     monkeypatch.setattr(pipeline, "omp_pks_batch", failing_pursuit)
     monkeypatch.setattr(pipeline, "recover_slices_batch", traced_refit)
-    monkeypatch.setattr(pipeline, "_comm_supports", failing_readout)
+    monkeypatch.setattr(pipeline, "comm_supports", failing_readout)
     cfg = small_sweep(desk, snr_db=(10.0,), n_trials=max(8, max(failing) + 1))
     with pytest.raises(RuntimeError, match=f"^{failing[first]} {first}$"):
         sweep(cfg, "snr", workers=workers)
