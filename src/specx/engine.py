@@ -1,7 +1,8 @@
-"""The sweep engine: run(batch, tasks, workers) runs (point_idx, trial)
-tasks in this process and its children and returns their measurements in
-task order. A batch is any function (point_idx, trials) -> one measurement
-per trial; the engine knows nothing of what a trial does."""
+"""The sweep engine: run(batch, tasks, workers) runs tasks in this process
+and its children and returns their measurements in task order. A task is a
+tuple whose first item is its batch key; a batch is any function (tasks) ->
+one measurement per task, called with a run of consecutive tasks of one
+key. The engine knows nothing of what a task or a key stands for."""
 
 from __future__ import annotations
 
@@ -57,22 +58,35 @@ class _Failure(NamedTuple):
     exc: BaseException
 
 
-# A sweep point's trials go to its batch function at most this many at a
-# time: the batched pursuit gains little beyond 10 to 20 trials, and this
-# bounds its stacked arrays.
+# The tasks of one key go to the batch function at most this many at a
+# time: the stacked kernels gain little beyond 10 to 20 trials, and this
+# bounds their stacked arrays.
 _MAX_BATCH = 32
 
 
-def _claim(tasks: list[tuple], w: int, cursor, lock) -> tuple[int, int]:
-    """Claim the next run of same-point tasks from the shared cursor: at most
-    _MAX_BATCH and ceil(unclaimed / w) of them, so claims shrink near the
-    end. Returns its [lo, hi) bounds, empty once every task is claimed."""
+def _run_ends(tasks: list[tuple]) -> list[int]:
+    """ends[j]: the end of the run of consecutive same-key tasks holding task j."""
+    ends = list(range(1, len(tasks) + 1))
+    for j in range(len(tasks) - 2, -1, -1):
+        if tasks[j][0] == tasks[j + 1][0]:
+            ends[j] = ends[j + 1]
+    return ends
+
+
+def _claim(ends: list[int], w: int, cursor, lock) -> tuple[int, int]:
+    """Claim the next tasks from the shared cursor, within the run of same-key
+    tasks it stands in (ends, _run_ends). The run's unclaimed tasks go out
+    in the fewest near-equal claims of at most _MAX_BATCH, so a claim holds
+    ceil(run / ceil(run / _MAX_BATCH)) of them, and never more than
+    ceil(unclaimed / w), so claims shrink near the end. Returns its [lo, hi)
+    bounds, empty once every task is claimed."""
     with lock:
-        lo = hi = cursor.value
-        cap = lo + min(_MAX_BATCH, math.ceil((len(tasks) - lo) / w))
-        while hi < cap and tasks[hi][0] == tasks[lo][0]:
-            hi += 1
-        cursor.value = hi
+        lo = cursor.value
+        if lo == len(ends):
+            return lo, lo
+        run = ends[lo] - lo
+        size = min(math.ceil(run / math.ceil(run / _MAX_BATCH)), math.ceil((len(ends) - lo) / w))
+        cursor.value = hi = lo + size
     return lo, hi
 
 
@@ -94,25 +108,25 @@ class _WatchedLock(NamedTuple):
 
 
 def _run_share(batch, tasks: list[tuple], w: int, cursor, lock) -> list[tuple] | _Failure:
-    """Claim runs of (point_idx, trial) tasks until none is left, running each
-    as one batch(point_idx, trials) call that returns a measurement dict per
-    trial. Returns a (start index, measurements) pair per claim, or the first
-    failure: a raising batch's trials re-run one at a time in task order, and
-    the first to raise is pinned at its task index once the cursor is moved
-    to the end, so that no process claims more work."""
-    runs = []
+    """Claim runs of same-key tasks until none is left, running each as one
+    batch(claimed tasks) call that returns a measurement per task. Returns a
+    (start index, measurements) pair per claim, or the first failure: a
+    raising batch's tasks re-run one at a time in task order, and the first
+    to raise is pinned at its task index once the cursor is moved to the
+    end, so that no process claims more work."""
+    runs, ends = [], _run_ends(tasks)
     while True:
-        lo, hi = _claim(tasks, w, cursor, lock)
+        lo, hi = _claim(ends, w, cursor, lock)
         if lo == hi:
             return runs
-        point_idx, trials = tasks[lo][0], [trial for _, trial in tasks[lo:hi]]
+        claimed = tasks[lo:hi]
         try:
-            runs.append((lo, batch(point_idx, trials)))
+            runs.append((lo, batch(claimed)))
         except Exception:
             measured: list[Any] = []
-            for trial in trials:
+            for task in claimed:
                 try:
-                    measured += batch(point_idx, [trial])
+                    measured += batch([task])
                 except Exception as exc:
                     with lock:
                         cursor.value = len(tasks)
@@ -151,6 +165,11 @@ def _run_split(batch, tasks: list[tuple], w: int) -> list[Any]:
     a one-way pipe. At w = 1 the cursor is a plain counter, no child starts
     and multiprocessing is not imported.
 
+    The children, the cursor, its lock and the pipes come from one explicit
+    context: that of the start method the caller set, else the platform's
+    default. The caller's start method is left unset, so the caller can still
+    set it after a sweep.
+
     A forked child inherits batch and tasks. Any other child starts with
     only the cursor, the lock and its pipes, and the caller then writes
     (batch, tasks), pickled once, into a job pipe whose read end only that
@@ -158,21 +177,25 @@ def _run_split(batch, tasks: list[tuple], w: int) -> list[Any]:
     pipe, and the write raises WorkerDied instead of waiting for ever."""
     if w > 1:
         import multiprocessing
-        cursor, lock = multiprocessing.RawValue("q", 0), multiprocessing.Lock()
-        forked = multiprocessing.get_start_method() == "fork"
+        ctx = multiprocessing.get_context(
+            multiprocessing.get_start_method(allow_none=True)
+            or multiprocessing.get_all_start_methods()[0]
+        )
+        cursor, lock = ctx.RawValue("q", 0), ctx.Lock()
+        forked = ctx.get_start_method() == "fork"
     else:
         cursor, lock = ctypes.c_longlong(0), contextlib.nullcontext()
     children, jobs = [], []
     try:
         for k in range(1, w):
-            recv, send = multiprocessing.Pipe(duplex=False)
+            recv, send = ctx.Pipe(duplex=False)
             if forked:
                 target, args = _child_share, (batch, tasks, w, cursor, lock, send)
             else:
-                job_recv, job_send = multiprocessing.Pipe(duplex=False)
+                job_recv, job_send = ctx.Pipe(duplex=False)
                 jobs.append(job_send)
                 target, args = _unforked_share, (job_recv, w, cursor, lock, send)
-            child = multiprocessing.Process(target=target, name=f"specx-share-{k}", args=args)
+            child = ctx.Process(target=target, name=f"specx-share-{k}", args=args)
             try:
                 child.start()
             except BrokenPipeError:  # forkserver: it died reading its payload
@@ -223,17 +246,22 @@ def _run_split(batch, tasks: list[tuple], w: int) -> list[Any]:
 
 
 def run(batch, tasks: list[tuple], workers: int) -> list[Any]:
-    """Run batch over (point_idx, trial) tasks, listed point by point, and
-    return one measurement per task in task order, whatever the workers.
+    """Run batch over tasks, each a tuple whose first item is its batch key,
+    and return one measurement per task in task order, whatever the workers.
+    batch(claimed) takes consecutive tasks of one key and returns one
+    measurement per task; tasks that share what their batch builds should
+    share a key and be listed together.
 
     This process and w - 1 children, w = min(workers, tasks, usable CPUs)
-    and at least 1, claim runs of at most _MAX_BATCH and ceil(unclaimed / w)
-    same-point tasks from one shared cursor until none is left (_run_split).
-    A failing trial raises the failure with the lowest task index, the one a
-    serial run of the trials one by one raises: a raising batch's trials
-    re-run one at a time, and the cursor only moves forward, so every task
-    before a failure was claimed, and runs, before the failing process ends
-    the claims. A child that exits without sending, dies while it starts, or
+    and at least 1, claim runs of same-key tasks from one shared cursor
+    until none is left (_run_split). No claim crosses a key; a key's
+    unclaimed run goes out in the fewest near-equal claims of at most
+    _MAX_BATCH, and no claim exceeds ceil(unclaimed / w) (_claim). A failing
+    task raises the failure with the lowest task index, the one a serial
+    run of the tasks one by one raises: a raising batch's tasks re-run one
+    at a time, and the cursor only moves forward, so every task before a
+    failure was claimed, and runs, before the failing process ends the
+    claims. A child that exits without sending, dies while it starts, or
     is killed holding the cursor's lock (_WatchedLock) raises WorkerDied.
     Every started child is joined before this returns or raises, and an
     interrupt terminates them first.

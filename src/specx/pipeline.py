@@ -673,30 +673,32 @@ def _radar_setup(r: RadarConfig, frame: _RadarFrame, noise_var: float) -> _Radar
 
 
 def _radar_trials(
-    cfg: ScenarioConfig, setup: _RadarSetup,
+    cfg: ScenarioConfig, setups: Sequence[_RadarSetup],
     scenes: tuple[np.ndarray, np.ndarray, np.ndarray], seeds: Sequence[int],
 ) -> tuple[list[Pursuit], list[dict[str, Any]]]:
-    """Radar transmit/receive/recover passes of B scenes under setup, given
-    as _scenes's (B, L) delay, Doppler and amplitude stacks, scene b's
-    coefficient noise drawn from seeds[b]. The stack takes one coefficient
-    synthesis, one Doppler focus, one lockstep pursuit and one scoring pass
-    (_score) that builds no Detection. Returns each scene's pursuit and its
-    row of band measures. Each pass does the float operations it does
-    alone, so its row does not depend on the others."""
+    """Radar transmit/receive/recover passes of B scenes, scene b under
+    setups[b], all on one frame, given as _scenes's (B, L) delay, Doppler
+    and amplitude stacks, scene b's coefficient noise drawn from seeds[b].
+    The stack takes one coefficient synthesis, one Doppler focus, one
+    lockstep pursuit and one scoring pass (_score) that builds no Detection;
+    each scene's noise variances and GLRT threshold are its own setup's.
+    Returns each scene's pursuit and its row of band measures. Each pass
+    does the float operations it does alone, so its row does not depend on
+    the others."""
     r = cfg.radar
-    frame = setup.frame
+    frame = setups[0].frame
     delays, dopplers, amplitudes = scenes
-    # no name holds the coefficients, so they are freed once focused
     psi = doppler_focus_batch(
         radar_fourier_coeffs_batch(
             delays, dopplers, amplitudes, frame.h, frame.k_c, frame.train,
-            setup.noise_var, seeds,
+            [setup.noise_var for setup in setups], seeds,
         ),
         frame.signs, frame.scale,
     )
     max_iter = r.max_detections or max(8, 2 * cfg.scene.n_targets)
     found = focused_omp_batch(
-        psi, frame.f_kappa, setup.gamma, setup.fvar, max_iter, f_adj=frame.f_adj
+        psi, frame.f_kappa, [setup.gamma for setup in setups],
+        [setup.fvar for setup in setups], max_iter, f_adj=frame.f_adj,
     )
     rows = [
         {
@@ -926,7 +928,7 @@ def run_specx(cfg: ScenarioConfig) -> RunReport:
         band_selections += 1
         setup = _radar_setup(cfg.radar, _radar_frame(cfg.radar, f_r), cfg.radar.noise_var)
         seed = _child_seed(cfg.seed, "radar", it)
-        (found,), (radar,) = _radar_trials(cfg, setup, scene, [seed])
+        (found,), (radar,) = _radar_trials(cfg, [setup], scene, [seed])
         emission = radar_emission(setup.frame.waveform, cfg.radar.carrier, grid, cfg.radar.p_t)
         s_r = radar_slice_support(f_r.shifted(cfg.radar.carrier), grid)
         kappa_size = radar["kappa_size"]
@@ -1016,7 +1018,7 @@ def run_radar(cfg: ScenarioConfig) -> RunReport:
     _, f_r = select_bands(rem, f_c_base, cfg.radar.n_bands)
     scene = _draw_scene(cfg, derive_rng(cfg.seed, "scene"))
     setup = _radar_setup(cfg.radar, _radar_frame(cfg.radar, f_r), cfg.radar.noise_var)
-    (found,), (radar,) = _radar_trials(cfg, setup, scene, [_child_seed(cfg.seed, "radar", 0)])
+    (found,), (radar,) = _radar_trials(cfg, [setup], scene, [_child_seed(cfg.seed, "radar", 0)])
     occupancy = f_r.measure() / cfg.radar.b_h
     rows = []
     for i, det in enumerate(_detections_payload(cfg.radar, found)):
@@ -1169,13 +1171,13 @@ class _Drawn(NamedTuple):
 
 
 def _draw_sensing(
-    cfg: ScenarioConfig, setup: _SensingSetup, tag: str, snr_db: float, comm_snr: bool,
-    point_idx: int, trials: list[int],
+    cfg: ScenarioConfig, setup: _SensingSetup, tag: str, snrs_db: Sequence[float],
+    comm_snr: bool, paths: list[tuple[int, int]],
 ) -> _Drawn:
-    """The trials of one sensing-sweep point drawn as one stack, each seeded
-    by tag under (point_idx, trial): a random comm layout clear of
-    setup.avoid, the sweep's radar emission on the air (_medium), and
-    channel noise snr_db below the signal power. No comm layout reaches the
+    """Sensing-sweep trials on one setup drawn as one stack, trial b seeded by
+    tag under paths[b], its (point_idx, trial): a random comm layout clear
+    of setup.avoid, the sweep's radar emission on the air (_medium), and
+    channel noise snrs_db[b] below its signal power. No comm layout reaches the
     REM span (_radar_emission says why), so every trial shares the sweep's
     one radar, and a trial only draws the emission from setup.emission.
 
@@ -1191,11 +1193,11 @@ def _draw_sensing(
     lone trial's float operations on its operands, so a trial's samples,
     frame, truth and noise variance do not depend on the batch.
     """
-    a, paths = setup.a, [(point_idx, t) for t in trials]
+    a = setup.a
     specs = [_random_transmissions(cfg, setup.avoid, derive_rng(cfg.seed, tag, *p)) for p in paths]
     comm, x, occupied = _medium(cfg, setup.grid, specs, 0.0, f"{tag}-", paths, setup.emission)
     p_sig = (np.abs(a.a @ (comm if comm_snr else x)) ** 2).reshape(len(x), -1).mean(axis=1)
-    noise_var = p_sig * 10.0 ** (-snr_db / 10.0)
+    noise_var = p_sig * np.array([10.0 ** (-snr / 10.0) for snr in snrs_db])
     noise_seeds = [_child_seed(cfg.seed, f"{tag}-noise", *p) for p in paths]
     z = xample_batch(x, a, noise_var, noise_seeds)
     if comm_snr and cfg.comm.prune_db is not None:
@@ -1223,17 +1225,20 @@ def _read_out(
 
 
 def _batch_snr(
-    cfg: ScenarioConfig, points: list[dict], setups: list, point_idx: int, trials: list[int]
+    cfg: ScenarioConfig, points: list[dict], setups: list, tasks: list[tuple]
 ) -> list[dict]:
-    """Measurements of the given trials of one snr point, drawn as one
-    stack (_draw_sensing) and read out by the radar-aware pursuit, then the
-    radar-unaware one (_read_out): that receiver budgets sparsity for the
-    comm signals only, so the radar emission competes for its greedy picks
-    (a pursuit picks at most a.n columns, so the cap changes no pick). The
-    point's columns and the trial index are sweep's to write. Any failure
-    raises; the engine pins it on its trial."""
-    setup = setups[point_idx]
-    d = _draw_sensing(cfg, setup, "snr", points[point_idx]["snr_db"], True, point_idx, trials)
+    """Measurements of the given (key, point_idx, trial) tasks of an snr
+    sweep, whose points all share one setup, drawn as one stack, each trial
+    at its point's SNR (_draw_sensing), and read out by the radar-aware
+    pursuit, then the radar-unaware one (_read_out): that receiver budgets
+    sparsity for the comm signals only, so the radar emission competes for
+    its greedy picks (a pursuit picks at most a.n columns, so the cap
+    changes no pick). The point's columns and the trial index are sweep's
+    to write. Any failure raises; the engine pins it on its task."""
+    paths = [(i, t) for _, i, t in tasks]
+    setup = setups[paths[0][0]]
+    snrs = [points[i]["snr_db"] for i, _ in paths]
+    d = _draw_sensing(cfg, setup, "snr", snrs, True, paths)
     budget = 4 * cfg.comm.n_sig_effective
     pursuits = ((setup.s_r, budget), (SliceSupport(), min(budget, setup.a.n)))
     pks, omp = _read_out(cfg, setup, d, pursuits)
@@ -1250,14 +1255,16 @@ def _batch_snr(
 
 
 def _batch_channels(
-    cfg: ScenarioConfig, points: list[dict], setups: list, point_idx: int, trials: list[int]
+    cfg: ScenarioConfig, points: list[dict], setups: list, tasks: list[tuple]
 ) -> list[dict]:
-    """Measurements of the given trials of one channels point, drawn as one
-    stack (_draw_sensing) at sweep.channels_snr_db and read out by the
+    """Measurements of the given tasks of a channels sweep, all of points
+    with one channel count, hence one setup, drawn as one stack
+    (_draw_sensing) at sweep.channels_snr_db and read out by the
     radar-aware pursuit (_read_out); as _batch_snr otherwise."""
-    setup = setups[point_idx]
-    snr_db = cfg.sweep.channels_snr_db
-    d = _draw_sensing(cfg, setup, "chan", snr_db, False, point_idx, trials)
+    paths = [(i, t) for _, i, t in tasks]
+    setup = setups[paths[0][0]]
+    snrs = [cfg.sweep.channels_snr_db] * len(paths)
+    d = _draw_sensing(cfg, setup, "chan", snrs, False, paths)
     (pks,) = _read_out(cfg, setup, d, ((setup.s_r, 4 * cfg.comm.n_sig_effective),))
     return [
         {"pd_pks": _index_ratio(comm, truth), "exact_pks": list(comm) == list(truth)}
@@ -1275,12 +1282,13 @@ def _draw_band(
 
 
 def _batch_band(
-    cfg: ScenarioConfig, points: list[dict], setups: list, point_idx: int, trials: list[int]
+    cfg: ScenarioConfig, points: list[dict], setups: list, tasks: list[tuple]
 ) -> list[dict]:
-    """Measurements of the given trials of one band-placement point, on the
-    point's radar setup.
+    """Measurements of the given (key, point_idx, trial) tasks of a
+    band-placement sweep, all of points on one band set, hence one radar
+    frame, each trial under its point's radar setup.
 
-    Each trial's raw scene draw and noise seed are drawn in trial order
+    Each trial's raw scene draw and noise seed are drawn in task order
     (_draw_band). The batch makes them into (B, L) target stacks and checks
     those once (_scenes), and the trials run as one stack through
     _radar_trials: one coefficient synthesis, one Doppler focus, one
@@ -1292,8 +1300,9 @@ def _batch_band(
     _radar_trials; the point's columns and the trial index are sweep's to
     write. Any failure raises; the engine pins it on its trial.
     """
-    *draws, seeds = zip(*(_draw_band(cfg, point_idx, t) for t in trials))
-    return _radar_trials(cfg, setups[point_idx], _scenes(cfg, *draws), seeds)[1]
+    *draws, seeds = zip(*(_draw_band(cfg, i, t) for _, i, t in tasks))
+    trial_setups = [setups[i] for _, i, _ in tasks]
+    return _radar_trials(cfg, trial_setups, _scenes(cfg, *draws), seeds)[1]
 
 
 def _mean(rows: list[dict[str, Any]], key: str) -> float:
@@ -1307,14 +1316,18 @@ def _ci95(rows: list[dict[str, Any]], key: str) -> float:
     return float(1.96 * arr.std(ddof=1) / math.sqrt(arr.size))
 
 
-def _snr_plan(cfg: ScenarioConfig, grid: GridSpec) -> tuple[list[dict], list[_SensingSetup]]:
+def _snr_plan(
+    cfg: ScenarioConfig, grid: GridSpec
+) -> tuple[list[dict], list[_SensingSetup], list[int]]:
+    """The SNR points, which share one setup and so one batch key."""
     if not cfg.sweep.snr_db:
         raise ConfigError("sweep.snr_db must be non-empty")
     if not cfg.comm.transmissions:
         raise ConfigError("an snr sweep needs at least one comm.transmissions entry")
     _require_channels(cfg, grid, cfg.grid.n_channels, "grid.n_channels")
-    points = [{"snr_db": snr} for snr in cfg.sweep.snr_db]
-    return points, _sensing_setups(cfg, grid, [cfg.grid.n_channels] * len(points))
+    n = len(cfg.sweep.snr_db)
+    setups = _sensing_setups(cfg, grid, [cfg.grid.n_channels] * n)
+    return [{"snr_db": snr} for snr in cfg.sweep.snr_db], setups, [0] * n
 
 
 def _snr_stats(cfg: ScenarioConfig, grid: GridSpec, rows: list[dict]) -> dict[str, Any]:
@@ -1329,11 +1342,13 @@ def _snr_stats(cfg: ScenarioConfig, grid: GridSpec, rows: list[dict]) -> dict[st
     }
 
 
-def _band_plan(cfg: ScenarioConfig, grid: GridSpec) -> tuple[list[dict], list[_RadarSetup]]:
+def _band_plan(
+    cfg: ScenarioConfig, grid: GridSpec
+) -> tuple[list[dict], list[_RadarSetup], list[int]]:
     """Each layout at each SNR, and each point's radar setup: the layout's
     scripted bands, with the coefficient noise snr_db below the power of a
     flat full-band emission. Every point on the same bands shares one
-    frame."""
+    frame, and its batch key is that band set's index."""
     s, r = cfg.sweep, cfg.radar
     bad = sorted(set(s.band_layouts) - set(_LAYOUT_NAMES))
     if bad:
@@ -1352,24 +1367,29 @@ def _band_plan(cfg: ScenarioConfig, grid: GridSpec) -> tuple[list[dict], list[_R
         {"band_layout": layout, "snr_db": snr} for layout in s.band_layouts for snr in snr_grid
     ]
     frames = {f_r: _radar_frame(r, f_r) for f_r in set(bands.values())}
+    keys = {f_r: k for k, f_r in enumerate(frames)}
     full_band = r.p_t / (r.b_h * r.pri**2)
-    return points, [
+    setups = [
         _radar_setup(r, frames[bands[p["band_layout"]]], full_band * 10.0 ** (-p["snr_db"] / 10.0))
         for p in points
     ]
+    return points, setups, [keys[bands[p["band_layout"]]] for p in points]
 
 
 def _band_stats(cfg: ScenarioConfig, grid: GridSpec, rows: list[dict]) -> dict[str, Any]:
     return {"hit_rate": _mean(rows, "hit_rate"), "ci95": _ci95(rows, "hit_rate")}
 
 
-def _channel_plan(cfg: ScenarioConfig, grid: GridSpec) -> tuple[list[dict], list[_SensingSetup]]:
+def _channel_plan(
+    cfg: ScenarioConfig, grid: GridSpec
+) -> tuple[list[dict], list[_SensingSetup], list[int]]:
+    """The channel counts, each its own front end and so its own batch key."""
     counts = cfg.sweep.channel_counts
     if not counts:
         raise ConfigError("sweep.channel_counts must be non-empty")
     for m in counts:
         _require_channels(cfg, grid, m, "sweep.channel_counts entry")
-    return [{"n_channels": m} for m in counts], _sensing_setups(cfg, grid, counts)
+    return [{"n_channels": m} for m in counts], _sensing_setups(cfg, grid, counts), list(counts)
 
 
 def _channel_stats(cfg: ScenarioConfig, grid: GridSpec, rows: list[dict]) -> dict[str, Any]:
@@ -1385,16 +1405,18 @@ def _channel_stats(cfg: ScenarioConfig, grid: GridSpec, rows: list[dict]) -> dic
 
 
 class _SweepAxis(NamedTuple):
-    """One sweep axis: its plan, (cfg, grid) -> (points, setups), which
+    """One sweep axis: its plan, (cfg, grid) -> (points, setups, keys), which
     checks the points and builds one setup per point, what that point's
-    trials share, before any trial runs (the points' keys lead its trial
-    and aggregate rows); its batch function, (cfg, points, setups,
-    point_idx, trials) -> one measurement dict per trial; the per-point
-    stats that complete an aggregate row, and any extra report meta. sweep
-    writes each trial row's point columns and "trial"."""
+    trials share, before any trial runs (the points' columns lead its trial
+    and aggregate rows), and gives each point a batch key, equal for points
+    whose setups share what a batch builds on; its batch function, (cfg,
+    points, setups, tasks) -> one measurement dict per (key, point_idx,
+    trial) task, all of one key; the per-point stats that complete an
+    aggregate row, and any extra report meta. sweep writes each trial row's
+    point columns and "trial"."""
 
-    plan: Callable[[ScenarioConfig, GridSpec], tuple[list[dict[str, Any]], list[Any]]]
-    batch: Callable[[ScenarioConfig, list[dict], list[Any], int, list[int]], list[dict]]
+    plan: Callable[[ScenarioConfig, GridSpec], tuple[list[dict[str, Any]], list[Any], list[Any]]]
+    batch: Callable[[ScenarioConfig, list[dict], list[Any], list[tuple]], list[dict]]
     stats: Callable[[ScenarioConfig, GridSpec, list[dict]], dict[str, Any]]
     meta: Callable[[ScenarioConfig], dict[str, Any]] = lambda cfg: {}
 
@@ -1439,8 +1461,13 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     however many SNRs share it; the focused noise variance and GLRT
     threshold once per point.
 
-    Each process runs its trials of a point in batches of at most 32
-    (engine._MAX_BATCH). An snr or channels batch draws its trials as one
+    Each point has a batch key naming the setup its trials share: one key
+    per sweep for snr, one per band set for band_placement and one per
+    channel count for channels. A batch runs consecutive trials of one key,
+    so it may span several points: each process runs a key's trials in the
+    fewest near-equal batches of at most 32 (engine._MAX_BATCH), and every
+    trial reads its own point's SNR, noise variances and GLRT threshold. An
+    snr or channels batch draws its trials as one
     stack (_draw_sensing): each trial's carriers and its comm, radar and
     channel-noise draws come from its own streams, and the dense scatter,
     the slice gather, both products A x, the Gram matrices and their eigh,
@@ -1457,7 +1484,7 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     the float operations it does on its own, on operands with the same
     strides, so the rows do not depend on the batching.
 
-    engine.run runs the (point_idx, trial) tasks, point by point, on
+    engine.run runs the (key, point_idx, trial) tasks, point by point, on
     sweep.workers processes (workers, when given, replaces it before the
     config is checked) and returns what each batch measures in task order;
     this function writes each trial row as the point's columns, then
@@ -1471,11 +1498,11 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     spec = _SWEEPS[axis]
     n_trials = cfg.sweep.n_trials
     grid = cfg.grid.to_grid()
-    points, setups = spec.plan(cfg, grid)
-    tasks = [(i, t) for i in range(len(points)) for t in range(n_trials)]
+    points, setups, keys = spec.plan(cfg, grid)
+    tasks = [(keys[i], i, t) for i in range(len(points)) for t in range(n_trials)]
     batch = functools.partial(spec.batch, cfg, points, setups)
     measured = engine.run(batch, tasks, cfg.sweep.workers)
-    rows = [{**points[i], "trial": t, **m} for (i, t), m in zip(tasks, measured)]
+    rows = [{**points[i], "trial": t, **m} for (_, i, t), m in zip(tasks, measured)]
     aggregates = tuple(
         {**point, **spec.stats(cfg, grid, rows[i * n_trials : (i + 1) * n_trials])}
         for i, point in enumerate(points)

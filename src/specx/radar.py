@@ -9,14 +9,13 @@ from the joint delay-Doppler map without knowing their number in advance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.linalg import _umath_linalg
-from numpy.linalg._linalg import _raise_linalgerror_lstsq
 
 from .freqs import FrequencySet, KappaSet
 from .signals import PulseTrainSpec, RadarWaveformSpec, TargetScene
@@ -114,7 +113,7 @@ def doppler_focus(
     unit target the focused value at its cell equals its amplitude. This is
     the one-map call of doppler_focus_batch.
     """
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    coeffs = np.array(coeffs, dtype=np.complex128)  # a copy, focused in place
     p = train.n_pulses
     if coeffs.shape != (kappa.k, p):
         raise ValueError(f"coeffs must be ({kappa.k}, {p})")
@@ -136,17 +135,17 @@ def doppler_focus_batch(
     coeffs: np.ndarray, signs: np.ndarray, scale: np.ndarray
 ) -> np.ndarray:
     """The focused maps of a (B, K, P) stack of coefficient sets on one
-    coefficient set, as a (B, K, P) stack; signs and scale come from
-    focus_weights. One slow-time inverse FFT serves the stack, and it
-    transforms each row on its own, so each slice holds the bits of
-    doppler_focus on that slice. Every step after the modulation works in
-    place, keeping the operand order of scale * (P * ifft(coeffs * signs)),
-    so the stack costs one array beyond coeffs."""
+    coefficient set, written over the stack, which is returned; signs and
+    scale come from focus_weights. One slow-time inverse FFT serves the
+    stack, and it transforms each row on its own, so each slice holds the
+    bits of doppler_focus on that slice. Every step works in place, keeping
+    the operand order of scale * (P * ifft(coeffs * signs)), so the stack
+    costs no array beyond coeffs."""
     p = coeffs.shape[-1]
-    psi = coeffs * signs
-    np.fft.ifft(psi, axis=-1, out=psi)
-    np.multiply(p, psi, out=psi)
-    return np.multiply(scale[:, None], psi, out=psi)
+    np.multiply(coeffs, signs, out=coeffs)
+    np.fft.ifft(coeffs, axis=-1, out=coeffs)
+    np.multiply(p, coeffs, out=coeffs)
+    return np.multiply(scale[:, None], coeffs, out=coeffs)
 
 
 def focused_noise_var(
@@ -303,7 +302,7 @@ def focused_omp(
     focused_omp_batch.
     """
     found = focused_omp_batch(
-        focused.psi[None], f_kappa, gamma, noise_var, max_iter, f_adj=f_kappa.conj().T
+        focused.psi[None], f_kappa, [gamma], [noise_var], max_iter, f_adj=f_kappa.conj().T
     )[0]
     return DetectionList.from_pursuit(
         found, f_kappa.shape[1], focused.doppler_grid, focused.pri
@@ -313,14 +312,15 @@ def focused_omp(
 def focused_omp_batch(
     psi: np.ndarray,
     f_kappa: np.ndarray,
-    gamma: float,
-    noise_var: float,
+    gammas: Sequence[float],
+    noise_vars: Sequence[float],
     max_iter: int,
     *,
     f_adj: np.ndarray,
 ) -> list[Pursuit]:
     """focused_omp on each (K, P) map of a (B, K, P) stack focused on one
-    frame f_kappa, whose adjoint f_adj is f_kappa.conj().T. Returns each
+    frame f_kappa, whose adjoint f_adj is f_kappa.conj().T, map b with its
+    own GLRT threshold gammas[b] and noise variance noise_vars[b]. Returns each
     map's Pursuit: its picks in pick order with their amplitudes, its
     statistic trace and its truncated flag, which DetectionList.from_pursuit
     makes into detections; a sweep scores the picks without them.
@@ -338,7 +338,8 @@ def focused_omp_batch(
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     n_delay = f_kappa.shape[1]
-    scale = (noise_var / 2.0) * float(np.sum(np.abs(f_kappa[:, 0]) ** 2))
+    col_energy = float(np.sum(np.abs(f_kappa[:, 0]) ** 2))
+    scales = [(noise_var / 2.0) * col_energy for noise_var in noise_vars]
     norms = [np.linalg.norm(m) for m in psi]
     # per map: picked cell -> amplitude, in pick order, and Doppler column -> the
     # column's residual after its last refit
@@ -361,8 +362,10 @@ def focused_omp_batch(
 
     live = [b for b in range(b_count) if norms[b] != 0]
     while live:
-        if noise_var <= 0:
-            live = [b for b in live if not np.linalg.norm(residual(b)) <= 1e-10 * norms[b]]
+        live = [
+            b for b in live
+            if noise_vars[b] > 0 or not np.linalg.norm(residual(b)) <= 1e-10 * norms[b]
+        ]
         picks = flat_mag.argmax(axis=1)
         # a refit column could hold, or tie, the full product's maximum
         due = ceilings[every, picks % p_count] > -np.inf
@@ -377,9 +380,9 @@ def focused_omp_batch(
         took = []  # (map, Doppler column, the column's atoms' delay bins)
         for b in live:
             r_idx, q_idx = divmod(int(picks[b]), p_count)
-            if noise_var > 0:
-                traces[b].append(float(mag[b, r_idx, q_idx] ** 2 / scale))
-                if traces[b][-1] <= gamma:
+            if noise_vars[b] > 0:
+                traces[b].append(float(mag[b, r_idx, q_idx] ** 2 / scales[b]))
+                if traces[b][-1] <= gammas[b]:
                     continue
             if (r_idx, q_idx) in amplitudes[b]:
                 continue  # residual cannot improve on a repeated cell; numerical dead end
@@ -425,17 +428,35 @@ def focused_omp_batch(
     return [Pursuit(*found) for found in zip(amplitudes, traces, truncated)]
 
 
+@functools.cache
+def _lstsq_gufunc():
+    """NumPy's private lstsq gufunc and the error callback lstsq runs it
+    under, or None when this NumPy has either under another name. Looked up
+    at first use, so importing specx never depends on them."""
+    try:
+        from numpy.linalg import _umath_linalg
+        from numpy.linalg._linalg import _raise_linalgerror_lstsq
+        return _umath_linalg.lstsq, _raise_linalgerror_lstsq
+    except (ImportError, AttributeError):
+        return None
+
+
 def _lstsq_stack(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     """np.linalg.lstsq(a[g], y[g], rcond=None)[0], bit for bit, for each g of
     a (G, K, m) complex stack and a (G, K) one. lstsq wraps the private NumPy
     gufunc numpy.linalg._umath_linalg.lstsq, which runs LAPACK's gelsd on
     each slice on its own; one call with lstsq's signature, rcond and error
-    state skips the wrapper's cost per call.
+    state skips the wrapper's cost per call. Without that gufunc each slice
+    is its own lstsq call.
     """
+    found = _lstsq_gufunc()
+    if found is None:
+        return np.stack([np.linalg.lstsq(a[g], y[g], rcond=None)[0] for g in range(len(a))])
+    lstsq, raise_error = found
     rcond = _EPS * max(a.shape[-2:])
-    with np.errstate(call=_raise_linalgerror_lstsq, invalid="call",
+    with np.errstate(call=raise_error, invalid="call",
                      over="ignore", divide="ignore", under="ignore"):
-        x = _umath_linalg.lstsq(a, y[..., None], rcond, signature="DDd->Ddid")[0]
+        x = lstsq(a, y[..., None], rcond, signature="DDd->Ddid")[0]
     return x[..., 0]
 
 

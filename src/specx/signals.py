@@ -435,7 +435,7 @@ def radar_fourier_coeffs(
     h = waveform.values_on(kappa)
     return radar_fourier_coeffs_batch(
         scene.delays[None], scene.dopplers[None], scene.amplitudes[None],
-        h, kappa.centered(), train, noise_var, [seed],
+        h, kappa.centered(), train, [noise_var], [seed],
     )[0]
 
 
@@ -446,7 +446,7 @@ def radar_fourier_coeffs_batch(
     h: np.ndarray,
     k_c: np.ndarray,
     train: PulseTrainSpec,
-    noise_var: float,
+    noise_vars: Sequence[float],
     seeds: Sequence[int],
 ) -> np.ndarray:
     """radar_fourier_coeffs of B scenes on one coefficient set, as a
@@ -454,7 +454,8 @@ def radar_fourier_coeffs_batch(
     Dopplers and amplitudes, row b holding scene b's targets (TargetScene's
     checks are the caller's, check_scenes); they are checked against train
     here. k_c holds the centered coefficient indices, h the transmitted
-    spectrum on them, and scene b's noise is drawn from seeds[b].
+    spectrum on them, and scene b's noise, of variance noise_vars[b], is
+    drawn from seeds[b].
 
     The noiseless stack takes one exp per phase factor, one stacked matmul
     and one in-place product; every entry of those is the float operation
@@ -474,9 +475,9 @@ def radar_fourier_coeffs_batch(
     coeffs = (delay_phase * amplitudes[:, None, :]) @ dopp_phase
     np.multiply((h / train.pri)[:, None], coeffs, out=coeffs)
 
-    if noise_var > 0:
-        parts = np.moveaxis(coeffs.view(np.float64).reshape(*coeffs.shape, 2), -1, 1)
-        for part, seed in zip(parts, seeds):
+    parts = np.moveaxis(coeffs.view(np.float64).reshape(*coeffs.shape, 2), -1, 1)
+    for part, noise_var, seed in zip(parts, noise_vars, seeds):
+        if noise_var > 0:
             noise = derive_rng(seed, "coeffs").standard_normal(part.shape)
             noise *= math.sqrt(noise_var / 2.0)
             part += noise

@@ -12,7 +12,8 @@ from specx import engine
 
 
 def toy_tasks(sizes):
-    """(point_idx, trial) tasks of points with the given trial counts."""
+    """(point_idx, trial) tasks of points with the given trial counts, each
+    point its own batch key."""
     return [(i, t) for i, n in enumerate(sizes) for t in range(n)]
 
 
@@ -43,15 +44,15 @@ def test_run_caps_blas_threads_and_restores_them():
     saved = get()
     set_(2)
     try:
-        def batch(point_idx, trials):
-            return [{"threads": get()} for _ in trials]
+        def batch(claimed):
+            return [{"threads": get()} for _ in claimed]
 
         assert engine.run(batch, tasks, 1) == [{"threads": 1}] * 2
         assert get() == 2
 
         seen = []
 
-        def failing(point_idx, trials):
+        def failing(claimed):
             seen.append(get())
             raise RuntimeError("trial failed")
 
@@ -66,15 +67,15 @@ def test_run_caps_blas_threads_and_restores_them():
 def test_run_without_blas_thread_control(monkeypatch):
     tasks = toy_tasks((3, 2))
 
-    def batch(point_idx, trials):
-        return [{"task": (point_idx, t)} for t in trials]
+    def batch(claimed):
+        return [{"task": task} for task in claimed]
 
     monkeypatch.setattr(engine, "_openblas_thread_control", lambda: None)
     assert engine.run(batch, tasks, 1) == [{"task": task} for task in tasks]
 
 
 def test_run_of_no_tasks_returns_no_measurements():
-    assert engine.run(lambda point_idx, trials: [], [], 4) == []
+    assert engine.run(lambda claimed: [], [], 4) == []
 
 
 def test_child_failure_that_does_not_pickle_raises_its_repr(two_cpus, monkeypatch):
@@ -84,12 +85,12 @@ def test_child_failure_that_does_not_pickle_raises_its_repr(two_cpus, monkeypatc
     caller_claims_first(monkeypatch)
     child_began = multiprocessing.Event()
 
-    def batch(point_idx, trials):
+    def batch(claimed):
         if multiprocessing.parent_process() is None:
             child_began.wait(timeout=30)
-            return [{} for _ in trials]
+            return [{} for _ in claimed]
         child_began.set()
-        exc = RuntimeError(f"task {trials[0]}")
+        exc = RuntimeError(f"task {claimed[0][1]}")
         exc.hook = lambda: None
         raise exc
 
@@ -121,7 +122,7 @@ from specx import engine
 CHILD_RAN = pathlib.Path("child-ran")
 
 
-def threads(point_idx, trials):
+def threads(claimed):
     # the caller's trials wait until the child has run one, so both run some
     if multiprocessing.parent_process() is not None:
         CHILD_RAN.touch()
@@ -129,7 +130,7 @@ def threads(point_idx, trials):
         deadline = time.monotonic() + 30
         while not CHILD_RAN.exists() and time.monotonic() < deadline:
             time.sleep(0.01)
-    return [(os.getpid(), engine._openblas_thread_control()[0]()) for _ in trials]
+    return [(os.getpid(), engine._openblas_thread_control()[0]()) for _ in claimed]
 
 
 if __name__ == "__main__":
@@ -203,3 +204,26 @@ def test_child_dying_on_its_payload_raises_worker_died_under_every_start_method(
         f"spawn {died}\nspawn 3 []\nforkserver {died}\nforkserver 3 []\n"
     )
     assert proc.stderr.count(f"error: a sweep worker died: {died}\n") == 2
+
+
+_START_METHOD_LEFT_UNSET = """
+import dataclasses, multiprocessing
+from specx import engine, load_config, sweep
+
+engine._usable_cpus = lambda: 2
+desk = load_config("desk")
+cfg = dataclasses.replace(desk, sweep=dataclasses.replace(desk.sweep, snr_db=(0.0, 10.0),
+                                                          n_trials=2))
+assert sweep(cfg, "snr", workers=2) == sweep(cfg, "snr", workers=1)
+print(multiprocessing.get_start_method(allow_none=True))
+multiprocessing.set_start_method("spawn")
+print(multiprocessing.get_start_method())
+"""
+
+
+def test_parallel_sweep_leaves_the_start_method_unset(tmp_path):
+    """A 2-worker sweep takes its children from an explicit context, so the
+    caller's start method is still unset afterwards and can be set."""
+    proc = run_script(tmp_path, _START_METHOD_LEFT_UNSET, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "None\nspawn\n"

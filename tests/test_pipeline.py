@@ -398,6 +398,23 @@ def test_sweep_report_bytes_independent_of_workers(desk, tmp_path, axis, changes
     assert files[0] == files[1]
 
 
+@pytest.mark.parametrize("trials", [1, 4, 16, 40])
+@pytest.mark.parametrize("axis", ["snr", "band_placement", "channels"])
+@pytest.mark.parametrize("preset", ["desk", "paper_sw"])
+def test_sweep_report_bytes_independent_of_batching(tmp_path, monkeypatch, preset, axis, trials):
+    """A preset sweep's report files at 1 and 2 workers, whose batches span
+    the points of a key in near-equal claims, hold the bytes of the sweep
+    that runs every trial as a batch of its own."""
+    cfg = small_sweep(load_config(preset), n_trials=trials)
+    files = []
+    for workers, max_batch in ((1, 1), (1, engine._MAX_BATCH), (2, engine._MAX_BATCH)):
+        monkeypatch.setattr(engine, "_MAX_BATCH", max_batch)
+        out = tmp_path / f"w{workers}-b{max_batch}"
+        paths = emit_report(sweep(cfg, axis, workers=workers), out)
+        files.append({path.name: path.read_bytes() for path in paths})
+    assert files[0] == files[1] == files[2]
+
+
 # each axis's report columns: the point's keys, then "trial" and the batch's
 # measurements in a trial row, then the point's stats in an aggregate row
 _SWEEP_COLUMNS = {
@@ -643,9 +660,9 @@ def test_failure_at_one_trial_of_a_stack_is_pinned_on_it(desk, monkeypatch, axis
     at task 5; the sweep raises it too."""
     cfg = small_sweep(desk, n_trials=8)
     tag, point, k = {"snr": "snr", "channels": "chan"}[axis], 0, 5
-    points, setups = pipeline._SWEEPS[axis].plan(cfg, cfg.grid.to_grid())
+    points, setups, keys = pipeline._SWEEPS[axis].plan(cfg, cfg.grid.to_grid())
     batch = functools.partial(pipeline._SWEEPS[axis].batch, cfg, points, setups)
-    tasks = [(point, t) for t in range(8)]
+    tasks = [(keys[point], point, t) for t in range(8)]
     carriers, comm = pipeline._random_transmissions, pipeline.gen_comm_slices_batch
     failing_seed = pipeline._child_seed(cfg.seed, f"{tag}-comm", point, k)
 
@@ -665,7 +682,7 @@ def test_failure_at_one_trial_of_a_stack_is_pinned_on_it(desk, monkeypatch, axis
         with monkeypatch.context() as patch:
             patch.setattr(pipeline, name, fake)
             with pytest.raises(error, match=f"trial {k}$"):
-                batch(point, list(range(8)))
+                batch(tasks)
             failure = engine._run_share(batch, tasks, 1, ctypes.c_longlong(0),
                                         contextlib.nullcontext())
             assert isinstance(failure, engine._Failure)
@@ -870,33 +887,48 @@ def test_forkserver_sweep_children_give_the_serial_rows():
 # -- claims from the shared cursor, on toy task lists ---------------------------
 
 
-@pytest.mark.parametrize("sizes", [(1,), (5, 40, 3), (70, 1, 1, 33), (2,) * 9])
+# trials per point, each point its own key, or (key, trials) per point: points
+# 0-2 share key "a", 3 and 4 key "b", and 5 and 6 key "a" again, after "b"
+@pytest.mark.parametrize(
+    "sizes",
+    [(1,), (5, 40, 3), (70, 1, 1, 33), (2,) * 9,
+     (("a", 3), ("a", 3), ("a", 3), ("b", 1), ("b", 1), ("a", 40), ("a", 33))],
+)
 @pytest.mark.parametrize("w", [1, 2, 3])
 def test_claims_take_every_task_once_in_order(sizes, w):
     """Claims from one cursor, in whatever order the processes make them,
-    cover the tasks once and in order; none crosses a point or exceeds
-    _MAX_BATCH or ceil(unclaimed / w), and at one process they are every
-    point's trials in runs of _MAX_BATCH."""
-    tasks, cursor, claims = toy_tasks(sizes), ctypes.c_longlong(0), []
-    while (claim := engine._claim(tasks, w, cursor, contextlib.nullcontext()))[1] > claim[0]:
+    cover the (key, point, trial) tasks once and in order; none crosses a
+    key, though it may span the points of one, or exceeds _MAX_BATCH or
+    ceil(unclaimed / w), and at one process a key's run of n tasks goes out
+    in ceil(n / _MAX_BATCH) near-equal claims, a batch call each."""
+    tasks = [
+        (key, i, t)
+        for i, size in enumerate(sizes)
+        for key, n in [size if isinstance(size, tuple) else (i, size)]
+        for t in range(n)
+    ]
+    ends, cursor, claims = engine._run_ends(tasks), ctypes.c_longlong(0), []
+    while (claim := engine._claim(ends, w, cursor, contextlib.nullcontext()))[1] > claim[0]:
         claims.append(claim)
     assert [j for lo, hi in claims for j in range(lo, hi)] == list(range(len(tasks)))
     for lo, hi in claims:
-        assert {point for point, _ in tasks[lo:hi]} == {tasks[lo][0]}
+        assert {task[0] for task in tasks[lo:hi]} == {tasks[lo][0]}
         assert hi - lo <= min(engine._MAX_BATCH, math.ceil((len(tasks) - lo) / w))
     if w == 1:
-        batches = [
-            (point, trials[k : k + engine._MAX_BATCH])
-            for point, group in itertools.groupby(tasks, key=lambda task: task[0])
-            for trials in [[trial for _, trial in group]]
-            for k in range(0, len(trials), engine._MAX_BATCH)
-        ]
-        assert [(tasks[lo][0], [t for _, t in tasks[lo:hi]]) for lo, hi in claims] == batches
+        batches = []  # each run of one key in near-equal parts, the longer ones first
+        for _, group in itertools.groupby(tasks, key=lambda task: task[0]):
+            run = list(group)
+            size, longer = divmod(len(run), math.ceil(len(run) / engine._MAX_BATCH))
+            while run:
+                n = size + (longer > 0)
+                batches.append(run[:n])
+                run, longer = run[n:], longer - 1
+        assert [tasks[lo:hi] for lo, hi in claims] == batches
         calls = []
 
-        def batch(point_idx, trials):
-            calls.append((point_idx, trials))
-            return [{"task": (point_idx, t)} for t in trials]
+        def batch(claimed):
+            calls.append(claimed)
+            return [{"task": task} for task in claimed]
 
         assert engine._run_split(batch, tasks, 1) == [{"task": task} for task in tasks]
         assert calls == batches
@@ -909,12 +941,12 @@ def test_slow_caller_leaves_the_rest_to_the_child(two_cpus, monkeypatch):
     tasks = toy_tasks((5, 5, 5))
     child_done = multiprocessing.Event()
 
-    def batch(point_idx, trials):
+    def batch(claimed):
         if multiprocessing.parent_process() is None:
             child_done.wait(timeout=30)
-        elif (point_idx, trials[-1]) == tasks[-1]:
+        elif claimed[-1] == tasks[-1]:
             child_done.set()
-        return [{"pid": os.getpid(), "claim": len(trials)} for _ in trials]
+        return [{"pid": os.getpid(), "claim": len(claimed)} for _ in claimed]
 
     measured = engine._run_split(batch, tasks, 2)
     assert child_done.is_set()
@@ -932,11 +964,11 @@ def test_more_processes_than_cores_claim_each_task_once():
     for _ in range(20):
         runs = multiprocessing.Array("i", len(tasks))
 
-        def batch(point_idx, trials):
-            for t in trials:
+        def batch(claimed):
+            for task in claimed:
                 with runs.get_lock():
-                    runs[index[point_idx, t]] += 1
-            return [{"task": (point_idx, t)} for t in trials]
+                    runs[index[task]] += 1
+            return [{"task": task} for task in claimed]
 
         assert engine._run_split(batch, tasks, 4) == [{"task": task} for task in tasks]
         assert runs[:] == [1] * len(tasks)
@@ -970,7 +1002,8 @@ def test_lowest_failing_index_wins_in_caller_or_child(two_cpus, monkeypatch, fai
     monkeypatch.setattr(_SignalledFailure, "pinned", caller_pinned)
     monkeypatch.setattr(engine, "_Failure", _SignalledFailure)
 
-    def batch(point_idx, trials):
+    def batch(claimed):
+        trials = [t for _, t in claimed]
         for t in trials:
             ran[t] = 1
         if multiprocessing.parent_process() is not None:
@@ -1029,16 +1062,16 @@ from specx import WorkerDied, engine
 multiprocessing.set_start_method("fork")
 caller, claim, held = os.getpid(), engine._claim, multiprocessing.Event()
 
-def dying_claim(tasks, w, cursor, lock):
+def dying_claim(ends, w, cursor, lock):
     if os.getpid() != caller:  # the child takes the lock and never releases it
         lock.acquire()
         held.set()
         os._exit(7)
-    return claim(tasks, w, cursor, lock)
+    return claim(ends, w, cursor, lock)
 
-def batch(point_idx, trials):
+def batch(claimed):
     held.wait(30)  # the caller's next claim comes after the child died
-    return [{} for _ in trials]
+    return [{} for _ in claimed]
 
 engine._claim = dying_claim
 try:
@@ -1064,10 +1097,10 @@ def test_child_dying_with_the_claim_lock_raises_worker_died():
 
 
 def sweep_rows(points, tasks, measured):
-    """Trial rows as sweep writes them from (point_idx, trial) tasks and a
-    batch's measurements: the point's columns, then "trial", then the
+    """Trial rows as sweep writes them from (key, point_idx, trial) tasks and
+    a batch's measurements: the point's columns, then "trial", then the
     measurements."""
-    return [{**points[i], "trial": t, **m} for (i, t), m in zip(tasks, measured)]
+    return [{**points[i], "trial": t, **m} for (_, i, t), m in zip(tasks, measured)]
 
 
 def _frame_ranks(monkeypatch):
@@ -1104,18 +1137,42 @@ def test_batched_sensing_rows_equal_one_by_one_oracle(preset, axis, monkeypatch)
     mixed = []
     for seed in (base.seed, 1, 2):
         cfg = dataclasses.replace(base, seed=seed)
-        points, setups = pipeline._SWEEPS[axis].plan(cfg, cfg.grid.to_grid())
+        points, setups, keys = pipeline._SWEEPS[axis].plan(cfg, cfg.grid.to_grid())
         assert points == [{key: value} for value in values]
         for size in (1, 2, 7, engine._MAX_BATCH):
             trials = list(range(size))
-            tasks = [(point, t) for t in trials]
+            tasks = [(keys[point], point, t) for t in trials]
             ranks.clear()
-            got = sweep_rows(points, tasks, batch(cfg, points, setups, point, trials))
+            got = sweep_rows(points, tasks, batch(cfg, points, setups, tasks))
             want = [oracle(cfg, (values[point], point, t)) for t in trials]
             assert got == want
             mixed.append(len(set(ranks)) > 1)
     if (preset, axis) == ("desk", "snr"):
         assert any(mixed)
+
+
+@pytest.mark.parametrize("axis", ["snr", "band_placement", "channels"])
+@pytest.mark.parametrize("preset", ["desk", "paper_sw"])
+def test_batches_that_mix_points_give_the_oracle_rows(preset, axis):
+    """One batch of tasks from every point of a key, trials 0, 3 and 4 of
+    each, gives each task the row the per-task oracle gives it on its own:
+    the snr points at their own SNRs, a layout's points at their own noise
+    variances and thresholds on one frame, and the two points of one
+    channel count around another count."""
+    import _oracles
+
+    cfg = load_config(preset)
+    if axis == "channels":
+        counts = cfg.sweep.channel_counts
+        cfg = small_sweep(cfg, channel_counts=(counts[-1], counts[0], counts[-1]))
+    spec = pipeline._SWEEPS[axis]
+    oracle = getattr(_oracles, f"trial_{axis.split('_')[0]}")
+    points, setups, keys = spec.plan(cfg, cfg.grid.to_grid())
+    mixed = [i for i, key in enumerate(keys) if key == keys[-1]]
+    assert len(mixed) > 1
+    tasks = [(keys[i], i, t) for i in mixed for t in (0, 3, 4)]
+    got = sweep_rows(points, tasks, spec.batch(cfg, points, setups, tasks))
+    assert got == [oracle(cfg, (*points[i].values(), i, t)) for _, i, t in tasks]
 
 
 # band-placement configs: the preset, one that truncates every pursuit with a
@@ -1145,7 +1202,7 @@ def test_batched_band_rows_equal_one_by_one_oracle(preset, variant):
     counts, truncated = set(), False
     for i, seed in enumerate((base.seed, 1, 2)):
         cfg = dataclasses.replace(base, seed=seed)
-        points, setups = pipeline._band_plan(cfg, cfg.grid.to_grid())
+        points, setups, keys = pipeline._band_plan(cfg, cfg.grid.to_grid())
         assert points == [
             {"band_layout": layout, "snr_db": snr}
             for layout in base.sweep.band_layouts for snr in snrs
@@ -1156,8 +1213,8 @@ def test_batched_band_rows_equal_one_by_one_oracle(preset, variant):
         assert points[point] == {"band_layout": layout, "snr_db": snrs[j]}
         for size in (1, 2, 7, engine._MAX_BATCH):
             trials = list(range(size))
-            tasks = [(point, t) for t in trials]
-            measured = pipeline._batch_band(cfg, points, setups, point, trials)
+            tasks = [(keys[point], point, t) for t in trials]
+            measured = pipeline._batch_band(cfg, points, setups, tasks)
             got = sweep_rows(points, tasks, measured)
             want = [trial_band(cfg, (layout, snrs[j], point, t)) for t in trials]
             assert got == want
@@ -1221,7 +1278,7 @@ def test_scene_stack_checks_keep_their_messages(desk):
     ):
         with pytest.raises(ValueError, match=message):
             radar_fourier_coeffs_batch(
-                *stack, amplitudes, frame.h, frame.k_c, train, 0.0, [0, 1, 2]
+                *stack, amplitudes, frame.h, frame.k_c, train, [0.0] * 3, [0, 1, 2]
             )
 
 
@@ -1314,33 +1371,37 @@ def test_stacked_scorers_equal_first_written_scorers(desk):
 
 
 def test_sweep_points_span_batches_like_one_by_one_trials(desk, two_cpus):
-    """Points of _MAX_BATCH + 3 trials run as two batches each serially, and
+    """Two points of _MAX_BATCH + 3 trials share one key: serially they run
+    as three near-equal batches, one of which spans both points, and they
     split across shrinking claims when the cursor is shared by two
     processes; the rows are the one-by-one trials'."""
     from _oracles import trial_snr
 
     cfg = small_sweep(desk, snr_db=(0.0, 20.0), n_trials=engine._MAX_BATCH + 3)
-    points, setups = pipeline._snr_plan(cfg, cfg.grid.to_grid())
+    points, setups, keys = pipeline._snr_plan(cfg, cfg.grid.to_grid())
     assert points == [{"snr_db": snr} for snr in cfg.sweep.snr_db]
-    tasks = [(i, t) for i in range(len(points)) for t in range(cfg.sweep.n_trials)]
-    want = [trial_snr(cfg, (points[i]["snr_db"], i, t)) for i, t in tasks]
+    tasks = [(keys[i], i, t) for i in range(len(points)) for t in range(cfg.sweep.n_trials)]
+    want = [trial_snr(cfg, (points[i]["snr_db"], i, t)) for _, i, t in tasks]
     assert list(sweep(cfg, "snr", workers=1).trials) == want
     assert list(sweep(cfg, "snr", workers=2).trials) == want
     # the claims of two processes from one cursor, all made by this one
     batch = functools.partial(pipeline._batch_snr, cfg, points, setups)
     runs = engine._run_share(batch, tasks, 2, ctypes.c_longlong(0), contextlib.nullcontext())
     for point_idx in range(len(points)):
-        assert sum(tasks[lo][0] == point_idx for lo, _ in runs) > 1
+        assert sum(tasks[lo][1] == point_idx for lo, _ in runs) > 1
     assert [row for lo, run in runs for row in sweep_rows(points, tasks[lo:], run)] == want
+    serial = engine._run_share(batch, tasks, 1, ctypes.c_longlong(0), contextlib.nullcontext())
+    assert [len(run) for _, run in serial] == [24, 23, 23]
+    assert {i for _, i, _ in tasks[24:47]} == {0, 1}
 
 
 # trial -> the step at which it fails: its draw, a pursuit or a readout, and
 # the process that runs the first failing trial at two processes. The point
 # has max(8, last failing trial + 1) trials. At 8 the calling process claims
-# trials 0-3 and its child 4 and 5; at 66 or 67 the caller claims 0-31 and
-# the child 32-48 or 32-49, and a serial run reaches trial 40 in its second
-# batch and trial 66 in its third. Later trials go to whichever process asks
-# first.
+# trials 0-3 and its child 4 and 5; at 66 or 67 the caller claims 0-21 or
+# 0-22 and the child 22-43 or 23-44, and a serial run of 66 or 67 trials
+# runs three batches of 22 or 23, reaching trial 40 in its second and trial
+# 66 in its third. Later trials go to whichever process asks first.
 @pytest.mark.parametrize(
     "failing, where",
     [
@@ -1375,13 +1436,14 @@ def test_sensing_sweep_raises_the_first_failing_task(desk, two_cpus, monkeypatch
                 layout.ran()
             raise RuntimeError(f"{step} {trial}")
 
-    def failing_draw(cfg, setup, tag, snr_db, comm_snr, point_idx, trials):
+    def failing_draw(cfg, setup, tag, snrs_db, comm_snr, paths):
+        trials = [trial for _, trial in paths]
         for trial in trials:
             layout.draw()
             fail("draw", trial)
-        d = draw(cfg, setup, tag, snr_db, comm_snr, point_idx, trials)
+        d = draw(cfg, setup, tag, snrs_db, comm_snr, paths)
         trial_of.update((id(frame), trial) for frame, trial in zip(d.frames, trials))
-        trial_of[id(d.z)] = list(trials)
+        trial_of[id(d.z)] = trials
         return d
 
     def failing_pursuit(frames, a, s_r, k_extra):

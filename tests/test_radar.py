@@ -1,6 +1,7 @@
 """Delay-Doppler recovery from a sparse set of spectral coefficients."""
 
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -324,7 +325,8 @@ def test_focused_omp_matches_refit_all_oracle(seed, noise_var):
 def test_focused_omp_batch_matches_refit_all_oracle(seed, noise_var):
     """Each map of a stack gets the detections the refit-all oracle and the
     one-map loop give it alone, bit for bit, once its pursuit is made into a
-    DetectionList. The stack holds an all-zero map between non-zero
+    DetectionList, also when each map takes its own GLRT threshold and noise
+    variance. The stack holds an all-zero map between non-zero
     ones, which returns no detections without a step; a map whose loud
     columns 0 and 1 are equal, so its first pick ties exactly with a cell
     of column 1, which the tie-break leaves for the second; maps with one loud
@@ -373,7 +375,8 @@ def test_focused_omp_batch_matches_refit_all_oracle(seed, noise_var):
         got = [
             DetectionList.from_pursuit(found, N, train.doppler_grid(), PRI)
             for found in focused_omp_batch(
-                stack, f_kappa, gamma, fvar, max_iter, f_adj=f_kappa.conj().T
+                stack, f_kappa, [gamma] * len(maps), [fvar] * len(maps), max_iter,
+                f_adj=f_kappa.conj().T,
             )
         ]
         want = [
@@ -399,6 +402,22 @@ def test_focused_omp_batch_matches_refit_all_oracle(seed, noise_var):
             shared_column |= len(set(columns)) < len(columns)
             truncated |= dets.truncated
     assert shared_column and truncated
+    # maps of one stack under their own thresholds and noise variances, one in
+    # three with no stopping test, as the points of a band sweep's batch are
+    gammas, fvars = zip(*(
+        ((gamma, fvar), (0.0, 0.0), (4.0 * gamma + 1.0, fvar + 0.1))[b % 3]
+        for b in range(len(maps))
+    ))
+    got = [
+        DetectionList.from_pursuit(found, N, train.doppler_grid(), PRI)
+        for found in focused_omp_batch(stack, f_kappa, gammas, fvars, 40, f_adj=f_kappa.conj().T)
+    ]
+    assert got == [
+        focused_omp_refit_all(
+            FocusedMatrix(psi=m, doppler_grid=train.doppler_grid(), pri=PRI), f_kappa, g, v, 40
+        )
+        for m, g, v in zip(maps, gammas, fvars)
+    ]
 
 
 @pytest.mark.parametrize("k", [1, 12, 32, 162])
@@ -423,6 +442,60 @@ def test_lstsq_stack_equals_lstsq_slice_by_slice(k):
         for g in range(6):
             want = np.linalg.lstsq(frame[:, atoms[g]], rhs[g], rcond=None)[0]
             assert got[g].tobytes() == want.tobytes()
+
+
+# hides NumPy's private lstsq gufunc and its error callback from any later
+# import, as a NumPy that renamed them would, then runs the CLI on sys.argv[1:]
+_HIDDEN_LSTSQ = """
+import importlib.abc, sys, types
+import numpy.linalg
+import numpy.linalg._linalg as linalg
+
+class Hide(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy.linalg._umath_linalg":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+sys.meta_path.insert(0, Hide())
+del sys.modules["numpy.linalg._umath_linalg"], numpy.linalg._umath_linalg
+shown = types.ModuleType(linalg.__name__)
+shown.__dict__.update((k, v) for k, v in vars(linalg).items() if k != "_raise_linalgerror_lstsq")
+sys.modules[linalg.__name__] = numpy.linalg._linalg = shown
+
+from specx import cli, radar
+code = cli.main(sys.argv[1:])
+print(code, radar._lstsq_gufunc())
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["radar", "--config", "paper_sw"],
+     ["sweep", "--config", "desk", "--axis", "band_placement", "--trials", "3"]],
+    ids=["radar", "band-sweep"],
+)
+def test_reports_without_numpys_private_lstsq(tmp_path, argv):
+    """Where NumPy has no private lstsq gufunc by the names _lstsq_stack looks
+    up, specx still imports, refits slice by slice with np.linalg.lstsq,
+    and writes the reports of a normal run, byte for byte."""
+    import subprocess
+
+    from specx import cli
+
+    hidden, normal = tmp_path / "hidden", tmp_path / "normal"
+    src = str(Path(specx.radar.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _HIDDEN_LSTSQ, *argv, "--out", str(hidden)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 None"
+    assert cli.main([*argv, "--out", str(normal)]) == 0
+    names = sorted(path.name for path in normal.iterdir())
+    assert names == sorted(path.name for path in hidden.iterdir())
+    assert all((hidden / n).read_bytes() == (normal / n).read_bytes() for n in names)
 
 
 def _lockstep_maps(rng, kappa, f_kappa, train, wave):
@@ -481,8 +554,8 @@ def test_lockstep_maps_stopping_at_different_steps_match_the_oracles(seed, noise
         got = [
             DetectionList.from_pursuit(found, N, train.doppler_grid(), PRI)
             for found in focused_omp_batch(
-                np.stack(list(maps.values())), f_kappa, gamma, fvar, max_iter,
-                f_adj=f_kappa.conj().T,
+                np.stack(list(maps.values())), f_kappa, [gamma] * len(maps),
+                [fvar] * len(maps), max_iter, f_adj=f_kappa.conj().T,
             )
         ]
         got = dict(zip(maps, got))
@@ -545,7 +618,8 @@ def test_lockstep_pursuit_refits_once_per_support_size_per_step(monkeypatch):
     got = [
         DetectionList.from_pursuit(found, N, train.doppler_grid(), PRI)
         for found in focused_omp_batch(
-            np.stack(list(maps.values())), f_kappa, gamma, fvar, 6, f_adj=f_kappa.conj().T
+            np.stack(list(maps.values())), f_kappa, [gamma] * len(maps), [fvar] * len(maps),
+            6, f_adj=f_kappa.conj().T,
         )
     ]
     monkeypatch.undo()

@@ -325,10 +325,10 @@ def _refit_stack(preset):
 
     cfg = load_config(preset)
     point = len(cfg.sweep.snr_db) - 1
-    points, setups = pipeline._snr_plan(cfg, cfg.grid.to_grid())
+    points, setups, _ = pipeline._snr_plan(cfg, cfg.grid.to_grid())
     setup = setups[point]
     d = pipeline._draw_sensing(
-        cfg, setup, "snr", points[point]["snr_db"], True, point, list(range(6))
+        cfg, setup, "snr", [points[point]["snr_db"]] * 6, True, [(point, t) for t in range(6)]
     )
     a, budget = setup.a, 4 * cfg.comm.n_sig_effective
     zs, sups = [], []

@@ -267,7 +267,7 @@ def test_coeffs_batch_noise_has_the_one_scene_bits():
     got = radar_fourier_coeffs_batch(
         *(np.stack([getattr(sc, name) for sc in scenes])
           for name in ("delays", "dopplers", "amplitudes")),
-        wave.values_on(kappa), kappa.centered(), train, 0.3, seeds,
+        wave.values_on(kappa), kappa.centered(), train, [0.3] * 3, seeds,
     )
     for stacked, scene, seed in zip(got, scenes, seeds):
         want = radar_fourier_coeffs_one_scene(scene, wave, train, kappa, 0.3, seed)
