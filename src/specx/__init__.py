@@ -91,12 +91,10 @@ from .signals import (
     RadarWaveformSpec,
     SliceSpectrum,
     TargetScene,
-    dense_from_slices,
     design_radar_waveform,
     gen_comm_slices,
     radar_fourier_coeffs,
     radar_slices,
-    slices_from_dense,
 )
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .freqs import FrequencyInterval, FrequencySet
+from .freqs import FrequencySet, mask_runs
 
 __all__ = [
     "RemGrid",
@@ -75,16 +75,12 @@ class RemGrid:
     def span(self) -> FrequencySet:
         return FrequencySet([(-self.width / 2.0, self.width / 2.0)])
 
-    def band_interval(self, i: int) -> FrequencyInterval:
-        lo = i * self.b_y - self.width / 2.0
-        return FrequencyInterval(lo, lo + self.b_y)
-
 
 def mask_comm(rem: RemGrid, f_c: FrequencySet) -> RemGrid:
     """Set REM entries to +inf on every band intersecting the comm support.
 
     A band meets an interval of f_c in positive measure exactly when each
-    starts below the other's end; the band edges are those of band_interval.
+    starts below the other's end.
     """
     energies = np.array(rem.energies)
     lo = np.arange(rem.q) * rem.b_y - rem.width / 2.0
@@ -154,10 +150,7 @@ class BlockSparseVector:
 
 def count_blocks(w: np.ndarray | Sequence[float]) -> int:
     """Number of contiguous nonzero runs."""
-    nz = (np.asarray(w) != 0).astype(np.int8)
-    if not nz.any():
-        return 0
-    return int(np.sum(np.diff(np.concatenate(([0], nz, [0]))) == 1))
+    return len(mask_runs(np.asarray(w) != 0))
 
 
 def struct_omp(
@@ -235,17 +228,7 @@ def struct_omp(
     w[sel] = y_inv[sel_bands] / np.bincount(sel_bands, minlength=d.q)[sel_bands]
 
     half = span_width / 2.0
-    intervals = []
-    idx = sorted(support)
-    run_start = idx[0]
-    prev = idx[0]
-    for j in idx[1:] + [None]:
-        if j is not None and j == prev + 1:
-            prev = j
-            continue
-        intervals.append((run_start * b_w - half, (prev + 1) * b_w - half))
-        if j is not None:
-            run_start = prev = j
+    intervals = [(lo * b_w - half, hi * b_w - half) for lo, hi in mask_runs(in_support)]
     return BlockSparseVector(w=w, b_w=b_w), FrequencySet(intervals)
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "GridSpec",
     "KappaSet",
     "SliceSupport",
+    "mask_runs",
     "slice_count",
 ]
 
@@ -50,6 +51,7 @@ class FrequencyInterval:
         return 0.5 * (self.lo + self.hi)
 
 
+@dataclass(frozen=True)
 class FrequencySet:
     """Finite union of disjoint half-open intervals, kept sorted and merged.
 
@@ -57,7 +59,7 @@ class FrequencySet:
     merged, so two FrequencySets covering the same points compare equal.
     """
 
-    __slots__ = ("_intervals",)
+    intervals: tuple[FrequencyInterval, ...]
 
     def __init__(self, intervals: Iterable[FrequencyInterval | Sequence[float]] = ()):
         items = []
@@ -75,50 +77,32 @@ class FrequencySet:
                     merged[-1] = FrequencyInterval(last.lo, iv.hi)
             else:
                 merged.append(iv)
-        object.__setattr__(self, "_intervals", tuple(merged))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FrequencySet is immutable")
-
-    def __reduce__(self):  # pickle and copy rebuild it through __init__
-        return (FrequencySet, (self._intervals,))
-
-    @property
-    def intervals(self) -> tuple[FrequencyInterval, ...]:
-        return self._intervals
+        object.__setattr__(self, "intervals", tuple(merged))
 
     def __iter__(self) -> Iterator[FrequencyInterval]:
-        return iter(self._intervals)
+        return iter(self.intervals)
 
     def __len__(self) -> int:
-        return len(self._intervals)
+        return len(self.intervals)
 
     def __bool__(self) -> bool:
-        return bool(self._intervals)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FrequencySet):
-            return NotImplemented
-        return self._intervals == other._intervals
-
-    def __hash__(self) -> int:
-        return hash(self._intervals)
+        return bool(self.intervals)
 
     def __repr__(self) -> str:
-        body = ", ".join(f"[{iv.lo:g}, {iv.hi:g})" for iv in self._intervals)
+        body = ", ".join(f"[{iv.lo:g}, {iv.hi:g})" for iv in self.intervals)
         return f"FrequencySet({body})"
 
     def measure(self) -> float:
         """Total width in Hz (Lebesgue measure)."""
-        return sum(iv.width for iv in self._intervals)
+        return sum(iv.width for iv in self.intervals)
 
     def union(self, other: "FrequencySet") -> "FrequencySet":
-        return FrequencySet(self._intervals + other._intervals)
+        return FrequencySet(self.intervals + other.intervals)
 
     def intersection(self, other: "FrequencySet") -> "FrequencySet":
         out = []
-        for a in self._intervals:
-            for b in other._intervals:
+        for a in self.intervals:
+            for b in other.intervals:
                 lo = max(a.lo, b.lo)
                 hi = min(a.hi, b.hi)
                 if lo < hi:
@@ -128,23 +112,30 @@ class FrequencySet:
     def contains_array(self, f: np.ndarray) -> np.ndarray:
         """Vectorized membership test on an array of frequencies."""
         mask = np.zeros(np.shape(f), dtype=bool)
-        for iv in self._intervals:
+        for iv in self.intervals:
             mask |= (f >= iv.lo) & (f < iv.hi)
         return mask
 
     def shifted(self, df: float) -> "FrequencySet":
-        return FrequencySet((iv.lo + df, iv.hi + df) for iv in self._intervals)
+        return FrequencySet((iv.lo + df, iv.hi + df) for iv in self.intervals)
 
     def mirrored(self) -> "FrequencySet":
         """Reflection through f = 0 (the negative-frequency image)."""
-        return FrequencySet((-iv.hi, -iv.lo) for iv in self._intervals)
+        return FrequencySet((-iv.hi, -iv.lo) for iv in self.intervals)
 
     def within(self, lo: float, hi: float, tol: float = 0.0) -> bool:
-        return all(iv.lo >= lo - tol and iv.hi <= hi + tol for iv in self._intervals)
+        return all(iv.lo >= lo - tol and iv.hi <= hi + tol for iv in self.intervals)
 
     def to_pairs(self) -> list[list[float]]:
         """Serialize as [[lo_hz, hi_hz], ...] for configs and reports."""
-        return [[iv.lo, iv.hi] for iv in self._intervals]
+        return [[iv.lo, iv.hi] for iv in self.intervals]
+
+
+def mask_runs(mask: np.ndarray | Sequence[bool]) -> list[tuple[int, int]]:
+    """The [start, stop) index pairs, as Python ints, of the runs of True in
+    a 1-D boolean mask, in order."""
+    edges = np.flatnonzero(np.diff(np.asarray(mask, dtype=np.int8), prepend=0, append=0))
+    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
 
 
 def slice_count(f_nyq: float, f_s: float, f_p: float) -> int:
@@ -291,30 +282,9 @@ class SliceSupport:
             raise ValueError(f"slice index {self.indices[-1]} out of range (N={n_slices})")
         return self
 
-    def union(self, other: "SliceSupport") -> "SliceSupport":
-        return SliceSupport(self.indices + other.indices)
-
-    def difference(self, other: "SliceSupport") -> "SliceSupport":
-        drop = set(other.indices)
-        return SliceSupport(i for i in self.indices if i not in drop)
-
     def intersection(self, other: "SliceSupport") -> "SliceSupport":
         keep = set(other.indices)
         return SliceSupport(i for i in self.indices if i in keep)
-
-    def symmetrized(self, n_slices: int) -> "SliceSupport":
-        """Add the mirror slice N - i of every member.
-
-        Slice i and N - i hold conjugate content for a real signal. Index 0
-        has no in-range mirror and is kept alone.
-        """
-        self.validate(n_slices)
-        out = set(self.indices)
-        for i in self.indices:
-            j = n_slices - i
-            if 0 <= j < n_slices:
-                out.add(j)
-        return SliceSupport(out)
 
     def to_array(self) -> np.ndarray:
         return np.asarray(self.indices, dtype=int)

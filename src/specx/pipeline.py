@@ -1152,10 +1152,16 @@ def _sensing_setups(
 ) -> list[_SensingSetup]:
     """The setup of each sensing-sweep point, point i's front end having
     counts[i] channels: one avoid zone and one radar per sweep, and one
-    front end per distinct channel count."""
+    front end per distinct channel count, with the caches the pursuits read
+    (column norms, matched filters, the QR of the radar's known columns)
+    filled here, so that no child process builds them again."""
     avoid = _radar_avoid_zone(cfg.grid, cfg.radar)
     emission, s_r = _radar_emission(cfg.rem, cfg.radar, grid)
     fronts = {m: _sensing_matrix(cfg.seed, cfg.grid.n_chips, grid, m) for m in set(counts)}
+    for a in fronts.values():
+        a.matched_filters  # fills col_norms too
+        if s_r:
+            a.column_basis(s_r)
     return [_SensingSetup(grid, fronts[m], avoid, emission, s_r) for m in counts]
 
 
@@ -1452,10 +1458,11 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     slice index map, and the REM and radar avoid zone once per sweep; the
     MWC front end, with its column norms, matched filters and the QR of the
     radar's known columns, once per sweep for snr and once per channel count
-    for channels; the radar bands, waveform, emission variance profile and
-    slices once per sweep, selected against an empty comm map, because the
-    comm carriers are drawn clear of the radar band and the REM span, so a
-    trial only draws the emission. For band_placement:
+    for channels, those caches filled before any trial (_sensing_setups) so
+    that no child builds them; the radar bands, waveform, emission variance
+    profile and slices once per sweep, selected against an empty comm map,
+    because the comm carriers are drawn clear of the radar band and the REM
+    span, so a trial only draws the emission. For band_placement:
     the waveform, kappa, partial Fourier frame and what Doppler focusing
     and the pursuit take from them once per band set, so once per layout
     however many SNRs share it; the focused noise variance and GLRT

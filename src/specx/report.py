@@ -170,49 +170,38 @@ def emit_report(
     return written
 
 
+def _read_csv(path: Path) -> tuple[tuple[str, ...], list[dict[str, Any]]]:
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ReportError(f"{path} is empty (expected a header row)")
+    cols = tuple(rows[0])
+    return cols, [{c: _parse_cell(v) for c, v in zip(cols, row)} for row in rows[1:]]
+
+
 def load_report(out_dir: str | Path, run_id: str, format: str = "json") -> RunReport:
     """Reload an emitted report; inverse of emit_report for either format."""
     out = Path(out_dir)
     if format == "json":
-        docs = {}
+        tables, metas = [], []
         for kind in ("aggregate", "trials"):
             path = out / f"{run_id}-{kind}.json"
-            docs[kind] = json.loads(path.read_text(encoding="utf-8"))
-            if docs[kind].get("run_id") != run_id:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            if doc.get("run_id") != run_id:
                 raise ReportError(f"{path} does not belong to run {run_id}")
-        if docs["aggregate"]["meta"] != docs["trials"]["meta"]:
+            cols = tuple(doc["columns"])
+            tables.append((cols, [dict(zip(cols, row)) for row in doc["rows"]]))
+            metas.append(doc["meta"])
+        if metas[0] != metas[1]:
             raise ReportError("metadata disagrees between table files")
-
-        def rows_of(doc: Mapping[str, Any]) -> list[dict[str, Any]]:
-            cols = doc["columns"]
-            return [dict(zip(cols, row)) for row in doc["rows"]]
-
-        return RunReport(
-            run_id=run_id,
-            meta=docs["aggregate"]["meta"],
-            aggregate_columns=tuple(docs["aggregate"]["columns"]),
-            aggregates=tuple(rows_of(docs["aggregate"])),
-            trial_columns=tuple(docs["trials"]["columns"]),
-            trials=tuple(rows_of(docs["trials"])),
-        )
-    if format != "csv":
+        meta = metas[0]
+    elif format == "csv":
+        tables = [_read_csv(out / f"{run_id}-{kind}.csv") for kind in ("aggregate", "trials")]
+        _, meta_rows = _read_csv(out / f"{run_id}-meta.csv")
+        meta = {str(r["key"]): r["value"] for r in meta_rows}
+    else:
         raise ReportError("format must be 'csv' or 'json'")
-
-    def read_table(path: Path) -> tuple[tuple[str, ...], tuple[dict[str, Any], ...]]:
-        with path.open("r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows:
-            raise ReportError(f"{path} is empty (expected a header row)")
-        cols = tuple(rows[0])
-        parsed = tuple(
-            {c: _parse_cell(v) for c, v in zip(cols, row)} for row in rows[1:]
-        )
-        return cols, parsed
-
-    agg_cols, agg_rows = read_table(out / f"{run_id}-aggregate.csv")
-    tri_cols, tri_rows = read_table(out / f"{run_id}-trials.csv")
-    _, meta_rows = read_table(out / f"{run_id}-meta.csv")
-    meta = {str(r["key"]): r["value"] for r in meta_rows}
+    (agg_cols, agg_rows), (tri_cols, tri_rows) = tables
     return RunReport(
         run_id=run_id,
         meta=meta,

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .freqs import FrequencyInterval, FrequencySet, GridSpec, SliceSupport
+from .freqs import FrequencyInterval, FrequencySet, GridSpec, SliceSupport, mask_runs
 from .mwc import ChannelSamples, SensingMatrix
 
 __all__ = [
@@ -399,11 +399,8 @@ def refine_support_by_energy(
         else:
             cutoff = ref * 10.0 ** (-thresh_db / 10.0)
             keep = psd[i] >= cutoff if cutoff > 0 else psd[i] > 0
-        if not keep.any():
-            continue
         center = grid.slice_center(int(i))
-        edges = np.flatnonzero(np.diff(np.concatenate(([0], keep.view(np.int8), [0]))))
-        for lo_idx, hi_idx in zip(edges[::2], edges[1::2]):
+        for lo_idx, hi_idx in mask_runs(keep):
             intervals.append(
                 FrequencyInterval(
                     center + freqs[lo_idx] - half_bin,

@@ -40,8 +40,6 @@ __all__ = [
     "radar_emission",
     "draw_radar_emission",
     "draw_radar_emission_batch",
-    "slices_from_dense",
-    "dense_from_slices",
 ]
 
 _SHAPES = ("flat", "raised-cosine")
@@ -87,25 +85,6 @@ class SliceSpectrum:
         if other.grid != self.grid:
             raise ValueError("grids differ")
         return SliceSpectrum(self.values + other.values, self.grid)
-
-
-def slices_from_dense(dense: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Gather the slice stack from a dense global spectrum."""
-    dense = np.asarray(dense)
-    if dense.shape != (grid.dense_size,):
-        raise ValueError("dense array has wrong length")
-    return dense[grid.dense_index_map()]
-
-
-def dense_from_slices(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Scatter a slice stack back onto the dense grid, averaging overlaps."""
-    idx = grid.dense_index_map().ravel()
-    acc = np.zeros(grid.dense_size, dtype=np.complex128)
-    cnt = np.zeros(grid.dense_size, dtype=np.int64)
-    np.add.at(acc, idx, np.asarray(values, dtype=np.complex128).ravel())
-    np.add.at(cnt, idx, 1)
-    cnt[cnt == 0] = 1
-    return acc / cnt
 
 
 def _band_weights(freqs: np.ndarray, spec: CommTransmissionSpec, delta_f: float) -> np.ndarray:
@@ -384,10 +363,6 @@ class TargetScene:
     def __len__(self) -> int:
         return self.delays.size
 
-    def validate_against(self, train: PulseTrainSpec) -> "TargetScene":
-        check_scenes_in_train(self.delays, self.dopplers, train)
-        return self
-
 
 def check_scenes(delays: np.ndarray, dopplers: np.ndarray, amplitudes: np.ndarray) -> None:
     """TargetScene's checks on (B, L) stacks of B scenes, row b holding scene
@@ -399,7 +374,8 @@ def check_scenes(delays: np.ndarray, dopplers: np.ndarray, amplitudes: np.ndarra
 
 
 def check_scenes_in_train(delays: np.ndarray, dopplers: np.ndarray, train: PulseTrainSpec) -> None:
-    """TargetScene.validate_against on delay and Doppler arrays of any shape."""
+    """Check that targets with these delays and Dopplers, arrays of any
+    shape, sit in train's unambiguous range and Doppler span."""
     if np.any(delays >= train.pri):
         raise ValueError("delays must be < pri (unambiguous range)")
     if np.any(np.abs(dopplers) > 0.5 / train.pri + 1e-12 / train.pri):
@@ -489,9 +465,9 @@ class RadarEmission(NamedTuple):
     positions the emission occupies and the standard deviation drawn at
     each. All arrays are read-only and empty when the emission carries no
     power. The pipeline builds one per radar band selection and draws each
-    sensing pass's radar from it with draw_radar_emission. The same profile
-    carries ambient noise: gen_comm_slices_batch draws its flat per-bin
-    noise_psd through one."""
+    sensing pass's radar from it with draw_radar_emission_batch. The same
+    profile carries ambient noise: gen_comm_slices_batch draws its flat
+    per-bin noise_psd through one."""
 
     grid: GridSpec
     pairs: np.ndarray  # positions drawn as complex values, below their mirrors
@@ -593,8 +569,9 @@ def radar_slices(
     is proportional to the band overlap with each bin's cell, so bands much
     narrower than the bin spacing still carry their full power. Only the
     slice support of this spectrum matters downstream. This is
-    draw_radar_emission of radar_emission, bit for bit; the pipeline calls
-    those two directly, so that a run drawing many times from one emission
-    builds its profile once.
+    draw_radar_emission of radar_emission, bit for bit; the pipeline builds
+    the profile with radar_emission and draws from it with
+    draw_radar_emission_batch, so that a run drawing many times from one
+    emission builds its profile once.
     """
     return draw_radar_emission(radar_emission(waveform, carrier, grid, power_scale), seed)

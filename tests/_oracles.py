@@ -48,6 +48,17 @@ def off_slices(f_c_pairs, support, grid):
     return f_c.measure() - f_c.intersection(slices).measure()
 
 
+def dense_from_slices(values, grid):
+    """Scatter a slice stack back onto the dense grid, averaging overlaps."""
+    idx = grid.dense_index_map().ravel()
+    acc = np.zeros(grid.dense_size, dtype=np.complex128)
+    cnt = np.zeros(grid.dense_size, dtype=np.int64)
+    np.add.at(acc, idx, np.asarray(values, dtype=np.complex128).ravel())
+    np.add.at(cnt, idx, 1)
+    cnt[cnt == 0] = 1
+    return acc / cnt
+
+
 def mixed_channel_spectrum(x, seqs, grid):
     """Spectrum of lowpass(p_i(t) * x(t)) on the in-slice grid, per channel.
 
@@ -57,8 +68,6 @@ def mixed_channel_spectrum(x, seqs, grid):
     is projected back onto the tones inside [-f_s/2, f_s/2).  The projection
     integral is evaluated exactly on every chip interval.
     """
-    from specx import dense_from_slices
-
     if abs(grid.f_s - grid.f_p) > 1e-9 * grid.f_p:
         raise ValueError("oracle assumes f_s == f_p")
     dense = dense_from_slices(x.values, grid)
@@ -245,8 +254,8 @@ def mask_comm_per_band(rem, f_c):
 
     energies = np.array(rem.energies)
     for i in range(rem.q):
-        iv = rem.band_interval(i)
-        band = FrequencySet([(iv.lo, iv.hi)])
+        lo = i * rem.b_y - rem.width / 2.0
+        band = FrequencySet([(lo, lo + rem.b_y)])
         if band.intersection(f_c).measure() > 0:
             energies[i] = np.inf
     return energies
@@ -668,18 +677,19 @@ def sensing_trial_per_call(cfg, tag, snr_db, comm_snr, n_channels, point_idx, tr
 
 
 def comm_support_per_trial(est, s_r, prune_db):
-    """The one-refit comm read-out as first written, on SliceSupport set
+    """The one-refit comm read-out as first written, on Python set
     operations: the refit's support less s_r, pruned to the slices within
-    prune_db of the strongest, symmetrized."""
+    prune_db of the strongest, then each kept slice i joined by its mirror
+    n_slices - i (slice 0 has none)."""
     from specx import SliceSupport
 
-    comm = est.support.difference(s_r)
+    comm = sorted(set(est.support) - set(s_r))
     if prune_db is not None and comm:
         energies = np.sum(np.abs(est.x_hat) ** 2, axis=1)
-        rows = comm.to_array()
-        floor = float(energies[rows].max()) * 10.0 ** (-prune_db / 10.0)
-        comm = SliceSupport(int(i) for i in rows if energies[i] >= floor)
-    return comm.symmetrized(est.grid.n_slices)
+        floor = float(energies[comm].max()) * 10.0 ** (-prune_db / 10.0)
+        comm = [i for i in comm if energies[i] >= floor]
+    n = est.grid.n_slices
+    return SliceSupport(set(comm) | {n - i for i in comm if i > 0})
 
 
 def trial_snr(cfg, task):
@@ -734,8 +744,9 @@ def radar_fourier_coeffs_one_scene(scene, waveform, train, kappa, noise_var, see
     import math
 
     from specx.rng import derive_rng
+    from specx.signals import check_scenes_in_train
 
-    scene.validate_against(train)
+    check_scenes_in_train(scene.delays, scene.dopplers, train)
     k_c = kappa.centered()
     h = waveform.values_at(k_c)
     p = np.arange(train.n_pulses)

@@ -24,13 +24,18 @@ def _modules():
     ]
 
 
-def test_tracer_layers_exist():
-    """perfbench's tracer wraps each LAYERS name on specx.<layer> and fails
-    on a missing one, so a deleted name breaks every traced run."""
+def _tracer():
     path = ROOT / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("_specx_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_layers_exist():
+    """perfbench's tracer wraps each LAYERS name on specx.<layer> and fails
+    on a missing one, so a deleted name breaks every traced run."""
+    tracer = _tracer()
     missing = [
         f"{layer}.{name}"
         for layer, names in tracer.LAYERS.items()
@@ -66,6 +71,31 @@ def test_engine_imports_no_specx_module():
     ]
     assert [name for name in imported if name.split(".")[0] in ("", "specx")] == []
     assert specx.WorkerDied is engine.WorkerDied
+
+
+def test_every_exported_name_has_a_user():
+    """Each name in a specx module's __all__ is used in specx outside its
+    own definition, traced by perfbench, or named in the README, so a
+    public helper that only tests call does not linger. Imports and
+    __all__ entries are not uses."""
+    used, exported = set(), []
+    for path in sorted(Path(specx.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            own = getattr(stmt, "name", None)  # a def or class does not use itself
+            used |= {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))
+            } - {own}
+            targets = [getattr(t, "id", None) for t in getattr(stmt, "targets", ())]
+            if targets == ["__all__"]:
+                exported += [(path.stem, entry.value) for entry in stmt.value.elts]
+    traced = {name for names in _tracer().LAYERS.values() for name in names}
+    readme = (ROOT / "README.md").read_text()
+    orphans = [
+        f"{module}.{name}" for module, name in exported
+        if name not in used | traced and not re.search(rf"\b{name}\b", readme)
+    ]
+    assert orphans == []
 
 
 def test_readme_quick_start_runs():

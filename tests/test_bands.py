@@ -35,8 +35,9 @@ def test_rem_grid_geometry():
     assert rem.q == 4
     assert rem.width == 400e3
     assert rem.span.to_pairs() == [[-200e3, 200e3]]
-    iv = rem.band_interval(0)
-    assert (iv.lo, iv.hi) == (-200e3, -100e3)
+    # band 0 is [-200 kHz, -100 kHz): masking exactly that masks band 0 alone
+    masked = mask_comm(rem, FrequencySet([(-200e3, -100e3)]))
+    assert np.isinf(masked.energies).tolist() == [True, False, False, False]
 
 
 def test_mask_comm_marks_overlapping_bands():
@@ -46,9 +47,9 @@ def test_mask_comm_marks_overlapping_bands():
     # manual overlap check against each band window
     want = []
     for i in range(8):
-        iv = rem.band_interval(i)
-        overlap = max(0.0, min(iv.hi, -120e3) - max(iv.lo, -150e3)) > 0 or max(
-            0.0, min(iv.hi, 420e3) - max(iv.lo, 350e3)
+        lo, hi = i * 100e3 - 400e3, (i + 1) * 100e3 - 400e3
+        overlap = max(0.0, min(hi, -120e3) - max(lo, -150e3)) > 0 or max(
+            0.0, min(hi, 420e3) - max(lo, 350e3)
         ) > 0
         want.append(overlap)
     got = ~np.isfinite(masked.energies)

@@ -101,6 +101,56 @@ def test_child_failure_that_does_not_pickle_raises_its_repr(two_cpus, monkeypatc
     assert multiprocessing.active_children() == []
 
 
+def test_slow_caller_leaves_the_rest_to_the_child(two_cpus, monkeypatch):
+    """The calling process claims first; while its batch runs, its child
+    claims every other run, in shrinking claims."""
+    caller_claims_first(monkeypatch)
+    tasks = toy_tasks((5, 5, 5))
+    child_done = multiprocessing.Event()
+
+    def batch(claimed):
+        if multiprocessing.parent_process() is None:
+            child_done.wait(timeout=30)
+        elif claimed[-1] == tasks[-1]:
+            child_done.set()
+        return [{"pid": os.getpid(), "claim": len(claimed)} for _ in claimed]
+
+    measured = engine._run_split(batch, tasks, 2)
+    assert child_done.is_set()
+    caller = [m["pid"] == os.getpid() for m in measured]
+    assert caller == [True] * 5 + [False] * 10
+    assert [m["claim"] for m in measured] == [5] * 10 + [3] * 3 + [1, 1]
+    assert multiprocessing.active_children() == []
+
+
+def test_more_processes_than_cores_claim_each_task_once():
+    """Four processes on two cores hammer one cursor with empty batches:
+    each task still runs exactly once and comes back in its place."""
+    tasks = toy_tasks((1,) * 40 + (37,) * 6 + (3,) * 20)
+    index = {task: j for j, task in enumerate(tasks)}
+    for _ in range(20):
+        runs = multiprocessing.Array("i", len(tasks))
+
+        def batch(claimed):
+            for task in claimed:
+                with runs.get_lock():
+                    runs[index[task]] += 1
+            return [{"task": task} for task in claimed]
+
+        assert engine._run_split(batch, tasks, 4) == [{"task": task} for task in tasks]
+        assert runs[:] == [1] * len(tasks)
+        assert multiprocessing.active_children() == []
+
+
+def run_python(code, timeout, *args):
+    """Run code in a fresh interpreter that imports this specx, with args as
+    its sys.argv[1:]."""
+    src = str(Path(engine.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          timeout=timeout, env={**os.environ, "PYTHONPATH": path})
+
+
 def run_script(tmp_path, code, timeout):
     """Run code as a script file in a fresh interpreter that imports this
     specx, so that spawned children can import the script's functions."""
@@ -204,6 +254,73 @@ def test_child_dying_on_its_payload_raises_worker_died_under_every_start_method(
         f"spawn {died}\nspawn 3 []\nforkserver {died}\nforkserver 3 []\n"
     )
     assert proc.stderr.count(f"error: a sweep worker died: {died}\n") == 2
+
+
+_FORKSERVER_START_FAILURE = """
+import functools, multiprocessing, operator
+from specx import WorkerDied, engine
+
+class FailsToUnpickle:
+    def __reduce__(self):
+        return operator.truediv, (1, 0)
+
+multiprocessing.set_start_method("forkserver")
+# the child dies unpickling the first argument while the caller still
+# writes the second, 2 MiB, into its pipe
+batch = functools.partial(len, FailsToUnpickle(), bytes(2 << 20))
+try:
+    engine._run_split(batch, [(0, 0), (0, 1)], 2)
+except WorkerDied as exc:
+    print(exc)
+print(multiprocessing.active_children())
+"""
+
+
+def test_child_dying_at_forkserver_start_raises_worker_died():
+    """Under forkserver a child that dies while it unpickles its payload
+    breaks the pipe the caller writes the payload into; that raises
+    WorkerDied naming the child, which the CLI reports with exit code 3."""
+    proc = run_python(_FORKSERVER_START_FAILURE, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "specx-share-1 died while it was started\n[]\n"
+
+
+_CHILD_DIES_HOLDING_THE_LOCK = """
+import multiprocessing, os
+from specx import WorkerDied, engine
+
+multiprocessing.set_start_method("fork")
+caller, claim, held = os.getpid(), engine._claim, multiprocessing.Event()
+
+def dying_claim(ends, w, cursor, lock):
+    if os.getpid() != caller:  # the child takes the lock and never releases it
+        lock.acquire()
+        held.set()
+        os._exit(7)
+    return claim(ends, w, cursor, lock)
+
+def batch(claimed):
+    held.wait(30)  # the caller's next claim comes after the child died
+    return [{} for _ in claimed]
+
+engine._claim = dying_claim
+try:
+    engine._run_split(batch, [(0, t) for t in range(4)], 2)
+except WorkerDied as exc:
+    print(exc)
+print(multiprocessing.active_children())
+"""
+
+
+def test_child_dying_with_the_claim_lock_raises_worker_died():
+    """A child that exits while it holds the claim lock never releases it;
+    the caller's next claim raises WorkerDied naming the child instead of
+    waiting on the lock for ever."""
+    proc = run_python(_CHILD_DIES_HOLDING_THE_LOCK, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "specx-share-1 exited with code 7 while the claim lock was held\n[]\n"
+    )
 
 
 _START_METHOD_LEFT_UNSET = """

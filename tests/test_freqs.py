@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specx import FrequencyInterval, FrequencySet, GridSpec, SliceSupport, slice_count
+from specx.freqs import mask_runs
 
 
 def fset(pairs):
@@ -41,8 +42,8 @@ def test_pickle_and_deepcopy_give_back_an_equal_set():
     s = fset([(0, 2), (5, 7.5)])
     for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
         assert copied == s and copied.intervals == s.intervals
-        with pytest.raises(AttributeError, match="immutable"):
-            copied._intervals = ()
+        with pytest.raises(AttributeError, match="cannot assign to field 'intervals'"):
+            copied.intervals = ()
     assert pickle.loads(pickle.dumps(FrequencySet())) == FrequencySet()
 
 
@@ -188,8 +189,6 @@ def test_support_set_semantics():
     s = SliceSupport([4, 2, 2, 9])
     assert list(s) == [2, 4, 9]
     assert len(s) == 3 and 4 in s and 5 not in s
-    assert list(s.union(SliceSupport([5]))) == [2, 4, 5, 9]
-    assert list(s.difference(SliceSupport([2, 9]))) == [4]
     assert list(s.intersection(SliceSupport([4, 7]))) == [4]
     np.testing.assert_array_equal(s.to_array(), [2, 4, 9])
     with pytest.raises(ValueError):
@@ -198,17 +197,10 @@ def test_support_set_semantics():
         s.validate(9)
 
 
-def test_support_symmetrization():
-    n = 20
-    s = SliceSupport([3, 10]).symmetrized(n)
-    assert list(s) == [3, 10, 17]  # 10 is the baseband slice, self-mirrored
-    assert list(SliceSupport([0]).symmetrized(n)) == [0]  # edge has no mirror
-
-
 @settings(max_examples=100, deadline=None)
-@given(st.sets(st.integers(min_value=0, max_value=19), max_size=8))
-def test_symmetrized_is_idempotent_and_contains_original(idx):
-    s = SliceSupport(idx)
-    sym = s.symmetrized(20)
-    assert set(s).issubset(set(sym))
-    assert sym.symmetrized(20) == sym
+@given(st.lists(st.booleans(), max_size=12))
+def test_mask_runs_are_the_true_runs_as_python_ints(bits):
+    runs = mask_runs(np.array(bits, dtype=bool))
+    assert all(type(i) is int for run in runs for i in run)
+    assert [i for lo, hi in runs for i in range(lo, hi)] == [i for i, b in enumerate(bits) if b]
+    assert all(hi < lo2 for (_, hi), (lo2, _) in zip(runs, runs[1:]))  # maximal runs

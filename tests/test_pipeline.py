@@ -9,10 +9,7 @@ import json
 import math
 import multiprocessing
 import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +32,7 @@ from specx import (
     sweep,
 )
 from specx import engine, pipeline
-from test_engine import caller_claims_first, toy_tasks
+from test_engine import caller_claims_first, run_python, toy_tasks
 
 
 @pytest.fixture(scope="module")
@@ -45,15 +42,6 @@ def desk():
 
 def small_sweep(cfg, **changes):
     return dataclasses.replace(cfg, sweep=dataclasses.replace(cfg.sweep, **changes))
-
-
-def run_python(code, timeout, *args):
-    """Run code in a fresh interpreter that imports this specx, with args as
-    its sys.argv[1:]."""
-    src = str(Path(pipeline.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                          timeout=timeout, env={**os.environ, "PYTHONPATH": path})
 
 
 # -- configuration ------------------------------------------------------------
@@ -830,6 +818,45 @@ def test_parallel_sweep_builds_each_setup_once(desk, two_cpus, monkeypatch, axis
     assert built.value == builds
 
 
+@pytest.mark.parametrize(
+    "axis, changes, fronts",
+    [
+        ("snr", {"snr_db": (0.0, 10.0), "n_trials": 3}, 1),
+        ("channels", {"channel_counts": (12, 18), "n_trials": 3}, 2),
+    ],
+    ids=["snr", "channels"],
+)
+def test_parallel_sensing_sweep_builds_front_end_caches_once(desk, two_cpus, monkeypatch, axis,
+                                                             changes, fronts):
+    """At two workers the QR of the radar's known columns is built once per
+    front end, in the calling process with the setups: the child, which
+    runs pursuits of its own, inherits it and builds none."""
+    cfg = small_sweep(desk, **changes)
+    expected = sweep(cfg, axis, workers=1)
+    caller_qrs, child_qrs = multiprocessing.Value("i", 0), multiprocessing.Value("i", 0)
+    child_pursued = multiprocessing.Event()
+    qr, pursue = np.linalg.qr, pipeline.omp_pks_batch
+
+    def counted_qr(*args, **kwargs):
+        calls = child_qrs if multiprocessing.parent_process() else caller_qrs
+        with calls.get_lock():
+            calls.value += 1
+        return qr(*args, **kwargs)
+
+    def pursue_after_the_child(*args, **kwargs):
+        if multiprocessing.parent_process() is None:
+            child_pursued.wait(timeout=30)
+        else:
+            child_pursued.set()
+        return pursue(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(pipeline, "omp_pks_batch", pursue_after_the_child)
+    assert sweep(cfg, axis, workers=2) == expected
+    assert child_pursued.is_set()
+    assert (caller_qrs.value, child_qrs.value) == (fronts, 0)
+
+
 def test_plan_failure_raises_before_any_trial(desk, two_cpus, monkeypatch):
     """A setup that cannot be built raises from the plan: no share of
     trials runs and no child starts."""
@@ -934,47 +961,6 @@ def test_claims_take_every_task_once_in_order(sizes, w):
         assert calls == batches
 
 
-def test_slow_caller_leaves_the_rest_to_the_child(two_cpus, monkeypatch):
-    """The calling process claims first; while its batch runs, its child
-    claims every other run, in shrinking claims."""
-    caller_claims_first(monkeypatch)
-    tasks = toy_tasks((5, 5, 5))
-    child_done = multiprocessing.Event()
-
-    def batch(claimed):
-        if multiprocessing.parent_process() is None:
-            child_done.wait(timeout=30)
-        elif claimed[-1] == tasks[-1]:
-            child_done.set()
-        return [{"pid": os.getpid(), "claim": len(claimed)} for _ in claimed]
-
-    measured = engine._run_split(batch, tasks, 2)
-    assert child_done.is_set()
-    caller = [m["pid"] == os.getpid() for m in measured]
-    assert caller == [True] * 5 + [False] * 10
-    assert [m["claim"] for m in measured] == [5] * 10 + [3] * 3 + [1, 1]
-    assert multiprocessing.active_children() == []
-
-
-def test_more_processes_than_cores_claim_each_task_once():
-    """Four processes on two cores hammer one cursor with empty batches:
-    each task still runs exactly once and comes back in its place."""
-    tasks = toy_tasks((1,) * 40 + (37,) * 6 + (3,) * 20)
-    index = {task: j for j, task in enumerate(tasks)}
-    for _ in range(20):
-        runs = multiprocessing.Array("i", len(tasks))
-
-        def batch(claimed):
-            for task in claimed:
-                with runs.get_lock():
-                    runs[index[task]] += 1
-            return [{"task": task} for task in claimed]
-
-        assert engine._run_split(batch, tasks, 4) == [{"task": task} for task in tasks]
-        assert runs[:] == [1] * len(tasks)
-        assert multiprocessing.active_children() == []
-
-
 class _SignalledFailure(engine._Failure):
     """A process's pinned failure that also sets pinned, an Event: a process
     builds it only after it has moved the cursor to the end."""
@@ -1024,73 +1010,6 @@ def test_lowest_failing_index_wins_in_caller_or_child(two_cpus, monkeypatch, fai
     assert (pids[min(failing)] == os.getpid()) == (where == "caller")
     assert ran[:] == [1] * 6 + [int(where == "child")] * 2
     assert multiprocessing.active_children() == []
-
-
-_FORKSERVER_START_FAILURE = """
-import functools, multiprocessing, operator
-from specx import WorkerDied, engine
-
-class FailsToUnpickle:
-    def __reduce__(self):
-        return operator.truediv, (1, 0)
-
-multiprocessing.set_start_method("forkserver")
-# the child dies unpickling the first argument while the caller still
-# writes the second, 2 MiB, into its pipe
-batch = functools.partial(len, FailsToUnpickle(), bytes(2 << 20))
-try:
-    engine._run_split(batch, [(0, 0), (0, 1)], 2)
-except WorkerDied as exc:
-    print(exc)
-print(multiprocessing.active_children())
-"""
-
-
-def test_child_dying_at_forkserver_start_raises_worker_died():
-    """Under forkserver a child that dies while it unpickles its payload
-    breaks the pipe the caller writes the payload into; that raises
-    WorkerDied naming the child, which the CLI reports with exit code 3."""
-    proc = run_python(_FORKSERVER_START_FAILURE, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "specx-share-1 died while it was started\n[]\n"
-
-
-_CHILD_DIES_HOLDING_THE_LOCK = """
-import multiprocessing, os
-from specx import WorkerDied, engine
-
-multiprocessing.set_start_method("fork")
-caller, claim, held = os.getpid(), engine._claim, multiprocessing.Event()
-
-def dying_claim(ends, w, cursor, lock):
-    if os.getpid() != caller:  # the child takes the lock and never releases it
-        lock.acquire()
-        held.set()
-        os._exit(7)
-    return claim(ends, w, cursor, lock)
-
-def batch(claimed):
-    held.wait(30)  # the caller's next claim comes after the child died
-    return [{} for _ in claimed]
-
-engine._claim = dying_claim
-try:
-    engine._run_split(batch, [(0, t) for t in range(4)], 2)
-except WorkerDied as exc:
-    print(exc)
-print(multiprocessing.active_children())
-"""
-
-
-def test_child_dying_with_the_claim_lock_raises_worker_died():
-    """A child that exits while it holds the claim lock never releases it;
-    the caller's next claim raises WorkerDied naming the child instead of
-    waiting on the lock for ever."""
-    proc = run_python(_CHILD_DIES_HOLDING_THE_LOCK, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (
-        "specx-share-1 exited with code 7 while the claim lock was held\n[]\n"
-    )
 
 
 # -- batched sensing sweep points against the one-by-one oracle ------------------
@@ -1256,7 +1175,7 @@ def test_stacked_scene_draw_equals_first_written_draws(preset, n_targets, size):
 
 
 def test_scene_stack_checks_keep_their_messages(desk):
-    """TargetScene's checks and validate_against's, run once on a batch's
+    """TargetScene's checks and check_scenes_in_train, run once on a batch's
     stacks, reject a bad target in any row with the lone scene's message."""
     from specx.signals import check_scenes, radar_fourier_coeffs_batch
 

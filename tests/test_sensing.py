@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specx import (
     CommTransmissionSpec,
@@ -23,7 +25,7 @@ from specx import (
     xample,
 )
 from specx.mwc import ChannelSamples
-from specx.sensing import build_frame_batch, refine_support_by_energy
+from specx.sensing import build_frame_batch, comm_supports, refine_support_by_energy
 
 GRID = GridSpec(f_nyq=380e6, f_p=20e6, f_s=20e6, n_grid=8)  # 20 slices
 
@@ -92,7 +94,7 @@ def test_omp_pks_keeps_known_support():
     a, _, z, _, s_c = observe(TX, m=12)
     got = omp_pks(build_frame(z), a, radar, k_extra=8)
     assert set(radar).issubset(set(got))
-    assert got.difference(radar) == s_c
+    assert SliceSupport(set(got) - set(radar)) == s_c
 
 
 def test_omp_pks_zero_input_returns_seed():
@@ -124,7 +126,7 @@ def test_recover_slices_minimum_norm_when_support_exceeds_channels():
     # a greedy support may outgrow the channel count (its budget is not
     # capped at m); the fit must still reproduce the observations
     a, x, z, _, s_c = observe(TX, m=6)
-    wide = s_c.union(SliceSupport(range(8)))
+    wide = SliceSupport([*s_c, *range(8)])
     assert len(wide) > a.m
     est = recover_slices(z, a, wide)
     np.testing.assert_allclose(a.a @ est.x_hat, z.z, atol=1e-8)
@@ -133,7 +135,7 @@ def test_recover_slices_minimum_norm_when_support_exceeds_channels():
 def test_radar_slice_support_two_sided():
     f_r = FrequencySet([(148e6, 152e6)])
     s = radar_slice_support(f_r, GRID)
-    assert s == s.symmetrized(GRID.n_slices)
+    assert {GRID.n_slices - i for i in s} == set(s)  # no slice 0, which has no mirror
     centers = GRID.slice_center(s.to_array())
     assert np.any(np.abs(centers - 150e6) <= 12e6)
     assert np.any(np.abs(centers + 150e6) <= 12e6)
@@ -147,7 +149,7 @@ def test_support_to_freqs_slice_granular():
 
 def test_refine_support_drops_empty_slice():
     a, x, z, _, s_c = observe(TX, m=12)
-    padded = s_c.union(SliceSupport([GRID.center_slice]))  # quiet slice
+    padded = SliceSupport([*s_c, GRID.center_slice])  # quiet slice
     est = recover_slices(z, a, padded)
     kept = refine_support_by_energy(est, padded, GRID, thresh_db=40.0)
     assert support_to_freqs(s_c, GRID).intersection(kept).measure() > 0
@@ -155,13 +157,13 @@ def test_refine_support_drops_empty_slice():
 
 
 def test_sense_spectrum_end_to_end_noiseless():
-    radar = SliceSupport([3]).symmetrized(GRID.n_slices)
+    radar = SliceSupport([3, GRID.n_slices - 3])
     a = bank(12)
     x, f_c, s_c = gen_comm_slices(TX, GRID, seed=21)
     z = xample(x, a)
     result = sense_spectrum(z, a, GRID, s_r=radar, n_sig_cap=2)
     assert result.comm_support == s_c
-    assert result.support == s_c.union(radar)
+    assert result.support == SliceSupport([*s_c, *radar])
     assert result.f_c.contains_array(np.array([tx.carrier for tx in TX])).all()
     assert 1 <= result.frame_rank <= a.m
     assert result.estimate.support == result.support
@@ -171,19 +173,37 @@ def test_sense_spectrum_refits_on_the_raw_greedy_support():
     """Under noise the greedy budget pads the support with unpaired
     slices; the estimate is refit on that raw support, and only the comm
     slices are symmetrized."""
-    radar = SliceSupport([3]).symmetrized(GRID.n_slices)
+    radar = SliceSupport([3, GRID.n_slices - 3])
     a = bank(12)
     x, _, s_c = gen_comm_slices(TX, GRID, seed=21)
     p_sig = float(np.mean(np.abs(xample(x, a).z) ** 2))
     z = xample(x, a, noise_var=p_sig / 100.0, seed=0)
     result = sense_spectrum(z, a, GRID, s_r=radar, n_sig_cap=2)
     raw = omp_pks(build_frame(z), a, radar, 4 * 2)
-    assert raw != raw.symmetrized(GRID.n_slices)
+    assert any(GRID.n_slices - i not in raw for i in raw if i > 0)
     assert result.support == raw
     assert result.estimate.support == result.support
-    assert result.comm_support == result.support.difference(radar).symmetrized(GRID.n_slices)
+    comm = set(result.support) - set(radar)
+    assert set(result.comm_support) == comm | {GRID.n_slices - i for i in comm if i > 0}
     assert set(s_c) <= set(result.comm_support)
     assert result.f_c == support_to_freqs(result.comm_support, GRID)
+
+
+def test_comm_supports_mirror_rule():
+    """A comm slice i reads out with its mirror n_slices - i: at 20 slices
+    the baseband slice 10 is its own mirror, and slice 0 has none."""
+    x_hat = np.zeros((2, 20, 1))
+    got = comm_supports(x_hat, [SliceSupport([3, 10]), SliceSupport([0])], SliceSupport(), None)
+    assert [list(s) for s in got] == [[3, 10, 17], [0]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.integers(min_value=0, max_value=19), max_size=8))
+def test_comm_supports_keep_the_support_and_a_mirrored_one_unchanged(idx):
+    x_hat = np.zeros((1, 20, 1))
+    (sym,) = comm_supports(x_hat, [SliceSupport(idx)], SliceSupport(), None)
+    assert set(idx) <= set(sym)
+    assert comm_supports(x_hat, [sym], SliceSupport(), None) == [sym]
 
 
 def _omp_case(rng):
