@@ -45,6 +45,41 @@ def _openblas_thread_control():
     return None
 
 
+# glibc's mallopt(3) parameter for the freed memory kept at the top of the
+# heap, the pad a run keeps there, and glibc's default
+_M_TOP_PAD = -2
+_TOP_PAD = 16 << 20
+_DEFAULT_TOP_PAD = 128 << 10
+
+
+@functools.cache
+def _heap_pad_control():
+    """(pad, restore) functions: pad() sets glibc's M_TOP_PAD to _TOP_PAD,
+    restore() sets the value the process started with and trims the heap.
+
+    None without glibc's mallopt. Looked up on first use rather than at
+    import, so importing specx stays cheap.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version  # glibc's own
+        mallopt, trim = libc.mallopt, libc.malloc_trim
+    except (OSError, AttributeError, TypeError):
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    try:
+        start = int(os.environ["MALLOC_TOP_PAD_"], 0)
+    except (KeyError, ValueError):
+        start = _DEFAULT_TOP_PAD
+
+    def restore() -> None:
+        mallopt(_M_TOP_PAD, start)
+        trim(0)
+
+    return functools.partial(mallopt, _M_TOP_PAD, _TOP_PAD), restore
+
+
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -148,12 +183,15 @@ def _child_share(batch, tasks: list[tuple], w: int, cursor, lock, conn) -> None:
 
 
 def _unforked_share(job, w: int, cursor, lock, conn) -> None:
-    """Body of a child that was not forked: cap BLAS at one thread, as a
-    forked child inherits the cap, unpickle (batch, tasks) from the job
-    pipe as it arrives, then run _child_share."""
+    """Body of a child that was not forked: cap BLAS at one thread and pad
+    the heap top, as a forked child inherits both, unpickle (batch, tasks)
+    from the job pipe as it arrives, then run _child_share."""
     control = _openblas_thread_control()
     if control is not None:
         control[1](1)
+    pad = _heap_pad_control()
+    if pad is not None:
+        pad[0]()
     with job, open(job.fileno(), "rb", closefd=False) as stream:
         batch, tasks = pickle.load(stream)
     _child_share(batch, tasks, w, cursor, lock, conn)
@@ -271,12 +309,25 @@ def run(batch, tasks: list[tuple], workers: int) -> list[Any]:
     other way sets the cap itself (_unforked_share). The caller's count is
     restored on return or raise. Without the OpenBLAS bundled with NumPy,
     threading is left as it is.
+
+    glibc's M_TOP_PAD is set to _TOP_PAD meanwhile, in the same way and in
+    every process, so a batch's freed stacks stay at the top of the heap
+    for the next batch instead of going back to the kernel and faulting in
+    again (_heap_pad_control). On return or raise it is set back to the
+    value the process started with, MALLOC_TOP_PAD_ or glibc's 128 KiB, not
+    to one the caller set with its own mallopt, which glibc cannot report,
+    and the heap is trimmed. Setting M_TOP_PAD also freezes glibc's dynamic
+    mmap threshold for the rest of the process. Without glibc's mallopt the
+    allocator is left as it is.
     """
     w = max(1, min(workers, len(tasks), _usable_cpus()))
     get, set_ = _openblas_thread_control() or (lambda: None, lambda threads: None)
+    pad, restore = _heap_pad_control() or (lambda: None, lambda: None)
     saved = get()
     set_(1)
+    pad()
     try:
         return _run_split(batch, tasks, w)
     finally:
+        restore()
         set_(saved)

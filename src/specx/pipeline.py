@@ -137,13 +137,14 @@ def _is_finite(value: Any) -> bool:
         return False
 
 
-def _at_least(lo: int, default: Any = MISSING) -> Any:
-    """A config field whose value, or each entry of it, must be >= lo."""
-    return field(default=default, metadata={"min": lo})
+def _at_least(lo: int, default: Any = MISSING, below: int | None = None) -> Any:
+    """A config field whose value, or each entry of it, must be >= lo, and
+    < below unless that is None."""
+    return field(default=default, metadata={"min": lo, "below": below})
 
 
 class _Plan(NamedTuple):
-    fields: tuple[tuple[str, Any, Any], ...]  # name, annotation, lower bound
+    fields: tuple[tuple[str, Any, Any, Any], ...]  # name, annotation, lower and upper bound
     names: frozenset[str]
     required: frozenset[str]
 
@@ -153,7 +154,10 @@ def _field_plan(cls) -> _Plan:
     """How _typed builds a config dataclass, read off its annotations once."""
     hints = get_type_hints(cls)
     return _Plan(
-        tuple((f.name, hints[f.name], f.metadata.get("min")) for f in fields(cls)),
+        tuple(
+            (f.name, hints[f.name], f.metadata.get("min"), f.metadata.get("below"))
+            for f in fields(cls)
+        ),
         frozenset(f.name for f in fields(cls)),
         frozenset(
             f.name for f in fields(cls)
@@ -162,15 +166,16 @@ def _field_plan(cls) -> _Plan:
     )
 
 
-def _typed(cls: Any, value: Any, where: str, lo: Any = None) -> Any:
+def _typed(cls: Any, value: Any, where: str, lo: Any = None, hi: Any = None) -> Any:
     """value checked and built as an instance of the annotation cls.
 
     cls is int, float, str, X | None, tuple[X, ...] or a config dataclass.
     An int holds an integer and a float a finite number (bools are
     neither); an int read as a float becomes one, so a report prints 10 as
-    10.0. A list becomes a tuple entry by entry, and lo bounds the value or
-    each entry. A dataclass is built from a mapping or from an instance of
-    it, with strict keys, each field typed by its annotation."""
+    10.0. A list becomes a tuple entry by entry, and lo <= x < hi bounds
+    the value or each entry, where the bound is not None. A dataclass is
+    built from a mapping or from an instance of it, with strict keys, each
+    field typed by its annotation."""
     if cls is float:
         if not _is_finite(value):
             raise ConfigError(f"{where} must be a finite number, got {value!r}")
@@ -185,13 +190,15 @@ def _typed(cls: Any, value: Any, where: str, lo: Any = None) -> Any:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where}: expected a list")
         item = cls.__args__[0]
-        return tuple(_typed(item, v, f"{where}[{i}]", lo) for i, v in enumerate(value))
+        return tuple(_typed(item, v, f"{where}[{i}]", lo, hi) for i, v in enumerate(value))
     elif isinstance(cls, UnionType):  # X | None
-        return None if value is None else _typed(cls.__args__[0], value, where, lo)
+        return None if value is None else _typed(cls.__args__[0], value, where, lo, hi)
     else:
         return _typed_dataclass(cls, value, where)
     if lo is not None and value < lo:
         raise ConfigError(f"{where} must be >= {lo}")
+    if hi is not None and value >= hi:
+        raise ConfigError(f"{where} must be < {hi}")
     return value
 
 
@@ -210,8 +217,8 @@ def _typed_dataclass(cls: Any, value: Any, where: str) -> Any:
         raise ConfigError(f"{label}: missing required keys {sorted(missing)}")
     prefix = f"{where}." if where else ""
     kwargs = {
-        name: _typed(kind, value[name], prefix + name, lo)
-        for name, kind, lo in plan.fields
+        name: _typed(kind, value[name], prefix + name, lo, hi)
+        for name, kind, lo, hi in plan.fields
         if name in value
     }
     try:
@@ -329,7 +336,7 @@ class LoopConfig:
 @dataclass(frozen=True)
 class ScenarioConfig:
     run_id: str
-    seed: int
+    seed: int = _at_least(0, below=2**64)  # a master seed of derive_rng
     grid: GridConfig
     comm: CommConfig
     rem: RemConfig

@@ -466,6 +466,42 @@ def test_negative_db_margin_exits_2_on_every_command(key):
         assert not list(Path(out).glob("*.csv"))
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_out_of_range_exits_2_on_every_command(seed):
+    """derive_rng reads a master seed modulo 2**64, so a seed below 0 or
+    from 2**64 would run as another seed's alias; every command refuses it
+    in one line, from the config file or from --seed."""
+    from specx import cli
+
+    message = "error: seed must be >= 0" if seed < 0 else f"error: seed must be < {2**64}"
+    doc = desk_doc()
+    doc["seed"] = seed
+    with tempfile.TemporaryDirectory() as out:
+        config = Path(out) / "scenario.json"
+        config.write_text(json.dumps(doc))
+        for command in FUZZ_COMMANDS:
+            for args in (["--config", str(config)], ["--config", "desk", "--seed", str(seed)]):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = cli.main([*command, *args, "--out", out])
+                assert code == 2, (command, args)
+                assert err.getvalue().splitlines() == [message], (command, args)
+        assert not list(Path(out).glob("*.csv"))
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seed_at_either_end_of_its_range_runs_every_command(seed):
+    from specx import cli
+
+    for command in FUZZ_COMMANDS:
+        with tempfile.TemporaryDirectory() as out:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([*command, "--config", "desk", "--seed", str(seed), "--out", out])
+            assert code == 0, command
+            meta = json.loads(next(Path(out).glob("*aggregate.json")).read_text())["meta"]
+            assert meta["seed"] == seed, command
+
+
 # report columns that hold a rate or a share, each in [0, 1] when set
 RATE_COLUMNS = {
     "hit_rate", "final_hit_rate", "pd_omp", "pd_pks", "exact_rate_omp", "exact_rate_pks",

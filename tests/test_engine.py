@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from specx import engine
@@ -74,6 +75,82 @@ def test_run_without_blas_thread_control(monkeypatch):
     assert engine.run(batch, tasks, 1) == [{"task": task} for task in tasks]
 
 
+def test_run_pads_the_heap_top_for_the_run(monkeypatch):
+    """The pad is set before the first batch and restored after the last,
+    also when a batch raises."""
+    events = []
+    control = (lambda: events.append("pad"), lambda: events.append("restore"))
+    monkeypatch.setattr(engine, "_heap_pad_control", lambda: control)
+
+    def batch(claimed):
+        events.append("batch")
+        return [{} for _ in claimed]
+
+    engine.run(batch, toy_tasks((2, 1)), 1)
+    assert events == ["pad", "batch", "batch", "restore"]
+
+    events.clear()
+
+    def failing(claimed):
+        events.append("batch")
+        raise RuntimeError("trial failed")
+
+    with pytest.raises(RuntimeError, match="trial failed"):
+        engine.run(failing, toy_tasks((2,)), 1)
+    assert events == ["pad", "batch", "batch", "restore"]  # the batch, then its first trial
+
+
+def test_run_without_heap_pad_control(monkeypatch):
+    tasks = toy_tasks((3, 2))
+
+    def batch(claimed):
+        rng = np.random.default_rng(len(claimed))
+        a, b = rng.standard_normal((len(claimed), 6, 4)), rng.standard_normal((len(claimed), 6))
+        return [np.linalg.lstsq(a_k, b_k, rcond=None)[0].tolist() for a_k, b_k in zip(a, b)]
+
+    padded = engine.run(batch, tasks, 1)
+    monkeypatch.setattr(engine, "_heap_pad_control", lambda: None)
+    assert engine.run(batch, tasks, 1) == padded
+
+
+_HEAP_FAULTS = """
+import resource, sys
+import numpy as np
+from specx import engine
+
+if sys.argv[1] == "off":
+    engine._heap_pad_control = lambda: None
+faults = []
+
+
+def batch(claimed):
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    # 40 arrays of 96 kB, each below glibc's mmap threshold, freed on return
+    arrays = [np.ones(12_000) for _ in range(40)]
+    return [float(sum(a[0] for a in arrays)) for _ in claimed]
+
+
+engine.run(batch, [(key, 0) for key in range(20)], 1)
+faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+print(faults[-1] - faults[1])
+"""
+
+
+def test_padded_heap_stops_batches_faulting_freed_memory_back_in():
+    """A batch that allocates and frees about 4 MB takes, after the first
+    batch, at least 5 times fewer minor page faults with the heap top
+    padded than without: unpadded, glibc trims the freed memory back to the
+    kernel after each batch and the next one faults it in again."""
+    if engine._heap_pad_control() is None:
+        pytest.skip("no glibc mallopt")
+    faults = {}
+    for side in ("on", "off"):
+        proc = run_python(_HEAP_FAULTS, 60, side)
+        assert proc.returncode == 0, proc.stderr
+        faults[side] = int(proc.stdout)
+    assert faults["off"] >= 5 * faults["on"], faults
+
+
 def test_run_of_no_tasks_returns_no_measurements():
     assert engine.run(lambda claimed: [], [], 4) == []
 
@@ -120,6 +197,57 @@ def test_slow_caller_leaves_the_rest_to_the_child(two_cpus, monkeypatch):
     caller = [m["pid"] == os.getpid() for m in measured]
     assert caller == [True] * 5 + [False] * 10
     assert [m["claim"] for m in measured] == [5] * 10 + [3] * 3 + [1, 1]
+    assert multiprocessing.active_children() == []
+
+
+class _SignalledFailure(engine._Failure):
+    """A process's pinned failure that also sets pinned, an Event: a process
+    builds it only after it has moved the cursor to the end."""
+
+    pinned = None
+
+    def __new__(cls, index, exc):
+        cls.pinned.set()
+        return super().__new__(cls, index, exc)
+
+
+# failing tasks of one 8-trial point -> the process whose failure is raised.
+# The caller claims tasks 0-3 and waits until its child has claimed 4 and 5;
+# the child's batches wait until the caller has pinned its failure. So the
+# caller fails at 1, and then no process claims 6 or 7 any more, or, having
+# also claimed 6 and then 7, at 7.
+@pytest.mark.parametrize(
+    "failing, where", [({1}, "caller"), ({1, 4}, "caller"), ({5, 7}, "child")]
+)
+def test_lowest_failing_index_wins_in_caller_or_child(two_cpus, monkeypatch, failing, where):
+    caller_claims_first(monkeypatch)
+    tasks = toy_tasks((8,))
+    child_began, caller_pinned = multiprocessing.Event(), multiprocessing.Event()
+    failed_in, ran = multiprocessing.Array("q", len(tasks)), multiprocessing.Array("b", len(tasks))
+    monkeypatch.setattr(_SignalledFailure, "pinned", caller_pinned)
+    monkeypatch.setattr(engine, "_Failure", _SignalledFailure)
+
+    def batch(claimed):
+        trials = [t for _, t in claimed]
+        for t in trials:
+            ran[t] = 1
+        if multiprocessing.parent_process() is not None:
+            child_began.set()
+            caller_pinned.wait(timeout=30)
+        else:
+            child_began.wait(timeout=30)
+        bad = failing.intersection(trials)
+        if bad:
+            failed_in[min(bad)] = os.getpid()
+            raise RuntimeError(f"task {min(bad)}")
+        return [{} for _ in trials]
+
+    with pytest.raises(RuntimeError, match=f"^task {min(failing)}$"):
+        engine._run_split(batch, tasks, 2)
+    pids = {j: failed_in[j] for j in failing}
+    assert 0 not in pids.values() and len(set(pids.values())) == len(failing)
+    assert (pids[min(failing)] == os.getpid()) == (where == "caller")
+    assert ran[:] == [1] * 6 + [int(where == "child")] * 2
     assert multiprocessing.active_children() == []
 
 
@@ -206,6 +334,56 @@ def test_every_start_method_runs_trials_on_one_blas_thread(tmp_path):
     proc = run_script(tmp_path, _BLAS_THREADS, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "fork [1] True\nspawn [1] True\nforkserver [1] True\n2\n"
+
+
+_HEAP_PAD = """
+import multiprocessing, os, pathlib, time
+from specx import engine
+
+CHILD_RAN = pathlib.Path("child-ran")
+PADDED = False
+
+
+def set_padded(value):
+    global PADDED
+    PADDED = value
+
+
+# at the top level, so that a spawned child, which imports this script, sees it too
+engine._heap_pad_control = lambda: (lambda: set_padded(True), lambda: set_padded(False))
+
+
+def padded(claimed):
+    # the caller's trials wait until the child has run one, so both run some
+    if multiprocessing.parent_process() is not None:
+        CHILD_RAN.touch()
+    else:
+        deadline = time.monotonic() + 30
+        while not CHILD_RAN.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+    return [(os.getpid(), PADDED) for _ in claimed]
+
+
+if __name__ == "__main__":
+    engine._usable_cpus = lambda: 2
+    for method in ("fork", "spawn", "forkserver"):
+        multiprocessing.set_start_method(method, force=True)
+        CHILD_RAN.unlink(missing_ok=True)
+        seen = engine.run(padded, [(point, 0) for point in range(8)], 2)
+        in_child = {pad for pid, pad in seen if pid != os.getpid()}
+        print(method, sorted({pad for _, pad in seen}), in_child, PADDED)
+"""
+
+
+def test_every_start_method_runs_trials_on_a_padded_heap(tmp_path):
+    """A child that was spawned or started by the fork server pads the heap
+    top itself before its first claim, as a forked child inherits the pad;
+    the caller's pad is restored after each run."""
+    proc = run_script(tmp_path, _HEAP_PAD, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "".join(
+        f"{method} [True] {{True}} False\n" for method in ("fork", "spawn", "forkserver")
+    )
 
 
 _UNPICKLABLE_PAYLOAD = """

@@ -32,7 +32,7 @@ from specx import (
     sweep,
 )
 from specx import engine, pipeline
-from test_engine import caller_claims_first, run_python, toy_tasks
+from test_engine import caller_claims_first, run_python
 
 
 @pytest.fixture(scope="module")
@@ -959,57 +959,6 @@ def test_claims_take_every_task_once_in_order(sizes, w):
 
         assert engine._run_split(batch, tasks, 1) == [{"task": task} for task in tasks]
         assert calls == batches
-
-
-class _SignalledFailure(engine._Failure):
-    """A process's pinned failure that also sets pinned, an Event: a process
-    builds it only after it has moved the cursor to the end."""
-
-    pinned = None
-
-    def __new__(cls, index, exc):
-        cls.pinned.set()
-        return super().__new__(cls, index, exc)
-
-
-# failing tasks of one 8-trial point -> the process whose failure is raised.
-# The caller claims tasks 0-3 and waits until its child has claimed 4 and 5;
-# the child's batches wait until the caller has pinned its failure. So the
-# caller fails at 1, and then no process claims 6 or 7 any more, or, having
-# also claimed 6 and then 7, at 7.
-@pytest.mark.parametrize(
-    "failing, where", [({1}, "caller"), ({1, 4}, "caller"), ({5, 7}, "child")]
-)
-def test_lowest_failing_index_wins_in_caller_or_child(two_cpus, monkeypatch, failing, where):
-    caller_claims_first(monkeypatch)
-    tasks = toy_tasks((8,))
-    child_began, caller_pinned = multiprocessing.Event(), multiprocessing.Event()
-    failed_in, ran = multiprocessing.Array("q", len(tasks)), multiprocessing.Array("b", len(tasks))
-    monkeypatch.setattr(_SignalledFailure, "pinned", caller_pinned)
-    monkeypatch.setattr(engine, "_Failure", _SignalledFailure)
-
-    def batch(claimed):
-        trials = [t for _, t in claimed]
-        for t in trials:
-            ran[t] = 1
-        if multiprocessing.parent_process() is not None:
-            child_began.set()
-            caller_pinned.wait(timeout=30)
-        else:
-            child_began.wait(timeout=30)
-        bad = failing.intersection(trials)
-        if bad:
-            failed_in[min(bad)] = os.getpid()
-            raise RuntimeError(f"task {min(bad)}")
-        return [{} for _ in trials]
-
-    with pytest.raises(RuntimeError, match=f"^task {min(failing)}$"):
-        engine._run_split(batch, tasks, 2)
-    pids = {j: failed_in[j] for j in failing}
-    assert 0 not in pids.values() and len(set(pids.values())) == len(failing)
-    assert (pids[min(failing)] == os.getpid()) == (where == "caller")
-    assert ran[:] == [1] * 6 + [int(where == "child")] * 2
-    assert multiprocessing.active_children() == []
 
 
 # -- batched sensing sweep points against the one-by-one oracle ------------------
