@@ -3,6 +3,11 @@
 Simulates a shared wideband channel: communication links detected from
 sub-Nyquist samples, a radar steered into the quietest leftover spectrum,
 and target recovery from the radar's sparse Fourier coefficients.
+
+The single-shot runs (run_sense, run_select_bands, run_radar, run_specx)
+and sweep cap NumPy's BLAS at one thread while they run and restore the
+caller's count after; a kernel called on its own, such as focused_omp or
+sense_spectrum, keeps the caller's BLAS settings.
 """
 
 from .bands import (

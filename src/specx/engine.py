@@ -12,12 +12,13 @@ import functools
 import math
 import os
 import pickle
+import threading
 from pathlib import Path
 from typing import Any, NamedTuple
 
 import numpy as np
 
-__all__ = ["WorkerDied", "run"]
+__all__ = ["WorkerDied", "one_blas_thread", "run"]
 
 
 class WorkerDied(RuntimeError):
@@ -78,6 +79,65 @@ def _heap_pad_control():
         trim(0)
 
     return functools.partial(mallopt, _M_TOP_PAD, _TOP_PAD), restore
+
+
+def _cap_blas():
+    """Cap NumPy's BLAS at one thread; returns what restores the caller's
+    count. Without the OpenBLAS bundled with NumPy, threading is left as it is."""
+    control = _openblas_thread_control()
+    if control is None:
+        return lambda: None
+    get, set_ = control
+    saved = get()
+    set_(1)
+    return functools.partial(set_, saved)
+
+
+def _pad_heap():
+    """Pad glibc's heap top (_heap_pad_control); returns what restores the
+    process's starting pad and trims the heap. Without glibc's mallopt, the
+    allocator is left as it is."""
+    control = _heap_pad_control()
+    if control is None:
+        return lambda: None
+    pad, restore = control
+    pad()
+    return restore
+
+
+class _HeldSetting(contextlib.ContextDecorator):
+    """A process-wide setting held while any of its scopes is open, used as
+    a context manager or a decorator. Scopes may nest, or overlap in several
+    threads: a count of open scopes, kept under a lock, lets only the first
+    to open apply the setting, apply() -> undo, and only the last to close
+    undo it, whatever order they close in. A forked child inherits the
+    setting and the count, and never opens a scope."""
+
+    def __init__(self, apply) -> None:
+        self._apply = apply
+        self._lock = threading.Lock()
+        self._open = 0
+        self._undo = None
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._open == 0:
+                self._undo = self._apply()
+            self._open += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._open -= 1
+            if self._open == 0:
+                self._undo()
+
+
+# A specx run uses one BLAS thread: its matrices are tiny, so a second
+# thread only costs the wake-up of an idle one and contends with the other
+# processes for cores. The single-shot runs, sweep and run hold this scope;
+# a kernel called on its own keeps the caller's BLAS settings.
+one_blas_thread = _HeldSetting(_cap_blas)
+_padded_heap = _HeldSetting(_pad_heap)
 
 
 def _usable_cpus() -> int:
@@ -186,12 +246,8 @@ def _unforked_share(job, w: int, cursor, lock, conn) -> None:
     """Body of a child that was not forked: cap BLAS at one thread and pad
     the heap top, as a forked child inherits both, unpickle (batch, tasks)
     from the job pipe as it arrives, then run _child_share."""
-    control = _openblas_thread_control()
-    if control is not None:
-        control[1](1)
-    pad = _heap_pad_control()
-    if pad is not None:
-        pad[0]()
+    _cap_blas()
+    _pad_heap()
     with job, open(job.fileno(), "rb", closefd=False) as stream:
         batch, tasks = pickle.load(stream)
     _child_share(batch, tasks, w, cursor, lock, conn)
@@ -304,16 +360,19 @@ def run(batch, tasks: list[tuple], workers: int) -> list[Any]:
     Every started child is joined before this returns or raises, and an
     interrupt terminates them first.
 
-    NumPy's BLAS is capped at one thread meanwhile, in this process and so
-    in every child it forks, as the matrices are tiny; a child started any
-    other way sets the cap itself (_unforked_share). The caller's count is
-    restored on return or raise. Without the OpenBLAS bundled with NumPy,
-    threading is left as it is.
+    The run holds the one_blas_thread scope, so NumPy's BLAS is capped at
+    one thread meanwhile, in this process and so in every child it forks,
+    as the matrices are tiny; a child started any other way sets the cap
+    itself (_unforked_share). The caller's count is restored on return or
+    raise, by the last of any overlapping or nested scopes to close (a
+    sweep's own, or runs in other threads). Without the OpenBLAS bundled
+    with NumPy, threading is left as it is.
 
     glibc's M_TOP_PAD is set to _TOP_PAD meanwhile, in the same way and in
     every process, so a batch's freed stacks stay at the top of the heap
     for the next batch instead of going back to the kernel and faulting in
-    again (_heap_pad_control). On return or raise it is set back to the
+    again (_heap_pad_control). Runs that overlap in several threads share
+    one pad. When the last of them returns or raises it is set back to the
     value the process started with, MALLOC_TOP_PAD_ or glibc's 128 KiB, not
     to one the caller set with its own mallopt, which glibc cannot report,
     and the heap is trimmed. Setting M_TOP_PAD also freezes glibc's dynamic
@@ -321,13 +380,5 @@ def run(batch, tasks: list[tuple], workers: int) -> list[Any]:
     allocator is left as it is.
     """
     w = max(1, min(workers, len(tasks), _usable_cpus()))
-    get, set_ = _openblas_thread_control() or (lambda: None, lambda threads: None)
-    pad, restore = _heap_pad_control() or (lambda: None, lambda: None)
-    saved = get()
-    set_(1)
-    pad()
-    try:
+    with one_blas_thread, _padded_heap:
         return _run_split(batch, tasks, w)
-    finally:
-        restore()
-        set_(saved)

@@ -875,11 +875,15 @@ def _sense_once(
 # single-shot runs
 
 
+@engine.one_blas_thread
 def run_specx(cfg: ScenarioConfig) -> RunReport:
     """Execute the full coexistence loop and return its report.
 
     Raises InfeasibleError when the configured scene cannot be recovered
-    even without noise; ConfigError for inconsistent parameters.
+    even without noise; ConfigError for inconsistent parameters. Like every
+    single-shot run and sweep, it runs with NumPy's BLAS capped at one
+    thread and restores the caller's count on return or raise
+    (engine.one_blas_thread).
     """
     cfg = cfg.validate()
     _require_feasible(cfg)
@@ -965,8 +969,10 @@ def run_specx(cfg: ScenarioConfig) -> RunReport:
     )
 
 
+@engine.one_blas_thread
 def run_sense(cfg: ScenarioConfig) -> RunReport:
-    """Single sensing pass on the phase-1 comm signal, no radar on the air."""
+    """Single sensing pass on the phase-1 comm signal, no radar on the air,
+    on one BLAS thread (engine.one_blas_thread)."""
     cfg = cfg.validate()
     grid = cfg.grid.to_grid()
     a = _sensing_matrix(cfg.seed, cfg.grid.n_chips, grid, cfg.grid.n_channels)
@@ -990,8 +996,10 @@ def run_sense(cfg: ScenarioConfig) -> RunReport:
     return _report(cfg, grid, "-sense", [agg], [row])
 
 
+@engine.one_blas_thread
 def run_select_bands(cfg: ScenarioConfig) -> RunReport:
-    """Sense the comm support, then pick the radar bands away from it."""
+    """Sense the comm support, then pick the radar bands away from it, on
+    one BLAS thread (engine.one_blas_thread)."""
     cfg = cfg.validate()
     grid = cfg.grid.to_grid()
     a = _sensing_matrix(cfg.seed, cfg.grid.n_chips, grid, cfg.grid.n_channels)
@@ -1014,8 +1022,10 @@ def run_select_bands(cfg: ScenarioConfig) -> RunReport:
     )
 
 
+@engine.one_blas_thread
 def run_radar(cfg: ScenarioConfig) -> RunReport:
-    """Radar-only run: bands selected against the true comm support."""
+    """Radar-only run: bands selected against the true comm support, on one
+    BLAS thread (engine.one_blas_thread)."""
     cfg = cfg.validate()
     _require_feasible(cfg)
     grid = cfg.grid.to_grid()
@@ -1448,6 +1458,7 @@ _SWEEPS = {
 SWEEP_AXES = tuple(_SWEEPS)
 
 
+@engine.one_blas_thread
 def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunReport:
     """Monte-Carlo sweep along one axis; deterministic for a fixed seed.
 
@@ -1502,7 +1513,10 @@ def sweep(cfg: ScenarioConfig, axis: str, workers: int | None = None) -> RunRepo
     sweep.workers processes (workers, when given, replaces it before the
     config is checked) and returns what each batch measures in task order;
     this function writes each trial row as the point's columns, then
-    "trial", then the measurements, the same layout on every axis.
+    "trial", then the measurements, the same layout on every axis. The
+    whole sweep, its plan and report included, runs with NumPy's BLAS
+    capped at one thread, as every single-shot run does, and the caller's
+    count is restored on return or raise (engine.one_blas_thread).
     """
     if workers is not None:
         cfg = replace(cfg, sweep=replace(cfg.sweep, workers=workers))

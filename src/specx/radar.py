@@ -299,7 +299,9 @@ def focused_omp(
 
     Returns the detections flagged truncated when max_iter was exhausted with
     the stopping rule still unsatisfied. This is the one-map call of
-    focused_omp_batch.
+    focused_omp_batch. Called on its own, it runs on the caller's BLAS
+    settings; the single-shot runs and sweeps cap BLAS at one thread around
+    it (engine.one_blas_thread).
     """
     found = focused_omp_batch(
         focused.psi[None], f_kappa, [gamma], [noise_var], max_iter, f_adj=f_kappa.conj().T

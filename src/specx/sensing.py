@@ -473,7 +473,9 @@ def sense_spectrum(
     the largest eigenvalue, 1e-6 of ||V||). A mirror slice the pursuit
     did not pick has a zero row in the estimate. Sub-slice refinement is
     left to the caller, which reads it off the estimate
-    (refine_support_by_energy).
+    (refine_support_by_energy). Called on its own, it runs on the caller's
+    BLAS settings; the single-shot runs and sweeps cap BLAS at one thread
+    around it (engine.one_blas_thread).
     """
     frame = build_frame(z)
     support = omp_pks(frame, a, s_r, k_extra=4 * n_sig_cap)

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,56 @@ def test_run_without_heap_pad_control(monkeypatch):
     padded = engine.run(batch, tasks, 1)
     monkeypatch.setattr(engine, "_heap_pad_control", lambda: None)
     assert engine.run(batch, tasks, 1) == padded
+
+
+def test_overlapping_runs_restore_the_callers_settings_once(monkeypatch):
+    """Run A starts, run B starts in another thread, and A returns first:
+    B's batch still runs on one BLAS thread and a padded heap, and only B,
+    the last to return, restores the caller's 2 threads and its heap."""
+    threads, padded = [2], [False]
+    monkeypatch.setattr(engine, "_openblas_thread_control",
+                        lambda: (lambda: threads[0], lambda n: threads.__setitem__(0, n)))
+    monkeypatch.setattr(engine, "_heap_pad_control",
+                        lambda: (lambda: padded.__setitem__(0, True),
+                                 lambda: padded.__setitem__(0, False)))
+    a_ran, b_ran, a_done = threading.Event(), threading.Event(), threading.Event()
+    seen = {}
+
+    def batch_a(claimed):
+        a_ran.set()
+        assert b_ran.wait(timeout=30)
+        return [None for _ in claimed]
+
+    def batch_b(claimed):
+        b_ran.set()
+        assert a_done.wait(timeout=30)
+        seen["b"] = threads[0], padded[0]
+        return [None for _ in claimed]
+
+    def run_a():
+        engine.run(batch_a, [(0, 0)], 1)
+        a_done.set()
+
+    a = threading.Thread(target=run_a)
+    a.start()
+    assert a_ran.wait(timeout=30)
+    b = threading.Thread(target=engine.run, args=(batch_b, [(0, 0)], 1))
+    b.start()
+    for thread in (a, b):
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert seen == {"b": (1, True)}
+    assert (threads[0], padded[0]) == (2, False)
+
+
+def test_numpys_bundled_openblas_has_thread_control():
+    """Where NumPy reports its bundled scipy-openblas, the cap finds it: a
+    NumPy that renamed the library or its symbols would otherwise drop the
+    cap without a word, and every test of the cap would skip."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas.get("name") != "scipy-openblas":
+        pytest.skip(f"NumPy's BLAS is {blas.get('name')!r}")
+    assert engine._openblas_thread_control() is not None
 
 
 _HEAP_FAULTS = """

@@ -309,6 +309,73 @@ def test_single_stage_runners(desk, tmp_path):
     assert len(paths) == 5
 
 
+def blas_control():
+    control = engine._openblas_thread_control()
+    if control is None:
+        pytest.skip("NumPy's BLAS exposes no thread control")
+    return control
+
+
+# each entry point and a BLAS-using kernel it calls; for sweep, one its plan
+# calls, before any trial runs in engine.run
+_ENTRY_POINTS = {
+    "sense": (run_sense, "build_sensing_matrix"),
+    "select_bands": (run_select_bands, "build_sensing_matrix"),
+    "radar": (run_radar, "partial_fourier"),
+    "specx": (run_specx, "build_sensing_matrix"),
+    "sweep": (lambda cfg: sweep(small_sweep(cfg, n_trials=1), "snr", workers=1),
+              "build_sensing_matrix"),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_every_run_caps_blas_threads_and_restores_them(desk, monkeypatch, entry):
+    """Every single-shot run and sweep runs on one BLAS thread, and the
+    caller's count is back after it returns and after it raises."""
+    get, set_ = blas_control()
+    run, kernel = _ENTRY_POINTS[entry]
+    original, seen, failing = getattr(pipeline, kernel), [], []
+
+    def watched(*args, **kwargs):
+        seen.append(get())
+        if failing:
+            raise RuntimeError("kernel failed")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, kernel, watched)
+    saved = get()
+    set_(2)
+    try:
+        run(desk)
+        assert seen and set(seen) == {1}
+        assert get() == 2
+        seen.clear()
+        failing.append(True)
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            run(desk)
+        assert seen == [1]
+        assert get() == 2
+    finally:
+        set_(saved)
+
+
+@pytest.mark.parametrize("preset", ["desk", "paper_sw"])
+def test_single_shot_reports_do_not_depend_on_the_callers_blas_threads(tmp_path, preset):
+    get, set_ = blas_control()
+    cfg = load_config(preset)
+    saved, written = get(), {}
+    try:
+        for threads in (1, 2):
+            set_(threads)
+            for run in (run_sense, run_select_bands, run_radar, run_specx):
+                paths = emit_report(run(cfg), tmp_path / f"{run.__name__}-{threads}")
+                written[run.__name__, threads] = {path.name: path.read_bytes() for path in paths}
+    finally:
+        set_(saved)
+    for run in (run_sense, run_select_bands, run_radar, run_specx):
+        assert written[run.__name__, 1] == written[run.__name__, 2], run.__name__
+
+
 @pytest.mark.parametrize("refine_db", [3.0, 30.0])
 @pytest.mark.parametrize("preset", ["desk", "paper_sw"])
 def test_refined_comm_map_stays_on_the_pruned_slices(preset, refine_db):
