@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .freqs import FrequencySet, mask_runs
+from .freqs import FrequencySet, frozen, mask_runs
 
 __all__ = [
     "RemGrid",
@@ -40,7 +40,7 @@ class BandSelectionError(ValueError):
         self.feasible_blocks = feasible_blocks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RemGrid:
     """Interference energies on q uniform bands of width b_y.
 
@@ -53,15 +53,13 @@ class RemGrid:
     b_y: float
 
     def __post_init__(self) -> None:
-        e = np.asarray(self.energies, dtype=float).copy()
+        object.__setattr__(self, "energies", e := frozen(self.energies, float))
         if e.ndim != 1 or e.size < 1:
             raise ValueError("energies must be a nonempty 1-D array")
         if np.any(np.isnan(e)) or np.any(e < 0):
             raise ValueError("energies must be nonnegative (inf allowed)")
         if self.b_y <= 0:
             raise ValueError("b_y must be positive")
-        e.flags.writeable = False
-        object.__setattr__(self, "energies", e)
 
     @property
     def q(self) -> int:
@@ -92,7 +90,7 @@ def mask_comm(rem: RemGrid, f_c: FrequencySet) -> RemGrid:
     return RemGrid(energies=energies, b_y=rem.b_y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MappingMatrix:
     """Binary map from p selectable frequencies to q REM bands.
 
@@ -103,15 +101,13 @@ class MappingMatrix:
     d: np.ndarray
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.d, dtype=float).copy()
+        object.__setattr__(self, "d", d := frozen(self.d, float))
         if d.ndim != 2:
             raise ValueError("d must be 2-D")
         if not np.all((d == 0) | (d == 1)):
             raise ValueError("d must be binary")
         if not np.all(d.sum(axis=0) == 1):
             raise ValueError("each column must map to exactly one band")
-        d.flags.writeable = False
-        object.__setattr__(self, "d", d)
 
     @property
     def q(self) -> int:
@@ -129,7 +125,7 @@ class MappingMatrix:
         return cls(np.eye(q))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockSparseVector:
     """Selection weights over the p selectable frequencies plus the block width."""
 
@@ -137,11 +133,9 @@ class BlockSparseVector:
     b_w: float
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.w, dtype=float).copy()
-        if w.ndim != 1:
+        object.__setattr__(self, "w", frozen(self.w, float))
+        if self.w.ndim != 1:
             raise ValueError("w must be 1-D")
-        w.flags.writeable = False
-        object.__setattr__(self, "w", w)
 
     @property
     def blocks(self) -> int:

@@ -21,12 +21,24 @@ __all__ = [
     "GridSpec",
     "KappaSet",
     "SliceSupport",
+    "frozen",
     "mask_runs",
     "slice_count",
 ]
 
 # relative guard against float fuzz when a ratio lands exactly on an integer
 _REL_EPS = 1e-9
+
+
+def frozen(value, dtype=None) -> np.ndarray:
+    """A read-only copy of value as a C-ordered array of dtype: the one way
+    a value object, cache or shared set-up holds an array. The order is
+    fixed because a reduction over a held array (column norms, a frame's
+    norm) sums in memory order; a caller that needs a transposed layout
+    transposes the frozen copy."""
+    arr = np.array(value, dtype=dtype, order="C")
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True, order=True)
@@ -225,9 +237,7 @@ class GridSpec:
         mirror = self.mirror_position(np.arange(self.dense_size))
         rows = np.arange(self.n_slices)[:, None] * self.slice_step
         index_map = rows + np.arange(self.n_grid)[None, :]
-        for arr in (freqs, mirror, index_map):
-            arr.flags.writeable = False
-        return freqs, mirror, index_map
+        return frozen(freqs), frozen(mirror), frozen(index_map)
 
     def dense_freqs(self) -> np.ndarray:
         """Frequency of every dense position (read-only)."""

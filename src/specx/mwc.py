@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .freqs import GridSpec, SliceSupport
+from .freqs import GridSpec, SliceSupport, frozen
 from .rng import derive_rng
 from .signals import SliceSpectrum
 
@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixingSequenceSet:
     """Periodic +-1 chip sequences, one row per channel.
 
@@ -44,13 +44,11 @@ class MixingSequenceSet:
     signs: np.ndarray
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.signs, dtype=np.int8).copy()
+        object.__setattr__(self, "signs", s := frozen(self.signs, np.int8))
         if s.ndim != 2 or s.shape[0] < 1:
             raise ValueError("signs must be (m, n_chips) with m >= 1")
         if not np.all(np.abs(s) == 1):
             raise ValueError("chip values must be +-1")
-        s.flags.writeable = False
-        object.__setattr__(self, "signs", s)
 
     @property
     def m(self) -> int:
@@ -70,7 +68,7 @@ def gen_mixing_sequences(m: int, n_chips: int, seed: int = 0) -> MixingSequenceS
     return MixingSequenceSet(signs=signs.astype(np.int8))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensingMatrix:
     """Channel-to-slice weight matrix A with A[i, n] = conj(c_{i, n - N/2}).
 
@@ -80,11 +78,9 @@ class SensingMatrix:
     a: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=np.complex128).copy()
-        if a.ndim != 2:
+        object.__setattr__(self, "a", frozen(self.a, np.complex128))
+        if self.a.ndim != 2:
             raise ValueError("a must be 2-D")
-        a.flags.writeable = False
-        object.__setattr__(self, "a", a)
         object.__setattr__(self, "_basis", None)
 
     @property
@@ -101,9 +97,7 @@ class SensingMatrix:
     @cached_property
     def col_norms(self) -> np.ndarray:
         """Euclidean norm of each column."""
-        norms = np.linalg.norm(self.a, axis=0)
-        norms.flags.writeable = False
-        return norms
+        return frozen(np.linalg.norm(self.a, axis=0))
 
     @cached_property
     def matched_filters(self) -> np.ndarray:
@@ -112,8 +106,7 @@ class SensingMatrix:
         live = self.col_norms > 0
         filters = np.zeros((self.n, self.m), dtype=np.complex128)
         filters[live] = self.a.conj().T[live] / self.col_norms[live, None]
-        filters.flags.writeable = False
-        return filters
+        return frozen(filters)
 
     def column_basis(self, cols: SliceSupport) -> tuple[float, np.ndarray]:
         """Condition number and orthonormal basis (reduced QR factor) of the
@@ -121,8 +114,7 @@ class SensingMatrix:
         matrix for one known support."""
         if self._basis is None or self._basis[0] != cols:
             sub = self.a[:, list(cols)]
-            q = np.linalg.qr(sub)[0]
-            q.flags.writeable = False
+            q = frozen(np.linalg.qr(sub)[0])
             object.__setattr__(self, "_basis", (cols, float(np.linalg.cond(sub)), q))
         return self._basis[1:]
 
@@ -153,7 +145,7 @@ def build_sensing_matrix(seqs: MixingSequenceSet, n: int) -> SensingMatrix:
     return SensingMatrix(a=np.conj(sequence_fourier_coeffs(seqs, ell)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelSamples:
     """Per-channel low-rate observations, stored in the frequency domain.
 
@@ -165,11 +157,9 @@ class ChannelSamples:
     grid: GridSpec
 
     def __post_init__(self) -> None:
-        z = np.asarray(self.z, dtype=np.complex128).copy()
+        object.__setattr__(self, "z", z := frozen(self.z, np.complex128))
         if z.ndim != 2 or z.shape[1] != self.grid.n_grid:
             raise ValueError(f"z must be (m, {self.grid.n_grid})")
-        z.flags.writeable = False
-        object.__setattr__(self, "z", z)
 
     @property
     def m(self) -> int:

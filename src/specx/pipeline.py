@@ -26,7 +26,7 @@ import numpy as np
 
 from . import engine
 from .bands import RemGrid, select_bands
-from .freqs import FrequencySet, GridSpec, KappaSet, SliceSupport
+from .freqs import FrequencySet, GridSpec, KappaSet, SliceSupport, frozen
 from .mwc import (
     SensingMatrix,
     build_sensing_matrix,
@@ -58,6 +58,7 @@ from .sensing import (
     FrameMatrix,
     build_frame_batch,
     comm_supports,
+    greedy_budget,
     omp_pks_batch,
     radar_slice_support,
     recover_slices_batch,
@@ -352,10 +353,13 @@ class ScenarioConfig:
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
         try:
-            data = json.loads(text)
+            # a value nested near the recursion limit can parse and still
+            # overflow the stack in the repr of its error message
+            return cls.from_dict(json.loads(text, object_pairs_hook=_unique_keys))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        except RecursionError:
+            raise ConfigError("config nests too deeply") from None
 
     def validate(self) -> "ScenarioConfig":
         """This config rebuilt through the field checks of _typed, so a
@@ -488,6 +492,17 @@ class ScenarioConfig:
         return replace(req, feasible=feasible)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's members as a dict; a repeated key is refused, since
+    json.loads would keep only its last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"config repeats the key {key!r} in one object")
+        data[key] = value
+    return data
+
+
 def available_presets() -> list[str]:
     root = resources.files("specx") / "presets"
     return sorted(p.name[: -len(".json")] for p in root.iterdir() if p.name.endswith(".json"))
@@ -497,7 +512,11 @@ def load_config(source: str | Path) -> ScenarioConfig:
     """Load a scenario from a JSON file path or a named built-in preset."""
     path = Path(source)
     if path.exists():
-        return ScenarioConfig.from_json(path.read_text(encoding="utf-8"))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config '{source}' is not UTF-8 text: {exc}") from exc
+        return ScenarioConfig.from_json(text)
     name = str(source).replace("-", "_")
     candidate = resources.files("specx") / "presets" / f"{name}.json"
     if candidate.is_file():
@@ -647,11 +666,9 @@ def _radar_frame(r: RadarConfig, f_r: FrequencySet) -> _RadarFrame:
     h = waveform.values_on(kappa)
     f_kappa = partial_fourier(kappa)
     # a transposed view, so a back-projection sees the strides it always has
-    f_adj = f_kappa.conj().T
-    arrays = (kappa.centered(), h, *focus_weights(h, train), f_kappa, f_adj)
-    for a in arrays:
-        a.flags.writeable = False
-    return _RadarFrame(f_r, waveform, kappa, *arrays, train)
+    f_adj = frozen(f_kappa.conj()).T
+    arrays = map(frozen, (kappa.centered(), h, *focus_weights(h, train), f_kappa))
+    return _RadarFrame(f_r, waveform, kappa, *arrays, f_adj, train)
 
 
 class _RadarSetup(NamedTuple):
@@ -1262,7 +1279,7 @@ def _batch_snr(
     setup = setups[paths[0][0]]
     snrs = [points[i]["snr_db"] for i, _ in paths]
     d = _draw_sensing(cfg, setup, "snr", snrs, True, paths)
-    budget = 4 * cfg.comm.n_sig_effective
+    budget = greedy_budget(cfg.comm.n_sig_effective)
     pursuits = ((setup.s_r, budget), (SliceSupport(), min(budget, setup.a.n)))
     pks, omp = _read_out(cfg, setup, d, pursuits)
     return [
@@ -1288,7 +1305,7 @@ def _batch_channels(
     setup = setups[paths[0][0]]
     snrs = [cfg.sweep.channels_snr_db] * len(paths)
     d = _draw_sensing(cfg, setup, "chan", snrs, False, paths)
-    (pks,) = _read_out(cfg, setup, d, ((setup.s_r, 4 * cfg.comm.n_sig_effective),))
+    (pks,) = _read_out(cfg, setup, d, ((setup.s_r, greedy_budget(cfg.comm.n_sig_effective)),))
     return [
         {"pd_pks": _index_ratio(comm, truth), "exact_pks": list(comm) == list(truth)}
         for comm, truth in zip(pks, d.s_c_true)

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .freqs import FrequencySet, KappaSet
+from .freqs import FrequencySet, KappaSet, frozen
 from .signals import PulseTrainSpec, RadarWaveformSpec, TargetScene
 
 __all__ = [
@@ -80,7 +80,7 @@ def partial_fourier(kappa: KappaSet) -> np.ndarray:
     return np.exp(-2j * math.pi * np.outer(k, r) / n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FocusedMatrix:
     """Doppler-focused coefficient map, shape (K, P), plus its Doppler grid."""
 
@@ -89,14 +89,10 @@ class FocusedMatrix:
     pri: float
 
     def __post_init__(self) -> None:
-        psi = np.asarray(self.psi, dtype=np.complex128).copy()
-        grid = np.asarray(self.doppler_grid, dtype=float).copy()
+        object.__setattr__(self, "psi", psi := frozen(self.psi, np.complex128))
+        object.__setattr__(self, "doppler_grid", grid := frozen(self.doppler_grid, float))
         if psi.ndim != 2 or grid.shape != (psi.shape[1],):
             raise ValueError("psi must be (K, P) with a matching Doppler grid")
-        psi.flags.writeable = False
-        grid.flags.writeable = False
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "doppler_grid", grid)
 
 
 def doppler_focus(

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .freqs import FrequencyInterval, FrequencySet, GridSpec, SliceSupport, mask_runs
+from .freqs import FrequencyInterval, FrequencySet, GridSpec, SliceSupport, frozen, mask_runs
 from .mwc import ChannelSamples, SensingMatrix
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "refine_support_by_energy",
     "strong_rows",
     "comm_supports",
+    "greedy_budget",
     "sense_spectrum",
 ]
 
@@ -48,7 +49,7 @@ _RES_TOL = 1e-6
 _SPAN_TOL = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameMatrix:
     """Basis V for the sampled signal subspace; V @ V^H recovers the retained
     part of the sample autocorrelation."""
@@ -56,11 +57,9 @@ class FrameMatrix:
     v: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.v, dtype=np.complex128).copy()
-        if v.ndim != 2:
+        object.__setattr__(self, "v", frozen(self.v, np.complex128))
+        if self.v.ndim != 2:
             raise ValueError("v must be 2-D")
-        v.flags.writeable = False
-        object.__setattr__(self, "v", v)
 
     @property
     def m(self) -> int:
@@ -299,7 +298,7 @@ def radar_slice_support(f_r: FrequencySet, grid: GridSpec) -> SliceSupport:
     return SliceSupport(np.flatnonzero(hit))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SliceEstimate:
     """Recovered slice stack; rows outside the support are identically zero."""
 
@@ -308,11 +307,9 @@ class SliceEstimate:
     grid: GridSpec
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x_hat, dtype=np.complex128).copy()
-        if x.shape != (self.grid.n_slices, self.grid.n_grid):
+        object.__setattr__(self, "x_hat", frozen(self.x_hat, np.complex128))
+        if self.x_hat.shape != (self.grid.n_slices, self.grid.n_grid):
             raise ValueError("x_hat shape does not match grid")
-        x.flags.writeable = False
-        object.__setattr__(self, "x_hat", x)
 
 
 def recover_slices(z: ChannelSamples, a: SensingMatrix, s: SliceSupport) -> SliceEstimate:
@@ -438,6 +435,13 @@ def comm_supports(
     return [SliceSupport(np.flatnonzero(row)) for row in comm]
 
 
+def greedy_budget(n_sig: int) -> int:
+    """Greedy picks a sensing pass takes beyond its known support for n_sig
+    transmissions: each can occupy up to four slices (two spectral sides,
+    possible boundary straddling)."""
+    return 4 * n_sig
+
+
 @dataclass(frozen=True)
 class SensingResult:
     """Outcome of one sensing pass: the raw greedy support, radar slices
@@ -467,18 +471,16 @@ def sense_spectrum(
     slice-granular frequency content. Single-shot runs and sweeps read
     their comm slices out by this one rule.
 
-    Each of the n_sig_cap transmissions can occupy up to four slices (two
-    spectral sides, possible boundary straddling), which sets the greedy
-    budget. The frame and the pursuit use their fixed tolerances (1e-6 of
-    the largest eigenvalue, 1e-6 of ||V||). A mirror slice the pursuit
-    did not pick has a zero row in the estimate. Sub-slice refinement is
-    left to the caller, which reads it off the estimate
-    (refine_support_by_energy). Called on its own, it runs on the caller's
-    BLAS settings; the single-shot runs and sweeps cap BLAS at one thread
-    around it (engine.one_blas_thread).
+    The n_sig_cap transmissions set the greedy budget (greedy_budget). The
+    frame and the pursuit use their fixed tolerances (1e-6 of the largest
+    eigenvalue, 1e-6 of ||V||). A mirror slice the pursuit did not pick has
+    a zero row in the estimate. Sub-slice refinement is left to the caller,
+    which reads it off the estimate (refine_support_by_energy). Called on
+    its own, it runs on the caller's BLAS settings; the single-shot runs and
+    sweeps cap BLAS at one thread around it (engine.one_blas_thread).
     """
     frame = build_frame(z)
-    support = omp_pks(frame, a, s_r, k_extra=4 * n_sig_cap)
+    support = omp_pks(frame, a, s_r, k_extra=greedy_budget(n_sig_cap))
     est = recover_slices(z, a, support)
     (comm,) = comm_supports(est.x_hat[None], [support], s_r, prune_db)
     return SensingResult(

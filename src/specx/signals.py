@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .freqs import FrequencyInterval, FrequencySet, GridSpec, KappaSet, SliceSupport
+from .freqs import FrequencyInterval, FrequencySet, GridSpec, KappaSet, SliceSupport, frozen
 from .rng import derive_rng
 
 __all__ = [
@@ -63,7 +63,7 @@ class CommTransmissionSpec:
             raise ValueError(f"shape must be one of {_SHAPES}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SliceSpectrum:
     """Slice-stacked spectrum; values has shape (n_slices, n_grid)."""
 
@@ -71,15 +71,12 @@ class SliceSpectrum:
     grid: GridSpec
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.complex128)
+        object.__setattr__(self, "values", v := frozen(self.values, np.complex128))
         if v.shape != (self.grid.n_slices, self.grid.n_grid):
             raise ValueError(
                 f"values shape {v.shape} does not match grid "
                 f"({self.grid.n_slices}, {self.grid.n_grid})"
             )
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
 
     def __add__(self, other: "SliceSpectrum") -> "SliceSpectrum":
         if other.grid != self.grid:
@@ -220,7 +217,7 @@ def gen_comm_slices_batch(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadarWaveformSpec:
     """Multiband radar pulse spectrum confined to an agreed band set.
 
@@ -237,8 +234,7 @@ class RadarWaveformSpec:
     p_t: float
 
     def __post_init__(self) -> None:
-        base = np.asarray(self.base_spectrum, dtype=np.complex128).copy()
-        base.flags.writeable = False
+        base = frozen(self.base_spectrum, np.complex128)
         object.__setattr__(self, "base_spectrum", base)
         if self.b_h <= 0 or self.p_t <= 0:
             raise ValueError("b_h and p_t must be positive")
@@ -268,9 +264,7 @@ class RadarWaveformSpec:
         frozen, so the cached array cannot go stale.
         """
         mask = self.bands.contains_array(self.bin_freqs())
-        out = np.where(mask, self.beta * self.base_spectrum, 0.0)
-        out.flags.writeable = False
-        return out
+        return frozen(np.where(mask, self.beta * self.base_spectrum, 0.0))
 
     def values_at(self, k_centered: np.ndarray) -> np.ndarray:
         """Transmitted spectrum at centered coefficient indices."""
@@ -341,7 +335,7 @@ class PulseTrainSpec:
         return -0.5 / self.pri + p * self.doppler_bin
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetScene:
     """Point targets as parallel arrays: delays (s), dopplers (cycles/s), amplitudes."""
 
@@ -350,15 +344,9 @@ class TargetScene:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        d = np.atleast_1d(np.asarray(self.delays, dtype=float)).copy()
-        v = np.atleast_1d(np.asarray(self.dopplers, dtype=float)).copy()
-        a = np.atleast_1d(np.asarray(self.amplitudes, dtype=np.complex128)).copy()
-        check_scenes(d[None], v[None], a[None])
-        for arr in (d, v, a):
-            arr.flags.writeable = False
-        object.__setattr__(self, "delays", d)
-        object.__setattr__(self, "dopplers", v)
-        object.__setattr__(self, "amplitudes", a)
+        for name, dtype in (("delays", float), ("dopplers", float), ("amplitudes", np.complex128)):
+            object.__setattr__(self, name, np.atleast_1d(frozen(getattr(self, name), dtype)))
+        check_scenes(self.delays[None], self.dopplers[None], self.amplitudes[None])
 
     def __len__(self) -> int:
         return self.delays.size
@@ -518,9 +506,7 @@ def _emission(grid: GridSpec, var: np.ndarray, on: np.ndarray) -> RadarEmission:
         np.flatnonzero(half), mirror[half], np.sqrt(var[half] / 2.0),
         np.flatnonzero(self_paired), np.sqrt(var[self_paired]),
     )
-    for arr in arrays:
-        arr.flags.writeable = False
-    return RadarEmission(grid, *arrays)
+    return RadarEmission(grid, *map(frozen, arrays))
 
 
 def draw_radar_emission(emission: RadarEmission, seed: int = 0) -> SliceSpectrum:

@@ -11,6 +11,9 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import specx
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,6 +74,65 @@ def test_engine_imports_no_specx_module():
     ]
     assert [name for name in imported if name.split(".")[0] in ("", "specx")] == []
     assert specx.WorkerDied is engine.WorkerDied
+
+
+def test_only_frozen_sets_writeable_flags():
+    """Every array a value object, cache or shared set-up holds is frozen by
+    freqs.frozen, so it is the one place that switches writeable off."""
+    owners = []
+    for path in sorted(Path(specx.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+                sets = any(isinstance(t, ast.Attribute) and t.attr == "writeable" for t in targets)
+                if sets or isinstance(node, ast.Attribute) and node.attr == "setflags":
+                    owners.append((path.stem, getattr(stmt, "name", None)))
+    assert owners == [("freqs", "frozen")]
+
+
+_GRID = specx.GridSpec(f_nyq=4.0, f_p=1.0, f_s=1.0, n_grid=2)
+_SHAPE = (_GRID.n_slices, _GRID.n_grid)
+_VALUE_OBJECTS = {
+    "RemGrid": (lambda x: specx.RemGrid(x, 1.0), "energies", np.array([1.0, 2.0])),
+    "MappingMatrix": (specx.MappingMatrix, "d", np.eye(2)),
+    "BlockSparseVector": (lambda x: specx.BlockSparseVector(x, 1.0), "w", np.array([0.0, 1.0])),
+    "MixingSequenceSet": (specx.MixingSequenceSet, "signs", np.array([[1, -1], [-1, 1]])),
+    "SensingMatrix": (specx.SensingMatrix, "a", np.ones((2, 2), complex)),
+    "ChannelSamples": (lambda x: specx.ChannelSamples(x, _GRID), "z", np.ones((3, 2), complex)),
+    "FrameMatrix": (specx.FrameMatrix, "v", np.ones((2, 2), complex)),
+    "SliceEstimate": (
+        lambda x: specx.SliceEstimate(x, specx.SliceSupport(), _GRID), "x_hat", np.ones(_SHAPE)
+    ),
+    "FocusedMatrix": (
+        lambda x: specx.FocusedMatrix(x, np.array([0.0, 1.0]), 1.0), "psi", np.ones((2, 2))
+    ),
+    "SliceSpectrum": (lambda x: specx.SliceSpectrum(x, _GRID), "values", np.ones(_SHAPE)),
+    "RadarWaveformSpec": (
+        lambda x: specx.RadarWaveformSpec(2.0, specx.FrequencySet([(-0.5, 0.5)]), 1.0, x, 1.0),
+        "base_spectrum",
+        np.ones(4),
+    ),
+    "TargetScene": (
+        lambda x: specx.TargetScene(x, np.zeros(2), np.ones(2)), "delays", np.array([1.0, 2.0])
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VALUE_OBJECTS))
+def test_array_value_objects_hold_frozen_copies_and_compare_by_identity(name):
+    """A value object over arrays hashes, equals itself and differs from a
+    twin built from the same input, without comparing arrays; it holds a
+    read-only copy that its caller's later writes do not reach."""
+    build, field, given = _VALUE_OBJECTS[name]
+    source = given.copy()
+    x = build(source)
+    assert hash(x) == hash(x) and x == x
+    twin = build(source)
+    assert x != twin and not x == twin
+    source.fill(7)
+    held = getattr(x, field)
+    assert np.array_equal(held, given)
+    assert not held.flags.writeable
 
 
 def test_every_exported_name_has_a_user():

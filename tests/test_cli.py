@@ -80,6 +80,52 @@ def test_invalid_json_config(tmp_path):
     assert "error:" in proc.stderr
 
 
+def _desk_text_with(old, new):
+    text = json.dumps(desk_doc())
+    assert text.count(old) == 1
+    return text.replace(old, new).encode()
+
+
+def _deep_run_id():
+    run_id = json.dumps(desk_doc()["run_id"])
+    return _desk_text_with(f'"run_id": {run_id}', '"run_id": ' + "[" * 5000 + "]" * 5000)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(
+            lambda: _desk_text_with('"radar": {', '"radar": {"noise_var": 0.5, '),
+            id="duplicate-key",
+        ),
+        pytest.param(lambda: b"[" * 200_000, id="deep-array"),
+        pytest.param(_deep_run_id, id="deep-run-id"),
+        pytest.param(lambda: b"\xff\xfe", id="non-utf8"),
+    ],
+)
+def test_unreadable_config_exits_2_with_one_line(tmp_path, content):
+    """A config the parser would misread (a repeated key keeps only its last
+    value) or crash on is refused with one error line."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content())
+    proc = run_cli("radar", "--config", str(bad), "--out", str(tmp_path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+def test_value_nested_near_the_recursion_limit_is_refused():
+    """A value nested just shallow enough to parse can still overflow the
+    stack in the repr of its error message; from_json refuses it at every
+    depth."""
+    doc = desk_doc()
+    doc["grid"]["f_nyq"] = "@"
+    text = json.dumps(doc)
+    limit = sys.getrecursionlimit()
+    for depth in range(limit // 2, limit + 10):
+        with pytest.raises(specx.ConfigError):
+            specx.ScenarioConfig.from_json(text.replace('"@"', "[" * depth + "]" * depth))
+
+
 def test_infeasible_scene_exits_3(tmp_path):
     doc = desk_doc()
     doc["scene"]["n_targets"] = 20
