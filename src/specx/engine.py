@@ -46,17 +46,31 @@ def _openblas_thread_control():
     return None
 
 
-# glibc's mallopt(3) parameter for the freed memory kept at the top of the
-# heap, the pad a run keeps there, and glibc's default
+# glibc's mallopt(3) parameters for the freed memory kept at the top of the
+# heap and for the size from which a block is mmapped, the value a run sets
+# both to, and glibc's default for both
 _M_TOP_PAD = -2
+_M_MMAP_THRESHOLD = -3
 _TOP_PAD = 16 << 20
-_DEFAULT_TOP_PAD = 128 << 10
+_MALLOC_DEFAULT = 128 << 10
+
+
+def _malloc_start(name: str) -> int:
+    """The value glibc started a mallopt parameter at: the environment
+    variable name (MALLOC_TOP_PAD_, MALLOC_MMAP_THRESHOLD_) if it holds an
+    integer, else glibc's default."""
+    try:
+        return int(os.environ[name], 0)
+    except (KeyError, ValueError):
+        return _MALLOC_DEFAULT
 
 
 @functools.cache
 def _heap_pad_control():
-    """(pad, restore) functions: pad() sets glibc's M_TOP_PAD to _TOP_PAD,
-    restore() sets the value the process started with and trims the heap.
+    """(pad, restore) functions: pad() sets glibc's M_TOP_PAD and its
+    M_MMAP_THRESHOLD to _TOP_PAD, so every block that fits in the pad comes
+    from the heap; restore() sets both to the values the process started
+    with (_malloc_start) and trims the heap.
 
     None without glibc's mallopt. Looked up on first use rather than at
     import, so importing specx stays cheap.
@@ -69,16 +83,21 @@ def _heap_pad_control():
         return None
     mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
     trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    try:
-        start = int(os.environ["MALLOC_TOP_PAD_"], 0)
-    except (KeyError, ValueError):
-        start = _DEFAULT_TOP_PAD
+    start = {
+        _M_TOP_PAD: _malloc_start("MALLOC_TOP_PAD_"),
+        _M_MMAP_THRESHOLD: _malloc_start("MALLOC_MMAP_THRESHOLD_"),
+    }
+
+    def pad() -> None:
+        for param in start:
+            mallopt(param, _TOP_PAD)
 
     def restore() -> None:
-        mallopt(_M_TOP_PAD, start)
+        for param, value in start.items():
+            mallopt(param, value)
         trim(0)
 
-    return functools.partial(mallopt, _M_TOP_PAD, _TOP_PAD), restore
+    return pad, restore
 
 
 def _cap_blas():
@@ -94,9 +113,10 @@ def _cap_blas():
 
 
 def _pad_heap():
-    """Pad glibc's heap top (_heap_pad_control); returns what restores the
-    process's starting pad and trims the heap. Without glibc's mallopt, the
-    allocator is left as it is."""
+    """Pad glibc's heap top and pin its mmap threshold to the pad
+    (_heap_pad_control); returns what restores the process's starting
+    values and trims the heap. Without glibc's mallopt, the allocator is
+    left as it is."""
     control = _heap_pad_control()
     if control is None:
         return lambda: None
@@ -368,16 +388,18 @@ def run(batch, tasks: list[tuple], workers: int) -> list[Any]:
     sweep's own, or runs in other threads). Without the OpenBLAS bundled
     with NumPy, threading is left as it is.
 
-    glibc's M_TOP_PAD is set to _TOP_PAD meanwhile, in the same way and in
-    every process, so a batch's freed stacks stay at the top of the heap
-    for the next batch instead of going back to the kernel and faulting in
-    again (_heap_pad_control). Runs that overlap in several threads share
-    one pad. When the last of them returns or raises it is set back to the
-    value the process started with, MALLOC_TOP_PAD_ or glibc's 128 KiB, not
-    to one the caller set with its own mallopt, which glibc cannot report,
-    and the heap is trimmed. Setting M_TOP_PAD also freezes glibc's dynamic
-    mmap threshold for the rest of the process. Without glibc's mallopt the
-    allocator is left as it is.
+    glibc's M_TOP_PAD and M_MMAP_THRESHOLD are both set to _TOP_PAD
+    meanwhile, in the same way and in every process, so a batch's freed
+    stacks stay at the top of the heap for the next batch instead of going
+    back to the kernel and faulting in again, and every block that fits in
+    the pad comes from the heap, whatever the caller allocated before the
+    run (_heap_pad_control). Runs that overlap in several threads share one
+    pad. When the last of them returns or raises, both are set back to the
+    values the process started with, MALLOC_TOP_PAD_ and
+    MALLOC_MMAP_THRESHOLD_ or glibc's 128 KiB, and the heap is trimmed.
+    glibc cannot report either value, so neither one the caller set with
+    its own mallopt nor a threshold its own allocations had raised is kept.
+    Without glibc's mallopt the allocator is left as it is.
     """
     w = max(1, min(workers, len(tasks), _usable_cpus()))
     with one_blas_thread, _padded_heap:

@@ -167,6 +167,20 @@ def _field_plan(cls) -> _Plan:
     )
 
 
+_SHOWN_CHARS = 100
+
+
+def _shown(value: Any) -> str:
+    """repr(value) for an error line: whole up to _SHOWN_CHARS characters,
+    else its two ends around "...", so a huge or deeply nested value still
+    gives one short line."""
+    text = repr(value)
+    if len(text) <= _SHOWN_CHARS:
+        return text
+    half = (_SHOWN_CHARS - 3) // 2
+    return f"{text[:half]}...{text[-half:]}"
+
+
 def _typed(cls: Any, value: Any, where: str, lo: Any = None, hi: Any = None) -> Any:
     """value checked and built as an instance of the annotation cls.
 
@@ -179,14 +193,14 @@ def _typed(cls: Any, value: Any, where: str, lo: Any = None, hi: Any = None) -> 
     field typed by its annotation."""
     if cls is float:
         if not _is_finite(value):
-            raise ConfigError(f"{where} must be a finite number, got {value!r}")
+            raise ConfigError(f"{where} must be a finite number, got {_shown(value)}")
         value = float(value)
     elif cls is int:
         if not _is_int(value):
-            raise ConfigError(f"{where} must be an integer, got {value!r}")
+            raise ConfigError(f"{where} must be an integer, got {_shown(value)}")
     elif cls is str:
         if not isinstance(value, str):
-            raise ConfigError(f"{where} must be a string, got {value!r}")
+            raise ConfigError(f"{where} must be a string, got {_shown(value)}")
     elif isinstance(cls, GenericAlias):  # tuple[X, ...]
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where}: expected a list")
@@ -498,7 +512,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     data = {}
     for key, value in pairs:
         if key in data:
-            raise ConfigError(f"config repeats the key {key!r} in one object")
+            raise ConfigError(f"config repeats the key {_shown(key)} in one object")
         data[key] = value
     return data
 

@@ -322,6 +322,33 @@ def test_bad_config_exits_2_in_one_line(tmp_path, section, key, value, args, mes
     assert not list(tmp_path.glob("*.csv"))
 
 
+def _nested(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("seed", list(range(100_000)), "error: seed must be an integer, got [0, 1, 2, "),
+        ("seed", "9" * 100_000, "error: seed must be an integer, got '999"),
+        ("run_id", _nested(500), "error: run_id must be a string, got [[[["),
+    ],
+    ids=["long-list", "long-string", "deep-list"],
+)
+def test_huge_wrong_typed_value_exits_2_in_one_short_line(tmp_path, key, value, message):
+    """The error line shows a huge or deeply nested value cut down to its
+    two ends, not its whole repr."""
+    doc = desk_doc()
+    doc[key] = value
+    proc = run_doc(tmp_path, doc, "sense")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
+    assert len(proc.stderr) < 200, len(proc.stderr)
+
+
 # only the band-placement sweep lays out blocks at sweep.occupancy, so the
 # occupancy its separated layout cannot fit leaves every other command alone
 @pytest.mark.parametrize(

@@ -202,6 +202,56 @@ def test_padded_heap_stops_batches_faulting_freed_memory_back_in():
     assert faults["off"] >= 5 * faults["on"], faults
 
 
+_PINNED_FAULTS = """
+import resource, sys
+import numpy as np
+from specx import engine
+
+if sys.argv[1] == "freed":
+    # mmapped at glibc's default threshold; freeing it raises the dynamic threshold to 2 MiB
+    block = np.ones(1 << 18)
+    del block
+faults = []
+
+
+def batch(claimed):
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    # 4 arrays of 1 MiB, each above glibc's default mmap threshold, freed on return
+    arrays = [np.ones(1 << 17) for _ in range(4)]
+    return [float(sum(a[0] for a in arrays)) for _ in claimed]
+
+
+engine.run(batch, [(key, 0) for key in range(20)], 1)
+faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+print(faults[-1] - faults[1])
+"""
+
+
+def test_padded_heap_serves_blocks_above_the_default_mmap_threshold():
+    """Batches that allocate and free 1 MiB arrays fault them in once, in
+    the first batch, whether or not the caller freed a 2 MiB block before
+    the run: the pad pins glibc's mmap threshold, so the arrays come from
+    the padded heap instead of being mmapped, and faulted in, on every
+    batch, as they are at the default threshold that M_TOP_PAD alone
+    freezes."""
+    if engine._heap_pad_control() is None:
+        pytest.skip("no glibc mallopt")
+    faults = {}
+    for before in ("fresh", "freed"):
+        proc = run_python(_PINNED_FAULTS, 60, before)
+        assert proc.returncode == 0, proc.stderr
+        faults[before] = int(proc.stdout)
+    # one array faulted in again is 256 pages
+    assert max(faults.values()) < 64, faults
+
+
+def test_malloc_start_values_come_from_the_environment(monkeypatch):
+    monkeypatch.setenv("MALLOC_MMAP_THRESHOLD_", "0x40000")
+    assert engine._malloc_start("MALLOC_MMAP_THRESHOLD_") == 256 << 10
+    monkeypatch.delenv("MALLOC_TOP_PAD_", raising=False)
+    assert engine._malloc_start("MALLOC_TOP_PAD_") == 128 << 10
+
+
 def test_run_of_no_tasks_returns_no_measurements():
     assert engine.run(lambda claimed: [], [], 4) == []
 
