@@ -47,57 +47,34 @@ def _openblas_thread_control():
 
 
 # glibc's mallopt(3) parameters for the freed memory kept at the top of the
-# heap and for the size from which a block is mmapped, the value a run sets
-# both to, and glibc's default for both
+# heap and for the size from which a block is mmapped, and the value a sweep
+# sets both to
 _M_TOP_PAD = -2
 _M_MMAP_THRESHOLD = -3
 _TOP_PAD = 16 << 20
-_MALLOC_DEFAULT = 128 << 10
-
-
-def _malloc_start(name: str) -> int:
-    """The value glibc started a mallopt parameter at: the environment
-    variable name (MALLOC_TOP_PAD_, MALLOC_MMAP_THRESHOLD_) if it holds an
-    integer, else glibc's default."""
-    try:
-        return int(os.environ[name], 0)
-    except (KeyError, ValueError):
-        return _MALLOC_DEFAULT
 
 
 @functools.cache
-def _heap_pad_control():
-    """(pad, restore) functions: pad() sets glibc's M_TOP_PAD and its
-    M_MMAP_THRESHOLD to _TOP_PAD, so every block that fits in the pad comes
-    from the heap; restore() sets both to the values the process started
-    with (_malloc_start) and trims the heap.
+def _pad_heap() -> bool:
+    """Set glibc's M_TOP_PAD and M_MMAP_THRESHOLD to _TOP_PAD, once per
+    process, and keep them, as glibc's environment tunables would: a
+    batch's freed stacks stay at the top of the heap instead of faulting in
+    again, and every block that fits in the pad comes from the heap. Returns
+    whether the pad took; without glibc's mallopt, False and the allocator
+    is left as it is.
 
-    None without glibc's mallopt. Looked up on first use rather than at
-    import, so importing specx stays cheap.
+    Nothing sets them back: setting either one switches off glibc's dynamic
+    mmap threshold for good, so a restore would leave the caller mmapping,
+    and faulting in, every block above 128 KiB.
     """
     try:
         libc = ctypes.CDLL(None)
         libc.gnu_get_libc_version  # glibc's own
-        mallopt, trim = libc.mallopt, libc.malloc_trim
+        mallopt = libc.mallopt
     except (OSError, AttributeError, TypeError):
-        return None
+        return False
     mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    start = {
-        _M_TOP_PAD: _malloc_start("MALLOC_TOP_PAD_"),
-        _M_MMAP_THRESHOLD: _malloc_start("MALLOC_MMAP_THRESHOLD_"),
-    }
-
-    def pad() -> None:
-        for param in start:
-            mallopt(param, _TOP_PAD)
-
-    def restore() -> None:
-        for param, value in start.items():
-            mallopt(param, value)
-        trim(0)
-
-    return pad, restore
+    return all([mallopt(param, _TOP_PAD) == 1 for param in (_M_TOP_PAD, _M_MMAP_THRESHOLD)])
 
 
 def _cap_blas():
@@ -112,26 +89,15 @@ def _cap_blas():
     return functools.partial(set_, saved)
 
 
-def _pad_heap():
-    """Pad glibc's heap top and pin its mmap threshold to the pad
-    (_heap_pad_control); returns what restores the process's starting
-    values and trims the heap. Without glibc's mallopt, the allocator is
-    left as it is."""
-    control = _heap_pad_control()
-    if control is None:
-        return lambda: None
-    pad, restore = control
-    pad()
-    return restore
-
-
 class _HeldSetting(contextlib.ContextDecorator):
     """A process-wide setting held while any of its scopes is open, used as
     a context manager or a decorator. Scopes may nest, or overlap in several
     threads: a count of open scopes, kept under a lock, lets only the first
     to open apply the setting, apply() -> undo, and only the last to close
     undo it, whatever order they close in. A forked child inherits the
-    setting and the count, and never opens a scope."""
+    setting and the count, and never opens a scope. It suits a setting that
+    apply() can read back and undo exactly, as BLAS's thread count
+    (one_blas_thread); glibc's heap pad cannot be, and is kept (_pad_heap)."""
 
     def __init__(self, apply) -> None:
         self._apply = apply
@@ -157,7 +123,6 @@ class _HeldSetting(contextlib.ContextDecorator):
 # processes for cores. The single-shot runs, sweep and run hold this scope;
 # a kernel called on its own keeps the caller's BLAS settings.
 one_blas_thread = _HeldSetting(_cap_blas)
-_padded_heap = _HeldSetting(_pad_heap)
 
 
 def _usable_cpus() -> int:
@@ -264,8 +229,8 @@ def _child_share(batch, tasks: list[tuple], w: int, cursor, lock, conn) -> None:
 
 def _unforked_share(job, w: int, cursor, lock, conn) -> None:
     """Body of a child that was not forked: cap BLAS at one thread and pad
-    the heap top, as a forked child inherits both, unpickle (batch, tasks)
-    from the job pipe as it arrives, then run _child_share."""
+    the heap (_pad_heap), as a forked child inherits both, unpickle (batch,
+    tasks) from the job pipe as it arrives, then run _child_share."""
     _cap_blas()
     _pad_heap()
     with job, open(job.fileno(), "rb", closefd=False) as stream:
@@ -388,19 +353,14 @@ def run(batch, tasks: list[tuple], workers: int) -> list[Any]:
     sweep's own, or runs in other threads). Without the OpenBLAS bundled
     with NumPy, threading is left as it is.
 
-    glibc's M_TOP_PAD and M_MMAP_THRESHOLD are both set to _TOP_PAD
-    meanwhile, in the same way and in every process, so a batch's freed
-    stacks stay at the top of the heap for the next batch instead of going
-    back to the kernel and faulting in again, and every block that fits in
-    the pad comes from the heap, whatever the caller allocated before the
-    run (_heap_pad_control). Runs that overlap in several threads share one
-    pad. When the last of them returns or raises, both are set back to the
-    values the process started with, MALLOC_TOP_PAD_ and
-    MALLOC_MMAP_THRESHOLD_ or glibc's 128 KiB, and the heap is trimmed.
-    glibc cannot report either value, so neither one the caller set with
-    its own mallopt nor a threshold its own allocations had raised is kept.
-    Without glibc's mallopt the allocator is left as it is.
+    Before its first batch the run pads glibc's heap, in this process and
+    so in every child it forks, and a child started any other way pads its
+    own (_pad_heap). The pad is set once per process and kept after the
+    run: up to _TOP_PAD of freed memory stays mapped, and the next sweep
+    finds its heap ready. Without glibc's mallopt the allocator is left as
+    it is.
     """
     w = max(1, min(workers, len(tasks), _usable_cpus()))
-    with one_blas_thread, _padded_heap:
+    _pad_heap()
+    with one_blas_thread:
         return _run_split(batch, tasks, w)

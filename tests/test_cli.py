@@ -295,6 +295,38 @@ def test_sense_runs_without_channel_counts(tmp_path, absent):
         # desk's bins are 625 kHz apart, so a 100 kHz band can hold none
         ("comm.transmissions.0", "bandwidth", 1e5, ("sweep", "--axis", "snr", *SWEEP_ONE),
          "bandwidth 100000 Hz is narrower than 1.02 grid bins of 625000 Hz"),
+        ("comm.transmissions.0", "shape", "square", ("sense",),
+         "comm.transmissions[0]: shape must be one of ('flat', 'raised-cosine')"),
+        ("comm.transmissions.0", "bandwidth", 0.0, ("sense",),
+         "comm.transmissions[0]: bandwidth must be positive"),
+        ("comm.transmissions.0", "power", -1.0, ("sense",),
+         "comm.transmissions[0]: power must be nonnegative"),
+        (None, "run_id", "", ("sense",), "run_id must be a non-empty path-free name"),
+        (None, "run_id", "a/b", ("sense",), "run_id must be a non-empty path-free name"),
+        ("grid", "n_grid", 31, ("sense",), "grid: n_grid must be even and >= 2"),
+        ("grid", "n_chips", 4, ("sense",), "grid.n_chips (4) must be >= the slice count (30)"),
+        # 279 MHz + 2 MHz reaches past f_nyq / 2 = 280 MHz
+        ("comm.transmissions.0", "carrier", 2.79e8, ("sense",),
+         "comm transmission 0 (phase 1) exceeds the Nyquist range"),
+        ("comm.transmissions.0", "bandwidth", 2.1e7, ("sense",),
+         "comm transmission 0 (phase 1) is wider than one slice"),
+        ("radar", "carrier", 2.8e8, ("radar",), "radar band must lie within (0, f_nyq/2)"),
+        # 1e-4 s * 1.61 MHz is 161 delay bins
+        ("radar", "b_h", 1.61e6, ("radar",), "pri * b_h must be even"),
+        ("radar", "p_fa", 1.0, ("radar",), "radar.p_fa must be in (0, 1)"),
+        ("radar", "glrt_model", "bogus", ("radar",),
+         "radar.glrt_model must be 'central' or 'noncentral'"),
+        ("radar", "p_t", 0.0, ("radar",), "radar.p_t must be > 0"),
+        ("rem", "energies", [1.0, 2.0, 3.0], ("select-bands",),
+         "rem must have at least n_bands entries"),
+        # desk's Doppler grid has 24 pulses
+        ("scene", "n_targets", 25, ("radar",), "scene.n_targets exceeds the delay or Doppler grid"),
+        ("sweep", "occupancy", 1.5, ("sweep", "--axis", "band_placement", *SWEEP_ONE),
+         "sweep.occupancy must be in (0, 1]"),
+        ("sweep", "snr_db", [], ("sweep", "--axis", "snr", *SWEEP_ONE),
+         "sweep.snr_db must be non-empty"),
+        ("sweep", "band_layouts", [], ("sweep", "--axis", "band_placement", *SWEEP_ONE),
+         "sweep.band_layouts and the SNR grid must be non-empty"),
     ],
     ids=[
         "seed", "n_trials", "negative-workers", "specx-channels", "snr-channels", "channel-counts",
@@ -306,7 +338,11 @@ def test_sense_runs_without_channel_counts(tmp_path, absent):
         "tiny-p-fa", "overlapping-occupancy", "unknown-layout", "tiny-bandwidth",
         "huge-delay-grid", "huge-slice-grid", "huge-mixing-bank", "huge-pulse-train",
         "huge-channel-bank", "list-layout", "null-run-id", "string-bandwidth",
-        "narrow-bandwidth",
+        "narrow-bandwidth", "unknown-shape", "zero-bandwidth", "negative-power", "empty-run-id",
+        "path-run-id", "odd-n-grid", "few-chips", "carrier-past-nyquist", "wide-bandwidth",
+        "radar-past-nyquist", "odd-delay-bins", "p-fa-one", "unknown-glrt-model", "zero-p-t",
+        "few-rem-entries", "too-many-targets", "occupancy-above-one", "empty-snr",
+        "empty-band-layouts",
     ],
 )
 def test_bad_config_exits_2_in_one_line(tmp_path, section, key, value, args, message):
@@ -319,6 +355,15 @@ def test_bad_config_exits_2_in_one_line(tmp_path, section, key, value, args, mes
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and message in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_missing_required_key_exits_2_in_one_line(tmp_path):
+    doc = desk_doc()
+    del doc["radar"]["pri"]
+    proc = run_doc(tmp_path, doc, "radar")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: radar: missing required keys ['pri']\n"
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -11,6 +12,10 @@ import numpy as np
 import pytest
 
 from specx import engine
+
+# the heap pad's fault counts need glibc's mallopt; asked of the interpreter's
+# libc, so that deciding does not pad this process
+needs_glibc = pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="no glibc mallopt")
 
 
 def toy_tasks(sizes):
@@ -77,18 +82,17 @@ def test_run_without_blas_thread_control(monkeypatch):
 
 
 def test_run_pads_the_heap_top_for_the_run(monkeypatch):
-    """The pad is set before the first batch and restored after the last,
-    also when a batch raises."""
+    """The pad is set before the first batch and is still set after the
+    last, also when a batch raises: nothing sets it back."""
     events = []
-    control = (lambda: events.append("pad"), lambda: events.append("restore"))
-    monkeypatch.setattr(engine, "_heap_pad_control", lambda: control)
+    monkeypatch.setattr(engine, "_pad_heap", lambda: events.append("pad") or True)
 
     def batch(claimed):
         events.append("batch")
         return [{} for _ in claimed]
 
     engine.run(batch, toy_tasks((2, 1)), 1)
-    assert events == ["pad", "batch", "batch", "restore"]
+    assert events == ["pad", "batch", "batch"]
 
     events.clear()
 
@@ -98,10 +102,18 @@ def test_run_pads_the_heap_top_for_the_run(monkeypatch):
 
     with pytest.raises(RuntimeError, match="trial failed"):
         engine.run(failing, toy_tasks((2,)), 1)
-    assert events == ["pad", "batch", "batch", "restore"]  # the batch, then its first trial
+    assert events == ["pad", "batch", "batch"]  # the batch, then its first trial
 
 
 def test_run_without_heap_pad_control(monkeypatch):
+    """Without glibc's mallopt the pad does not take, and a run measures
+    what a padded one does."""
+    def no_libc(name):
+        raise OSError(name)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(engine.ctypes, "CDLL", no_libc)
+        assert engine._pad_heap.__wrapped__() is False
     tasks = toy_tasks((3, 2))
 
     def batch(claimed):
@@ -110,20 +122,19 @@ def test_run_without_heap_pad_control(monkeypatch):
         return [np.linalg.lstsq(a_k, b_k, rcond=None)[0].tolist() for a_k, b_k in zip(a, b)]
 
     padded = engine.run(batch, tasks, 1)
-    monkeypatch.setattr(engine, "_heap_pad_control", lambda: None)
+    monkeypatch.setattr(engine, "_pad_heap", lambda: False)
     assert engine.run(batch, tasks, 1) == padded
 
 
 def test_overlapping_runs_restore_the_callers_settings_once(monkeypatch):
     """Run A starts, run B starts in another thread, and A returns first:
     B's batch still runs on one BLAS thread and a padded heap, and only B,
-    the last to return, restores the caller's 2 threads and its heap."""
+    the last to return, restores the caller's 2 threads; the heap stays
+    padded."""
     threads, padded = [2], [False]
     monkeypatch.setattr(engine, "_openblas_thread_control",
                         lambda: (lambda: threads[0], lambda n: threads.__setitem__(0, n)))
-    monkeypatch.setattr(engine, "_heap_pad_control",
-                        lambda: (lambda: padded.__setitem__(0, True),
-                                 lambda: padded.__setitem__(0, False)))
+    monkeypatch.setattr(engine, "_pad_heap", lambda: padded.__setitem__(0, True) or True)
     a_ran, b_ran, a_done = threading.Event(), threading.Event(), threading.Event()
     seen = {}
 
@@ -151,7 +162,7 @@ def test_overlapping_runs_restore_the_callers_settings_once(monkeypatch):
         thread.join(timeout=30)
         assert not thread.is_alive()
     assert seen == {"b": (1, True)}
-    assert (threads[0], padded[0]) == (2, False)
+    assert (threads[0], padded[0]) == (2, True)
 
 
 def test_numpys_bundled_openblas_has_thread_control():
@@ -170,7 +181,7 @@ import numpy as np
 from specx import engine
 
 if sys.argv[1] == "off":
-    engine._heap_pad_control = lambda: None
+    engine._pad_heap = lambda: False
 faults = []
 
 
@@ -187,13 +198,12 @@ print(faults[-1] - faults[1])
 """
 
 
+@needs_glibc
 def test_padded_heap_stops_batches_faulting_freed_memory_back_in():
     """A batch that allocates and frees about 4 MB takes, after the first
     batch, at least 5 times fewer minor page faults with the heap top
     padded than without: unpadded, glibc trims the freed memory back to the
     kernel after each batch and the next one faults it in again."""
-    if engine._heap_pad_control() is None:
-        pytest.skip("no glibc mallopt")
     faults = {}
     for side in ("on", "off"):
         proc = run_python(_HEAP_FAULTS, 60, side)
@@ -227,6 +237,7 @@ print(faults[-1] - faults[1])
 """
 
 
+@needs_glibc
 def test_padded_heap_serves_blocks_above_the_default_mmap_threshold():
     """Batches that allocate and free 1 MiB arrays fault them in once, in
     the first batch, whether or not the caller freed a 2 MiB block before
@@ -234,8 +245,6 @@ def test_padded_heap_serves_blocks_above_the_default_mmap_threshold():
     the padded heap instead of being mmapped, and faulted in, on every
     batch, as they are at the default threshold that M_TOP_PAD alone
     freezes."""
-    if engine._heap_pad_control() is None:
-        pytest.skip("no glibc mallopt")
     faults = {}
     for before in ("fresh", "freed"):
         proc = run_python(_PINNED_FAULTS, 60, before)
@@ -245,11 +254,32 @@ def test_padded_heap_serves_blocks_above_the_default_mmap_threshold():
     assert max(faults.values()) < 64, faults
 
 
-def test_malloc_start_values_come_from_the_environment(monkeypatch):
-    monkeypatch.setenv("MALLOC_MMAP_THRESHOLD_", "0x40000")
-    assert engine._malloc_start("MALLOC_MMAP_THRESHOLD_") == 256 << 10
-    monkeypatch.delenv("MALLOC_TOP_PAD_", raising=False)
-    assert engine._malloc_start("MALLOC_TOP_PAD_") == 128 << 10
+_CALLER_FAULTS = """
+import resource
+import numpy as np
+from specx import engine
+
+engine.run(lambda claimed: [None for _ in claimed], [(0, 0)], 1)
+# 1 MiB, above glibc's default mmap threshold, allocated and freed: once to
+# fault it in, then 200 times counted
+np.ones(1 << 17)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(200):
+    np.ones(1 << 17)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@needs_glibc
+def test_caller_allocates_without_faults_after_a_run():
+    """After a run, the caller's 200 allocate-and-free rounds of a 1 MiB
+    array fault in no page once the first has: the pad is kept, so the
+    array comes from the heap. Setting the pad freezes glibc's mmap
+    threshold, so a restore to its 128 KiB default mmapped and faulted in
+    every one of them, 256 pages each."""
+    proc = run_python(_CALLER_FAULTS, 60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 64, proc.stdout
 
 
 def test_run_of_no_tasks_returns_no_measurements():
@@ -451,7 +481,7 @@ def set_padded(value):
 
 
 # at the top level, so that a spawned child, which imports this script, sees it too
-engine._heap_pad_control = lambda: (lambda: set_padded(True), lambda: set_padded(False))
+engine._pad_heap = lambda: set_padded(True) or True
 
 
 def padded(claimed):
@@ -479,11 +509,11 @@ if __name__ == "__main__":
 def test_every_start_method_runs_trials_on_a_padded_heap(tmp_path):
     """A child that was spawned or started by the fork server pads the heap
     top itself before its first claim, as a forked child inherits the pad;
-    the caller's pad is restored after each run."""
+    the caller's heap stays padded after each run."""
     proc = run_script(tmp_path, _HEAP_PAD, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "".join(
-        f"{method} [True] {{True}} False\n" for method in ("fork", "spawn", "forkserver")
+        f"{method} [True] {{True}} True\n" for method in ("fork", "spawn", "forkserver")
     )
 
 

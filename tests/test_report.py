@@ -1,5 +1,8 @@
 """Report tables: shape checks, serialization, byte-level determinism."""
 
+import json
+
+import numpy as np
 import pytest
 
 from specx import ReportError, RunReport, emit_report, load_report
@@ -33,6 +36,37 @@ def test_validation():
             trial_columns=("a",),
             trials=({"a": 1, "mystery": 2},),
         )
+
+
+def test_values_become_plain():
+    """Complex numbers become [re, im], arrays lists, NumPy scalars Python
+    ones, and mapping keys strings."""
+    rep = RunReport(
+        run_id="x",
+        meta={1: {2: np.int64(3)}, "z": 1 + 2j},
+        trial_columns=("a", "b", "c", "d"),
+        trials=({"a": np.array([[1.5, 2.0]]), "b": np.complex128(0.5 - 1j),
+                 "c": np.bool_(True), "d": np.array([1j])},),
+    )
+    assert rep.meta == {"1": {"2": 3}, "z": [1.0, 2.0]}
+    assert rep.trials[0] == {"a": [[1.5, 2.0]], "b": [0.5, -1.0], "c": True, "d": [[0.0, 1.0]]}
+    assert type(rep.meta["1"]["2"]) is int and type(rep.trials[0]["c"]) is bool
+
+
+@pytest.mark.parametrize(
+    "meta, row",
+    [
+        ({}, {"a": float("nan")}),
+        ({"x": float("inf")}, {}),
+        ({}, {"a": np.array([1.0, np.nan])}),
+        ({}, {"a": complex(1.0, float("inf"))}),
+        ({}, {"a": {1, 2}}),
+    ],
+    ids=["nan-row", "inf-meta", "nan-in-array", "inf-in-complex", "set"],
+)
+def test_non_finite_or_unsupported_value_refused(meta, row):
+    with pytest.raises(ReportError):
+        RunReport(run_id="x", meta=meta, trial_columns=("a",), trials=(row,))
 
 
 def test_missing_row_keys_become_none():
@@ -100,3 +134,37 @@ def test_csv_collapses_empty_string_to_none(tmp_path):
     emit_report(rep, tmp_path)
     assert load_report(tmp_path, "edge", format="csv").trials[0]["s"] is None
     assert load_report(tmp_path, "edge", format="json").trials[0]["s"] == ""
+
+
+def _edit_json(path, **changes):
+    doc = json.loads(path.read_text())
+    doc.update(changes)
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("table", ["aggregate", "trials", "meta"])
+def test_load_refuses_headerless_csv(tmp_path, table):
+    emit_report(sample_report(), tmp_path, formats="csv")
+    (tmp_path / f"unit-{table}.csv").write_text("")
+    with pytest.raises(ReportError, match="expected a header row"):
+        load_report(tmp_path, "unit", format="csv")
+
+
+def test_load_refuses_a_json_table_of_another_run(tmp_path):
+    emit_report(sample_report(), tmp_path, formats="json")
+    _edit_json(tmp_path / "unit-trials.json", run_id="other")
+    with pytest.raises(ReportError, match="does not belong to run unit"):
+        load_report(tmp_path, "unit")
+
+
+def test_load_refuses_json_tables_whose_metadata_disagree(tmp_path):
+    emit_report(sample_report(), tmp_path, formats="json")
+    _edit_json(tmp_path / "unit-trials.json", meta={"seed": 8})
+    with pytest.raises(ReportError, match="metadata disagrees"):
+        load_report(tmp_path, "unit")
+
+
+def test_load_refuses_an_unknown_format(tmp_path):
+    emit_report(sample_report(), tmp_path)
+    with pytest.raises(ReportError, match="format must be"):
+        load_report(tmp_path, "unit", format="yaml")
